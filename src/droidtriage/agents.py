@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from string import Template
 
@@ -43,6 +44,7 @@ _SEV_RANK = {s: i for i, s in enumerate(SEVERITIES)}
 TOOL_NAMES = ("extract_context", "trigger_paths", "taint_reachability", "backward_slice")
 
 
+@cache
 def _template(name: str) -> Template:
     text = resources.files("droidtriage").joinpath(f"data/prompts/{name}").read_text("utf-8")
     return Template(text)
@@ -219,22 +221,18 @@ def recon_screen(
             signals.append(RiskSignal(perm, str(item.get("reason", "")), sev))
     signals.sort(key=lambda s: (_SEV_RANK[s.severity], s.permission))
 
-    chosen: dict[str, tuple[CallSite, str, str]] = {}
-    for signal in signals:
-        if signal.severity not in ("High", "Medium"):
-            continue
-        for pattern in catalog.apis_for_permission(signal.permission):
-            for key in api_index.sites:
-                if not pattern.matches(parse_sig(key)):
-                    continue
-                for site in api_index.sites[key]:
-                    k = site.render()
-                    prev = chosen.get(k)
-                    if prev is None or _SEV_RANK[signal.severity] < _SEV_RANK[prev[2]]:
-                        chosen[k] = (site, signal.permission, signal.severity)
+    # each indexed API is pulled in by the first High/Medium signal whose
+    # permission covers it
+    pulling = [s for s in signals if s.severity in ("High", "Medium")]
+    chosen: list[tuple[CallSite, str, str]] = []
+    for sites in api_index.sites.values():
+        perms = catalog.permissions_of(sites[0].callee)
+        signal = next((s for s in pulling if s.permission in perms), None)
+        if signal is not None:
+            chosen += [(site, signal.permission, signal.severity) for site in sites]
 
     ordered = sorted(
-        chosen.values(),
+        chosen,
         key=lambda t: (_SEV_RANK[t[2]], str(t[0].callee), t[0].line, str(t[0].method)),
     )[:cap]
     report = ReconReport(
@@ -271,7 +269,7 @@ class ToolBox:
     def dispatch(self, action: str, args: dict) -> tuple[dict, str]:
         program = self.bundle.program
         if action == "extract_context":
-            radius = int(args.get("radius", self.budgets.context_radius))
+            radius = _capped(args, "radius", self.budgets.context_radius)
             window = extract_context(program, self.site, radius)
             self.contexts.append(window)
             obs = {
@@ -285,7 +283,7 @@ class ToolBox:
             }
             return obs, f"lines {window.start_line}..{window.end_line} of {self.site.method}"
         if action == "trigger_paths":
-            depth = int(args.get("max_depth", self.budgets.trigger_depth))
+            depth = _capped(args, "max_depth", self.budgets.trigger_depth)
             chains = trigger_paths(self.graph, self.site, self.entry_catalog, depth)
             self.chains = chains
             obs = {
@@ -299,7 +297,7 @@ class ToolBox:
             kinds = sorted({c.entry_kind for c in chains}) or ["none"]
             return obs, f"{len(chains)} chain(s), kinds {','.join(kinds)}"
         if action == "taint_reachability":
-            depth = int(args.get("depth_limit", self.budgets.taint_depth))
+            depth = _capped(args, "depth_limit", self.budgets.taint_depth)
             result = taint_reachability(
                 program, self.graph, self.site, self.api_catalog, depth
             )
@@ -325,7 +323,7 @@ class ToolBox:
             method, line, var = self._slice_target(args)
             result = backward_slice(program, method, line, var)
             self.slice = result
-            mdef = {m.signature: m for m in program.methods()}[method]
+            mdef = program.method_map[method]
             obs = {
                 "tool": action,
                 "method": str(method),
@@ -349,6 +347,11 @@ class ToolBox:
         if self.site.result_var is not None:
             return self.site.method, self.site.line, self.site.result_var
         raise ToolError("no slice target: give method/line/var explicitly")
+
+
+def _capped(args: dict, key: str, ceiling: int) -> int:
+    """A model-chosen size argument, never above its `[budgets]` ceiling."""
+    return min(int(args.get(key, ceiling)), ceiling)
 
 
 def trace_candidate(

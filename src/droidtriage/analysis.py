@@ -61,15 +61,8 @@ class ContextWindow:
         return self.end_line - self.start_line + 1
 
 
-def _find_method(program: IrProgram, sig: MethodSig) -> MethodDef | None:
-    for m in program.methods():
-        if m.signature == sig:
-            return m
-    return None
-
-
 def _check_site(program: IrProgram, site: CallSite) -> MethodDef:
-    method = _find_method(program, site.method)
+    method = program.method_map.get(site.method)
     if method is None:
         raise InvalidSiteError(f"unknown method {site.method}")
     if not (1 <= site.line <= len(method.body)):
@@ -235,7 +228,7 @@ def _successors(method: MethodDef, line: int) -> list[int]:
 
 class _TaintEngine:
     def __init__(self, program: IrProgram, catalog: ApiCatalog, depth_limit: int):
-        self.methods = program.method_map()
+        self.methods = program.method_map
         self.catalog = catalog
         self.depth_limit = depth_limit
         self.summaries: dict[tuple[str, frozenset[str], int], _Summary] = {}
@@ -243,24 +236,33 @@ class _TaintEngine:
     # -- chain reconstruction -------------------------------------------
 
     def _chain(self, ctx: _Ctx, line: int, var: str) -> _Chain:
-        """Def-use steps making `var` tainted at IN(line), oldest first."""
-        event = ctx.parent[(line, var)]
+        """Def-use steps making `var` tainted at IN(line), oldest first.
+
+        Parent events always point at facts recorded earlier, so following
+        them back ends at the injection or at an entry parameter."""
         sig = ctx.method.signature
-        if event[0] == "inject":
-            return ((sig, ctx.inject[0]),), None
-        if event[0] == "entry":
-            return (), var
-        if event[0] == "flow":
-            return self._chain(ctx, event[1], var)
-        if event[0] == "copy":
-            prev, src = event[1], event[2]
-            steps, anchor = self._chain(ctx, prev, src)
-            return steps + ((sig, prev),), anchor
-        if event[0] == "ret":
-            prev, arg, inner_steps = event[1], event[2], event[3]
-            steps, anchor = self._chain(ctx, prev, arg)
-            return steps + ((sig, prev),) + inner_steps, anchor
-        raise AssertionError(f"unknown taint event {event!r}")
+        later: list[tuple[tuple[MethodSig, int], ...]] = []  # newest step group first
+        while True:
+            event = ctx.parent[(line, var)]
+            if event[0] == "inject":
+                steps, anchor = [(sig, ctx.inject[0])], None
+                break
+            if event[0] == "entry":
+                steps, anchor = [], var
+                break
+            if event[0] == "flow":
+                line = event[1]
+            elif event[0] == "copy":
+                line, var = event[1], event[2]
+                later.append(((sig, line),))
+            elif event[0] == "ret":
+                line, var = event[1], event[2]
+                later.append(((sig, line),) + event[3])
+            else:
+                raise AssertionError(f"unknown taint event {event!r}")
+        for group in reversed(later):
+            steps.extend(group)
+        return tuple(steps), anchor
 
     # -- transfer --------------------------------------------------------
 
@@ -415,7 +417,7 @@ def taint_reachability(
     """Mark the source call's return value tainted and search for sinks."""
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
-    method = _find_method(program, source.method)
+    method = program.method_map.get(source.method)
     if method is None or not (1 <= source.line <= len(method.body)):
         raise InvalidSiteError(f"no statement at {source.method}:{source.line}")
     stmt = method.body[source.line - 1]
@@ -435,7 +437,7 @@ def replay_witness(
     witness: tuple[tuple[MethodSig, int], ...],
 ) -> bool:
     """Check that a witness is a valid def-use chain from source to a sink."""
-    methods = program.method_map()
+    methods = program.method_map
     if not witness or witness[0] != (source.method, source.line):
         return False
     src_method = methods.get(source.method)
@@ -445,43 +447,30 @@ def replay_witness(
     if not isinstance(src_stmt, Invoke) or src_stmt.dst is None:
         return False
 
-    def run(idx: int, cur: MethodSig, var: str, stack: tuple) -> bool:
-        if idx >= len(witness):
-            return False
+    # depth-first over (witness index, method, tainted var, call stack); a
+    # call passing the variable in two argument positions forks the search
+    todo = [(1, source.method, src_stmt.dst, ())] if len(witness) > 1 else []
+    while todo:
+        idx, cur, var, stack = todo.pop()
         m, line = witness[idx]
-        if m != cur:
-            return False
         mdef = methods.get(m)
-        if mdef is None or not (1 <= line <= len(mdef.body)):
-            return False
+        if m != cur or mdef is None or not (1 <= line <= len(mdef.body)):
+            continue
         stmt = mdef.body[line - 1]
-        last = idx == len(witness) - 1
-        if last:
-            return (
-                isinstance(stmt, Invoke)
-                and var in stmt.args
-                and catalog.sink_category(stmt.callee) is not None
-            )
-        if isinstance(stmt, Assign) and stmt.src == var:
-            return run(idx + 1, cur, stmt.dst, stack)
-        if isinstance(stmt, Invoke) and var in stmt.args and stmt.callee in methods:
-            callee = methods[stmt.callee]
-            for j, a in enumerate(stmt.args):
-                if a == var and j < len(callee.params):
-                    if run(idx + 1, stmt.callee, callee.params[j],
-                           stack + ((cur, stmt.dst),)):
-                        return True
-            return False
-        if isinstance(stmt, Return) and stmt.var == var and stack:
+        if idx == len(witness) - 1:
+            if (isinstance(stmt, Invoke) and var in stmt.args
+                    and catalog.sink_category(stmt.callee) is not None):
+                return True
+        elif isinstance(stmt, Assign) and stmt.src == var:
+            todo.append((idx + 1, cur, stmt.dst, stack))
+        elif isinstance(stmt, Invoke) and var in stmt.args and stmt.callee in methods:
+            params = methods[stmt.callee].params
+            todo += [(idx + 1, stmt.callee, params[j], stack + ((cur, stmt.dst),))
+                     for j, a in enumerate(stmt.args) if a == var and j < len(params)]
+        elif isinstance(stmt, Return) and stmt.var == var and stack and stack[-1][1] is not None:
             prev, dst = stack[-1]
-            if dst is None:
-                return False
-            return run(idx + 1, prev, dst, stack[:-1])
-        return False
-
-    if len(witness) == 1:
-        return False
-    return run(1, source.method, src_stmt.dst, ())
+            todo.append((idx + 1, prev, dst, stack[:-1]))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +519,7 @@ def backward_slice(
 ) -> Slice:
     """Backward closure over data dependences plus the linear If-range
     control-dependence approximation."""
-    method = _find_method(program, method_sig)
+    method = program.method_map.get(method_sig)
     if method is None:
         raise InvalidTargetError(f"unknown method {method_sig}")
     if not (1 <= target_line <= len(method.body)):

@@ -274,7 +274,3 @@ class ModelRouter:
             model_id=model_id,
             latency_s=latency,
         )
-
-
-def complete(router: ModelRouter, tier: str, messages: list[tuple[str, str]]) -> Exchange:
-    return router.complete(tier, messages)

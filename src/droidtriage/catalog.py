@@ -5,6 +5,7 @@ at run time, so coverage can grow without code changes.
 
 `.cat` lines:  api:<sig-or-prefix> | source:<sig> | sink:<category>:<sig>
                | perm:<PERMISSION>-><sig-or-prefix>
+               (`source:` marks a system API, as `api:` does)
 `.epc` lines:  user:<method-name> | system:<method-name>@<component-kind>
                | lifecycle:<method-name>
 """
@@ -19,70 +20,59 @@ from .ir import COMPONENT_KINDS, Manifest, MethodSig
 SINK_CATEGORIES = ("network", "storage", "telephony")
 
 
-@dataclass(frozen=True)
-class ApiPattern:
-    """Exact canonical signature, or a class-prefix wildcard `pkg.Cls.*`."""
+@dataclass
+class _Entry:
+    """What the catalog lines say about one pattern."""
 
-    text: str
-
-    @property
-    def is_prefix(self) -> bool:
-        return self.text.endswith(".*")
-
-    def matches(self, sig: MethodSig) -> bool:
-        if self.is_prefix:
-            stem = self.text[:-2]
-            return sig.class_name == stem or sig.class_name.startswith(stem + ".")
-        return str(sig) == self.text
-
-
-def _parse_pattern(text: str, line_no: int) -> ApiPattern:
-    text = text.strip()
-    if text.endswith(".*") or "(" in text:
-        return ApiPattern(text)
-    raise ConfigError(f"catalog line {line_no}: {text!r} is neither a signature nor a class prefix")
+    system: bool = False
+    sinks: set[str] = field(default_factory=set)
+    permissions: set[str] = field(default_factory=set)
 
 
 @dataclass
 class ApiCatalog:
-    """The system-API surface the pipeline treats as sensitive."""
+    """The system-API surface the pipeline treats as sensitive.
 
-    system_apis: list[ApiPattern] = field(default_factory=list)
-    sources: list[ApiPattern] = field(default_factory=list)
-    sinks: dict[str, list[ApiPattern]] = field(default_factory=dict)
-    sensitive_map: dict[str, list[ApiPattern]] = field(default_factory=dict)
+    A pattern is an exact canonical signature, or a class-prefix wildcard
+    `stem.*` matching the classes `stem` and `stem.<more>`.  Patterns are
+    keyed by their text, so every question about a signature is one lookup:
+    its own rendering, then `<prefix>.*` for its class name and each dotted
+    prefix of it.
+    """
+
+    patterns: dict[str, _Entry] = field(default_factory=dict)
+
+    def _lookup(self, sig: MethodSig) -> list[_Entry]:
+        cls = sig.class_name
+        keys = [str(sig), cls + ".*"]
+        dot = cls.find(".")
+        while dot != -1:
+            keys.append(cls[:dot] + ".*")
+            dot = cls.find(".", dot + 1)
+        return [self.patterns[k] for k in keys if k in self.patterns]
 
     def is_system(self, sig: MethodSig) -> bool:
-        return any(p.matches(sig) for p in self.system_apis)
-
-    def is_source(self, sig: MethodSig) -> bool:
-        return any(p.matches(sig) for p in self.sources)
+        return any(e.system for e in self._lookup(sig))
 
     def sink_category(self, sig: MethodSig) -> str | None:
-        for category in SINK_CATEGORIES:
-            for p in self.sinks.get(category, ()):
-                if p.matches(sig):
-                    return category
-        return None
+        found = {c for e in self._lookup(sig) for c in e.sinks}
+        return next((c for c in SINK_CATEGORIES if c in found), None)
 
-    def apis_for_permission(self, permission: str) -> list[ApiPattern]:
-        return self.sensitive_map.get(permission, [])
+    def permissions_of(self, sig: MethodSig) -> set[str]:
+        """Permissions whose API families include the signature."""
+        return {p for e in self._lookup(sig) for p in e.permissions}
 
     @classmethod
     def parse(cls, text: str) -> "ApiCatalog":
         cat = cls()
-        seen: set[str] = set()
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("api:"):
-                pat = _parse_pattern(line[4:], line_no)
-                cat._add_api(pat, seen)
+                cat._entry(line[4:], line_no).system = True
             elif line.startswith("source:"):
-                pat = _parse_pattern(line[7:], line_no)
-                cat.sources.append(pat)
-                cat._add_api(pat, seen)
+                cat._entry(line[7:], line_no).system = True
             elif line.startswith("sink:"):
                 rest = line[5:]
                 if ":" not in rest:
@@ -91,24 +81,26 @@ class ApiCatalog:
                 category = category.strip()
                 if category not in SINK_CATEGORIES:
                     raise ConfigError(f"catalog line {line_no}: unknown sink category {category!r}")
-                pat = _parse_pattern(sig_text, line_no)
-                cat.sinks.setdefault(category, []).append(pat)
-                cat._add_api(pat, seen)
+                entry = cat._entry(sig_text, line_no)
+                entry.system = True
+                entry.sinks.add(category)
             elif line.startswith("perm:"):
                 rest = line[5:]
                 if "->" not in rest:
                     raise ConfigError(f"catalog line {line_no}: perm needs '->'")
                 perm, pat_text = rest.split("->", 1)
-                pat = _parse_pattern(pat_text, line_no)
-                cat.sensitive_map.setdefault(perm.strip(), []).append(pat)
+                cat._entry(pat_text, line_no).permissions.add(perm.strip())
             else:
                 raise ConfigError(f"catalog line {line_no}: unknown entry {line!r}")
         return cat
 
-    def _add_api(self, pat: ApiPattern, seen: set[str]) -> None:
-        if pat.text not in seen:
-            seen.add(pat.text)
-            self.system_apis.append(pat)
+    def _entry(self, text: str, line_no: int) -> _Entry:
+        text = text.strip()
+        if not (text.endswith(".*") or "(" in text):
+            raise ConfigError(
+                f"catalog line {line_no}: {text!r} is neither a signature nor a class prefix"
+            )
+        return self.patterns.setdefault(text, _Entry())
 
 
 ENTRY_KINDS = ("UserInteraction", "SystemEvent", "Lifecycle", "Unknown")

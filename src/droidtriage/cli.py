@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .agents import Catalogs, PipelineBudgets, run_pipeline
@@ -12,9 +13,9 @@ from .config import load_config
 from .errors import TriageError
 from .harness import (
     BatchConfig,
-    ConfusionCounts,
     DatasetManifest,
     compute_metrics,
+    confusion_counts,
     emit_reports,
     run_batch,
 )
@@ -31,14 +32,16 @@ def _bundle_paths(bundle_dir: Path) -> tuple[Path, Path]:
     return mmf[0], mir[0]
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _budgets(cfg_budgets: PipelineBudgets, args) -> PipelineBudgets:
-    return PipelineBudgets(
-        max_iterations=args.budget or cfg_budgets.max_iterations,
-        candidate_cap=args.cap or cfg_budgets.candidate_cap,
-        taint_depth=cfg_budgets.taint_depth,
-        trigger_depth=cfg_budgets.trigger_depth,
-        context_radius=cfg_budgets.context_radius,
-    )
+    given = {"max_iterations": args.budget, "candidate_cap": args.cap}
+    return replace(cfg_budgets, **{k: v for k, v in given.items() if v is not None})
 
 
 def _backend_mode(name: str) -> str:
@@ -92,7 +95,7 @@ def cmd_stats(args) -> int:
     for entry in dataset.entries:
         try:
             program = parse_program(entry.ir_path.read_text("utf-8"))
-        except (OSError, TriageError) as exc:
+        except (OSError, UnicodeDecodeError, TriageError) as exc:
             failures.append(f"{entry.app_id}: {exc}")
             continue
         locs.extend(m.loc for m in program.methods())
@@ -114,30 +117,16 @@ def cmd_stats(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    tp = tn = fp = fn = 0
-    evaluated = 0
     with open(args.results, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if "verdict" not in row:
-                continue
-            evaluated += 1
-            bad = row["verdict"] == "Malicious"
-            truly_bad = row["label"] == "Malicious"
-            tp += bad and truly_bad
-            tn += (not bad) and (not truly_bad)
-            fp += bad and not truly_bad
-            fn += (not bad) and truly_bad
-    if evaluated == 0:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    pairs = [(row["verdict"], row["label"]) for row in rows if "verdict" in row]
+    if not pairs:
         print(json.dumps({"evaluated": 0}))
         return 1
-    metrics = compute_metrics(ConfusionCounts(tp, tn, fp, fn))
+    confusion = confusion_counts(pairs)
     print(json.dumps(
-        {"evaluated": evaluated, "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
-         "metrics": metrics.to_dict()},
+        {"evaluated": len(pairs), "confusion": confusion.to_dict(),
+         "metrics": compute_metrics(confusion).to_dict()},
         indent=2, sort_keys=True,
     ))
     return 0
@@ -155,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="config file (INI sections)")
     p.add_argument("--backend", choices=("scripted", "live"), default="scripted")
     p.add_argument("--out", default=None, help="also write the report here")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--budget", type=_at_least_one, default=None)
+    p.add_argument("--cap", type=_at_least_one, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("batch", help="evaluate a dataset index")
@@ -164,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="config file (INI sections)")
     p.add_argument("--backend", choices=("scripted", "live"), default="scripted")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--budget", type=int, default=None, help="max agent iterations")
-    p.add_argument("--cap", type=int, default=None, help="candidate cap per app")
+    p.add_argument("--budget", type=_at_least_one, default=None, help="max agent iterations")
+    p.add_argument("--cap", type=_at_least_one, default=None, help="candidate cap per app")
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_batch)
 

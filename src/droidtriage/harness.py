@@ -13,9 +13,11 @@ import csv
 import json
 import os
 import statistics
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .agents import Catalogs, PipelineBudgets, VerdictReport, run_pipeline
 from .backend import CostLedger, ModelRouter, PricingTable, cost_of, format_usd, tier_shares
@@ -84,6 +86,9 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
+    def to_dict(self) -> dict:
+        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
+
 
 @dataclass(frozen=True)
 class MetricSet:
@@ -146,7 +151,7 @@ def _evaluate_entry(entry: DatasetEntry, cfg: BatchConfig) -> EntryResult:
     try:
         manifest_text = entry.manifest_path.read_text("utf-8")
         ir_text = entry.ir_path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return EntryResult(entry, skip_reason=f"unreadable bundle: {exc}")
     try:
         bundle: AppBundle = parse_bundle(manifest_text, ir_text, app_id=entry.app_id)
@@ -169,22 +174,14 @@ def run_batch(dataset: DatasetManifest, cfg: BatchConfig) -> list[EntryResult]:
     return sorted(results, key=lambda r: r.entry.app_id)
 
 
+def confusion_counts(pairs: Iterable[tuple[str, str]]) -> ConfusionCounts:
+    """Tally (predicted verdict, true label) pairs."""
+    n = Counter((verdict == "Malicious", label == "Malicious") for verdict, label in pairs)
+    return ConfusionCounts(n[True, True], n[False, False], n[True, False], n[False, True])
+
+
 def confusion_of(results: list[EntryResult]) -> ConfusionCounts:
-    tp = tn = fp = fn = 0
-    for r in results:
-        if not r.evaluated:
-            continue
-        predicted_bad = r.report.verdict == "Malicious"
-        actually_bad = r.entry.label == "Malicious"
-        if predicted_bad and actually_bad:
-            tp += 1
-        elif not predicted_bad and not actually_bad:
-            tn += 1
-        elif predicted_bad and not actually_bad:
-            fp += 1
-        else:
-            fn += 1
-    return ConfusionCounts(tp, tn, fp, fn)
+    return confusion_counts((r.report.verdict, r.entry.label) for r in results if r.evaluated)
 
 
 def partition_by_year(results: list[EntryResult]) -> dict[int, MetricSet]:
@@ -225,10 +222,7 @@ def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
     }
     if evaluated:
         confusion = confusion_of(results)
-        summary["confusion"] = {
-            "tp": confusion.tp, "tn": confusion.tn,
-            "fp": confusion.fp, "fn": confusion.fn,
-        }
+        summary["confusion"] = confusion.to_dict()
         summary["metrics"] = compute_metrics(confusion).to_dict()
         summary["per_year"] = {
             str(year): ms.to_dict() for year, ms in partition_by_year(results).items()

@@ -1,9 +1,8 @@
 """Global call graph and the system-API inverted index.
 
 Both structures are built once per bundle and never mutated, so concurrent
-agent sessions can share them freely.  Edges are a multiset: two calls from
-the same caller to the same callee at different lines stay distinct, because
-forensics later needs each concrete site.
+agent sessions can share them freely.  The call graph keeps each method's
+distinct callers; the index keeps every concrete call site.
 """
 
 from __future__ import annotations
@@ -30,48 +29,22 @@ class CallSite:
 @dataclass
 class CallGraph:
     nodes: set[MethodSig]
-    edges: list[tuple[MethodSig, MethodSig, int]]
-    adjacency: dict[MethodSig, list[tuple[MethodSig, int]]]
-    reverse: dict[MethodSig, list[tuple[MethodSig, int]]]
-    defined: set[MethodSig]
+    # callee -> distinct callers, sorted by their canonical rendering
+    callers: dict[MethodSig, tuple[MethodSig, ...]]
 
-    def callers_of(self, sig: MethodSig) -> list[MethodSig]:
-        """Distinct callers in deterministic order (parallel edges merged)."""
-        seen: dict[str, MethodSig] = {}
-        for caller, _line in self.reverse.get(sig, []):
-            seen.setdefault(str(caller), caller)
-        return [seen[k] for k in sorted(seen)]
+    def callers_of(self, sig: MethodSig) -> tuple[MethodSig, ...]:
+        return self.callers.get(sig, ())
 
 
 def build_call_graph(program: IrProgram) -> CallGraph:
-    defined = {m.signature for m in program.methods()}
-    nodes: set[MethodSig] = set(defined)
-    edges: list[tuple[MethodSig, MethodSig, int]] = []
-    for method in sorted(program.methods(), key=lambda m: str(m.signature)):
+    nodes: set[MethodSig] = set(program.method_map)
+    callers: dict[MethodSig, set[MethodSig]] = {}
+    for method in program.methods():
         for stmt in method.body:
             if isinstance(stmt, Invoke):
                 nodes.add(stmt.callee)
-                edges.append((method.signature, stmt.callee, stmt.line))
-    adjacency: dict[MethodSig, list[tuple[MethodSig, int]]] = {n: [] for n in nodes}
-    reverse: dict[MethodSig, list[tuple[MethodSig, int]]] = {n: [] for n in nodes}
-    for caller, callee, line in edges:
-        adjacency[caller].append((callee, line))
-        reverse[callee].append((caller, line))
-    return CallGraph(nodes, edges, adjacency, reverse, defined)
-
-
-def extract_api_set(
-    program: IrProgram, catalog: ApiCatalog
-) -> tuple[set[MethodSig], set[MethodSig]]:
-    """Distinct external callees, partitioned into (system, non-system)."""
-    defined = {m.signature for m in program.methods()}
-    external: set[MethodSig] = set()
-    for method in program.methods():
-        for stmt in method.body:
-            if isinstance(stmt, Invoke) and stmt.callee not in defined:
-                external.add(stmt.callee)
-    system = {sig for sig in external if catalog.is_system(sig)}
-    return system, external - system
+                callers.setdefault(stmt.callee, set()).add(method.signature)
+    return CallGraph(nodes, {c: tuple(sorted(s, key=str)) for c, s in callers.items()})
 
 
 @dataclass
@@ -83,15 +56,9 @@ class ApiIndex:
     def lookup(self, sig: MethodSig | str) -> list[CallSite]:
         return list(self.sites.get(str(sig), []))
 
-    def all_sites(self) -> list[CallSite]:
-        out: list[CallSite] = []
-        for key in sorted(self.sites):
-            out.extend(self.sites[key])
-        return out
-
 
 def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
-    defined = {m.signature for m in program.methods()}
+    defined = program.method_map
     index = ApiIndex()
     for method in sorted(program.methods(), key=lambda m: str(m.signature)):
         for stmt in method.body:
@@ -102,10 +69,6 @@ def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
             site = CallSite(method.signature, stmt.line, stmt.callee, stmt.dst)
             index.sites.setdefault(str(stmt.callee), []).append(site)
     return index
-
-
-def lookup(index: ApiIndex, sig: MethodSig | str) -> list[CallSite]:
-    return index.lookup(sig)
 
 
 def global_search(program: IrProgram, pattern: str) -> list[tuple[MethodSig, int, str]]:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadBranchTargetError,
@@ -222,7 +223,10 @@ class IrProgram:
     def methods(self) -> list[MethodDef]:
         return [m for c in self.classes for m in c.methods]
 
+    @cached_property
     def method_map(self) -> dict[MethodSig, MethodDef]:
+        """Signature -> definition, built on first use; a parsed program is
+        never mutated, so every tool shares this one map."""
         return {m.signature: m for m in self.methods()}
 
     def class_names(self) -> set[str]:
@@ -261,7 +265,6 @@ class AppBundle:
     app_id: str
     manifest: Manifest
     program: IrProgram
-    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +509,9 @@ def render_program(program: IrProgram) -> str:
 
 
 def parse_bundle(manifest_text: str, ir_text: str, app_id: str | None = None) -> AppBundle:
-    """Parse and link one app; component references that do not resolve are
-    recorded as diagnostics rather than failing the parse."""
+    """Parse one app; `validate` reports what does not link."""
     manifest = parse_manifest(manifest_text)
-    program = parse_program(ir_text)
-    bundle = AppBundle(app_id or manifest.package, manifest, program)
-    known = program.class_names()
-    for comp in manifest.components:
-        if comp.name not in known:
-            bundle.diagnostics.append(
-                Diagnostic(
-                    "UnresolvedComponent",
-                    comp.name,
-                    f"component class {comp.name} not defined in program",
-                )
-            )
-    return bundle
+    return AppBundle(app_id or manifest.package, manifest, parse_program(ir_text))
 
 
 def validate(bundle: AppBundle) -> list[Diagnostic]:

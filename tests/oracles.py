@@ -38,6 +38,61 @@ def index_scan(program: IrProgram, catalog) -> dict[str, list[tuple[str, int]]]:
     return out
 
 
+def callers_scan(program: IrProgram) -> dict:
+    """Callee -> distinct caller renderings, sorted, by scanning every Invoke."""
+    out: dict = {}
+    for m in program.methods():
+        for stmt in m.body:
+            if isinstance(stmt, Invoke):
+                out.setdefault(stmt.callee, set()).add(str(m.signature))
+    return {callee: sorted(callers) for callee, callers in out.items()}
+
+
+class PatternScan:
+    """A `.cat` catalog as pattern lists; every question is a linear scan."""
+
+    SINK_ORDER = ("network", "storage", "telephony")
+
+    def __init__(self, text: str):
+        self.system: list[str] = []
+        self.sinks: dict[str, list[str]] = {}
+        self.perms: dict[str, list[str]] = {}
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            kind, rest = line.split(":", 1)
+            if kind in ("api", "source"):
+                self.system.append(rest.strip())
+            elif kind == "sink":
+                category, pattern = rest.split(":", 1)
+                self.sinks.setdefault(category.strip(), []).append(pattern.strip())
+                self.system.append(pattern.strip())
+            elif kind == "perm":
+                perm, pattern = rest.split("->", 1)
+                self.perms.setdefault(perm.strip(), []).append(pattern.strip())
+
+    @staticmethod
+    def matches(pattern: str, sig) -> bool:
+        if pattern.endswith(".*"):
+            stem = pattern[:-2]
+            return sig.class_name == stem or sig.class_name.startswith(stem + ".")
+        return str(sig) == pattern
+
+    def is_system(self, sig) -> bool:
+        return any(self.matches(p, sig) for p in self.system)
+
+    def sink_category(self, sig):
+        for category in self.SINK_ORDER:
+            if any(self.matches(p, sig) for p in self.sinks.get(category, [])):
+                return category
+        return None
+
+    def permissions_of(self, sig) -> set[str]:
+        return {perm for perm, pats in self.perms.items()
+                if any(self.matches(p, sig) for p in pats)}
+
+
 def grep_scan(program: IrProgram, pattern: str) -> list[tuple[str, int, str]]:
     from droidtriage.ir import render_stmt
 

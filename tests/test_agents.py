@@ -17,6 +17,7 @@ from droidtriage.agents import (
     run_pipeline,
     trace_candidate,
 )
+from droidtriage.analysis import replay_witness
 from droidtriage.backend import (
     CostLedger,
     ModelConfig,
@@ -25,8 +26,8 @@ from droidtriage.backend import (
 )
 from droidtriage.config import load_config
 from droidtriage.errors import EmptyManifestError, SchemaViolationError
-from droidtriage.index import build_api_index, build_call_graph
-from droidtriage.ir import Manifest, parse_bundle
+from droidtriage.index import CallSite, build_api_index, build_call_graph
+from droidtriage.ir import Manifest, parse_bundle, parse_sig
 from droidtriage.scripted import ScriptedProvider
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -107,7 +108,7 @@ def test_recon_candidates_all_come_from_index():
     report = recon_screen(
         bundle.manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger()
     )
-    indexed = {s.render() for s in index.all_sites()}
+    indexed = {s.render() for sites in index.sites.values() for s in sites}
     assert {c.render() for c in report.candidates} <= indexed
     assert {report.origins[c.render()][1] for c in report.candidates} == {"High"}
 
@@ -246,6 +247,76 @@ def test_trace_latest_invocation_wins():
     assert vec.contexts[0].site == vec.contexts[1].site
     assert vec.trigger_kind == "SystemEvent"
     assert vec.transcript.step_count == 5
+
+
+_PING_PONG = """
+class r.Loop {
+  method r.Loop.ping()->void () {
+    id = call android.telephony.TelephonyManager.getDeviceId()->string()
+    call r.Loop.pong()->void()
+    call android.util.Log.d(string,string)->int(id,id)
+    return
+  }
+  method r.Loop.pong()->void () {
+    call r.Loop.ping()->void()
+    return
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("action,args", [
+    ("trigger_paths", {"max_depth": 5000}),
+    ("taint_reachability", {"depth_limit": 5000}),
+])
+def test_trace_model_sizes_capped_at_budgets(action, args):
+    class FixedProvider:
+        deterministic = True
+
+        def chat(self, model_id, tier, messages):
+            return json.dumps({"thought": "", "action": action, "args": args}), 1, 1
+
+    config = RouterConfig(
+        tier_models={"recon": "m", "trace": "m", "verdict": "m"},
+        models={"m": ModelConfig("m", "scripted")},
+    )
+    bundle = parse_bundle("package: r\n", _PING_PONG)
+    graph = build_call_graph(bundle.program)
+    ping = parse_sig("r.Loop.ping()->void")
+    site = CallSite(ping, 1, parse_sig(
+        "android.telephony.TelephonyManager.getDeviceId()->string"), "id")
+    entry = CFG.entry_catalog.bound(bundle.manifest)
+    budgets = PipelineBudgets()
+    toolbox = _toolbox(bundle, graph, entry, site)
+    vec = trace_candidate(site, toolbox, ModelRouter(config, {"m": FixedProvider()}), 2,
+                          CostLedger())
+    assert vec.transcript.terminated_by == "BudgetExhausted"
+    assert [s.action.tool for s in vec.transcript.steps] == [action, action]
+    if action == "trigger_paths":
+        assert [len(c.path) for c in toolbox.chains] == [budgets.trigger_depth + 1]
+    else:
+        assert toolbox.taint.searched_depth == budgets.taint_depth
+
+
+def test_taint_witness_across_long_method_replays():
+    mir = "\n".join(
+        ["class l.Main {", "  method l.Main.onCreate(bundle)->void (b) {",
+         "    s = call android.telephony.TelephonyManager.getDeviceId()->string()"]
+        + ["    nop"] * 1000
+        + ["    call android.webkit.WebView.loadUrl(string)->void(s)", "    return", "  }", "}"]
+    ) + "\n"
+    bundle = parse_bundle("package: l\ncategory: game\npermission:READ_PHONE_STATE\n"
+                          "component:Activity:l.Main\n", mir)
+    graph = build_call_graph(bundle.program)
+    index = build_api_index(bundle.program, CFG.api_catalog)
+    entry = CFG.entry_catalog.bound(bundle.manifest)
+    router = scripted_router()
+    report = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
+    [site] = report.candidates
+    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), router, 8, CostLedger())
+    [hit] = vec.taint.reached_sinks
+    assert (hit.category, hit.site.line) == ("network", 1002)
+    assert replay_witness(bundle.program, CFG.api_catalog, site, hit.witness)
 
 
 def test_trace_invalid_actions_consume_budget_without_steps():

@@ -216,7 +216,7 @@ def test_trigger_chains_match_enumeration_oracle_on_dags():
 def test_trigger_chains_are_walks_in_transpose():
     rng = random.Random(29)
     for _ in range(10):
-        text, _edges, site_idx = gen_dag_program(rng, max_nodes=15)
+        text, edges, site_idx = gen_dag_program(rng, max_nodes=15)
         program = parse_program(text)
         graph = build_call_graph(program)
         from droidtriage.ir import parse_manifest
@@ -226,7 +226,8 @@ def test_trigger_chains_are_walks_in_transpose():
         )
         m = program.methods()[site_idx]
         site = CallSite(m.signature, m.body[-1].line, m.body[-1].callee, None)
-        edge_set = {(str(a), str(b)) for a, b, _l in graph.edges}
+        sig_of = {i: str(m.signature) for i, m in enumerate(program.methods())}
+        edge_set = {(sig_of[a], sig_of[b]) for a, b in edges}
         for chain in trigger_paths(graph, site, catalog, max_depth=4):
             for a, b in zip(chain.path, chain.path[1:]):
                 assert (str(a), str(b)) in edge_set
@@ -281,6 +282,24 @@ class a.B {
     assert hit.category == "network"
     assert [line for _m, line in hit.witness] == [1, 2, 3]
     assert replay_witness(program, synth_catalog(), site, hit.witness)
+
+
+def test_taint_long_copy_chain_witness_replays():
+    # one witness step per copy: 1,200 steps, past the interpreter's recursion limit
+    n = 1200
+    lines = (["v0 = call ext.api.Src.read()->string()"]
+             + [f"v{i} = v{i - 1}" for i in range(1, n)]
+             + [f"call ext.api.Net.send(string)->void(v{n - 1})"])
+    program = parse_program("class a.B {\n  method a.B.m()->void () {\n"
+                            + "".join(f"    {line}\n" for line in lines) + "  }\n}\n")
+    site = _site_of(program, "a.B.m()->void", 1)
+    result = taint_reachability(program, build_call_graph(program), site, synth_catalog(), 3)
+    [hit] = result.reached_sinks
+    assert [line for _m, line in hit.witness] == list(range(1, n + 2))
+    assert replay_witness(program, synth_catalog(), site, hit.witness)
+    # a dropped step or a missing sink does not replay
+    assert not replay_witness(program, synth_catalog(), site, hit.witness[:500] + hit.witness[501:])
+    assert not replay_witness(program, synth_catalog(), site, hit.witness[:-1])
 
 
 def test_taint_kill_by_reassignment():

@@ -1,0 +1,100 @@
+"""The catalog's keyed lookup against a linear scan over its patterns."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from droidtriage.catalog import SINK_CATEGORIES, ApiCatalog
+from droidtriage.config import _builtin
+from droidtriage.errors import ConfigError
+from droidtriage.ir import MethodSig, parse_sig
+
+from genprog import SYNTH_CATALOG_TEXT
+from oracles import PatternScan
+
+SHIPPED_TEXT = _builtin("system_apis.cat")
+
+
+def _pattern_sigs(text: str) -> list[MethodSig]:
+    """Every exact signature in a catalog, plus one method of each prefix stem."""
+    out = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, rest = line.split(":", 1)
+        pattern = {"sink": rest.split(":", 1)[-1], "perm": rest.split("->", 1)[-1]}.get(kind, rest)
+        pattern = pattern.strip()
+        if pattern.endswith(".*"):
+            out.append(MethodSig(pattern[:-2], "m", (), "void"))
+        else:
+            out.append(parse_sig(pattern))
+    return out
+
+
+def _random_sigs(rng: random.Random, stems: list[str], n: int) -> list[MethodSig]:
+    """Class names built from catalog stems, their parents and near misses."""
+    parts = sorted({p for stem in stems for p in stem.split(".")})
+    out = []
+    for _ in range(n):
+        base = rng.choice(stems + parts)
+        cls = rng.choice([
+            base,
+            base + "." + rng.choice(parts),
+            base.rsplit(".", 1)[0],
+            base + rng.choice(["X", "s", "_"]),
+            rng.choice(parts) + "." + base,
+        ])
+        out.append(MethodSig(cls, rng.choice(["m", "send", "query", "getString"]),
+                             tuple(rng.choice(["string", "int"]) for _ in range(rng.randint(0, 2))),
+                             rng.choice(["void", "string", "cursor"])))
+    return out
+
+
+@pytest.mark.parametrize("text", [SHIPPED_TEXT, SYNTH_CATALOG_TEXT], ids=["shipped", "synth"])
+def test_lookup_equals_pattern_scan(text):
+    catalog, scan = ApiCatalog.parse(text), PatternScan(text)
+    exact = _pattern_sigs(text)
+    stems = sorted({s.class_name for s in exact})
+    sigs = exact + _random_sigs(random.Random(5), stems, 2000)
+    for sig in sigs:
+        assert catalog.is_system(sig) == scan.is_system(sig), sig
+        assert catalog.sink_category(sig) == scan.sink_category(sig), sig
+        assert catalog.permissions_of(sig) == scan.permissions_of(sig), sig
+    # the generated set reaches every kind of answer
+    assert any(catalog.is_system(s) for s in sigs) and not all(catalog.is_system(s) for s in sigs)
+    assert any(catalog.permissions_of(s) for s in sigs) or "perm:" not in text
+
+
+def test_prefix_matches_whole_class_segments_only():
+    text = "api:android.tele.*\nperm:P->android.tele.*\n"
+    catalog, scan = ApiCatalog.parse(text), PatternScan(text)
+    for cls, want in (("android.telephony.X", False), ("android.tele", True),
+                      ("android.tele.X", True), ("android.tele.x.Y", True), ("android", False)):
+        sig = MethodSig(cls, "m", (), "void")
+        assert catalog.is_system(sig) is want is scan.is_system(sig), cls
+        assert (catalog.permissions_of(sig) == {"P"}) is want, cls
+
+
+def test_sink_listed_twice_gets_first_category():
+    sig = "a.B.m(string)->void"
+    for later, earlier in (("storage", "network"), ("telephony", "storage")):
+        # the later category is listed first, by exact text and by prefix
+        for text in (f"sink:{later}:{sig}\nsink:{earlier}:{sig}\n",
+                     f"sink:{later}:{sig}\nsink:{earlier}:a.*\n"):
+            assert ApiCatalog.parse(text).sink_category(parse_sig(sig)) == earlier
+            assert PatternScan(text).sink_category(parse_sig(sig)) == earlier
+    assert SINK_CATEGORIES.index("network") < SINK_CATEGORIES.index("storage")
+
+
+def test_source_lines_are_system_apis():
+    catalog = ApiCatalog.parse("source:a.B.read()->string\n")
+    assert catalog.is_system(parse_sig("a.B.read()->string"))
+    assert catalog.sink_category(parse_sig("a.B.read()->string")) is None
+
+
+def test_bad_pattern_rejected():
+    with pytest.raises(ConfigError):
+        ApiCatalog.parse("api:a.B\n")

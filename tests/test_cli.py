@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from droidtriage.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -70,6 +72,18 @@ def test_stats_reports_percentiles(tmp_path, capsys):
     assert sum(b["count"] for b in stats["histogram"]) == stats["methods"]
 
 
+def test_stats_lists_undecodable_entry_as_failure(tmp_path, capsys):
+    (tmp_path / "bad.mir").write_bytes(b"\xff\xfe")
+    clean = FIXTURES / "fx_clean"
+    idx = tmp_path / "two.idx"
+    idx.write_text("bad,bad.mmf,bad.mir,Benign,2020\n"
+                   f"fx_clean,{clean}/app.mmf,{clean}/app.mir,Benign,2020\n")
+    assert main(["stats", str(idx)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["methods"] == 3
+    assert [f.split(":")[0] for f in stats["failures"]] == ["bad"]
+
+
 def test_metrics_from_results_jsonl(tmp_path, capsys):
     out = tmp_path / "run"
     main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(out)])
@@ -80,3 +94,17 @@ def test_metrics_from_results_jsonl(tmp_path, capsys):
     assert data["evaluated"] == 6
     assert data["metrics"]["f1"] == 1.0
     assert data["confusion"] == {"tp": 3, "tn": 3, "fp": 0, "fn": 0}
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--cap"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_and_cap_below_one_rejected(tmp_path, capsys, flag, value):
+    # 0 used to fall back to the config value; a negative budget raised
+    # ValueError out of the batch
+    for argv in (["analyze", str(FIXTURES / "fx_clean")],
+                 ["batch", str(FIXTURES / "corpus.idx"), "--out", str(tmp_path / "o")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

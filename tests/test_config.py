@@ -8,6 +8,7 @@ import pytest
 
 from droidtriage.config import load_config
 from droidtriage.errors import ConfigError
+from droidtriage.ir import parse_sig
 
 MINIMAL = """
 [router]
@@ -27,7 +28,8 @@ def test_defaults_load_and_route_all_tiers():
     assert set(cfg.router.tier_models) == {"recon", "trace", "verdict"}
     assert cfg.budgets.max_iterations == 8
     assert cfg.budgets.candidate_cap == 15
-    assert len(cfg.api_catalog.system_apis) > 30
+    assert sum(e.system for e in cfg.api_catalog.patterns.values()) > 30
+    assert cfg.api_catalog.is_system(parse_sig("android.widget.Toast.show()->void"))
     assert cfg.entry_catalog.user
 
 
@@ -47,7 +49,8 @@ def test_catalog_paths_resolve_relative_to_config(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(MINIMAL + "\n[catalogs]\napi = mini.cat\nentry = mini.epc\n")
     cfg = load_config(path)
-    assert [p.text for p in cfg.api_catalog.system_apis] == ["my.Api.hit()->void"]
+    assert list(cfg.api_catalog.patterns) == ["my.Api.hit()->void"]
+    assert cfg.api_catalog.is_system(parse_sig("my.Api.hit()->void"))
     assert cfg.entry_catalog.user == {"onTap"}
 
 

@@ -150,6 +150,20 @@ def test_batch_single_unparseable_entry_skipped(tmp_path):
     assert "broken" in summary["skipped"][0]["app_id"]
 
 
+def test_batch_undecodable_bundle_skipped(tmp_path):
+    (tmp_path / "bad.mmf").write_text("package: bad\n")
+    (tmp_path / "bad.mir").write_bytes(b"\xff\xfe")
+    clean = FIXTURES / "fx_clean"
+    idx = tmp_path / "two.idx"
+    idx.write_text("bad,bad.mmf,bad.mir,Benign,2020\n"
+                   f"fx_clean,{clean}/app.mmf,{clean}/app.mir,Benign,2020\n")
+    results = run_batch(DatasetManifest.load(idx), batch_config())
+    by_id = {r.entry.app_id: r for r in results}
+    assert by_id["bad"].skip_reason.startswith("unreadable bundle:")
+    assert by_id["fx_clean"].evaluated
+    assert by_id["fx_clean"].report.verdict == "Benign"
+
+
 def test_batch_order_permutation_invariant(tmp_path):
     ds = DatasetManifest.load(FIXTURES / "corpus.idx")
     shuffled = DatasetManifest(list(reversed(ds.entries)))

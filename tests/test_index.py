@@ -1,4 +1,4 @@
-"""Call graph, API set extraction, inverted index and global search."""
+"""Call graph, inverted index and global search."""
 
 from __future__ import annotations
 
@@ -8,24 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage.index import (
-    build_api_index,
-    build_call_graph,
-    extract_api_set,
-    global_search,
-    lookup,
-)
-from droidtriage.ir import Invoke, parse_program, parse_sig
+from droidtriage.index import build_api_index, build_call_graph, global_search
+from droidtriage.ir import parse_program, parse_sig
 
 from genprog import gen_program, synth_catalog
-from oracles import grep_scan, index_scan
+from oracles import callers_scan, grep_scan, index_scan
 
 
 def test_single_method_no_calls():
     program = parse_program("class a.B {\n  method a.B.m()->void () {\n    nop\n  }\n}\n")
     graph = build_call_graph(program)
     assert len(graph.nodes) == 1
-    assert graph.edges == []
+    assert graph.callers == {}
+    assert graph.callers_of(parse_sig("a.B.m()->void")) == ()
 
 
 def test_duplicate_call_sites_kept_and_external_leaf():
@@ -47,77 +42,39 @@ class a.B {
     b = parse_sig("a.B.b()->void")
     log = parse_sig("ext.api.Util.log(string)->void")
     assert graph.nodes == {a, b, log}
-    assert (a, b, 2) in graph.edges and (a, b, 4) in graph.edges
-    assert (b, log, 1) in graph.edges
-    assert log not in graph.defined
-    assert graph.adjacency[log] == []
+    # the two calls a -> b (lines 2 and 4) give one caller entry
+    assert graph.callers_of(b) == (a,)
+    assert graph.callers_of(log) == (b,)
+    assert graph.callers_of(a) == ()
 
 
 def test_edge_count_equals_invoke_count_generated():
+    # one caller-table entry per distinct (caller, callee) pair of Invokes
     rng = random.Random(7)
     for _ in range(30):
         program = parse_program(gen_program(rng, max_methods=8, max_lines=15))
         graph = build_call_graph(program)
-        invokes = sum(
-            isinstance(s, Invoke) for m in program.methods() for s in m.body
-        )
-        assert len(graph.edges) == invokes
+        pairs = {(str(callee), caller) for callee, callers in callers_scan(program).items()
+                 for caller in callers}
+        assert sum(len(c) for c in graph.callers.values()) == len(pairs)
 
 
 def test_reverse_is_transpose_generated():
+    # callers_of is the transpose of the Invoke relation: distinct callers,
+    # sorted by rendering, and nothing for a method nobody calls
     rng = random.Random(11)
     for _ in range(30):
-        graph = build_call_graph(parse_program(gen_program(rng, 8, 15)))
-        forward = sorted(
-            (str(a), str(b), line) for a, adj in graph.adjacency.items() for b, line in adj
-        )
-        backward = sorted(
-            (str(a), str(b), line) for b, radj in graph.reverse.items() for a, line in radj
-        )
-        assert forward == backward
-
-
-def test_extract_api_set_internal_only():
-    program = parse_program(
-        "class a.B {\n  method a.B.a()->void () {\n    call a.B.b()->void()\n  }\n"
-        "  method a.B.b()->void () {\n    nop\n  }\n}\n"
-    )
-    system, other = extract_api_set(program, synth_catalog())
-    assert system == set() and other == set()
-
-
-def test_extract_api_set_partition():
-    program = parse_program(
-        "class a.B {\n  method a.B.a()->void () {\n"
-        "    call ext.api.Net.send(string)->void(\"x\")\n"
-        "    call ext.other.Thirdparty.track(string)->void(\"x\")\n  }\n}\n"
-    )
-    system, other = extract_api_set(program, synth_catalog())
-    assert {str(s) for s in system} == {"ext.api.Net.send(string)->void"}
-    assert {str(s) for s in other} == {"ext.other.Thirdparty.track(string)->void"}
-
-
-def test_extract_api_set_matches_intersection_oracle():
-    rng = random.Random(13)
-    catalog = synth_catalog()
-    for _ in range(30):
         program = parse_program(gen_program(rng, 8, 15))
-        system, other = extract_api_set(program, catalog)
-        defined = {m.signature for m in program.methods()}
-        externals = {
-            s.callee
-            for m in program.methods()
-            for s in m.body
-            if isinstance(s, Invoke) and s.callee not in defined
-        }
-        assert system == {s for s in externals if catalog.is_system(s)}
-        assert other == externals - system
+        graph = build_call_graph(program)
+        scan = callers_scan(program)
+        for node in graph.nodes:
+            assert [str(c) for c in graph.callers_of(node)] == scan.get(node, [])
 
 
 def test_lookup_unindexed_signature_empty():
     program = parse_program("class a.B {\n  method a.B.m()->void () {\n    nop\n  }\n}\n")
     index = build_api_index(program, synth_catalog())
-    assert lookup(index, "ext.api.Net.send(string)->void") == []
+    assert index.lookup("ext.api.Net.send(string)->void") == []
 
 
 def test_lookup_returns_sites_in_order():
@@ -213,23 +170,6 @@ def test_fixture_corpus_index_matches_scan_with_shipped_catalog():
             for key in index.sites
         }
         assert got == scan, name
-
-
-def test_fixture_corpus_api_partition_matches_intersection():
-    from droidtriage.config import default_api_catalog
-
-    catalog = default_api_catalog()
-    for name, program in _fixture_programs():
-        system, other = extract_api_set(program, catalog)
-        defined = {m.signature for m in program.methods()}
-        externals = {
-            s.callee
-            for m in program.methods()
-            for s in m.body
-            if isinstance(s, Invoke) and s.callee not in defined
-        }
-        assert system == {s for s in externals if catalog.is_system(s)}, name
-        assert other == externals - system, name
 
 
 def test_fixture_global_search_matches_grep():

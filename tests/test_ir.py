@@ -68,7 +68,7 @@ def test_empty_program_with_minimal_manifest():
     bundle = parse_bundle("package: a\n", "")
     assert bundle.app_id == "a"
     assert len(bundle.program.classes) == 0
-    assert bundle.diagnostics == []
+    assert validate(bundle) == []
 
 
 def test_fixture_smsleak_shape():
@@ -76,7 +76,6 @@ def test_fixture_smsleak_shape():
     bundle = fixture_bundle("fx_smsleak")
     assert len(bundle.program.classes) == 3
     assert len(bundle.program.methods()) == 7
-    assert bundle.diagnostics == []
     assert validate(bundle) == []
 
 
@@ -185,8 +184,6 @@ def test_unresolved_component_diagnostic():
         "package: a\ncomponent:Activity:a.Missing\n",
         "class a.B {\n  method a.B.m()->void () {\n    nop\n  }\n}\n",
     )
-    codes = [d.code for d in bundle.diagnostics]
-    assert codes == ["UnresolvedComponent"]
     assert [d.code for d in validate(bundle)] == ["UnresolvedComponent"]
 
 
@@ -214,11 +211,9 @@ def test_validate_does_not_mutate_bundle():
         "package: a\npermission:X\npermission:X\ncomponent:Activity:a.Missing\n",
         "class a.B {\n  method a.B.m()->void () {\n    y = x\n  }\n}\n",
     )
-    before = (render_manifest(bundle.manifest), render_program(bundle.program),
-              list(bundle.diagnostics))
+    before = (render_manifest(bundle.manifest), render_program(bundle.program))
     validate(bundle)
-    after = (render_manifest(bundle.manifest), render_program(bundle.program),
-             list(bundle.diagnostics))
+    after = (render_manifest(bundle.manifest), render_program(bundle.program))
     assert before == after
 
 
