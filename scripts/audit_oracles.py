@@ -12,13 +12,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from droidtriage.analysis import replay_witness, taint_reachability, trigger_paths
+from droidtriage.analysis import backward_slice, replay_witness, taint_reachability, trigger_paths
 from droidtriage.catalog import EntryCatalog
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import Invoke, parse_manifest, parse_program, parse_sig
+from droidtriage.ir import Invoke, defined_var, parse_manifest, parse_program, parse_sig, used_vars
 
 from genprog import dag_manifest_text, gen_dag_program, gen_program, synth_catalog
-from oracles import index_scan, taint_scan, trigger_scan
+from oracles import index_scan, slice_fixpoint_scan, taint_scan, trigger_scan
 
 ENTRY_RULES = EntryCatalog.parse(
     "user:onClick\nsystem:onReceive@Receiver\nsystem:onStartCommand@Service\n"
@@ -30,7 +30,7 @@ def main(n_programs: int, seed: int) -> int:
     rng = random.Random(seed)
     catalog = synth_catalog()
     t0 = time.time()
-    taint_queries = taint_hits = 0
+    taint_queries = taint_hits = slice_queries = 0
     programs = 0
     while programs < n_programs:
         program = parse_program(gen_program(rng, max_methods=12, max_lines=22))
@@ -40,6 +40,14 @@ def main(n_programs: int, seed: int) -> int:
         scan = index_scan(program, catalog)
         got = {k: [(str(s.method), s.line) for s in index.sites[k]] for k in index.sites}
         assert got == scan, "index/oracle divergence"
+
+        for m in program.methods():
+            for stmt in m.body:
+                want = sorted(slice_fixpoint_scan(m, stmt.line))
+                for var in {defined_var(stmt), *used_vars(stmt)} - {None}:
+                    got_slice = backward_slice(program, m.signature, stmt.line, var)
+                    assert got_slice.kept_lines == want, "slice/oracle divergence"
+                    slice_queries += 1
 
         sources = [
             CallSite(m.signature, s.line, s.callee, s.dst)
@@ -85,7 +93,7 @@ def main(n_programs: int, seed: int) -> int:
     elapsed = time.time() - t0
     print(
         f"audited {programs} programs: {taint_queries} taint queries "
-        f"({taint_hits} sink hits, all witnesses replayed), "
+        f"({taint_hits} sink hits, all witnesses replayed), {slice_queries} slices, "
         f"{dag_checks} trigger DAGs, index scans on every program; "
         f"no divergences in {elapsed:.1f}s"
     )

@@ -11,6 +11,11 @@ Taint is flow-sensitive inside a method, context-insensitive across calls
 and depth-limited.  Values move only through copies, call arguments and
 return values; there is no heap and no implicit flow through branches.
 Every reported sink carries a replayable def-use witness.
+
+A slice is the least set of lines that holds the target, every definition
+reaching a use on a kept line, and every If with a kept line strictly
+between the If and its branch target (a linear approximation of control
+dependence).  It is computed in one pass over a demand worklist.
 """
 
 from __future__ import annotations
@@ -266,18 +271,19 @@ class _TaintEngine:
 
     # -- transfer --------------------------------------------------------
 
-    def _transfer(self, ctx: _Ctx, line: int) -> set[str]:
+    def _transfer(self, ctx: _Ctx, line: int) -> tuple[set[str], dict[str, tuple]]:
+        """OUT(line), and the parent event of each variable tainted here."""
         method = ctx.method
         stmt = method.body[line - 1]
         tin = ctx.insets.get(line, set())
         out = set(tin)
-        defined_taint: tuple | None = None  # parent event for a var defined here
+        born: dict[str, tuple] = {}
 
         if isinstance(stmt, Assign):
             out.discard(stmt.dst)
             if stmt.src is not None and stmt.src in tin:
                 out.add(stmt.dst)
-                defined_taint = ("copy", line, stmt.src)
+                born[stmt.dst] = ("copy", line, stmt.src)
         elif isinstance(stmt, Invoke):
             tainted_args = [a for a in stmt.args if is_var_token(a) and a in tin]
             if tainted_args:
@@ -292,28 +298,18 @@ class _TaintEngine:
                     out.discard(stmt.dst)
                     if ret_event is not None:
                         out.add(stmt.dst)
-                        defined_taint = ret_event
+                        born[stmt.dst] = ret_event
             elif stmt.dst is not None:
                 out.discard(stmt.dst)
         if ctx.inject is not None and line == ctx.inject[0]:
             out.add(ctx.inject[1])
-            defined_taint = ("inject",)
-            self._note(ctx, line, ctx.inject[1], defined_taint)
-        if defined_taint is not None:
-            d = defined_var(stmt)
-            if d is not None:
-                self._note(ctx, line, d, defined_taint)
+            born[ctx.inject[1]] = ("inject",)
         if isinstance(stmt, Return) and stmt.var is not None and stmt.var in tin:
             if not ctx.summary.returns_tainted:
                 steps, anchor = self._chain(ctx, line, stmt.var)
                 ctx.summary.returns_tainted = True
                 ctx.summary.ret_chain = (steps + ((method.signature, line),), anchor)
-        return out
-
-    def _note(self, ctx: _Ctx, line: int, var: str, event: tuple) -> None:
-        # parents live at the IN of successor lines; stash the defining
-        # event here so _run can attach it when the fact first propagates
-        ctx.parent.setdefault(("out", line, var), event)  # type: ignore[arg-type]
+        return out, born
 
     def _record_hit(self, ctx: _Ctx, line: int, stmt: Invoke, arg: str, category: str) -> None:
         key = (str(ctx.method.signature), line)
@@ -381,7 +377,7 @@ class _TaintEngine:
             work.append(ctx.inject[0])
         while work:
             line = work.popleft()
-            out = self._transfer(ctx, line)
+            out, born = self._transfer(ctx, line)
             for succ in _successors(method, line):
                 tin = ctx.insets.setdefault(succ, set())
                 new = sorted(out - tin)
@@ -389,8 +385,7 @@ class _TaintEngine:
                     continue
                 for var in new:
                     tin.add(var)
-                    event = ctx.parent.get(("out", line, var))  # type: ignore[arg-type]
-                    ctx.parent.setdefault((succ, var), event or ("flow", line))
+                    ctx.parent.setdefault((succ, var), born.get(var, ("flow", line)))
                 if succ not in work:
                     work.append(succ)
 
@@ -493,24 +488,6 @@ def _predecessors(method: MethodDef) -> dict[int, list[int]]:
     return preds
 
 
-def _reaching_defs(method: MethodDef, preds: dict[int, list[int]],
-                   line: int, var: str) -> set[int]:
-    """Definition lines of `var` that reach IN(line) with no redefinition."""
-    out: set[int] = set()
-    seen: set[int] = set()
-    stack = list(preds[line])
-    while stack:
-        l = stack.pop()
-        if l in seen:
-            continue
-        seen.add(l)
-        if defined_var(method.body[l - 1]) == var:
-            out.add(l)
-            continue
-        stack.extend(preds[l])
-    return out
-
-
 def backward_slice(
     program: IrProgram,
     method_sig: MethodSig,
@@ -518,7 +495,11 @@ def backward_slice(
     target_var: str,
 ) -> Slice:
     """Backward closure over data dependences plus the linear If-range
-    control-dependence approximation."""
+    control-dependence approximation.
+
+    A kept line asks each predecessor for the variables it uses; a demand
+    `(line, var)` walks back until it meets a definition of `var`, which is
+    kept.  `asked` is shared by the whole slice, so no demand is walked twice."""
     method = program.method_map.get(method_sig)
     if method is None:
         raise InvalidTargetError(f"unknown method {method_sig}")
@@ -530,27 +511,25 @@ def backward_slice(
             f"{target_var!r} neither defined nor used at {method_sig}:{target_line}"
         )
     preds = _predecessors(method)
+    ranges = [(min(s.line, s.target), max(s.line, s.target), s.line)
+              for s in method.body if isinstance(s, If)]
     kept: set[int] = set()
-    work = [target_line]
-    while True:
-        while work:
-            l = work.pop()
-            if l in kept:
-                continue
-            kept.add(l)
-            for u in used_vars(method.body[l - 1]):
-                for d in _reaching_defs(method, preds, l, u):
-                    if d not in kept:
-                        work.append(d)
-        added = False
-        for s in method.body:
-            if isinstance(s, If) and s.line not in kept:
-                lo, hi = sorted((s.line, s.target))
-                if any(k in kept for k in range(lo + 1, hi)):
-                    work.append(s.line)
-                    added = True
-        if not added:
-            break
+    asked: set[tuple[int, str]] = set()
+    work: list[tuple[int, str | None]] = [(target_line, None)]  # None: keep the line
+    while work:
+        line, var = work.pop()
+        stmt = method.body[line - 1]
+        if var is None:
+            if line not in kept:
+                kept.add(line)
+                work += [(p, u) for u in used_vars(stmt) for p in preds[line]]
+                work += [(s, None) for lo, hi, s in ranges if lo < line < hi]
+        elif (line, var) not in asked:
+            asked.add((line, var))
+            if defined_var(stmt) == var:
+                work.append((line, None))
+            else:
+                work += [(p, var) for p in preds[line]]
     kept_sorted = sorted(kept)
     return Slice((method_sig, target_line, target_var), kept_sorted,
                  len(method.body) - len(kept_sorted))

@@ -17,9 +17,10 @@ from .harness import (
     compute_metrics,
     confusion_counts,
     emit_reports,
+    read_bundle,
     run_batch,
 )
-from .ir import LocDistribution, parse_bundle, parse_program, validate
+from .ir import LocDistribution, parse_program, validate
 
 
 def _bundle_paths(bundle_dir: Path) -> tuple[Path, Path]:
@@ -51,9 +52,7 @@ def _backend_mode(name: str) -> str:
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     router = cfg.build_router(_backend_mode(args.backend))
-    bundle_dir = Path(args.bundle_dir)
-    mmf, mir = _bundle_paths(bundle_dir)
-    bundle = parse_bundle(mmf.read_text("utf-8"), mir.read_text("utf-8"))
+    bundle = read_bundle(*_bundle_paths(Path(args.bundle_dir)))
     diags = validate(bundle)
     if diags:
         for d in diags:
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--budget", type=_at_least_one, default=None, help="max agent iterations")
     p.add_argument("--cap", type=_at_least_one, default=None, help="candidate cap per app")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_at_least_one, default=None)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("stats", help="function-size distribution of a dataset")

@@ -105,6 +105,10 @@ class EmptyManifestError(TriageError):
     pass
 
 
+class UnreadableBundleError(TriageError):
+    """A bundle file could not be read or is not UTF-8."""
+
+
 class EmptyEvaluationError(TriageError):
     pass
 

@@ -21,7 +21,13 @@ from typing import Iterable
 
 from .agents import Catalogs, PipelineBudgets, VerdictReport, run_pipeline
 from .backend import CostLedger, ModelRouter, PricingTable, cost_of, format_usd, tier_shares
-from .errors import ConfigError, EmptyEvaluationError, ReportIoError, TriageError
+from .errors import (
+    ConfigError,
+    EmptyEvaluationError,
+    ReportIoError,
+    TriageError,
+    UnreadableBundleError,
+)
 from .ir import AppBundle, parse_bundle, validate
 
 LABELS = ("Benign", "Malicious")
@@ -147,20 +153,28 @@ class BatchConfig:
     jobs: int | None = None
 
 
+def read_bundle(manifest_path: Path, ir_path: Path, app_id: str | None = None) -> AppBundle:
+    """Read and parse one bundle; a file that cannot be read or is not UTF-8
+    raises UnreadableBundleError."""
+    try:
+        manifest_text = manifest_path.read_text("utf-8")
+        ir_text = ir_path.read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableBundleError(f"unreadable bundle: {exc}") from exc
+    return parse_bundle(manifest_text, ir_text, app_id=app_id)
+
+
 def _evaluate_entry(entry: DatasetEntry, cfg: BatchConfig) -> EntryResult:
     try:
-        manifest_text = entry.manifest_path.read_text("utf-8")
-        ir_text = entry.ir_path.read_text("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return EntryResult(entry, skip_reason=f"unreadable bundle: {exc}")
-    try:
-        bundle: AppBundle = parse_bundle(manifest_text, ir_text, app_id=entry.app_id)
+        bundle = read_bundle(entry.manifest_path, entry.ir_path, app_id=entry.app_id)
         diags = validate(bundle)
         if diags:
             reasons = "; ".join(f"{d.code}@{d.where}" for d in diags[:5])
             return EntryResult(entry, skip_reason=f"invalid bundle: {reasons}")
         report, ledger = run_pipeline(bundle, cfg.catalogs, cfg.router, cfg.budgets)
         return EntryResult(entry, report=report, ledger=ledger)
+    except UnreadableBundleError as exc:
+        return EntryResult(entry, skip_reason=str(exc))
     except TriageError as exc:
         return EntryResult(entry, skip_reason=f"{type(exc).__name__}: {exc}")
 
@@ -253,7 +267,8 @@ def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
 
 def emit_reports(results: list[EntryResult], pricing: PricingTable,
                  out_dir: str | Path) -> dict:
-    """Write per-app reports, results.jsonl, summary.json and a digest."""
+    """Write per-app reports, results.jsonl, summary.json and a digest, and
+    delete the reports of apps this run did not evaluate."""
     if not results:
         raise ReportIoError("nothing to emit")
     out = Path(out_dir)
@@ -265,12 +280,13 @@ def emit_reports(results: list[EntryResult], pricing: PricingTable,
         raise ReportIoError(str(exc)) from exc
 
     summary = summarize(results, pricing)
+    fresh = {f"{r.entry.app_id}.json": r.report for r in results if r.report is not None}
     try:
-        for r in results:
-            if r.report is not None:
-                (out / "reports" / f"{r.entry.app_id}.json").write_text(
-                    r.report.to_json(), encoding="utf-8"
-                )
+        for path in (out / "reports").glob("*.json"):
+            if path.name not in fresh:
+                path.unlink()
+        for name, report in fresh.items():
+            (out / "reports" / name).write_text(report.to_json(), encoding="utf-8")
         with (out / "results.jsonl").open("w", encoding="utf-8") as fh:
             for r in sorted(results, key=lambda x: x.entry.app_id):
                 row = {

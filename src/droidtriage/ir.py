@@ -353,19 +353,14 @@ _GOTO_RE = re.compile(r"^goto\s+(\d+)$")
 _RETURN_RE = re.compile(r"^return(?:\s+(\w+))?$")
 _CONST_RE = re.compile(r"^(\w+)\s*=\s*const\s+(.+)$")
 _COPY_RE = re.compile(r"^(\w+)\s*=\s*([A-Za-z_]\w*)$")
+# everything before the first `#` outside double quotes; an unterminated
+# quote runs to the end of the line
+_UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
 
 
 def _strip(raw: str) -> str:
     """Remove comments and surrounding whitespace; quote-aware for `#`."""
-    out = []
-    in_str = False
-    for ch in raw:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out).strip()
+    return _UNCOMMENTED_RE.match(raw).group().strip()
 
 
 def _parse_stmt(line: str, stmt_line: int, file_line: int) -> IrStatement:

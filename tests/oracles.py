@@ -93,6 +93,19 @@ class PatternScan:
                 if any(self.matches(p, sig) for p in pats)}
 
 
+def strip_scan(raw: str) -> str:
+    """An IR line without its comment: a `#` outside double quotes starts it."""
+    out = []
+    in_str = False
+    for ch in raw:
+        if ch == '"':
+            in_str = not in_str
+        if ch == "#" and not in_str:
+            break
+        out.append(ch)
+    return "".join(out).strip()
+
+
 def grep_scan(program: IrProgram, pattern: str) -> list[tuple[str, int, str]]:
     from droidtriage.ir import render_stmt
 
@@ -236,6 +249,60 @@ def slice_scan(method: MethodDef, target_line: int) -> set[int]:
             if d is not None:
                 work.append(d)
     return kept
+
+
+# ---------------------------------------------------------------------------
+# slicing (branchy)
+# ---------------------------------------------------------------------------
+
+
+def predecessors(method: MethodDef) -> dict[int, list[int]]:
+    preds: dict[int, list[int]] = {i: [] for i in range(1, len(method.body) + 1)}
+    for line in range(1, len(method.body) + 1):
+        for succ in _succs(method, line):
+            preds[succ].append(line)
+    return preds
+
+
+def reaching_defs(method: MethodDef, preds: dict[int, list[int]],
+                  line: int, var: str) -> set[int]:
+    """Definition lines of `var` that reach IN(line) with no redefinition."""
+    out: set[int] = set()
+    seen: set[int] = set()
+    stack = list(preds[line])
+    while stack:
+        l = stack.pop()
+        if l in seen:
+            continue
+        seen.add(l)
+        if defined_var(method.body[l - 1]) == var:
+            out.add(l)
+            continue
+        stack.extend(preds[l])
+    return out
+
+
+def slice_fixpoint_scan(method: MethodDef, target_line: int) -> set[int]:
+    """Data closure by one backward walk per use, then a rescan of every If
+    range, repeated until nothing is added."""
+    preds = predecessors(method)
+    kept: set[int] = set()
+    work = [target_line]
+    while True:
+        while work:
+            l = work.pop()
+            if l in kept:
+                continue
+            kept.add(l)
+            for u in used_vars(method.body[l - 1]):
+                work.extend(reaching_defs(method, preds, l, u) - kept)
+        for s in method.body:
+            if isinstance(s, If) and s.line not in kept:
+                lo, hi = sorted((s.line, s.target))
+                if any(k in kept for k in range(lo + 1, hi)):
+                    work.append(s.line)
+        if not work:
+            return kept
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from droidtriage.index import CallSite, build_call_graph
 from droidtriage.ir import Invoke, If, parse_program, parse_sig, used_vars, defined_var
 
 from genprog import dag_manifest_text, gen_dag_program, gen_program, synth_catalog
-from oracles import slice_scan, taint_scan, trigger_scan
+from oracles import slice_fixpoint_scan, slice_scan, taint_scan, trigger_scan
 
 ENTRY_RULES = EntryCatalog.parse(
     "user:onClick\nsystem:onReceive@Receiver\nsystem:onStartCommand@Service\n"
@@ -536,12 +536,12 @@ def test_slice_closure_invariant_with_branches():
                 kept = set(result.kept_lines)
                 assert stmt.line in kept
                 # closure: re-resolving uses over kept lines stays inside kept
-                from droidtriage.analysis import _predecessors, _reaching_defs
+                from oracles import predecessors, reaching_defs
 
-                preds = _predecessors(m)
+                preds = predecessors(m)
                 for l in kept:
                     for u in used_vars(m.body[l - 1]):
-                        assert _reaching_defs(m, preds, l, u) <= kept
+                        assert reaching_defs(m, preds, l, u) <= kept
                 # control closure under the linear If-range rule
                 for s in m.body:
                     if isinstance(s, If) and s.line not in kept:
@@ -550,3 +550,19 @@ def test_slice_closure_invariant_with_branches():
                 checked += 1
                 break
     assert checked > 30
+
+
+def test_slice_matches_fixpoint_oracle_with_branches():
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(300):
+        program = parse_program(gen_program(rng, max_methods=4, max_lines=20))
+        for m in program.methods():
+            for stmt in m.body:
+                want = slice_fixpoint_scan(m, stmt.line)
+                for var in {defined_var(stmt), *used_vars(stmt)} - {None}:
+                    got = backward_slice(program, m.signature, stmt.line, var)
+                    assert got.kept_lines == sorted(want)
+                    assert got.removed_count == len(m.body) - len(want)
+                    checked += 1
+    assert checked > 3000

@@ -108,3 +108,23 @@ def test_budget_and_cap_below_one_rejected(tmp_path, capsys, flag, value):
         assert exc.value.code == 2
         assert "at least 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_analyze_undecodable_bundle_fails_cleanly(tmp_path, capsys):
+    # used to end in a UnicodeDecodeError traceback
+    (tmp_path / "app.mmf").write_text("package: bad\n")
+    (tmp_path / "app.mir").write_bytes(b"\xff\xfe")
+    rc = main(["analyze", str(tmp_path)])
+    assert rc == 1
+    assert "error: unreadable bundle:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_jobs_below_one_rejected(tmp_path, capsys, value):
+    # 0 used to fall back to the CPU count; -1 raised ValueError from the pool
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(tmp_path / "o"),
+              "--jobs", value])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

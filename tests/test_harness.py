@@ -258,6 +258,20 @@ def test_emit_reports_files_and_shapes(tmp_path):
     assert summary["tier_shares"]["trace"] >= 0.80
 
 
+def test_emit_reports_removes_stale_reports(tmp_path):
+    from droidtriage.harness import EntryResult
+
+    ds = DatasetManifest.load(FIXTURES / "corpus.idx")
+    kept, dropped = run_batch(DatasetManifest(ds.entries[:2]), batch_config())
+    out = tmp_path / "out"
+    emit_reports([kept, dropped], CFG.pricing, out)
+    assert len(list((out / "reports").iterdir())) == 2
+    rerun = [kept, EntryResult(dropped.entry, skip_reason="invalid bundle: x")]
+    emit_reports(rerun, CFG.pricing, out)
+    assert [p.name for p in (out / "reports").iterdir()] == [f"{kept.entry.app_id}.json"]
+    assert (out / "reports" / f"{kept.entry.app_id}.json").read_text() == kept.report.to_json()
+
+
 def test_emit_reports_bad_output_dir(tmp_path):
     target = tmp_path / "file.txt"
     target.write_text("occupied")

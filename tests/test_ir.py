@@ -17,6 +17,7 @@ from droidtriage.errors import (
 )
 from droidtriage.ir import (
     LocDistribution,
+    _strip,
     loc_stats,
     parse_bundle,
     parse_manifest,
@@ -28,7 +29,7 @@ from droidtriage.ir import (
 )
 
 from genprog import gen_program
-from oracles import percentile_scan
+from oracles import percentile_scan, strip_scan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -297,3 +298,9 @@ def test_histogram_buckets_cover_all_methods():
     dist = LocDistribution([1, 10, 11, 31, 51, 200])
     histogram = dist.histogram()
     assert sum(n for _label, n in histogram) == 6
+
+
+@given(st.text(alphabet='a #",', max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_strip_matches_character_scan(raw):
+    assert _strip(raw) == strip_scan(raw)
