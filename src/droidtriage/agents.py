@@ -10,7 +10,7 @@ model exchange is metered into a cost ledger under its tier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from importlib import resources
 from string import Template
@@ -26,7 +26,7 @@ from .analysis import (
     taint_reachability,
     trigger_paths,
 )
-from .backend import CostLedger, ModelRouter
+from .backend import CostLedger, ModelRouter, check_floors
 from .catalog import ApiCatalog, EntryCatalog
 from .errors import (
     BackendError,
@@ -57,6 +57,10 @@ class PipelineBudgets:
     taint_depth: int = 3
     trigger_depth: int = 5
     context_radius: int = 20
+
+    def __post_init__(self):
+        check_floors(self, {"max_iterations": 1, "candidate_cap": 1, "taint_depth": 0,
+                            "trigger_depth": 0, "context_radius": 0})
 
 
 @dataclass(frozen=True)
@@ -145,22 +149,7 @@ class VerdictReport:
     rationale: str
 
     def to_dict(self) -> dict:
-        return {
-            "app_id": self.app_id,
-            "verdict": self.verdict,
-            "threat_category": self.threat_category,
-            "confidence": self.confidence,
-            "evidence_chain": [
-                {
-                    "candidate": r.candidate,
-                    "trigger": r.trigger,
-                    "sink": r.sink,
-                    "rationale": r.rationale,
-                }
-                for r in self.evidence_chain
-            ],
-            "rationale": self.rationale,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -177,10 +177,6 @@ class TaintResult:
     reached_sinks: list[SinkHit]
     searched_depth: int
 
-    @property
-    def hit(self) -> bool:
-        return bool(self.reached_sinks)
-
 
 # A witness chain is relative when anchored at a callee entry parameter; the
 # caller splices its own chain for the feeding argument in front of it.

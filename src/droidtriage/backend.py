@@ -1,10 +1,10 @@
 """Pluggable model backend with per-tier routing and cost metering.
 
 Two providers share one interface: a live HTTP provider speaking the common
-JSON chat-completions shape, and a deterministic scripted provider used for
-offline, reproducible runs.  Scripted usage is counted with the reference
-whitespace tokenizer (`str.split`); live usage is taken from the provider
-verbatim.
+JSON chat-completions shape, and a scripted provider whose replies depend only
+on the prompt, used for offline, reproducible runs.  Scripted usage is counted
+with the reference whitespace tokenizer (`str.split`); live usage is taken from
+the provider verbatim.  The router times every exchange alike.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from threading import Lock
 
 import requests
@@ -20,6 +20,7 @@ import requests
 from .errors import (
     BackendError,
     BackendTimeoutError,
+    ConfigError,
     EmptyLedgerError,
     HttpError,
     SchemaError,
@@ -56,6 +57,16 @@ class Exchange:
         return self.input_tokens + self.output_tokens
 
 
+def _price(name: str, value: str | Decimal) -> Decimal:
+    try:
+        price = Decimal(str(value))
+    except InvalidOperation:
+        raise ConfigError(f"{name} must be a decimal, got {value!r}") from None
+    if not (price.is_finite() and price >= 0):
+        raise ConfigError(f"{name} must be at least 0, got {value}")
+    return price
+
+
 @dataclass
 class PricingTable:
     """USD per million input/output tokens, by model id."""
@@ -63,10 +74,7 @@ class PricingTable:
     rates: dict[str, tuple[Decimal, Decimal]] = field(default_factory=dict)
 
     def set(self, model_id: str, usd_in: str | Decimal, usd_out: str | Decimal) -> None:
-        p_in, p_out = Decimal(str(usd_in)), Decimal(str(usd_out))
-        if p_in < 0 or p_out < 0:
-            raise ValueError("prices must be >= 0")
-        self.rates[model_id] = (p_in, p_out)
+        self.rates[model_id] = (_price("price_in", usd_in), _price("price_out", usd_out))
 
     def rate(self, model_id: str) -> tuple[Decimal, Decimal]:
         try:
@@ -150,17 +158,29 @@ def tier_shares(ledger: CostLedger) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
+def check_floors(obj, floors: dict[str, int]) -> None:
+    """Raise ConfigError unless each named field of `obj` is at least its floor."""
+    for name, floor in floors.items():
+        value = getattr(obj, name)
+        if not value >= floor:  # also rejects NaN
+            raise ConfigError(f"{name} must be at least {floor}, got {value}")
+
+
 @dataclass
 class RetryPolicy:
     count: int = 2
     backoff_s: float = 0.5
     timeout_s: float = 30.0
 
+    def __post_init__(self):
+        check_floors(self, {"count": 0, "backoff_s": 0})
+        if not self.timeout_s > 0:
+            raise ConfigError(f"timeout_s must be above 0, got {self.timeout_s}")
+
 
 @dataclass
 class ModelConfig:
     model_id: str
-    kind: str  # "scripted" | "http"
     base_url: str = ""
     api_key_env: str = ""
 
@@ -263,8 +283,6 @@ class ModelRouter:
         start = time.monotonic()
         response, in_tok, out_tok = provider.chat(model_id, tier, list(messages))
         latency = time.monotonic() - start
-        if getattr(provider, "deterministic", False):
-            latency = 0.0
         return Exchange(
             tier=tier,
             messages=tuple(messages),

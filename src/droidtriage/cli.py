@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .agents import Catalogs, PipelineBudgets, run_pipeline
 from .config import load_config
-from .errors import TriageError
+from .errors import ReportIoError, TriageError
 from .harness import (
     BatchConfig,
     DatasetManifest,
@@ -64,7 +64,10 @@ def cmd_analyze(args) -> int:
     )
     text = report.to_json()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ReportIoError(f"cannot write report: {exc}") from None
     print(text, end="")
     print(f"// tokens: {ledger.total_tokens}", file=sys.stderr)
     return 0
@@ -116,9 +119,12 @@ def cmd_stats(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    with open(args.results, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    pairs = [(row["verdict"], row["label"]) for row in rows if "verdict" in row]
+    try:
+        with open(args.results, encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh if line.strip()]
+        pairs = [(row["verdict"], row["label"]) for row in rows if "verdict" in row]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ReportIoError(f"bad results file {args.results}: {type(exc).__name__}: {exc}") from None
     if not pairs:
         print(json.dumps({"evaluated": 0}))
         return 1

@@ -4,20 +4,21 @@ INI sections (see data/default_config.ini for the shipped defaults):
 
     [router]   recon/trace/verdict = <model-id>
     [retry]    count, backoff_s, timeout_s
-    [model.<id>]  kind = scripted|http, base_url, api_key_env,
-                  price_in, price_out   (USD per million tokens)
+    [model.<id>]  base_url, api_key_env, price_in, price_out (USD per M tokens)
     [budgets]  max_iterations, candidate_cap, taint_depth, trigger_depth,
                context_radius
     [catalogs] api = builtin|<path>, entry = builtin|<path>
 
-Secrets never live in the file: `api_key_env` names the environment variable
-holding the key.
+A bad value is a ConfigError naming its section and key.  The run, not the
+file, picks the provider.  Secrets never live in the file: `api_key_env`
+names the environment variable holding the key.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -43,23 +44,19 @@ class AppConfig:
     api_catalog: ApiCatalog
     entry_catalog: EntryCatalog
 
-    def build_router(self, backend_mode: str | None = None) -> ModelRouter:
-        """Instantiate providers; `backend_mode='scripted'` forces every
-        model onto the scripted provider regardless of its configured kind."""
-        providers: dict[str, object] = {}
-        scripted = ScriptedProvider()
-        for model_id, mc in self.router.models.items():
-            kind = "scripted" if backend_mode == "scripted" else (
-                backend_mode or mc.kind
-            )
-            if kind == "scripted":
-                providers[model_id] = scripted
-            elif kind == "http":
+    def build_router(self, mode: str) -> ModelRouter:
+        """`mode="scripted"`: one shared scripted provider; `"http"`: a client per model."""
+        if mode == "scripted":
+            scripted = ScriptedProvider()
+            providers: dict[str, object] = {m: scripted for m in self.router.models}
+        elif mode == "http":
+            providers = {}
+            for model_id, mc in self.router.models.items():
                 if not mc.base_url:
                     raise ConfigError(f"model {model_id}: http provider needs base_url")
                 providers[model_id] = HttpProvider(mc, self.router.retry)
-            else:
-                raise ConfigError(f"model {model_id}: unknown provider kind {kind!r}")
+        else:
+            raise ConfigError(f"unknown backend mode {mode!r}")
         return ModelRouter(self.router, providers)
 
 
@@ -67,38 +64,54 @@ def _builtin(name: str) -> str:
     return resources.files("droidtriage").joinpath(f"data/{name}").read_text("utf-8")
 
 
-def default_api_catalog() -> ApiCatalog:
-    return ApiCatalog.parse(_builtin("system_apis.cat"))
+@contextmanager
+def _section(name: str):
+    """Prefix a ConfigError raised while reading `name` with the section."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
-def default_entry_catalog() -> EntryCatalog:
-    return EntryCatalog.parse(_builtin("entrypoints.epc"))
+def _read_section(parser: configparser.ConfigParser, name: str, cls):
+    """`cls` with each key of section `name` parsed as the type of its default."""
+    sec = parser[name] if name in parser else {}
+    values = {}
+    with _section(name):
+        for f in fields(cls):
+            if f.name in sec:
+                parse = type(f.default)
+                try:
+                    values[f.name] = parse(sec[f.name])
+                except ValueError:
+                    raise ConfigError(f"{f.name} must be {parse.__name__}, got "
+                                      f"{sec[f.name]!r}") from None
+        return cls(**values)
 
 
 def load_config(path: str | Path | None = None) -> AppConfig:
-    parser = configparser.ConfigParser()
-    if path is None:
-        parser.read_string(_builtin("default_config.ini"))
-        base_dir = None
-    else:
+    """The shipped defaults, or the INI file at `path`."""
+    base_dir = None
+    if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        parser.read_string(path.read_text("utf-8"))
         base_dir = path.parent
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(_builtin("default_config.ini") if path is None
+                           else path.read_text("utf-8"))
+        return _parse(parser, base_dir)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path or 'default config'}: {exc}") from None
 
+
+def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfig:
     if "router" not in parser:
         raise ConfigError("config missing [router] section")
     tier_models = {k: v for k, v in parser["router"].items()}
 
-    retry = RetryPolicy()
-    if "retry" in parser:
-        sec = parser["retry"]
-        retry = RetryPolicy(
-            count=sec.getint("count", retry.count),
-            backoff_s=sec.getfloat("backoff_s", retry.backoff_s),
-            timeout_s=sec.getfloat("timeout_s", retry.timeout_s),
-        )
+    retry = _read_section(parser, "retry", RetryPolicy)
 
     models: dict[str, ModelConfig] = {}
     pricing = PricingTable()
@@ -109,23 +122,14 @@ def load_config(path: str | Path | None = None) -> AppConfig:
         sec = parser[section]
         models[model_id] = ModelConfig(
             model_id=model_id,
-            kind=sec.get("kind", "scripted"),
             base_url=sec.get("base_url", ""),
             api_key_env=sec.get("api_key_env", ""),
         )
         if "price_in" in sec or "price_out" in sec:
-            pricing.set(model_id, sec.get("price_in", "0"), sec.get("price_out", "0"))
+            with _section(section):
+                pricing.set(model_id, sec.get("price_in", "0"), sec.get("price_out", "0"))
 
-    budgets = PipelineBudgets()
-    if "budgets" in parser:
-        sec = parser["budgets"]
-        budgets = PipelineBudgets(
-            max_iterations=sec.getint("max_iterations", budgets.max_iterations),
-            candidate_cap=sec.getint("candidate_cap", budgets.candidate_cap),
-            taint_depth=sec.getint("taint_depth", budgets.taint_depth),
-            trigger_depth=sec.getint("trigger_depth", budgets.trigger_depth),
-            context_radius=sec.getint("context_radius", budgets.context_radius),
-        )
+    budgets = _read_section(parser, "budgets", PipelineBudgets)
 
     def _catalog_text(key: str, builtin_name: str) -> str:
         value = parser.get("catalogs", key, fallback="builtin")

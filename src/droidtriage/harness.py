@@ -15,7 +15,7 @@ import os
 import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -93,7 +93,7 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,7 @@ class MetricSet:
     f1: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def compute_metrics(c: ConfusionCounts) -> MetricSet:

@@ -58,16 +58,17 @@ class ApiIndex:
 
 
 def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
+    """External call sites grouped by callee; the catalog is asked once per callee."""
     defined = program.method_map
-    index = ApiIndex()
+    external: dict[MethodSig, list[tuple[MethodSig, Invoke]]] = {}
     for method in sorted(program.methods(), key=lambda m: str(m.signature)):
         for stmt in method.body:
-            if not isinstance(stmt, Invoke):
-                continue
-            if stmt.callee in defined or not catalog.is_system(stmt.callee):
-                continue
-            site = CallSite(method.signature, stmt.line, stmt.callee, stmt.dst)
-            index.sites.setdefault(str(stmt.callee), []).append(site)
+            if isinstance(stmt, Invoke) and stmt.callee not in defined:
+                external.setdefault(stmt.callee, []).append((method.signature, stmt))
+    index = ApiIndex()
+    for callee, calls in external.items():
+        if catalog.is_system(callee):
+            index.sites[str(callee)] = [CallSite(m, s.line, callee, s.dst) for m, s in calls]
     return index
 
 

@@ -87,23 +87,13 @@ def _check_arg_token(tok: str, line_no: int) -> None:
     raise IrSyntaxError(line_no, f"bad argument token {tok!r}")
 
 
+_ARG_RE = re.compile(r'(?:[^",]+|"[^"]*(?:"|$))+')
+
+
 def _split_args(text: str) -> list[str]:
-    """Split a call argument list on top-level commas, honouring quotes."""
-    out: list[str] = []
-    cur: list[str] = []
-    in_str = False
-    for ch in text:
-        if ch == '"':
-            in_str = not in_str
-            cur.append(ch)
-        elif ch == "," and not in_str:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur or out:
-        out.append("".join(cur).strip())
-    return [a for a in out if a != ""]
+    """Split a call argument list on top-level commas, honouring quotes (an
+    unclosed quote runs to the end)."""
+    return [a for a in (m.strip() for m in _ARG_RE.findall(text)) if a]
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,6 @@ def threat_category(source_class: str, sink: str) -> str:
 class ScriptedProvider:
     """Offline provider; replies depend only on the conversation content."""
 
-    deterministic = True
-
     def chat(self, model_id: str, tier: str, messages: list[tuple[str, str]]):
         if tier == "recon":
             response = self._recon(messages)

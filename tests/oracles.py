@@ -106,6 +106,25 @@ def strip_scan(raw: str) -> str:
     return "".join(out).strip()
 
 
+def split_args_scan(text: str) -> list[str]:
+    """A call argument list split on commas outside double quotes."""
+    out: list[str] = []
+    cur: list[str] = []
+    in_str = False
+    for ch in text:
+        if ch == '"':
+            in_str = not in_str
+            cur.append(ch)
+        elif ch == "," and not in_str:
+            out.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    if cur or out:
+        out.append("".join(cur).strip())
+    return [a for a in out if a != ""]
+
+
 def grep_scan(program: IrProgram, pattern: str) -> list[tuple[str, int, str]]:
     from droidtriage.ir import render_stmt
 

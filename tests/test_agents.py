@@ -38,7 +38,7 @@ CATALOGS = Catalogs(CFG.api_catalog, CFG.entry_catalog)
 def scripted_router() -> ModelRouter:
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     return ModelRouter(config, {"m": ScriptedProvider()})
 
@@ -218,8 +218,6 @@ def test_trace_unreachable_candidate_gets_unknown_trigger():
 
 def test_trace_latest_invocation_wins():
     class RepeatingProvider:
-        deterministic = True
-
         def chat(self, model_id, tier, messages):
             n = sum(1 for role, _ in messages if role == "assistant")
             plan = [
@@ -234,7 +232,7 @@ def test_trace_latest_invocation_wins():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": RepeatingProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
@@ -271,14 +269,12 @@ class r.Loop {
 ])
 def test_trace_model_sizes_capped_at_budgets(action, args):
     class FixedProvider:
-        deterministic = True
-
         def chat(self, model_id, tier, messages):
             return json.dumps({"thought": "", "action": action, "args": args}), 1, 1
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     bundle = parse_bundle("package: r\n", _PING_PONG)
     graph = build_call_graph(bundle.program)
@@ -321,8 +317,6 @@ def test_taint_witness_across_long_method_replays():
 
 def test_trace_invalid_actions_consume_budget_without_steps():
     class ConfusedProvider:
-        deterministic = True
-
         def chat(self, model_id, tier, messages):
             n = sum(1 for role, _ in messages if role == "assistant")
             if n == 0:
@@ -333,7 +327,7 @@ def test_trace_invalid_actions_consume_budget_without_steps():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": ConfusedProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
@@ -348,8 +342,6 @@ def test_trace_invalid_actions_consume_budget_without_steps():
 
 def test_trace_bad_tool_arguments_surface_as_observations():
     class SloppyProvider:
-        deterministic = True
-
         def chat(self, model_id, tier, messages):
             n = sum(1 for role, _ in messages if role == "assistant")
             plan = [
@@ -362,7 +354,7 @@ def test_trace_bad_tool_arguments_surface_as_observations():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": SloppyProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
@@ -376,14 +368,12 @@ def test_trace_bad_tool_arguments_surface_as_observations():
 
 def test_recon_rejects_non_list_signals():
     class WeirdProvider:
-        deterministic = True
-
         def chat(self, model_id, tier, messages):
             return json.dumps({"declared_intents": [], "risk_signals": {"oops": 1}}), 1, 1
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": WeirdProvider()})
     bundle, _graph, index, _entry = pipeline_parts("fx_clean")
@@ -445,14 +435,12 @@ def test_adjudicate_user_trigger_medium_severity_stays_benign():
 
 def test_adjudicate_schema_violation_after_retry():
     class BrokenProvider:
-        deterministic = True
-
         def chat(self, model_id, tier, messages):
             return "not json at all", 1, 1
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": BrokenProvider()})
     ledger = CostLedger()
@@ -463,8 +451,6 @@ def test_adjudicate_schema_violation_after_retry():
 
 def test_adjudicate_rejects_unknown_evidence_ref():
     class RogueProvider:
-        deterministic = True
-
         def chat(self, model_id, tier, messages):
             body = {
                 "verdict": "Malicious",
@@ -480,7 +466,7 @@ def test_adjudicate_rejects_unknown_evidence_ref():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": RogueProvider()})
     with pytest.raises(SchemaViolationError):
@@ -553,7 +539,7 @@ def test_pipeline_stage_errors_carry_tier():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": VerdictBomb()})
     with pytest.raises(PipelineStageError) as exc:

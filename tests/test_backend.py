@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -188,7 +189,7 @@ def test_tier_shares_empty_ledger():
 def _scripted_router() -> ModelRouter:
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m", "scripted")},
+        models={"m": ModelConfig("m")},
     )
     return ModelRouter(config, {"m": ScriptedProvider()})
 
@@ -203,14 +204,31 @@ def test_scripted_router_deterministic_replay():
         second.input_tokens,
         second.output_tokens,
     )
-    assert first.latency_s == 0.0
+    assert first.latency_s >= 0.0
     payload = json.loads(first.response)
     assert payload["risk_signals"][0]["permission"] == "READ_SMS"
     assert payload["risk_signals"][0]["severity"] == "High"
 
 
+def test_router_times_every_provider_alike():
+    # a `deterministic` provider used to have its latency forced to 0.0
+    class SlowProvider:
+        deterministic = True
+
+        def chat(self, model_id, tier, messages):
+            time.sleep(0.005)
+            return "{}", 1, 1
+
+    config = RouterConfig(
+        tier_models={"recon": "m", "trace": "m", "verdict": "m"},
+        models={"m": ModelConfig("m")},
+    )
+    exchange = ModelRouter(config, {"m": SlowProvider()}).complete("recon", [("user", "x")])
+    assert exchange.latency_s >= 0.005
+
+
 def test_router_requires_all_tiers():
-    config = RouterConfig(tier_models={"recon": "m"}, models={"m": ModelConfig("m", "scripted")})
+    config = RouterConfig(tier_models={"recon": "m"}, models={"m": ModelConfig("m")})
     with pytest.raises(BackendError):
         ModelRouter(config, {"m": ScriptedProvider()})
 
@@ -268,7 +286,7 @@ def stub_server():
 
 def _http_provider(base_url: str, retries: int = 1) -> HttpProvider:
     return HttpProvider(
-        ModelConfig("live-x", "http", base_url=base_url),
+        ModelConfig("live-x", base_url=base_url),
         RetryPolicy(count=retries, backoff_s=0.0, timeout_s=2.0),
     )
 

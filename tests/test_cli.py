@@ -128,3 +128,79 @@ def test_jobs_below_one_rejected(tmp_path, capsys, value):
     assert exc.value.code == 2
     assert "at least 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "fixture_batch"
+
+
+def test_fixture_batch_matches_golden_bytes(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    files = sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+    for rel in files:
+        assert (out / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("budgets", "max_iterations", "0"),
+    ("budgets", "max_iterations", "abc"),
+    ("budgets", "candidate_cap", "0"),
+    ("budgets", "taint_depth", "1.5"),
+    ("budgets", "trigger_depth", "-1"),
+    ("budgets", "context_radius", "-1"),
+    ("retry", "count", "-1"),
+    ("retry", "backoff_s", "nan"),
+    ("retry", "timeout_s", "0"),
+    ("retry", "timeout_s", "soon"),
+    ("model.m2", "price_in", "abc"),
+    ("model.m2", "price_in", "-1"),
+    ("model.m2", "price_out", "NaN"),
+])
+def test_batch_bad_config_value_fails_cleanly(tmp_path, capsys, section, key, value):
+    # out-of-range values used to load (max_iterations = 0 then aborted the
+    # batch with a ValueError traceback, candidate_cap = 0 triaged nothing);
+    # unparseable ones ended in ValueError or InvalidOperation tracebacks
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[router]\nrecon = m\ntrace = m\nverdict = m\n[model.m]\nprice_in = 1\n"
+                   f"[{section}]\n{key} = {value}\n")
+    rc = main(["batch", str(FIXTURES / "corpus.idx"), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: [{section}] {key} must be ")
+    assert not (tmp_path / "o").exists()
+
+
+def _metrics_error(path, capsys) -> str:
+    assert main(["metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+def test_metrics_missing_file_fails_cleanly(tmp_path, capsys):
+    # used to end in a FileNotFoundError traceback
+    assert "FileNotFoundError" in _metrics_error(tmp_path / "none.jsonl", capsys)
+
+
+def test_metrics_line_not_json_fails_cleanly(tmp_path, capsys):
+    # used to end in a JSONDecodeError traceback
+    path = tmp_path / "results.jsonl"
+    path.write_text('{"verdict": "Benign", "label": "Benign"}\nnot json\n')
+    assert "JSONDecodeError" in _metrics_error(path, capsys)
+
+
+def test_metrics_row_without_label_fails_cleanly(tmp_path, capsys):
+    # used to end in a KeyError traceback
+    path = tmp_path / "results.jsonl"
+    path.write_text('{"app_id": "a", "verdict": "Benign"}\n')
+    assert "KeyError: 'label'" in _metrics_error(path, capsys)
+
+
+def test_analyze_out_in_missing_directory_fails_cleanly(tmp_path, capsys):
+    # used to end in a FileNotFoundError traceback after the pipeline ran
+    rc = main(["analyze", str(FIXTURES / "fx_clean"),
+               "--out", str(tmp_path / "missing" / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot write report:")

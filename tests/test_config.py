@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 
 import pytest
 
+from droidtriage.agents import PipelineBudgets
+from droidtriage.backend import RetryPolicy
 from droidtriage.config import load_config
 from droidtriage.errors import ConfigError
 from droidtriage.ir import parse_sig
@@ -17,7 +20,6 @@ trace = m1
 verdict = m1
 
 [model.m1]
-kind = scripted
 price_in = 0.25
 price_out = 0.50
 """
@@ -75,16 +77,14 @@ def test_missing_config_file_rejected(tmp_path):
 
 def test_http_provider_needs_base_url(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text(
-        "[router]\nrecon = m1\ntrace = m1\nverdict = m1\n"
-        "[model.m1]\nkind = http\n"
-    )
+    path.write_text("[router]\nrecon = m1\ntrace = m1\nverdict = m1\n[model.m1]\n")
     cfg = load_config(path)
     with pytest.raises(ConfigError):
-        cfg.build_router()
+        cfg.build_router("http")
 
 
 def test_backend_mode_forces_scripted_everywhere(tmp_path):
+    # a leftover `kind = http` key is ignored: the run picks the provider
     path = tmp_path / "cfg.ini"
     path.write_text(
         "[router]\nrecon = m1\ntrace = m1\nverdict = m1\n"
@@ -95,4 +95,32 @@ def test_backend_mode_forces_scripted_everywhere(tmp_path):
         "recon", [("user", '```json\n{"category":"x","permissions":[]}\n```')]
     )
     assert exchange.model_id == "m1"
-    assert exchange.latency_s == 0.0
+    assert json.loads(exchange.response)["declared_intents"] == ["x"]
+
+
+@pytest.mark.parametrize("mode", [None, "live", "Scripted"])
+def test_build_router_takes_exactly_two_modes(mode):
+    with pytest.raises(ConfigError):
+        load_config().build_router(mode)
+
+
+def test_floor_values_accepted(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + "\n[budgets]\nmax_iterations = 1\ncandidate_cap = 1\n"
+                    "taint_depth = 0\ntrigger_depth = 0\ncontext_radius = 0\n"
+                    "[retry]\ncount = 0\nbackoff_s = 0\ntimeout_s = 0.01\n")
+    cfg = load_config(path)
+    assert cfg.budgets == PipelineBudgets(1, 1, 0, 0, 0)
+    assert cfg.router.retry == RetryPolicy(0, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("text", ["no section header\n",
+                                  MINIMAL + "base_url = http://h/%zz\n",
+                                  MINIMAL + "[budgets]\n[budgets]\n"],
+                         ids=["no-header", "bad-interpolation", "duplicate-section"])
+def test_unparseable_ini_rejected(tmp_path, text):
+    # each used to end in a configparser traceback
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage.index import build_api_index, build_call_graph, global_search
-from droidtriage.ir import parse_program, parse_sig
+from droidtriage.ir import Invoke, parse_program, parse_sig
 
 from genprog import gen_program, synth_catalog
 from oracles import callers_scan, grep_scan, index_scan
@@ -159,9 +159,9 @@ def _fixture_programs():
 
 
 def test_fixture_corpus_index_matches_scan_with_shipped_catalog():
-    from droidtriage.config import default_api_catalog
+    from droidtriage.config import load_config
 
-    catalog = default_api_catalog()
+    catalog = load_config().api_catalog
     for name, program in _fixture_programs():
         index = build_api_index(program, catalog)
         scan = index_scan(program, catalog)
@@ -179,6 +179,34 @@ def test_fixture_global_search_matches_grep():
                 (str(m), line, text) for m, line, text in global_search(program, pattern)
             )
             assert got == grep_scan(program, pattern), (name, pattern)
+
+
+def test_catalog_asked_once_per_distinct_callee_generated():
+    # the index used to ask the catalog once per external call site
+    rng = random.Random(23)
+    catalog = synth_catalog()
+
+    class CountingCatalog:
+        def __init__(self):
+            self.asked = []
+
+        def is_system(self, sig):
+            self.asked.append(sig)
+            return catalog.is_system(sig)
+
+    for _ in range(40):
+        program = parse_program(gen_program(rng, 10, 20))
+        counting = CountingCatalog()
+        index = build_api_index(program, counting)
+        calls = [
+            stmt.callee
+            for m in sorted(program.methods(), key=lambda m: str(m.signature))
+            for stmt in m.body
+            if isinstance(stmt, Invoke) and stmt.callee not in program.method_map
+        ]
+        assert counting.asked == list(dict.fromkeys(calls))
+        # keys keep the order of their first site in sorted-method order
+        assert list(index.sites) == [str(c) for c in counting.asked if catalog.is_system(c)]
 
 
 @given(st.integers(0, 10_000))

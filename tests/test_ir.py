@@ -17,6 +17,7 @@ from droidtriage.errors import (
 )
 from droidtriage.ir import (
     LocDistribution,
+    _split_args,
     _strip,
     loc_stats,
     parse_bundle,
@@ -29,7 +30,7 @@ from droidtriage.ir import (
 )
 
 from genprog import gen_program
-from oracles import percentile_scan, strip_scan
+from oracles import percentile_scan, split_args_scan, strip_scan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -304,3 +305,9 @@ def test_histogram_buckets_cover_all_methods():
 @settings(max_examples=500, deadline=None)
 def test_strip_matches_character_scan(raw):
     assert _strip(raw) == strip_scan(raw)
+
+
+@given(st.text(alphabet='a ",b1', max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_split_args_matches_character_scan(text):
+    assert _split_args(text) == split_args_scan(text)
