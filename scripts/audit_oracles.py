@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Extended oracle audit: fuzz the analyses against their brute-force
-re-implementations at a scale beyond the committed test suite.
+"""Extended oracle audit: fuzz the parser and the analyses against their
+brute-force re-implementations at a scale beyond the committed test suite.
 
 Usage: python scripts/audit_oracles.py [n_programs] [seed]
 """
@@ -15,15 +15,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from droidtriage.analysis import backward_slice, replay_witness, taint_reachability, trigger_paths
 from droidtriage.catalog import EntryCatalog
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import Invoke, defined_var, parse_manifest, parse_program, parse_sig, used_vars
+from droidtriage.ir import (
+    Invoke, defined_var, parse_manifest, parse_program, parse_sig, render_program, used_vars,
+)
 
 from genprog import dag_manifest_text, gen_dag_program, gen_program, synth_catalog
-from oracles import index_scan, slice_fixpoint_scan, taint_scan, trigger_scan
+from oracles import index_scan, parse_program_cascade, slice_fixpoint_scan, taint_scan, trigger_scan
 
 ENTRY_RULES = EntryCatalog.parse(
     "user:onClick\nsystem:onReceive@Receiver\nsystem:onStartCommand@Service\n"
     "lifecycle:onCreate\n"
 )
+
+
+def parse_checked(text: str):
+    """The program, after checking it against the regex-cascade parser."""
+    program = parse_program(text)
+    want = parse_program_cascade(text)
+    assert program == want and render_program(program) == render_program(want), \
+        "parser/oracle divergence"
+    return program
 
 
 def main(n_programs: int, seed: int) -> int:
@@ -33,7 +44,7 @@ def main(n_programs: int, seed: int) -> int:
     taint_queries = taint_hits = slice_queries = 0
     programs = 0
     while programs < n_programs:
-        program = parse_program(gen_program(rng, max_methods=12, max_lines=22))
+        program = parse_checked(gen_program(rng, max_methods=12, max_lines=22))
         graph = build_call_graph(program)
 
         index = build_api_index(program, catalog)
@@ -72,7 +83,7 @@ def main(n_programs: int, seed: int) -> int:
     dag_checks = 0
     for _ in range(max(50, n_programs // 10)):
         text, edges, site_idx = gen_dag_program(rng, max_nodes=30)
-        program = parse_program(text)
+        program = parse_checked(text)
         graph = build_call_graph(program)
         catalog_b = ENTRY_RULES.bound(parse_manifest(dag_manifest_text(len(program.methods()))))
         sig_of = {i: str(m.signature) for i, m in enumerate(program.methods())}
@@ -94,7 +105,7 @@ def main(n_programs: int, seed: int) -> int:
     print(
         f"audited {programs} programs: {taint_queries} taint queries "
         f"({taint_hits} sink hits, all witnesses replayed), {slice_queries} slices, "
-        f"{dag_checks} trigger DAGs, index scans on every program; "
+        f"{dag_checks} trigger DAGs, parser and index scans on every program; "
         f"no divergences in {elapsed:.1f}s"
     )
     return 0

@@ -10,7 +10,7 @@ model exchange is metered into a cost ledger under its tier.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from string import Template
@@ -149,7 +149,8 @@ class VerdictReport:
     rationale: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, with one shallow dict per evidence reference."""
+        return {**vars(self), "evidence_chain": [dict(vars(e)) for e in self.evidence_chain]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -340,7 +341,10 @@ class ToolBox:
 
 def _capped(args: dict, key: str, ceiling: int) -> int:
     """A model-chosen size argument, never above its `[budgets]` ceiling."""
-    return min(int(args.get(key, ceiling)), ceiling)
+    value = args.get(key, ceiling)
+    if isinstance(value, float) and not value.is_integer():  # inf, nan, 2.5
+        raise ToolError(f"{key} must be an integer, got {value!r}")
+    return min(int(value), ceiling)
 
 
 def trace_candidate(

@@ -1,8 +1,10 @@
 """Global call graph and the system-API inverted index.
 
-Both structures are built once per bundle and never mutated, so concurrent
-agent sessions can share them freely.  The call graph keeps each method's
-distinct callers; the index keeps every concrete call site.
+Both structures are built once per bundle from one shared call list,
+`IrProgram.calls` (every Invoke with its caller, methods in rendering order),
+and never mutated, so concurrent agent sessions can share them freely.  The
+call graph keeps each method's distinct callers; the index keeps every
+concrete call site.
 """
 
 from __future__ import annotations
@@ -10,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import ApiCatalog
-from .ir import Invoke, IrProgram, MethodSig, render_stmt
+from .ir import IrProgram, MethodSig, render_stmt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallSite:
     """One concrete invocation of a callee, addressed by method and line."""
 
@@ -37,14 +39,12 @@ class CallGraph:
 
 
 def build_call_graph(program: IrProgram) -> CallGraph:
-    nodes: set[MethodSig] = set(program.method_map)
-    callers: dict[MethodSig, set[MethodSig]] = {}
-    for method in program.methods():
-        for stmt in method.body:
-            if isinstance(stmt, Invoke):
-                nodes.add(stmt.callee)
-                callers.setdefault(stmt.callee, set()).add(method.signature)
-    return CallGraph(nodes, {c: tuple(sorted(s, key=str)) for c, s in callers.items()})
+    # the callers of a callee, as dict keys in the order the sorted call list meets them
+    callers: dict[MethodSig, dict[MethodSig, None]] = {}
+    for caller, stmt in program.calls:
+        callers.setdefault(stmt.callee, {})[caller] = None
+    return CallGraph(set(program.method_map) | set(callers),
+                     {c: tuple(s) for c, s in callers.items()})
 
 
 @dataclass
@@ -58,17 +58,18 @@ class ApiIndex:
 
 
 def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
-    """External call sites grouped by callee; the catalog is asked once per callee."""
+    """External call sites grouped by callee; the catalog is asked once per
+    callee, when the sorted call list first meets it."""
     defined = program.method_map
-    external: dict[MethodSig, list[tuple[MethodSig, Invoke]]] = {}
-    for method in sorted(program.methods(), key=lambda m: str(m.signature)):
-        for stmt in method.body:
-            if isinstance(stmt, Invoke) and stmt.callee not in defined:
-                external.setdefault(stmt.callee, []).append((method.signature, stmt))
     index = ApiIndex()
-    for callee, calls in external.items():
-        if catalog.is_system(callee):
-            index.sites[str(callee)] = [CallSite(m, s.line, callee, s.dst) for m, s in calls]
+    sites_of: dict[MethodSig, list[CallSite] | None] = {}  # None: not indexed
+    for caller, stmt in program.calls:
+        callee = stmt.callee
+        if callee not in sites_of:
+            system = callee not in defined and catalog.is_system(callee)
+            sites_of[callee] = index.sites.setdefault(str(callee), []) if system else None
+        if (sites := sites_of[callee]) is not None:
+            sites.append(CallSite(caller, stmt.line, callee, stmt.dst))
     return index
 
 
@@ -76,10 +77,6 @@ def global_search(program: IrProgram, pattern: str) -> list[tuple[MethodSig, int
     """Case-sensitive substring search over canonical statement renderings."""
     if not pattern:
         raise ValueError("empty search pattern")
-    hits: list[tuple[MethodSig, int, str]] = []
-    for method in sorted(program.methods(), key=lambda m: str(m.signature)):
-        for stmt in method.body:
-            rendered = render_stmt(stmt)
-            if pattern in rendered:
-                hits.append((method.signature, stmt.line, rendered))
-    return hits
+    methods = sorted(program.methods(), key=lambda m: str(m.signature))
+    rendered = ((m.signature, s.line, render_stmt(s)) for m in methods for s in m.body)
+    return [hit for hit in rendered if pattern in hit[2]]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,15 +49,25 @@ _RESERVED = {"call", "const", "goto", "if", "return", "nop", "true", "false", "n
 
 @dataclass(frozen=True)
 class MethodSig:
-    """Fully qualified method signature; canonical form `cls.m(t1,t2)->ret`."""
+    """Fully qualified method signature; canonical form `cls.m(t1,t2)->ret`.
+    Its rendering and hash are computed once; equality compares the fields."""
 
     class_name: str
     method_name: str
     param_types: tuple[str, ...]
     return_type: str
 
+    def __post_init__(self) -> None:
+        cls, name, params, ret = fields = (
+            self.class_name, self.method_name, self.param_types, self.return_type)
+        object.__setattr__(self, "_text", f"{cls}.{name}({','.join(params)})->{ret}")
+        object.__setattr__(self, "_hash", hash(fields))
+
     def __str__(self) -> str:
-        return f"{self.class_name}.{self.method_name}({','.join(self.param_types)})->{self.return_type}"
+        return self._text
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def parse_sig(text: str) -> MethodSig:
@@ -93,7 +104,8 @@ _ARG_RE = re.compile(r'(?:[^",]+|"[^"]*(?:"|$))+')
 def _split_args(text: str) -> list[str]:
     """Split a call argument list on top-level commas, honouring quotes (an
     unclosed quote runs to the end)."""
-    return [a for a in (m.strip() for m in _ARG_RE.findall(text)) if a]
+    pieces = _ARG_RE.findall(text) if '"' in text else text.split(",")
+    return [a for a in map(str.strip, pieces) if a]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +113,7 @@ def _split_args(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     """`dst = src` (variable copy) or `dst = const lit` when literal is set."""
 
@@ -111,7 +123,7 @@ class Assign:
     literal: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invoke:
     line: int
     callee: MethodSig
@@ -119,26 +131,26 @@ class Invoke:
     dst: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     line: int
     cond: str
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Goto:
     line: int
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     line: int
     var: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nop:
     line: int
 
@@ -159,11 +171,7 @@ def used_vars(stmt: IrStatement) -> tuple[str, ...]:
 
 
 def defined_var(stmt: IrStatement) -> str | None:
-    if isinstance(stmt, Assign):
-        return stmt.dst
-    if isinstance(stmt, Invoke):
-        return stmt.dst
-    return None
+    return stmt.dst if isinstance(stmt, (Assign, Invoke)) else None
 
 
 def render_stmt(stmt: IrStatement) -> str:
@@ -219,8 +227,12 @@ class IrProgram:
         never mutated, so every tool shares this one map."""
         return {m.signature: m for m in self.methods()}
 
-    def class_names(self) -> set[str]:
-        return {c.name for c in self.classes}
+    @cached_property
+    def calls(self) -> list[tuple[MethodSig, Invoke]]:
+        """Every (caller, Invoke) pair, methods in rendering order and
+        statements in line order; the call graph and the API index share it."""
+        methods = sorted(self.methods(), key=lambda m: str(m.signature))
+        return [(m.signature, s) for m in methods for s in m.body if isinstance(s, Invoke)]
 
 
 COMPONENT_KINDS = ("Activity", "Service", "Receiver", "Provider")
@@ -272,9 +284,7 @@ def parse_manifest(text: str) -> Manifest:
             continue
         if ":" not in line:
             raise IrSyntaxError(line_no, f"expected key:value, got {line!r}")
-        key, value = line.split(":", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split(":", 1))
         if key == "package":
             package = value
         elif key == "category":
@@ -301,17 +311,12 @@ def _parse_component(value: str, line_no: int) -> Component:
     kind, cls = parts[0].strip(), parts[1].strip()
     if kind not in COMPONENT_KINDS:
         raise IrSyntaxError(line_no, f"unknown component kind {kind!r}")
-    actions: list[str] = []
-    exported = False
-    for extra in parts[2:]:
-        extra = extra.strip()
-        if extra.startswith("action="):
-            actions.append(extra[len("action="):])
-        elif extra == "exported":
-            exported = True
-        else:
+    extras = [extra.strip() for extra in parts[2:]]
+    for extra in extras:
+        if not extra.startswith("action=") and extra != "exported":
             raise IrSyntaxError(line_no, f"bad component attribute {extra!r}")
-    return Component(cls, kind, tuple(actions), exported)
+    actions = tuple(extra[len("action="):] for extra in extras if extra != "exported")
+    return Component(cls, kind, actions, "exported" in extras)
 
 
 def render_manifest(manifest: Manifest) -> str:
@@ -322,12 +327,8 @@ def render_manifest(manifest: Manifest) -> str:
     ]
     lines += [f"permission:{p}" for p in manifest.permissions]
     for c in manifest.components:
-        item = f"component:{c.kind}:{c.name}"
-        for a in c.intent_actions:
-            item += f":action={a}"
-        if c.exported:
-            item += ":exported"
-        lines.append(item)
+        actions = "".join(f":action={a}" for a in c.intent_actions)
+        lines.append(f"component:{c.kind}:{c.name}{actions}" + (":exported" if c.exported else ""))
     return "\n".join(lines) + "\n"
 
 
@@ -337,12 +338,14 @@ def render_manifest(manifest: Manifest) -> str:
 
 _CLASS_RE = re.compile(r"^class\s+([\w.$]+)(?:\s+extends\s+([\w.$]+))?\s*\{$")
 _METHOD_RE = re.compile(r"^method\s+(\S+)\s*\(([^()]*)\)\s*\{$")
-_INVOKE_RE = re.compile(r"^(?:(\w+)\s*=\s*)?call\s+([A-Za-z_$][\w.$]*\([^()]*\)->[\w.$]+)\((.*)\)$")
-_IF_RE = re.compile(r"^if\s+(\w+)\s+goto\s+(\d+)$")
-_GOTO_RE = re.compile(r"^goto\s+(\d+)$")
-_RETURN_RE = re.compile(r"^return(?:\s+(\w+))?$")
-_CONST_RE = re.compile(r"^(\w+)\s*=\s*const\s+(.+)$")
-_COPY_RE = re.compile(r"^(\w+)\s*=\s*([A-Za-z_]\w*)$")
+# `<dst> =`, then one regex per statement form, matched after it
+_DST_RE = re.compile(r"(\w+)\s*=\s*")
+_CALL_RE = re.compile(r"call\s+([A-Za-z_$][\w.$]*\([^()]*\)->[\w.$]+)\((.*)\)$")
+_IF_RE = re.compile(r"if\s+(\w+)\s+goto\s+(\d+)$")
+_GOTO_RE = re.compile(r"goto\s+(\d+)$")
+_RETURN_RE = re.compile(r"return(?:\s+(\w+))?$")
+_CONST_RE = re.compile(r"const\s+(.+)$")
+_COPY_RE = re.compile(r"([A-Za-z_]\w*)$")
 # everything before the first `#` outside double quotes; an unterminated
 # quote runs to the end of the line
 _UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
@@ -350,54 +353,76 @@ _UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
 
 def _strip(raw: str) -> str:
     """Remove comments and surrounding whitespace; quote-aware for `#`."""
+    if "#" not in raw:
+        return raw.strip()
     return _UNCOMMENTED_RE.match(raw).group().strip()
 
 
-def _parse_stmt(line: str, stmt_line: int, file_line: int) -> IrStatement:
-    m = _INVOKE_RE.match(line)
-    if m:
-        dst, sig_text, args_text = m.groups()
-        try:
-            callee = parse_sig(sig_text)
-        except ValueError as exc:
-            raise IrSyntaxError(file_line, str(exc)) from None
-        args = tuple(_split_args(args_text))
-        for a in args:
-            _check_arg_token(a, file_line)
-        if dst is not None and not is_var_token(dst):
-            raise IrSyntaxError(file_line, f"bad destination {dst!r}")
-        return Invoke(stmt_line, callee, args, dst)
-    m = _IF_RE.match(line)
-    if m:
-        cond, target = m.groups()
-        if not is_var_token(cond):
-            raise IrSyntaxError(file_line, f"bad condition variable {cond!r}")
-        return If(stmt_line, cond, int(target))
-    m = _GOTO_RE.match(line)
-    if m:
-        return Goto(stmt_line, int(m.group(1)))
-    m = _RETURN_RE.match(line)
-    if m:
-        var = m.group(1)
-        if var is not None and not is_var_token(var):
-            raise IrSyntaxError(file_line, f"bad return variable {var!r}")
-        return Return(stmt_line, var)
-    if line == "nop":
-        return Nop(stmt_line)
-    m = _CONST_RE.match(line)
-    if m:
-        dst, literal = m.group(1), m.group(2).strip()
-        if not is_var_token(dst):
-            raise IrSyntaxError(file_line, f"bad destination {dst!r}")
-        _check_arg_token(literal, file_line)
-        return Assign(stmt_line, dst, literal=literal)
-    m = _COPY_RE.match(line)
-    if m:
-        dst, src = m.groups()
-        if not is_var_token(dst) or not is_var_token(src):
-            raise IrSyntaxError(file_line, f"bad assignment {line!r}")
-        return Assign(stmt_line, dst, src=src)
-    raise IrSyntaxError(file_line, f"unrecognized statement {line!r}")
+class _Parse:
+    """One parse's tables: each distinct signature text becomes the one
+    `MethodSig` every line naming it shares, and each distinct argument list
+    is split and checked once. They die with the parse, so attacker text
+    cannot grow them past its own size."""
+
+    def __init__(self) -> None:
+        self.sigs: dict[str, MethodSig] = {}
+        self.arg_lists: dict[str, tuple[str, ...]] = {}
+
+    def sig(self, text: str, file_line: int) -> MethodSig:
+        sig = self.sigs.get(text)
+        if sig is None:
+            try:
+                sig = parse_sig(text)
+            except ValueError as exc:
+                raise IrSyntaxError(file_line, str(exc)) from None
+            # texts that differ only in spacing share the canonical one's object
+            sig = self.sigs[text] = self.sigs.setdefault(str(sig), sig)
+        return sig
+
+    def args(self, text: str, file_line: int) -> tuple[str, ...]:
+        args = self.arg_lists.get(text)
+        if args is None:
+            args = tuple(_split_args(text))
+            for a in args:
+                _check_arg_token(a, file_line)
+            self.arg_lists[text] = args
+        return args
+
+    def stmt(self, line: str, stmt_line: int, file_line: int) -> IrStatement:
+        """The first word, or the word after `<dst> =`, picks the one form
+        that can match: the result is that of trying call, if, goto, return,
+        nop, const and copy in turn."""
+        m = _DST_RE.match(line) if "=" in line else None
+        dst, pos = (m.group(1), m.end()) if m else (None, 0)
+        if line.startswith("call", pos) and (m := _CALL_RE.match(line, pos)):
+            callee, args = self.sig(m.group(1), file_line), self.args(m.group(2), file_line)
+            if dst is not None and not is_var_token(dst):
+                raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+            return Invoke(stmt_line, callee, args, dst)
+        if dst is None:
+            if line.startswith("if") and (m := _IF_RE.match(line)):
+                if not is_var_token(m.group(1)):
+                    raise IrSyntaxError(file_line, f"bad condition variable {m.group(1)!r}")
+                return If(stmt_line, m.group(1), int(m.group(2)))
+            if line.startswith("goto") and (m := _GOTO_RE.match(line)):
+                return Goto(stmt_line, int(m.group(1)))
+            if line.startswith("return") and (m := _RETURN_RE.match(line)):
+                if m.group(1) is not None and not is_var_token(m.group(1)):
+                    raise IrSyntaxError(file_line, f"bad return variable {m.group(1)!r}")
+                return Return(stmt_line, m.group(1))
+            if line == "nop":
+                return Nop(stmt_line)
+        elif line.startswith("const", pos) and (m := _CONST_RE.match(line, pos)):
+            literal = m.group(1).strip()
+            if not is_var_token(dst):
+                raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+            _check_arg_token(literal, file_line)
+            return Assign(stmt_line, dst, literal=literal)
+        elif m := _COPY_RE.match(line, pos):
+            if not is_var_token(dst) or not is_var_token(m.group(1)):
+                raise IrSyntaxError(file_line, f"bad assignment {line!r}")
+            return Assign(stmt_line, dst, src=m.group(1))
+        raise IrSyntaxError(file_line, f"unrecognized statement {line!r}")
 
 
 def parse_program(text: str) -> IrProgram:
@@ -405,6 +430,7 @@ def parse_program(text: str) -> IrProgram:
     seen_sigs: set[MethodSig] = set()
     cur_class: ClassDef | None = None
     cur_method: MethodDef | None = None
+    parse = _Parse()
 
     for file_line, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -415,8 +441,7 @@ def parse_program(text: str) -> IrProgram:
                 _check_branch_targets(cur_method)
                 cur_method = None
                 continue
-            stmt = _parse_stmt(line, len(cur_method.body) + 1, file_line)
-            cur_method.body.append(stmt)
+            cur_method.body.append(parse.stmt(line, len(cur_method.body) + 1, file_line))
             continue
         if cur_class is not None:
             if line == "}":
@@ -425,11 +450,7 @@ def parse_program(text: str) -> IrProgram:
             m = _METHOD_RE.match(line)
             if not m:
                 raise IrSyntaxError(file_line, f"expected method or '}}', got {line!r}")
-            sig_text, params_text = m.groups()
-            try:
-                sig = parse_sig(sig_text)
-            except ValueError as exc:
-                raise IrSyntaxError(file_line, str(exc)) from None
+            sig = parse.sig(m.group(1), file_line)
             if sig.class_name != cur_class.name:
                 raise IrSyntaxError(
                     file_line, f"method {sig} declared inside class {cur_class.name}"
@@ -437,7 +458,7 @@ def parse_program(text: str) -> IrProgram:
             if sig in seen_sigs:
                 raise DuplicateSignatureError(str(sig))
             seen_sigs.add(sig)
-            params = tuple(p.strip() for p in params_text.split(",") if p.strip())
+            params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
             for p in params:
                 if not is_var_token(p):
                     raise IrSyntaxError(file_line, f"bad parameter name {p!r}")
@@ -463,13 +484,9 @@ def parse_program(text: str) -> IrProgram:
 
 
 def _check_branch_targets(method: MethodDef) -> None:
-    n = len(method.body)
     for stmt in method.body:
-        target = None
-        if isinstance(stmt, (If, Goto)):
-            target = stmt.target
-        if target is not None and not (1 <= target <= n):
-            raise BadBranchTargetError(str(method.signature), target)
+        if isinstance(stmt, (If, Goto)) and not 1 <= stmt.target <= len(method.body):
+            raise BadBranchTargetError(str(method.signature), stmt.target)
 
 
 def render_program(program: IrProgram) -> str:
@@ -507,34 +524,21 @@ def validate(bundle: AppBundle) -> list[Diagnostic]:
     seen_perm: set[str] = set()
     for p in bundle.manifest.permissions:
         if p in seen_perm:
-            diags.append(
-                Diagnostic("DuplicatePermission", p, f"permission {p} declared twice")
-            )
+            diags.append(Diagnostic("DuplicatePermission", p, f"permission {p} declared twice"))
         seen_perm.add(p)
-    known = bundle.program.class_names()
+    known = {c.name for c in bundle.program.classes}
     for comp in bundle.manifest.components:
         if comp.name not in known:
-            diags.append(
-                Diagnostic(
-                    "UnresolvedComponent",
-                    comp.name,
-                    f"component class {comp.name} not defined in program",
-                )
-            )
+            diags.append(Diagnostic("UnresolvedComponent", comp.name,
+                                    f"component class {comp.name} not defined in program"))
     for method in bundle.program.methods():
         defined = set(method.params)
         for stmt in method.body:
             for var in used_vars(stmt):
                 if var not in defined:
-                    diags.append(
-                        Diagnostic(
-                            "UseBeforeDef",
-                            f"{method.signature}:{stmt.line}",
-                            f"variable {var!r} used before assignment",
-                        )
-                    )
-            d = defined_var(stmt)
-            if d is not None:
+                    diags.append(Diagnostic("UseBeforeDef", f"{method.signature}:{stmt.line}",
+                                            f"variable {var!r} used before assignment"))
+            if (d := defined_var(stmt)) is not None:
                 defined.add(d)
     return diags
 
@@ -561,22 +565,12 @@ class LocDistribution:
         return xs[min(rank, len(xs)) - 1]
 
     def histogram(self, buckets: tuple[int, ...] = DEFAULT_BUCKETS) -> list[tuple[str, int]]:
-        """Counts per bucket; bucket edges are inclusive upper bounds."""
-        edges = list(buckets)
-        counts = [0] * (len(edges) + 1)
+        """Counts per bucket; bucket edges are ascending inclusive upper bounds."""
+        counts = [0] * (len(buckets) + 1)
         for v in self.per_method_loc:
-            for i, hi in enumerate(edges):
-                if v <= hi:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
-        labels = []
-        lo = 1
-        for hi in edges:
-            labels.append(f"{lo}-{hi}")
-            lo = hi + 1
-        labels.append(f"{lo}+")
+            counts[bisect_left(buckets, v)] += 1
+        lows = (1, *(hi + 1 for hi in buckets))
+        labels = [f"{lo}-{hi}" for lo, hi in zip(lows, buckets)] + [f"{lows[-1]}+"]
         return list(zip(labels, counts))
 
     @property

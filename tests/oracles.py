@@ -7,16 +7,24 @@ from the code under test.
 
 from __future__ import annotations
 
+import re
+
+from droidtriage.errors import BadBranchTargetError, DuplicateSignatureError, IrSyntaxError
 from droidtriage.ir import (
     Assign,
+    ClassDef,
     Goto,
     If,
     Invoke,
     IrProgram,
     MethodDef,
+    MethodSig,
+    Nop,
     Return,
+    _check_arg_token,
     defined_var,
     is_var_token,
+    parse_sig,
     used_vars,
 )
 
@@ -123,6 +131,135 @@ def split_args_scan(text: str) -> list[str]:
     if cur or out:
         out.append("".join(cur).strip())
     return [a for a in out if a != ""]
+
+
+# ---------------------------------------------------------------------------
+# IR parsing: the regex cascade, every signature parsed where it is named
+# ---------------------------------------------------------------------------
+
+_CLASS_RE = re.compile(r"^class\s+([\w.$]+)(?:\s+extends\s+([\w.$]+))?\s*\{$")
+_METHOD_RE = re.compile(r"^method\s+(\S+)\s*\(([^()]*)\)\s*\{$")
+_INVOKE_RE = re.compile(r"^(?:(\w+)\s*=\s*)?call\s+([A-Za-z_$][\w.$]*\([^()]*\)->[\w.$]+)\((.*)\)$")
+_IF_RE = re.compile(r"^if\s+(\w+)\s+goto\s+(\d+)$")
+_GOTO_RE = re.compile(r"^goto\s+(\d+)$")
+_RETURN_RE = re.compile(r"^return(?:\s+(\w+))?$")
+_CONST_RE = re.compile(r"^(\w+)\s*=\s*const\s+(.+)$")
+_COPY_RE = re.compile(r"^(\w+)\s*=\s*([A-Za-z_]\w*)$")
+
+
+def parse_stmt_cascade(line: str, stmt_line: int, file_line: int):
+    """One statement: try each statement regex in turn."""
+    m = _INVOKE_RE.match(line)
+    if m:
+        dst, sig_text, args_text = m.groups()
+        try:
+            callee = parse_sig(sig_text)
+        except ValueError as exc:
+            raise IrSyntaxError(file_line, str(exc)) from None
+        args = tuple(split_args_scan(args_text))
+        for a in args:
+            _check_arg_token(a, file_line)
+        if dst is not None and not is_var_token(dst):
+            raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+        return Invoke(stmt_line, callee, args, dst)
+    m = _IF_RE.match(line)
+    if m:
+        cond, target = m.groups()
+        if not is_var_token(cond):
+            raise IrSyntaxError(file_line, f"bad condition variable {cond!r}")
+        return If(stmt_line, cond, int(target))
+    m = _GOTO_RE.match(line)
+    if m:
+        return Goto(stmt_line, int(m.group(1)))
+    m = _RETURN_RE.match(line)
+    if m:
+        var = m.group(1)
+        if var is not None and not is_var_token(var):
+            raise IrSyntaxError(file_line, f"bad return variable {var!r}")
+        return Return(stmt_line, var)
+    if line == "nop":
+        return Nop(stmt_line)
+    m = _CONST_RE.match(line)
+    if m:
+        dst, literal = m.group(1), m.group(2).strip()
+        if not is_var_token(dst):
+            raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+        _check_arg_token(literal, file_line)
+        return Assign(stmt_line, dst, literal=literal)
+    m = _COPY_RE.match(line)
+    if m:
+        dst, src = m.groups()
+        if not is_var_token(dst) or not is_var_token(src):
+            raise IrSyntaxError(file_line, f"bad assignment {line!r}")
+        return Assign(stmt_line, dst, src=src)
+    raise IrSyntaxError(file_line, f"unrecognized statement {line!r}")
+
+
+def parse_program_cascade(text: str) -> IrProgram:
+    """The reference parser: `strip_scan` per line, `parse_stmt_cascade` per
+    statement, branch targets checked when a method closes."""
+    classes: list[ClassDef] = []
+    seen_sigs: set[MethodSig] = set()
+    cur_class: ClassDef | None = None
+    cur_method: MethodDef | None = None
+
+    for file_line, raw in enumerate(text.splitlines(), start=1):
+        line = strip_scan(raw)
+        if not line:
+            continue
+        if cur_method is not None:
+            if line == "}":
+                n = len(cur_method.body)
+                for stmt in cur_method.body:
+                    if isinstance(stmt, (If, Goto)) and not (1 <= stmt.target <= n):
+                        raise BadBranchTargetError(str(cur_method.signature), stmt.target)
+                cur_method = None
+                continue
+            stmt = parse_stmt_cascade(line, len(cur_method.body) + 1, file_line)
+            cur_method.body.append(stmt)
+            continue
+        if cur_class is not None:
+            if line == "}":
+                cur_class = None
+                continue
+            m = _METHOD_RE.match(line)
+            if not m:
+                raise IrSyntaxError(file_line, f"expected method or '}}', got {line!r}")
+            sig_text, params_text = m.groups()
+            try:
+                sig = parse_sig(sig_text)
+            except ValueError as exc:
+                raise IrSyntaxError(file_line, str(exc)) from None
+            if sig.class_name != cur_class.name:
+                raise IrSyntaxError(
+                    file_line, f"method {sig} declared inside class {cur_class.name}"
+                )
+            if sig in seen_sigs:
+                raise DuplicateSignatureError(str(sig))
+            seen_sigs.add(sig)
+            params = tuple(p.strip() for p in params_text.split(",") if p.strip())
+            for p in params:
+                if not is_var_token(p):
+                    raise IrSyntaxError(file_line, f"bad parameter name {p!r}")
+            if len(set(params)) != len(params):
+                raise IrSyntaxError(file_line, f"{sig}: duplicate parameter names")
+            if len(params) != len(sig.param_types):
+                raise IrSyntaxError(
+                    file_line,
+                    f"{sig}: {len(sig.param_types)} parameter types but {len(params)} names",
+                )
+            cur_method = MethodDef(sig, params, [])
+            cur_class.methods.append(cur_method)
+            continue
+        m = _CLASS_RE.match(line)
+        if not m:
+            raise IrSyntaxError(file_line, f"expected class declaration, got {line!r}")
+        cur_class = ClassDef(m.group(1), m.group(2), [])
+        classes.append(cur_class)
+
+    if cur_method is not None or cur_class is not None:
+        raise IrSyntaxError(len(text.splitlines()), "unexpected end of input (missing '}')")
+    return IrProgram(classes)
 
 
 def grep_scan(program: IrProgram, pattern: str) -> list[tuple[str, int, str]]:

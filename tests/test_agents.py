@@ -527,6 +527,28 @@ def test_pipeline_report_schema_field_names():
         assert set(ref) == {"candidate", "trigger", "sink", "rationale"}
 
 
+def test_report_to_dict_equals_field_walk():
+    import dataclasses
+
+    for app_id in ("fx_smsleak", "fx_dialerspy", "fx_clean"):
+        report, _ledger = run_pipeline(load_fixture(app_id), CATALOGS, scripted_router())
+        assert report.to_dict() == dataclasses.asdict(report)
+        assert [ref.candidate for ref in report.evidence_chain] == [
+            ref["candidate"] for ref in report.to_dict()["evidence_chain"]
+        ]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 2.5])
+def test_capped_rejects_non_integral_sizes(value):
+    from droidtriage.agents import _capped
+    from droidtriage.errors import ToolError
+
+    with pytest.raises(ToolError):
+        _capped({"max_depth": value}, "max_depth", 5)
+    assert _capped({"max_depth": 3.0}, "max_depth", 5) == 3
+    assert _capped({"max_depth": 10**400}, "max_depth", 5) == 5
+
+
 def test_pipeline_stage_errors_carry_tier():
     from droidtriage.agents import PipelineStageError
     from droidtriage.scripted import ScriptedProvider

@@ -164,6 +164,31 @@ def test_batch_undecodable_bundle_skipped(tmp_path):
     assert by_id["fx_clean"].report.verdict == "Benign"
 
 
+def test_batch_survives_infinite_tool_argument():
+    # `1e400` decodes to inf; `int(inf)` raised OverflowError, which no
+    # handler caught, and the whole batch died with it
+    from droidtriage.scripted import ScriptedProvider
+
+    class InfiniteDepth(ScriptedProvider):
+        def chat(self, model_id, tier, messages):
+            if tier == "trace":
+                reply = '{"thought": "", "action": "trigger_paths", "args": {"max_depth": 1e400}}'
+                return reply, 1, 1
+            return super().chat(model_id, tier, messages)
+
+    cfg = batch_config()
+    cfg.router = ModelRouter(cfg.router.config, {m: InfiniteDepth() for m in cfg.router.providers})
+    results = run_batch(DatasetManifest.load(FIXTURES / "corpus.idx"), cfg)
+    assert results and all(r.evaluated for r in results)
+    observations = [
+        json.loads(ex.messages[-1][1])
+        for r in results for ex in r.ledger.exchanges
+        if ex.tier == "trace" and ex.messages[-1][1].startswith("{")
+    ]
+    assert observations
+    assert all(o["error"] == "ToolError" and "max_depth" in o["message"] for o in observations)
+
+
 def test_batch_order_permutation_invariant(tmp_path):
     ds = DatasetManifest.load(FIXTURES / "corpus.idx")
     shuffled = DatasetManifest(list(reversed(ds.entries)))

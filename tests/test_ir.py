@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,12 @@ from droidtriage.errors import (
     DuplicateSignatureError,
     EmptyProgramError,
     IrSyntaxError,
+    TriageError,
 )
 from droidtriage.ir import (
+    Invoke,
     LocDistribution,
+    MethodSig,
     _split_args,
     _strip,
     loc_stats,
@@ -30,7 +34,7 @@ from droidtriage.ir import (
 )
 
 from genprog import gen_program
-from oracles import percentile_scan, split_args_scan, strip_scan
+from oracles import parse_program_cascade, percentile_scan, split_args_scan, strip_scan
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -311,3 +315,116 @@ def test_strip_matches_character_scan(raw):
 @settings(max_examples=500, deadline=None)
 def test_split_args_matches_character_scan(text):
     assert _split_args(text) == split_args_scan(text)
+
+
+# -- the statement dispatch against the regex cascade ----------------------
+
+
+def _outcome(parse, text):
+    """A parse's rendering and program, or its error's type, text and line.
+    Programs compare field by field, down to every statement and `MethodSig`."""
+    try:
+        program = parse(text)
+    except TriageError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return render_program(program), program
+
+
+def _assert_same_parse(text):
+    assert _outcome(parse_program, text) == _outcome(parse_program_cascade, text)
+
+
+def _in_method(*stmts: str) -> str:
+    body = "".join(f"    {s}\n" for s in stmts)
+    return f"class a.B {{\n  method a.B.m(int)->void (p) {{\n{body}  }}\n}}\n"
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        "x=call a.B.m(int)->void(p)", "x =const 1", "x= const 1", "return", "return p",
+        "x = p", "x=p", "nop", "goto 1", "if p goto 1", "call a.B.m( int , int )->v(p, 2)",
+        "call = const 1", "if = p", "goto = p", "return = p", "nop = p", "const = 1",
+        "x = callme", "x = call", "x = const", "x = constant", "x = const1 2", "x == p",
+        "x = call(p)", "callx a.B.m()->v()", "returnx", "return p q", "nopx", "ifx goto 1",
+        "if p goto x", "goto", "x = call foo()->v()", "x = call a.B.m()->v(1x)",
+        'x = const "a#b"', 'x = const "open', 'call a.B.m()->v("a,b", p)', "2x = const 1",
+        "x = const -7", "x = const true", "true = p", "x = null", "x = const 1",
+        "é = p", "x = é", "goto ١", "x = call a.B.m()->v(p)(q)",
+        # a later line reuses what an earlier one checked
+        "call a.B.m()->v(1)\ncall a.B.m()->v(1x)", "call a.B.m()->v(p,1)\ncall a.B.m()->v(p,1)",
+        "x = p\ncall a.B.m()->v(x)\n1x = call a.B.m()->v(x)",
+        "call a.B.m()->v(p)\ncall a.b.m()->v(p)\ncall a.B.m()->v( p )",
+    ],
+)
+def test_statement_forms_match_cascade(stmt):
+    _assert_same_parse(_in_method(*stmt.split("\n")))
+
+
+_RESERVED_WORDS = ("call", "const", "goto", "if", "return", "nop", "true", "false", "null")
+_MUTATION = st.one_of(
+    st.tuples(st.just("respace_eq"), st.sampled_from(["", " ", "  ", "\t"])),
+    st.tuples(st.just("respace_all"), st.sampled_from(["", " ", "  ", "\t"])),
+    st.tuples(st.just("insert"), st.sampled_from(
+        ['#', '"', '=', ',', '(', ')', ' ', '->', 'call ', 'const ', '1x', '-', '$'])),
+    st.tuples(st.just("word"), st.sampled_from(_RESERVED_WORDS + ("1x", "a-b", '"s"', "0", "v1"))),
+    st.tuples(st.just("target"), st.sampled_from(["0", "-1", "999", "1", "x"])),
+    st.tuples(st.just("dup"), st.just("")),
+    st.tuples(st.just("drop"), st.just("")),
+)
+
+
+def _mutate(lines: list[str], where: int, kind: str, payload: str) -> None:
+    i = where % len(lines)
+    line = lines[i]
+    if kind == "respace_eq":
+        lines[i] = re.sub(r"\s*=\s*", payload + "=" + payload, line)
+    elif kind == "respace_all":
+        lines[i] = re.sub(r"(?<=\S) +", payload, line)
+    elif kind == "insert":
+        pos = where % (len(line) + 1)
+        lines[i] = line[:pos] + payload + line[pos:]
+    elif kind == "word":
+        words = list(re.finditer(r"\w+", line))
+        if words:
+            w = words[where % len(words)]
+            lines[i] = line[: w.start()] + payload + line[w.end():]
+    elif kind == "target":
+        lines[i] = re.sub(r"\d+$", payload, line) if "goto" in line else f"    goto {payload}"
+    elif kind == "dup":
+        heads = [j for j, l in enumerate(lines) if l.lstrip().startswith("method")]
+        if heads:
+            h = heads[where % len(heads)]
+            end = next((j for j in range(h, len(lines)) if lines[j] == "  }"), h)
+            lines[end + 1:end + 1] = lines[h:end + 1]
+    else:
+        del lines[i]
+
+
+@given(st.integers(0, 10_000), st.lists(st.tuples(st.integers(0, 10**6), _MUTATION), max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_cascade_on_mutated_programs(seed, mutations):
+    lines = gen_program(random.Random(seed), max_methods=5, max_lines=10).splitlines()
+    for where, (kind, payload) in mutations:
+        if lines:
+            _mutate(lines, where, kind, payload)
+    _assert_same_parse("\n".join(lines) + "\n")
+
+
+def test_statements_share_one_signature_per_callee_text():
+    text = gen_program(random.Random(5), max_methods=8, max_lines=20)
+    text += "class z.Z {\n  method z.Z.f(int,int)->void (a,b) {\n"
+    text += "    call g.C0.m0(int, int)->x(a,b)\n    call g.C0.m0(int,int)->x(b,a)\n  }\n}\n"
+    program = parse_program(text)
+    by_text: dict[str, MethodSig] = {str(m.signature): m.signature for m in program.methods()}
+    calls = [s for m in program.methods() for s in m.body if isinstance(s, Invoke)]
+    assert len({str(s.callee) for s in calls}) < len(calls)
+    for s in calls:
+        assert by_text.setdefault(str(s.callee), s.callee) is s.callee
+    # a signature parsed anew (a model-supplied argument) equals and hashes
+    # like the shared one
+    for sig in by_text.values():
+        fresh = parse_sig(str(sig))
+        assert fresh is not sig and fresh == sig and hash(fresh) == hash(sig)
+    for m in program.methods():
+        assert program.method_map[parse_sig(str(m.signature))] is m
