@@ -41,9 +41,6 @@ from .ir import AppBundle, Manifest, parse_sig, render_stmt
 SEVERITIES = ("High", "Medium", "Low")
 _SEV_RANK = {s: i for i, s in enumerate(SEVERITIES)}
 
-TOOL_NAMES = ("extract_context", "trigger_paths", "taint_reachability", "backward_slice")
-
-
 @cache
 def _template(name: str) -> Template:
     text = resources.files("droidtriage").joinpath(f"data/prompts/{name}").read_text("utf-8")
@@ -257,94 +254,96 @@ class ToolBox:
     slice: Slice | None = None
 
     def dispatch(self, action: str, args: dict) -> tuple[dict, str]:
-        program = self.bundle.program
-        if action == "extract_context":
-            radius = _capped(args, "radius", self.budgets.context_radius)
-            window = extract_context(program, self.site, radius)
-            self.contexts.append(window)
-            obs = {
-                "tool": action,
-                "method": str(self.site.method),
-                "start_line": window.start_line,
-                "end_line": window.end_line,
-                "truncated_head": window.truncated_head,
-                "truncated_tail": window.truncated_tail,
-                "lines": list(window.lines),
-            }
-            return obs, f"lines {window.start_line}..{window.end_line} of {self.site.method}"
-        if action == "trigger_paths":
-            depth = _capped(args, "max_depth", self.budgets.trigger_depth)
-            chains = trigger_paths(self.graph, self.site, self.entry_catalog, depth)
-            self.chains = chains
-            obs = {
-                "tool": action,
-                "count": len(chains),
-                "chains": [
-                    {"entry_kind": c.entry_kind, "path": [str(m) for m in c.path]}
-                    for c in chains[:10]
-                ],
-            }
-            kinds = sorted({c.entry_kind for c in chains}) or ["none"]
-            return obs, f"{len(chains)} chain(s), kinds {','.join(kinds)}"
-        if action == "taint_reachability":
-            depth = _capped(args, "depth_limit", self.budgets.taint_depth)
-            result = taint_reachability(
-                program, self.graph, self.site, self.api_catalog, depth
-            )
-            self.taint = result
-            obs = {
-                "tool": action,
-                "source": self.site.render(),
-                "searched_depth": result.searched_depth,
-                "reached_sinks": [
-                    {
-                        "sink": str(h.site.callee),
-                        "method": str(h.site.method),
-                        "line": h.site.line,
-                        "category": h.category,
-                        "tainted_arg": h.tainted_arg,
-                        "witness": [[str(m), l] for m, l in h.witness],
-                    }
-                    for h in result.reached_sinks
-                ],
-            }
-            return obs, f"{len(result.reached_sinks)} sink hit(s)"
-        if action == "backward_slice":
-            method, line, var = self._slice_target(args)
-            result = backward_slice(program, method, line, var)
-            self.slice = result
-            mdef = program.method_map[method]
-            obs = {
-                "tool": action,
-                "method": str(method),
-                "line": line,
-                "var": var,
-                "kept_lines": result.kept_lines,
-                "removed_count": result.removed_count,
-                "statements": [
-                    f"{l}: {render_stmt(mdef.body[l - 1])}" for l in result.kept_lines
-                ],
-            }
-            return obs, f"kept {len(result.kept_lines)} line(s), removed {result.removed_count}"
-        raise ToolError(f"unknown tool {action!r}")
-
-    def _slice_target(self, args: dict):
-        if "method" in args and "line" in args and "var" in args:
-            return parse_sig(str(args["method"])), int(args["line"]), str(args["var"])
-        if self.taint is not None and self.taint.reached_sinks:
-            hit = self.taint.reached_sinks[0]
-            return hit.site.method, hit.site.line, hit.tainted_arg
-        if self.site.result_var is not None:
-            return self.site.method, self.site.line, self.site.result_var
-        raise ToolError("no slice target: give method/line/var explicitly")
+        size_arg, budget, run = TOOLS[action]
+        size = _capped(args, size_arg, getattr(self.budgets, budget)) if size_arg else None
+        obs, digest = run(self, size, args)
+        return {"tool": action, **obs}, digest
 
 
-def _capped(args: dict, key: str, ceiling: int) -> int:
-    """A model-chosen size argument, never above its `[budgets]` ceiling."""
+def _capped(args: dict, key: str, ceiling: int | None = None) -> int:
+    """A model-chosen size or line as a non-negative int; a size defaults to `ceiling`
+    and never exceeds it."""
     value = args.get(key, ceiling)
     if isinstance(value, float) and not value.is_integer():  # inf, nan, 2.5
         raise ToolError(f"{key} must be an integer, got {value!r}")
-    return min(int(value), ceiling)
+    number = int(value)
+    if number < 0:
+        raise ToolError(f"{key} must not be negative, got {number}")
+    return number if ceiling is None else min(number, ceiling)
+
+
+# Each tool function calls its analysis by its module-global name at call
+# time, so a wrapper installed on that name sees every call.
+def _context(box: ToolBox, radius: int, args: dict) -> tuple[dict, str]:
+    window = extract_context(box.bundle.program, box.site, radius)
+    box.contexts.append(window)
+    obs = {
+        "method": str(box.site.method),
+        "start_line": window.start_line,
+        "end_line": window.end_line,
+        "truncated_head": window.truncated_head,
+        "truncated_tail": window.truncated_tail,
+        "lines": list(window.lines),
+    }
+    return obs, f"lines {window.start_line}..{window.end_line} of {box.site.method}"
+
+
+def _triggers(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
+    box.chains = chains = trigger_paths(box.graph, box.site, box.entry_catalog, depth)
+    shown = [{"entry_kind": c.entry_kind, "path": [str(m) for m in c.path]} for c in chains[:10]]
+    obs = {"count": len(chains), "chains": shown}
+    kinds = sorted({c.entry_kind for c in chains}) or ["none"]
+    return obs, f"{len(chains)} chain(s), kinds {','.join(kinds)}"
+
+
+def _taint(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
+    program = box.bundle.program
+    box.taint = result = taint_reachability(program, box.graph, box.site, box.api_catalog, depth)
+    obs = {
+        "source": box.site.render(),
+        "searched_depth": result.searched_depth,
+        "reached_sinks": [
+            {"sink": str(h.site.callee), "method": str(h.site.method), "line": h.site.line,
+             "category": h.category, "tainted_arg": h.tainted_arg,
+             "witness": [[str(m), l] for m, l in h.witness]}
+            for h in result.reached_sinks
+        ],
+    }
+    return obs, f"{len(result.reached_sinks)} sink hit(s)"
+
+
+def _slice(box: ToolBox, _size: None, args: dict) -> tuple[dict, str]:
+    if "method" in args and "line" in args and "var" in args:
+        method, line, var = parse_sig(str(args["method"])), _capped(args, "line"), str(args["var"])
+    elif box.taint is not None and box.taint.reached_sinks:
+        hit = box.taint.reached_sinks[0]
+        method, line, var = hit.site.method, hit.site.line, hit.tainted_arg
+    elif box.site.result_var is not None:
+        method, line, var = box.site.method, box.site.line, box.site.result_var
+    else:
+        raise ToolError("no slice target: give method/line/var explicitly")
+    box.slice = result = backward_slice(box.bundle.program, method, line, var)
+    body = box.bundle.program.method_map[method].body
+    obs = {
+        "method": str(method),
+        "line": line,
+        "var": var,
+        "kept_lines": result.kept_lines,
+        "removed_count": result.removed_count,
+        "statements": [f"{l}: {render_stmt(body[l - 1])}" for l in result.kept_lines],
+    }
+    return obs, f"kept {len(result.kept_lines)} line(s), removed {result.removed_count}"
+
+
+# The model's action space: name -> (size argument, the `PipelineBudgets`
+# field capping it, tool function).  The prompt `trace_system.txt` lists the
+# same names in the same order.
+TOOLS = {
+    "extract_context": ("radius", "context_radius", _context),
+    "trigger_paths": ("max_depth", "trigger_depth", _triggers),
+    "taint_reachability": ("depth_limit", "taint_depth", _taint),
+    "backward_slice": (None, None, _slice),
+}
 
 
 def trace_candidate(
@@ -388,7 +387,7 @@ def trace_candidate(
             )
             transcript.terminated_by = "AgentConcluded"
             break
-        if action in TOOL_NAMES:
+        if action in TOOLS:
             try:
                 obs_data, digest = toolbox.dispatch(action, args)
             except (ToolError, ValueError, TypeError, KeyError) as exc:
@@ -402,11 +401,8 @@ def trace_candidate(
         else:
             # invalid action: correct the model but keep the transcript to
             # real tool steps; the attempt still consumes budget
-            obs_data = {
-                "tool": action,
-                "error": "UnknownTool",
-                "message": f"choose one of {', '.join(TOOL_NAMES + ('conclude',))}",
-            }
+            obs_data = {"tool": action, "error": "UnknownTool",
+                        "message": f"choose one of {', '.join([*TOOLS, 'conclude'])}"}
         observation = json.dumps(obs_data, indent=1, sort_keys=True)
         messages.append(("user", observation))
 

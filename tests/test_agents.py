@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
+from functools import cache
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droidtriage.agents import (
+    TOOLS,
     Catalogs,
     PipelineBudgets,
     ReconReport,
@@ -28,7 +34,7 @@ from droidtriage.config import load_config
 from droidtriage.errors import EmptyManifestError, SchemaViolationError
 from droidtriage.index import CallSite, build_api_index, build_call_graph
 from droidtriage.ir import Manifest, parse_bundle, parse_sig
-from droidtriage.scripted import ScriptedProvider
+from droidtriage.scripted import _POLICY, ScriptedProvider
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CFG = load_config()
@@ -294,6 +300,104 @@ def test_trace_model_sizes_capped_at_budgets(action, args):
         assert toolbox.taint.searched_depth == budgets.taint_depth
 
 
+def _fixed_router(*replies: dict) -> ModelRouter:
+    """A router whose model sends `replies` in turn, each as live JSON text."""
+    class FixedProvider:
+        def chat(self, model_id, tier, messages):
+            n = sum(1 for role, _ in messages if role == "assistant")
+            return json.dumps(replies[min(n, len(replies) - 1)]), 1, 1
+
+    config = RouterConfig(
+        tier_models={"recon": "m", "trace": "m", "verdict": "m"},
+        models={"m": ModelConfig("m")},
+    )
+    return ModelRouter(config, {"m": FixedProvider()})
+
+
+def test_trace_slice_line_overflow_is_error_observation():
+    # `1e400` decodes to inf; `int(inf)` raised OverflowError, which no
+    # handler caught, and the whole batch died with it
+    reply = {"action": "backward_slice",
+             "args": {"method": "a.B.c()->void", "line": 1e400, "var": "x"}}
+    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    toolbox = _toolbox(bundle, graph, entry, site)
+    vec = trace_candidate(site, toolbox, _fixed_router(reply), 1, CostLedger(), perm, sev)
+    [step] = vec.transcript.steps
+    assert step.action.result_digest == "error: line must be an integer, got inf"
+    assert toolbox.slice is None
+
+
+@cache
+def _fuzz_candidate():
+    return _candidate("fx_smsleak")
+
+
+class _RecordingBox(ToolBox):
+    """Records the digest each dispatch returned, or the error it raised."""
+
+    def dispatch(self, action, args):
+        try:
+            obs, digest = super().dispatch(action, args)
+        except Exception as exc:
+            self.outcomes.append(f"error: {exc}")
+            raise
+        assert not digest.startswith("error:")
+        self.outcomes.append(digest)
+        return obs, digest
+
+
+# JSON values a live model might put anywhere: huge, negative, fractional and
+# non-finite numbers, strings, lists and nested objects
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_NUMBER = (st.sampled_from([1e400, -1e400, float("nan"), 10**400, -(10**400), -1, 2.5])
+           | st.integers(-2, 8) | _JSON)
+
+
+@st.composite
+def _replies(draw):
+    _bundle, _graph, _entry, site, _perm, _sev = _fuzz_candidate()
+    known = {  # every argument a tool reads
+        "radius": _NUMBER, "max_depth": _NUMBER, "depth_limit": _NUMBER, "line": _NUMBER,
+        "method": st.sampled_from([str(site.method), str(site.callee)]) | _JSON,
+        "var": st.sampled_from([site.result_var, "x"]) | _JSON,
+        "summary": _JSON,
+    }
+    # a table tool four times in five, else any text
+    action = st.sampled_from([*TOOLS, ""]).flatmap(lambda a: st.just(a) if a else st.text())
+    # all arguments, some of them, or any JSON value in their place
+    args = st.fixed_dictionaries(known) | st.fixed_dictionaries({}, optional=known) | _JSON
+    return draw(st.lists(st.fixed_dictionaries({"action": action, "args": args}),
+                         min_size=1, max_size=3))
+
+
+@given(_replies())
+@settings(max_examples=200, deadline=None)
+def test_trace_survives_arbitrary_action_json(replies):
+    # the actions come from the tool table, so a new tool is fuzzed too
+    bundle, graph, entry, site, perm, sev = _fuzz_candidate()
+    box = _RecordingBox(bundle, graph, CFG.api_catalog, entry, site, PipelineBudgets())
+    box.outcomes = []
+    vec = trace_candidate(site, box, _fixed_router(*replies), len(replies), CostLedger(),
+                          perm, sev)
+    digests = [s.action.result_digest for s in vec.transcript.steps if s.action.tool in TOOLS]
+    assert digests == box.outcomes
+
+
+def test_trace_prompt_lists_the_tool_table():
+    prompt = resources.files("droidtriage").joinpath("data/prompts/trace_system.txt")
+    lines = re.findall(r"^- (\w+): args \{([^}]*)\}", prompt.read_text("utf-8"), re.M)
+    assert [name for name, _args in lines] == [*TOOLS, "conclude"]
+    for name, args in lines[:-1]:
+        size_arg = TOOLS[name][0]
+        assert size_arg is None or f'"{size_arg}"' in args
+    assert set(_POLICY) <= set(TOOLS)
+
+
 def test_taint_witness_across_long_method_replays():
     mir = "\n".join(
         ["class l.Main {", "  method l.Main.onCreate(bundle)->void (b) {",
@@ -538,7 +642,7 @@ def test_report_to_dict_equals_field_walk():
         ]
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 2.5])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 2.5, -3, -1.0])
 def test_capped_rejects_non_integral_sizes(value):
     from droidtriage.agents import _capped
     from droidtriage.errors import ToolError
