@@ -19,7 +19,9 @@ from droidtriage.ir import (
     Invoke, defined_var, parse_manifest, parse_program, parse_sig, render_program, used_vars,
 )
 
-from genprog import dag_manifest_text, gen_dag_program, gen_program, synth_catalog
+from genprog import (
+    dag_manifest_text, gen_cyclic_program, gen_dag_program, gen_program, synth_catalog,
+)
 from oracles import index_scan, parse_program_cascade, slice_fixpoint_scan, taint_scan, trigger_scan
 
 ENTRY_RULES = EntryCatalog.parse(
@@ -80,9 +82,13 @@ def main(n_programs: int, seed: int) -> int:
             taint_queries += 1
             taint_hits += len(result.reached_sinks)
 
-    dag_checks = 0
-    for _ in range(max(50, n_programs // 10)):
-        text, edges, site_idx = gen_dag_program(rng, max_nodes=30)
+    graph_checks = 0
+    for i in range(max(50, n_programs // 10)):
+        # alternately acyclic, and with cycles and self-calls
+        if i % 2:
+            text, edges, site_idx = gen_cyclic_program(rng)
+        else:
+            text, edges, site_idx = gen_dag_program(rng, max_nodes=30)
         program = parse_checked(text)
         graph = build_call_graph(program)
         catalog_b = ENTRY_RULES.bound(parse_manifest(dag_manifest_text(len(program.methods()))))
@@ -90,7 +96,8 @@ def main(n_programs: int, seed: int) -> int:
         m = program.methods()[site_idx]
         site = CallSite(m.signature, m.body[-1].line, m.body[-1].callee, None)
         depth = rng.choice((2, 4, 6))
-        chains = trigger_paths(graph, site, catalog_b, max_depth=depth)
+        result = trigger_paths(graph, site, catalog_b, max_depth=depth)
+        chains = list(result)
         got_chains = [(tuple(str(x) for x in c.path), c.entry_kind) for c in chains]
         want_chains = trigger_scan(
             [(sig_of[a], sig_of[b]) for a, b in edges],
@@ -99,13 +106,16 @@ def main(n_programs: int, seed: int) -> int:
             depth,
         )
         assert got_chains == want_chains, "trigger/oracle divergence"
-        dag_checks += 1
+        assert result.count == len(chains), "trigger count/walk divergence"
+        classified = [c for c in chains if c.entry_kind != "Unknown"]
+        assert result.best() == (classified or chains)[0], "best trigger divergence"
+        graph_checks += 1
 
     elapsed = time.time() - t0
     print(
         f"audited {programs} programs: {taint_queries} taint queries "
         f"({taint_hits} sink hits, all witnesses replayed), {slice_queries} slices, "
-        f"{dag_checks} trigger DAGs, parser and index scans on every program; "
+        f"{graph_checks} trigger graphs, parser and index scans on every program; "
         f"no divergences in {elapsed:.1f}s"
     )
     return 0

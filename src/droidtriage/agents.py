@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from itertools import islice
 from string import Template
 
 from .analysis import (
@@ -20,8 +21,8 @@ from .analysis import (
     Slice,
     TaintResult,
     TriggerChain,
+    TriggerWalks,
     backward_slice,
-    best_trigger,
     extract_context,
     taint_reachability,
     trigger_paths,
@@ -194,7 +195,7 @@ def recon_screen(
         declared = [str(x) for x in parsed.get("declared_intents", [])]
         if not isinstance(raw_signals, list):
             raise TypeError("risk_signals must be a list")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise BackendError(f"unparseable screening response: {exc}") from None
 
     requested = set(manifest.permissions)
@@ -249,7 +250,7 @@ class ToolBox:
     site: CallSite
     budgets: PipelineBudgets
     contexts: list[ContextWindow] = field(default_factory=list)
-    chains: list[TriggerChain] | None = None
+    chains: TriggerWalks | None = None
     taint: TaintResult | None = None
     slice: Slice | None = None
 
@@ -290,10 +291,10 @@ def _context(box: ToolBox, radius: int, args: dict) -> tuple[dict, str]:
 
 def _triggers(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
     box.chains = chains = trigger_paths(box.graph, box.site, box.entry_catalog, depth)
-    shown = [{"entry_kind": c.entry_kind, "path": [str(m) for m in c.path]} for c in chains[:10]]
-    obs = {"count": len(chains), "chains": shown}
-    kinds = sorted({c.entry_kind for c in chains}) or ["none"]
-    return obs, f"{len(chains)} chain(s), kinds {','.join(kinds)}"
+    shown = [{"entry_kind": c.entry_kind, "path": [str(m) for m in c.path]}
+             for c in islice(chains, 10)]
+    obs = {"count": chains.count, "chains": shown}
+    return obs, f"{chains.count} chain(s), kinds {','.join(chains.kinds)}"
 
 
 def _taint(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
@@ -408,7 +409,7 @@ def trace_candidate(
 
     return EvidenceVector(
         candidate=candidate,
-        trigger=best_trigger(toolbox.chains) if toolbox.chains else None,
+        trigger=toolbox.chains.best() if toolbox.chains is not None else None,
         taint=toolbox.taint,
         slice=toolbox.slice,
         contexts=toolbox.contexts,
@@ -427,7 +428,7 @@ def _parse_action(response: str) -> tuple[str, str, dict]:
         if not isinstance(args, dict):
             args = {}
         return str(obj.get("thought", "")), action, args
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, RecursionError):
         return "", "__unparseable__", {}
 
 
@@ -480,7 +481,7 @@ def adjudicate(
 def _parse_verdict(response: str, app_id: str, known_candidates: set[str]) -> VerdictReport:
     try:
         obj = json.loads(response)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaViolationError(f"not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaViolationError("verdict must be a JSON object")

@@ -21,6 +21,7 @@ dependence).  It is computed in one pass over a demand worklist.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .catalog import ApiCatalog, EntryCatalog
@@ -116,46 +117,88 @@ class TriggerChain:
         return len(self.path)
 
 
+class TriggerWalks:
+    """The chains of one `trigger_paths` call, counted and classified
+    without listing them.
+
+    `levels[k]` maps each method with a k-edge walk down to the site, in
+    rendering order, to its callees on level k-1, also in rendering order;
+    `heads[k]` holds the methods whose k-edge walks are chains, with their
+    kind.  Iterating draws the chains shortest first, then by rendering, each
+    in O(depth).  There is always at least one chain."""
+
+    def __init__(self, levels: list[dict[MethodSig, list[MethodSig]]],
+                 heads: list[list[tuple[MethodSig, str]]], count: int):
+        self._levels = levels
+        self._heads = heads
+        self.count = count
+        self.kinds = tuple(sorted({kind for row in heads for _head, kind in row}))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[TriggerChain]:
+        for k, row in enumerate(self._heads):
+            for head, kind in row:
+                yield from self._walks(k, head, kind)
+
+    def _walks(self, k: int, head: MethodSig, kind: str) -> Iterator[TriggerChain]:
+        """The k-edge walks from `head` to the site, in rendering order."""
+        if k == 0:
+            yield TriggerChain((head,), kind)
+            return
+        path, todo = [head], [iter(self._levels[k][head])]
+        while todo:
+            callee = next(todo[-1], None)
+            if callee is None:
+                todo.pop()
+                path.pop()
+            elif len(path) == k:
+                yield TriggerChain((*path, callee), kind)
+            else:
+                path.append(callee)
+                todo.append(iter(self._levels[k - len(path) + 1][callee]))
+
+    def best(self) -> TriggerChain:
+        """Preferred chain for evidence: the first classified one, else the first."""
+        heads = [(k, head, kind) for k, row in enumerate(self._heads) for head, kind in row]
+        return next(self._walks(*next((h for h in heads if h[2] != "Unknown"), heads[0])))
+
+
 def trigger_paths(
     graph: CallGraph,
     site: CallSite,
     entry_catalog: EntryCatalog,
     max_depth: int,
-) -> list[TriggerChain]:
+) -> TriggerWalks:
     """All reverse walks of at most `max_depth` edges from the site's method.
 
-    A walk whose head matches the entry catalog is emitted with its kind; a
+    A walk whose head matches the entry catalog is a chain of that kind; a
     maximal walk (no callers, or depth exhausted) with an unmatched head is
-    emitted as Unknown.  Shortest chains first, ties broken lexicographically.
+    an Unknown chain.  A chain's kind depends only on its head and length, so
+    the count and kinds come from a walk-count table over (method, length)
+    built in O(depth x edges); no walk is listed until the result is iterated.
     """
     if site.method not in graph.nodes:
         raise UnknownMethodError(str(site.method))
-    chains: list[TriggerChain] = []
-
-    def extend(path: list[MethodSig]) -> None:
-        head = path[0]
-        kind = entry_catalog.classify(head)
-        if kind is not None:
-            chains.append(TriggerChain(tuple(path), kind))
-        callers = graph.callers_of(head)
-        if len(path) - 1 >= max_depth or not callers:
-            if kind is None:
-                chains.append(TriggerChain(tuple(path), "Unknown"))
-            return
-        for caller in callers:
-            extend([caller] + path)
-
-    extend([site.method])
-    chains.sort(key=lambda c: (c.length, tuple(str(m) for m in c.path)))
-    return chains
-
-
-def best_trigger(chains: list[TriggerChain]) -> TriggerChain | None:
-    """Preferred chain for evidence: first classified one, else first."""
-    for c in chains:
-        if c.entry_kind != "Unknown":
-            return c
-    return chains[0] if chains else None
+    levels: list[dict[MethodSig, list[MethodSig]]] = [{site.method: []}]
+    walks = [{site.method: 1}]
+    while len(levels) <= max_depth:
+        level: dict[MethodSig, list[MethodSig]] = {}
+        for callee in levels[-1]:
+            for caller in graph.callers_of(callee):
+                level.setdefault(caller, []).append(callee)
+        if not level:
+            break
+        below = walks[-1]
+        walks.append({m: sum(below[c] for c in callees) for m, callees in level.items()})
+        levels.append({m: level[m] for m in sorted(level, key=str)})
+    kind_of = {m: entry_catalog.classify(m) for level in levels for m in level}
+    heads = [[(m, kind_of[m] or "Unknown") for m in level
+              if kind_of[m] is not None or k == max_depth or not graph.callers_of(m)]
+             for k, level in enumerate(levels)]
+    count = sum(walks[k][m] for k, row in enumerate(heads) for m, _kind in row)
+    return TriggerWalks(levels, heads, count)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +324,7 @@ class _TaintEngine:
                 out.add(stmt.dst)
                 born[stmt.dst] = ("copy", line, stmt.src)
         elif isinstance(stmt, Invoke):
-            tainted_args = [a for a in stmt.args if is_var_token(a) and a in tin]
+            tainted_args = [a for a in stmt.uses if a in tin]
             if tainted_args:
                 category = self.catalog.sink_category(stmt.callee)
                 if category is not None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -88,13 +88,14 @@ def is_var_token(tok: str) -> bool:
     return bool(_VAR_RE.match(tok)) and tok not in _RESERVED
 
 
-def _check_arg_token(tok: str, line_no: int) -> None:
+def _check_arg_token(tok: str, line_no: int) -> bool:
+    """Raise on a malformed argument token; True when it names a variable."""
     if is_var_token(tok):
-        return
+        return True
     if _INT_RE.match(tok) or tok in ("true", "false", "null"):
-        return
+        return False
     if len(tok) >= 2 and tok.startswith('"') and tok.endswith('"'):
-        return
+        return False
     raise IrSyntaxError(line_no, f"bad argument token {tok!r}")
 
 
@@ -129,6 +130,13 @@ class Invoke:
     callee: MethodSig
     args: tuple[str, ...]
     dst: str | None = None
+    # the variable arguments in order; the parser passes the ones it found
+    # while checking the argument list, so readers run no token regex
+    uses: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.uses is None:
+            object.__setattr__(self, "uses", tuple(a for a in self.args if is_var_token(a)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,7 +170,7 @@ def used_vars(stmt: IrStatement) -> tuple[str, ...]:
     if isinstance(stmt, Assign) and stmt.src is not None:
         return (stmt.src,)
     if isinstance(stmt, Invoke):
-        return tuple(a for a in stmt.args if is_var_token(a))
+        return stmt.uses
     if isinstance(stmt, If):
         return (stmt.cond,)
     if isinstance(stmt, Return) and stmt.var is not None:
@@ -361,12 +369,12 @@ def _strip(raw: str) -> str:
 class _Parse:
     """One parse's tables: each distinct signature text becomes the one
     `MethodSig` every line naming it shares, and each distinct argument list
-    is split and checked once. They die with the parse, so attacker text
-    cannot grow them past its own size."""
+    is split and checked once, its variable tokens recorded. They die with
+    the parse, so attacker text cannot grow them past its own size."""
 
     def __init__(self) -> None:
         self.sigs: dict[str, MethodSig] = {}
-        self.arg_lists: dict[str, tuple[str, ...]] = {}
+        self.arg_lists: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
     def sig(self, text: str, file_line: int) -> MethodSig:
         sig = self.sigs.get(text)
@@ -379,14 +387,14 @@ class _Parse:
             sig = self.sigs[text] = self.sigs.setdefault(str(sig), sig)
         return sig
 
-    def args(self, text: str, file_line: int) -> tuple[str, ...]:
-        args = self.arg_lists.get(text)
-        if args is None:
+    def args(self, text: str, file_line: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """An argument list's tokens, and those of them naming variables."""
+        entry = self.arg_lists.get(text)
+        if entry is None:
             args = tuple(_split_args(text))
-            for a in args:
-                _check_arg_token(a, file_line)
-            self.arg_lists[text] = args
-        return args
+            uses = tuple(a for a in args if _check_arg_token(a, file_line))
+            entry = self.arg_lists[text] = (args, uses)
+        return entry
 
     def stmt(self, line: str, stmt_line: int, file_line: int) -> IrStatement:
         """The first word, or the word after `<dst> =`, picks the one form
@@ -395,10 +403,10 @@ class _Parse:
         m = _DST_RE.match(line) if "=" in line else None
         dst, pos = (m.group(1), m.end()) if m else (None, 0)
         if line.startswith("call", pos) and (m := _CALL_RE.match(line, pos)):
-            callee, args = self.sig(m.group(1), file_line), self.args(m.group(2), file_line)
+            callee, (args, uses) = self.sig(m.group(1), file_line), self.args(m.group(2), file_line)
             if dst is not None and not is_var_token(dst):
                 raise IrSyntaxError(file_line, f"bad destination {dst!r}")
-            return Invoke(stmt_line, callee, args, dst)
+            return Invoke(stmt_line, callee, args, dst, uses)
         if dst is None:
             if line.startswith("if") and (m := _IF_RE.match(line)):
                 if not is_var_token(m.group(1)):

@@ -156,8 +156,19 @@ def gen_dag_program(rng: random.Random, max_nodes: int = 30) -> tuple[str, list[
         for i in range(j):
             if rng.random() < min(0.25, 4.0 / n):
                 edges.append((i, j))
-    site_idx = n - 1
+    return _call_program(rng, n, edges), edges, n - 1
 
+
+def gen_cyclic_program(rng: random.Random, max_nodes: int = 12) -> tuple[str, list[tuple[int, int]], int]:
+    """Like `gen_dag_program`, but an edge may join any two methods either
+    way, so the call structure has cycles and self-calls."""
+    n = rng.randint(1, max_nodes)
+    edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < min(0.3, 2.5 / n)]
+    return _call_program(rng, n, edges), edges, rng.randrange(n)
+
+
+def _call_program(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> str:
+    """Methods `dag.N<i>` calling along `edges`, then an external logger."""
     entry_names = ["onClick", "onCreate", "onReceive", "onStartCommand", "helper"]
     names = [
         rng.choice(entry_names) if rng.random() < 0.4 else "helper"
@@ -179,7 +190,7 @@ def gen_dag_program(rng: random.Random, max_nodes: int = 30) -> tuple[str, list[
         chunks.append(f"    call ext.api.Util.log(string)->void(\"x\")")
         chunks.append("  }")
         chunks.append("}")
-    return "\n".join(chunks) + "\n", edges, site_idx
+    return "\n".join(chunks) + "\n"
 
 
 def dag_manifest_text(n: int) -> str:

@@ -327,6 +327,76 @@ def test_trace_slice_line_overflow_is_error_observation():
     assert toolbox.slice is None
 
 
+# A reply nested deeper than the recursion limit makes `json.loads` raise
+# RecursionError, which no handler caught, so it aborted the whole batch.
+_DEEP_REPLY = "[" * 200000 + "]" * 200000
+
+
+def _text_router(text: str) -> ModelRouter:
+    """A router whose model sends `text` verbatim on every tier."""
+    class TextProvider:
+        def chat(self, model_id, tier, messages):
+            return text, 1, 1
+
+    config = RouterConfig(
+        tier_models={"recon": "m", "trace": "m", "verdict": "m"},
+        models={"m": ModelConfig("m")},
+    )
+    return ModelRouter(config, {"m": TextProvider()})
+
+
+def test_trace_deeply_nested_reply_is_unparseable_action():
+    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), _text_router(_DEEP_REPLY),
+                          2, CostLedger(), perm, sev)
+    assert vec.transcript.terminated_by == "BudgetExhausted"
+    assert vec.transcript.step_count == 0
+
+
+def test_recon_deeply_nested_reply_is_backend_error():
+    from droidtriage.errors import BackendError
+
+    bundle, _graph, index, _entry = pipeline_parts("fx_clean")
+    with pytest.raises(BackendError, match="unparseable screening response"):
+        recon_screen(bundle.manifest, index, CFG.api_catalog, _text_router(_DEEP_REPLY), 15,
+                     CostLedger())
+
+
+def test_adjudicate_deeply_nested_reply_is_schema_violation():
+    ledger = CostLedger()
+    with pytest.raises(SchemaViolationError, match="not JSON"):
+        adjudicate(_empty_recon(), [], _text_router(_DEEP_REPLY), ledger, "x")
+    assert len(ledger.exchanges) == 2  # retried once
+
+
+def _lattice(width: int, layers: int):
+    """A hostile app's call lattice: `layers` layers of `width` relays, each
+    calling every relay of the layer below, over one location read."""
+    collect = "h.net.Core.collect(string)->void"
+    source = "android.location.LocationManager.getLastKnownLocation(string)->location"
+    text = f"class h.net.Core {{\n  method {collect} (s) {{\n    loc = call {source}(s)\n  }}\n}}\n"
+    below = [collect]
+    for layer in range(1, layers + 1):
+        calls = "".join(f"    call {callee}(m)\n" for callee in below)
+        below = [f"h.net.L{layer}N{j}.relay(string)->void" for j in range(width)]
+        text += "".join(f"class {sig.rsplit('.', 1)[0]} {{\n  method {sig} (m) {{\n{calls}  }}\n}}\n"
+                        for sig in below)
+    return parse_bundle("package: h\n", text), CallSite(parse_sig(collect), 1, parse_sig(source), "loc")
+
+
+def test_trigger_paths_tool_counts_walks_without_listing_them():
+    # 32**5 = 33,554,432 walks: the tool must count them, not list them
+    bundle, site = _lattice(32, 6)
+    graph = build_call_graph(bundle.program)
+    box = _toolbox(bundle, graph, CFG.entry_catalog.bound(bundle.manifest), site)
+    obs, digest = box.dispatch("trigger_paths", {"max_depth": 5})
+    assert obs["count"] == 32 ** 5
+    assert len(obs["chains"]) == 10
+    assert digest.endswith("kinds Unknown")
+    assert obs["chains"][0]["path"] == [
+        *(f"h.net.L{layer}N0.relay(string)->void" for layer in range(5, 0, -1)), str(site.method)]
+
+
 @cache
 def _fuzz_candidate():
     return _candidate("fx_smsleak")

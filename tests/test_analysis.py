@@ -23,9 +23,9 @@ from droidtriage.errors import (
     NotAnInvokeError,
 )
 from droidtriage.index import CallSite, build_call_graph
-from droidtriage.ir import Invoke, If, parse_program, parse_sig, used_vars, defined_var
+from droidtriage.ir import Invoke, If, Manifest, parse_program, parse_sig, used_vars, defined_var
 
-from genprog import dag_manifest_text, gen_dag_program, gen_program, synth_catalog
+from genprog import dag_manifest_text, gen_cyclic_program, gen_dag_program, gen_program, synth_catalog
 from oracles import slice_fixpoint_scan, slice_scan, taint_scan, trigger_scan
 
 ENTRY_RULES = EntryCatalog.parse(
@@ -150,7 +150,7 @@ def test_site_inside_onclick_single_chain():
     _program, graph, catalog = _trigger_setup()
     site = CallSite(parse_sig("t.Main.onClick(view)->void"), 1,
                     parse_sig("ext.api.Src.read()->string"), "r")
-    chains = trigger_paths(graph, site, catalog, max_depth=5)
+    chains = list(trigger_paths(graph, site, catalog, max_depth=5))
     assert len(chains) == 1
     assert chains[0].entry_kind == "UserInteraction"
     assert chains[0].length == 1
@@ -160,7 +160,7 @@ def test_boot_receiver_chain():
     _program, graph, catalog = _trigger_setup()
     site = CallSite(parse_sig("t.Boot.helper()->void"), 1,
                     parse_sig("ext.api.Src.read()->string"), "r")
-    chains = trigger_paths(graph, site, catalog, max_depth=5)
+    chains = list(trigger_paths(graph, site, catalog, max_depth=5))
     assert [(c.entry_kind, c.length) for c in chains] == [("SystemEvent", 2)]
     assert [str(m) for m in chains[0].path] == [
         "t.Boot.onReceive(context,intent)->void",
@@ -232,6 +232,85 @@ def test_trigger_chains_are_walks_in_transpose():
             for a, b in zip(chain.path, chain.path[1:]):
                 assert (str(a), str(b)) in edge_set
             assert chain.path[-1] == site.method
+
+
+@pytest.mark.parametrize("gen", [gen_dag_program, gen_cyclic_program])
+def test_trigger_walks_drain_to_oracle_with_count_kinds_and_best(gen):
+    # walks may revisit methods on cyclic graphs and through self-calls
+    from droidtriage.ir import parse_manifest
+
+    rng = random.Random(31)
+    unknown_first = 0
+    for _ in range(60):
+        text, edges, site_idx = gen(rng)
+        program = parse_program(text)
+        graph = build_call_graph(program)
+        sig_of = {i: str(m.signature) for i, m in enumerate(program.methods())}
+        catalog = ENTRY_RULES.bound(parse_manifest(dag_manifest_text(len(program.methods()))))
+        m = program.methods()[site_idx]
+        site = CallSite(m.signature, m.body[-1].line, m.body[-1].callee, None)
+        for depth in (0, 1, 3, 6):
+            result = trigger_paths(graph, site, catalog, max_depth=depth)
+            drained = list(result)
+            got = [(tuple(str(x) for x in c.path), c.entry_kind) for c in drained]
+            assert got == trigger_scan(
+                [(sig_of[a], sig_of[b]) for a, b in edges], str(m.signature),
+                lambda name: catalog.classify(parse_sig(name)), depth,
+            )
+            assert result.count == len(result) == len(drained)
+            assert result.kinds == tuple(sorted({c.entry_kind for c in drained}))
+            classified = [c for c in drained if c.entry_kind != "Unknown"]
+            assert result.best() == (classified or drained)[0]
+            assert list(result) == drained
+            unknown_first += bool(classified) and drained[0].entry_kind == "Unknown"
+    assert unknown_first > 0
+
+
+_UNKNOWN_FIRST_TEXT = """
+class u.A {
+  method u.A.helper()->void () {
+    call u.S.helper()->void()
+    return
+  }
+}
+class u.B {
+  method u.B.helper()->void () {
+    call u.S.helper()->void()
+    return
+  }
+}
+class u.Main {
+  method u.Main.onClick(view)->void (v) {
+    call u.B.helper()->void()
+    return
+  }
+}
+class u.S {
+  method u.S.helper()->void () {
+    r = call ext.api.Src.read()->string()
+    return
+  }
+}
+"""
+
+
+def test_best_trigger_skips_unknown_chains_drawn_first():
+    graph = build_call_graph(parse_program(_UNKNOWN_FIRST_TEXT))
+    site = CallSite(parse_sig("u.S.helper()->void"), 1,
+                    parse_sig("ext.api.Src.read()->string"), "r")
+    catalog = ENTRY_RULES.bound(Manifest("u", "", "", [], []))
+    deep = trigger_paths(graph, site, catalog, max_depth=5)
+    assert [(c.entry_kind, [str(m) for m in c.path]) for c in deep] == [
+        ("Unknown", ["u.A.helper()->void", "u.S.helper()->void"]),
+        ("UserInteraction", ["u.Main.onClick(view)->void", "u.B.helper()->void",
+                             "u.S.helper()->void"]),
+    ]
+    assert deep.best() == list(deep)[1]
+    # at depth 1 no walk reaches onClick: the first Unknown chain is the best
+    shallow = trigger_paths(graph, site, catalog, max_depth=1)
+    assert [str(c.path[0]) for c in shallow] == ["u.A.helper()->void", "u.B.helper()->void"]
+    assert shallow.best() == list(shallow)[0]
+    assert shallow.kinds == ("Unknown",)
 
 
 # -- taint -------------------------------------------------------------------

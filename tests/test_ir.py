@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,14 @@ from droidtriage.errors import (
     IrSyntaxError,
     TriageError,
 )
+from droidtriage.harness import read_bundle
 from droidtriage.ir import (
     Invoke,
     LocDistribution,
     MethodSig,
     _split_args,
     _strip,
+    is_var_token,
     loc_stats,
     parse_bundle,
     parse_manifest,
@@ -204,6 +207,34 @@ def test_use_before_def_diagnostic():
 def test_duplicate_permission_diagnostic():
     bundle = parse_bundle("package: a\npermission:X\npermission:X\n", "")
     assert [d.code for d in validate(bundle)] == ["DuplicatePermission"]
+
+
+def test_use_before_def_through_call_arguments():
+    bundle = parse_bundle(
+        "package: a\n",
+        "class a.B {\n  method a.B.m(int)->void (p) {\n"
+        '    call a.B.n(int,string,int,int)->void(1,"x y",null,p)\n'
+        '    call a.B.n(int,string,int,int)->void(q,"x y",null,p)\n'
+        "    call a.B.n(int,string,int,int)->void(1,\"x\",true,r)\n  }\n}\n",
+    )
+    assert [(d.where, d.message) for d in validate(bundle)] == [
+        ("a.B.m(int)->void:2", "variable 'q' used before assignment"),
+        ("a.B.m(int)->void:3", "variable 'r' used before assignment"),
+    ]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_parsed_invoke_uses_are_its_variable_arguments(seed):
+    # the parser records each argument list's variables once; a call built
+    # without them finds them with the token regex
+    text = gen_program(random.Random(seed), max_methods=6, max_lines=12)
+    text += ('class z.Z {\n  method z.Z.f(int)->void (a) {\n'
+             '    call z.Z.g(int,string,int,int)->void(a,"b,c",null,-4)\n  }\n}\n')
+    calls = [s for m in parse_program(text).methods() for s in m.body if isinstance(s, Invoke)]
+    for s in calls:
+        assert s.uses == tuple(a for a in s.args if is_var_token(a))
+        assert s.uses == Invoke(s.line, s.callee, s.args, s.dst).uses
 
 
 def test_all_fixtures_validate_clean():
@@ -428,3 +459,60 @@ def test_statements_share_one_signature_per_callee_text():
         assert fresh is not sig and fresh == sig and hash(fresh) == hash(sig)
     for m in program.methods():
         assert program.method_map[parse_sig(str(m.signature))] is m
+
+
+# -- the bundle boundary ----------------------------------------------------
+# A bundle is written by the attacker: whatever its text or bytes, parsing it
+# may only raise a TriageError, which the batch records as a skip.
+
+_IR_WORDS = ("class ", "method ", " extends ", " {", "}", "\n", "=", " = ", "call ", "const ",
+             "goto ", "if ", "return", "nop", "a.B.c(int)->void", "(", ")", "->", ",", '"', "#",
+             "x", "1", "-", "null", "99999999999999999999", "١", "\x00", "\r", " ", "\ud800")
+_MMF_WORDS = ("package", "category", "description", "permission", "component", ":", " ",
+              "\n", "#", "Activity", "Receiver", "a.B", "action=", "exported", "=")
+
+
+def _texts(words: tuple[str, ...]):
+    return st.text() | st.lists(st.sampled_from(words) | st.text(max_size=4), max_size=60).map("".join)
+
+
+@st.composite
+def _ir_texts(draw):
+    """Arbitrary text, or a generated program with a few spans overwritten,
+    so that some inputs reach every statement form."""
+    if draw(st.booleans()):
+        return draw(_texts(_IR_WORDS))
+    text = gen_program(random.Random(draw(st.integers(0, 10_000))), max_methods=3, max_lines=8)
+    for _ in range(draw(st.integers(1, 4))):
+        words = [m.span() for m in re.finditer(r"\w+", text)]
+        if words and draw(st.booleans()):  # overwrite a word
+            pos, end = words[draw(st.integers(0, len(words) - 1))]
+        else:
+            pos = draw(st.integers(0, len(text)))
+            end = pos + draw(st.integers(0, 6))
+        text = text[:pos] + draw(st.sampled_from(_IR_WORDS) | st.text(max_size=4)) + text[end:]
+    return text
+
+
+@given(_texts(_MMF_WORDS), _ir_texts())
+@settings(max_examples=300, deadline=None)
+def test_parse_bundle_raises_only_triage_errors(manifest_text, ir_text):
+    for mmf in (manifest_text, "package: p\n"):
+        try:
+            parse_bundle(mmf, ir_text)
+        except TriageError:
+            pass
+
+
+@given(st.binary(max_size=300) | _texts(_MMF_WORDS).map(lambda t: t.encode("utf-8", "surrogatepass")),
+       st.binary(max_size=300) | _ir_texts().map(lambda t: t.encode("utf-8", "surrogatepass")))
+@settings(max_examples=150, deadline=None)
+def test_read_bundle_raises_only_triage_errors(manifest_bytes, ir_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        mmf, mir = Path(tmp) / "app.mmf", Path(tmp) / "app.mir"
+        mmf.write_bytes(manifest_bytes)
+        mir.write_bytes(ir_bytes)
+        try:
+            read_bundle(mmf, mir)
+        except TriageError:
+            pass
