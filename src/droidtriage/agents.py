@@ -2,19 +2,22 @@
 
 Tier 1 screens the manifest for intent/permission mismatches and prunes the
 API index down to a capped candidate set.  Tier 2 runs one observe-think-act
-session per candidate over the analysis toolbox.  Tier 3 fuses the risk
-signals with the per-candidate evidence into the final JSON report.  Every
-model exchange is metered into a cost ledger under its tier.
+session per candidate over the analysis toolbox; when the model provider waits
+on the network, the sessions overlap on a bounded thread pool.  Tier 3 fuses
+the risk signals with the per-candidate evidence into the final JSON report.
+Every model exchange is metered into a cost ledger under its tier.
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from itertools import islice
 from string import Template
+from typing import Callable
 
 from .analysis import (
     ContextWindow,
@@ -543,6 +546,35 @@ class PipelineStageError(TriageError):
         self.cause = cause
 
 
+# Most sessions of one app that run at once. A constant, so neither
+# `candidate_cap` nor a model reply can raise the thread count.
+MAX_SESSION_THREADS = 8
+
+
+def _concurrent_sessions(
+    session: Callable[[CallSite, CostLedger], EvidenceVector],
+    sites: list[CallSite],
+    ledger: CostLedger,
+) -> list[EvidenceVector]:
+    """Run one session per site on a bounded pool, each into its own ledger.
+
+    The sessions share only immutable graph and index data. Vectors come back
+    in site order and the sub-ledgers join `ledger` in site order, so the
+    result, and the first error in site order, are those of a sequential loop.
+    """
+    subs = [CostLedger() for _ in sites]
+    pool = ThreadPoolExecutor(max_workers=min(len(sites), MAX_SESSION_THREADS))
+    try:
+        futures = [pool.submit(session, site, sub) for site, sub in zip(sites, subs)]
+        vectors = [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for sub in subs:
+        for exchange in sub.exchanges:
+            ledger.append(exchange)
+    return vectors
+
+
 def run_pipeline(
     bundle: AppBundle,
     catalogs: Catalogs,
@@ -563,17 +595,19 @@ def run_pipeline(
     except TriageError as exc:
         raise PipelineStageError("recon", exc) from exc
 
-    vectors: list[EvidenceVector] = []
+    def session(site: CallSite, into: CostLedger) -> EvidenceVector:
+        perm, sev = recon.origins.get(site.render(), ("", "Low"))
+        toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site, budgets)
+        return trace_candidate(
+            site, toolbox, router, budgets.max_iterations, into,
+            permission=perm, severity=sev,
+        )
+
     try:
-        for site in recon.candidates:
-            perm, sev = recon.origins.get(site.render(), ("", "Low"))
-            toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site, budgets)
-            vectors.append(
-                trace_candidate(
-                    site, toolbox, router, budgets.max_iterations, ledger,
-                    permission=perm, severity=sev,
-                )
-            )
+        if router.waits_on_network and len(recon.candidates) > 1:
+            vectors = _concurrent_sessions(session, recon.candidates, ledger)
+        else:
+            vectors = [session(site, ledger) for site in recon.candidates]
     except TriageError as exc:
         raise PipelineStageError("trace", exc) from exc
 

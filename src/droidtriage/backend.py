@@ -210,6 +210,8 @@ class HttpProvider:
     """
 
     TRANSIENT_STATUSES = (429, 500, 502, 503, 504)
+    # each call blocks on a round trip, so calls from several threads overlap
+    waits_on_network = True
 
     def __init__(self, config: ModelConfig, retry: RetryPolicy):
         self.config = config
@@ -272,6 +274,13 @@ class ModelRouter:
         config.validate()
         self.config = config
         self.providers = providers
+
+    @property
+    def waits_on_network(self) -> bool:
+        """Whether the trace tier's provider blocks on I/O; in-process providers
+        (the scripted one) hold the interpreter lock and do not say so."""
+        provider = self.providers[self.config.tier_models["trace"]]
+        return getattr(provider, "waits_on_network", False)
 
     def complete(self, tier: str, messages: list[tuple[str, str]]) -> Exchange:
         if tier not in TIERS:

@@ -13,6 +13,8 @@ import csv
 import json
 import os
 import statistics
+import sys
+import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -172,6 +174,9 @@ def _evaluate_entry(entry: DatasetEntry, cfg: BatchConfig) -> EntryResult:
         return EntryResult(entry, skip_reason=str(exc))
     except TriageError as exc:
         return EntryResult(entry, skip_reason=f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # a fault of the program, not of the app: classified, never fatal
+        sys.stderr.write(f"{entry.app_id}: {traceback.format_exc()}")
+        return EntryResult(entry, skip_reason=f"internal-error: {type(exc).__name__}: {exc}")
 
 
 def run_batch(dataset: DatasetManifest, cfg: BatchConfig) -> list[EntryResult]:

@@ -1,0 +1,218 @@
+"""Candidate sessions on a provider that waits on the network.
+
+`run_pipeline` overlaps the sessions on a bounded pool when the trace tier's
+provider says it waits on the network, and must then give the vectors,
+ledger, report and errors of the sequential loop the scripted provider uses.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from droidtriage import agents
+from droidtriage.agents import (
+    MAX_SESSION_THREADS,
+    Catalogs,
+    PipelineBudgets,
+    PipelineStageError,
+    recon_screen,
+    run_pipeline,
+)
+from droidtriage.backend import CostLedger, HttpProvider, ModelConfig, ModelRouter, RouterConfig
+from droidtriage.config import load_config
+from droidtriage.errors import HttpError
+from droidtriage.index import build_api_index
+from droidtriage.ir import parse_bundle
+from droidtriage.scripted import ScriptedProvider
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CFG = load_config()
+CATALOGS = Catalogs(CFG.api_catalog, CFG.entry_catalog)
+
+
+def _fixture(app_id: str):
+    d = FIXTURES / app_id
+    return parse_bundle((d / "app.mmf").read_text(), (d / "app.mir").read_text(), app_id=app_id)
+
+
+def _candidates(bundle, cap: int = 15) -> list[str]:
+    index = build_api_index(bundle.program, CFG.api_catalog)
+    recon = recon_screen(bundle.manifest, index, CFG.api_catalog,
+                         CFG.build_router("scripted"), cap, CostLedger())
+    return [site.render() for site in recon.candidates]
+
+
+class SlowScripted(ScriptedProvider):
+    """The scripted policy behind a sleep, as a network client would wait.
+
+    A trace reply for the i-th of n candidates waits (n - i) ticks, so later
+    candidates are answered faster and their sessions finish first. The
+    session at `fail_at`, if any, raises `HttpError` on its first exchange.
+    """
+
+    waits_on_network = True
+    TICK_S = 0.004
+
+    def __init__(self, candidates: list[str], fail_at: int | None = None):
+        super().__init__()
+        self.candidates = candidates
+        self.fail_at = fail_at
+        self.answered: list[int] = []  # candidate index of each trace reply, in reply order
+        self._lock = threading.Lock()
+
+    def session_of(self, messages) -> int:
+        task = messages[1][1]
+        return next(i for i, c in enumerate(self.candidates)
+                    if f'"candidate": {json.dumps(c)}' in task)
+
+    def chat(self, model_id, tier, messages):
+        if tier == "trace":
+            i = self.session_of(messages)
+            time.sleep(self.TICK_S * (len(self.candidates) - i))
+            if i == self.fail_at:
+                raise HttpError(503, f"session {i} lost its connection")
+            with self._lock:
+                self.answered.append(i)
+        return super().chat(model_id, tier, messages)
+
+
+class SequentialSlowScripted(SlowScripted):
+    waits_on_network = False
+
+
+def _router(provider) -> ModelRouter:
+    config = RouterConfig(
+        tier_models={"recon": "m", "trace": "m", "verdict": "m"},
+        models={"m": ModelConfig("m")},
+    )
+    return ModelRouter(config, {"m": provider})
+
+
+def _run(bundle, provider, monkeypatch):
+    """Report, ledger and the vectors handed to the verdict tier."""
+    seen = []
+    adjudicate = agents.adjudicate
+
+    def recording(recon, evidence, *rest):
+        seen.append(list(evidence))
+        return adjudicate(recon, evidence, *rest)
+
+    monkeypatch.setattr(agents, "adjudicate", recording)
+    report, ledger = run_pipeline(bundle, CATALOGS, _router(provider))
+    return report, ledger, seen[0]
+
+
+def _exchanges(ledger: CostLedger) -> list[tuple]:
+    return [(ex.tier, ex.messages, ex.response, ex.input_tokens, ex.output_tokens, ex.model_id)
+            for ex in ledger.exchanges]
+
+
+def test_router_gate_is_the_trace_providers_own_fact():
+    assert HttpProvider.waits_on_network is True
+    assert not CFG.build_router("scripted").waits_on_network
+    assert _router(SlowScripted([])).waits_on_network
+    assert not _router(SequentialSlowScripted([])).waits_on_network
+
+
+def test_out_of_order_sessions_match_sequential_run(monkeypatch):
+    bundle = _fixture("fx_spyloc")
+    candidates = _candidates(bundle)
+    assert len(candidates) == 3
+
+    threaded = SlowScripted(candidates)
+    report, ledger, vectors = _run(bundle, threaded, monkeypatch)
+    sequential = SequentialSlowScripted(candidates)
+    ref_report, ref_ledger, ref_vectors = _run(bundle, sequential, monkeypatch)
+
+    # the sessions overlapped, and the last candidate's session finished
+    # before the first one's
+    assert sequential.answered == sorted(sequential.answered)
+    last = {i: pos for pos, i in enumerate(threaded.answered)}
+    assert last[2] < last[0]
+
+    assert [v.candidate.render() for v in vectors] == candidates
+    assert vectors == ref_vectors
+    assert _exchanges(ledger) == _exchanges(ref_ledger)
+    assert ledger.totals == ref_ledger.totals == ledger.recomputed_totals()
+    assert report.to_json() == ref_report.to_json()
+
+
+def test_failed_session_raises_the_sequential_error(monkeypatch):
+    bundle = _fixture("fx_spyloc")
+    candidates = _candidates(bundle)
+    errors = []
+    for provider in (SlowScripted(candidates, fail_at=1),
+                     SequentialSlowScripted(candidates, fail_at=1)):
+        with pytest.raises(PipelineStageError) as exc:
+            run_pipeline(bundle, CATALOGS, _router(provider))
+        assert exc.value.tier == "trace"
+        assert isinstance(exc.value.cause, HttpError)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "[trace] http error (status=503) session 1 lost its connection"
+
+
+def _wide_bundle(n_calls: int):
+    """An app whose one receiver reads the SMS body `n_calls` times."""
+    manifest = ("package: com.wide\ncategory: battery optimizer\ndescription: d\n"
+                "permission:READ_SMS\n"
+                "component:Receiver:com.wide.R:action=SMS_RECEIVED\n")
+    body = "".join(f"    b{i} = call android.telephony.SmsMessage.getMessageBody()->string()\n"
+                   for i in range(n_calls))
+    ir = ("class com.wide.R extends android.content.BroadcastReceiver {\n"
+          "  method com.wide.R.onReceive(context,intent)->void (ctx,it) {\n"
+          f"{body}    return\n  }}\n}}\n")
+    return parse_bundle(manifest, ir, app_id="wide")
+
+
+class CountingProvider(ScriptedProvider):
+    """Concludes every session at once, after a wait; records how many trace
+    calls were in flight at the same time."""
+
+    waits_on_network = True
+
+    def __init__(self):
+        super().__init__()
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def chat(self, model_id, tier, messages):
+        if tier != "trace":
+            return super().chat(model_id, tier, messages)
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.005)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        return '{"thought": "", "action": "conclude", "args": {"summary": "ok"}}', 3, 3
+
+
+def test_session_threads_bounded_by_the_constant():
+    n = 40
+    bundle = _wide_bundle(n)
+    provider = CountingProvider()
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches inside the pool and the ledger
+    try:
+        report, ledger = run_pipeline(bundle, CATALOGS, _router(provider),
+                                      PipelineBudgets(candidate_cap=n))
+    finally:
+        sys.setswitchinterval(interval)
+    traced = [ex for ex in ledger.exchanges if ex.tier == "trace"]
+    assert [json.loads(ex.messages[1][1].split("```json")[1].split("```")[0])["line"]
+            for ex in traced] == list(range(1, n + 1))
+    assert ledger.totals == ledger.recomputed_totals()
+    assert 1 < provider.peak <= MAX_SESSION_THREADS
+    assert provider.in_flight == 0
+    assert threading.active_count() == baseline
+    assert report.app_id == "wide"

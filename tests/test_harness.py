@@ -189,6 +189,38 @@ def test_batch_survives_infinite_tool_argument():
     assert all(o["error"] == "ToolError" and "max_depth" in o["message"] for o in observations)
 
 
+def test_batch_internal_error_in_threaded_session_is_classified_skip(capsys):
+    # a fault that is not a TriageError, raised on a session worker thread,
+    # re-raises in the app's caller; the harness records it and goes on
+    from droidtriage.scripted import ScriptedProvider
+
+    class FaultyNetworkModel(ScriptedProvider):
+        waits_on_network = True
+
+        def chat(self, model_id, tier, messages):
+            # fx_spyloc's second of three candidates
+            if tier == "trace" and "getLongitude()->double @ com.wallpapers" in messages[1][1]:
+                raise RuntimeError("provider bug")
+            return super().chat(model_id, tier, messages)
+
+    cfg = batch_config(jobs=2)
+    cfg.router = ModelRouter(cfg.router.config,
+                             {m: FaultyNetworkModel() for m in cfg.router.providers})
+    assert cfg.router.waits_on_network
+    results = run_batch(DatasetManifest.load(FIXTURES / "corpus.idx"), cfg)
+    by_id = {r.entry.app_id: r for r in results}
+    assert by_id["fx_spyloc"].skip_reason == "internal-error: RuntimeError: provider bug"
+    assert all(r.evaluated for app, r in by_id.items() if app != "fx_spyloc")
+    # the traceback goes to standard error, named by the app
+    err = capsys.readouterr().err
+    assert err.startswith("fx_spyloc: Traceback") and "RuntimeError: provider bug" in err
+    summary = summarize(results, CFG.pricing)
+    assert summary["evaluated"] == len(results) - 1
+    assert summary["skipped"] == [
+        {"app_id": "fx_spyloc", "reason": "internal-error: RuntimeError: provider bug"}
+    ]
+
+
 def test_batch_order_permutation_invariant(tmp_path):
     ds = DatasetManifest.load(FIXTURES / "corpus.idx")
     shuffled = DatasetManifest(list(reversed(ds.entries)))

@@ -3,13 +3,15 @@
 An in-process server answers chat-completions requests by delegating to the
 scripted policy, so live-mode request building and response parsing are
 exercised across all three tiers and must reproduce the scripted verdicts.
+The server answers each request on its own thread, so the candidate sessions
+the HTTP provider runs concurrently really overlap.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -63,11 +65,13 @@ def _tier_of(messages) -> str:
 
 @pytest.fixture(scope="module")
 def model_server():
-    server = HTTPServer(("127.0.0.1", 0), _ModelHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ModelHandler)
+    server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def _live_router(base_url: str) -> ModelRouter:
@@ -91,7 +95,8 @@ def test_live_pipeline_matches_scripted_verdicts(model_server):
     catalogs = Catalogs(CFG.api_catalog, CFG.entry_catalog)
     live = _live_router(model_server)
     scripted = CFG.build_router("scripted")
-    for app in ("fx_clean", "fx_smsleak", "fx_idsave"):
+    assert live.waits_on_network and not scripted.waits_on_network
+    for app in ("fx_clean", "fx_smsleak", "fx_idsave", "fx_spyloc"):
         live_report, live_ledger = run_pipeline(_bundle(app), catalogs, live)
         ref_report, ref_ledger = run_pipeline(_bundle(app), catalogs, scripted)
         assert live_report.verdict == ref_report.verdict, app
@@ -103,6 +108,14 @@ def test_live_pipeline_matches_scripted_verdicts(model_server):
         # provider-reported usage flows through verbatim and matches the
         # reference tokenizer the stub used
         assert live_ledger.totals == ref_ledger.totals
+        # concurrent sessions join the ledger in candidate order: the same
+        # exchanges as the sequential scripted run, one for one
+        assert [(e.tier, e.messages, e.response, e.input_tokens, e.output_tokens)
+                for e in live_ledger.exchanges] == [
+            (e.tier, e.messages, e.response, e.input_tokens, e.output_tokens)
+            for e in ref_ledger.exchanges
+        ]
+        assert live_report.to_json() == ref_report.to_json()
 
 
 def test_live_pipeline_tier_split(model_server):
