@@ -39,6 +39,29 @@ def parse_checked(text: str):
     return program
 
 
+def audit_taint(program, catalog) -> tuple[int, int]:
+    """Query every source at depths 0-3 against the oracle and replay every
+    witness; returns (queries, sink hits)."""
+    graph = build_call_graph(program)
+    queries = hits = 0
+    for m in program.methods():
+        for s in m.body:
+            if not (isinstance(s, Invoke) and s.dst is not None):
+                continue
+            site = CallSite(m.signature, s.line, s.callee, s.dst)
+            for depth in range(4):
+                result = taint_reachability(program, graph, site, catalog, depth)
+                got_sinks = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
+                want = taint_scan(program, catalog, site.method, site.line, depth)
+                assert got_sinks == want, "taint/oracle divergence"
+                for hit in result.reached_sinks:
+                    assert replay_witness(program, catalog, site, hit.witness), \
+                        "witness replay failed"
+                queries += 1
+                hits += len(result.reached_sinks)
+    return queries, hits
+
+
 def main(n_programs: int, seed: int) -> int:
     rng = random.Random(seed)
     catalog = synth_catalog()
@@ -47,7 +70,6 @@ def main(n_programs: int, seed: int) -> int:
     programs = 0
     while programs < n_programs:
         program = parse_checked(gen_program(rng, max_methods=12, max_lines=22))
-        graph = build_call_graph(program)
 
         index = build_api_index(program, catalog)
         scan = index_scan(program, catalog)
@@ -62,25 +84,12 @@ def main(n_programs: int, seed: int) -> int:
                     assert got_slice.kept_lines == want, "slice/oracle divergence"
                     slice_queries += 1
 
-        sources = [
-            CallSite(m.signature, s.line, s.callee, s.dst)
-            for m in program.methods()
-            for s in m.body
-            if isinstance(s, Invoke) and s.dst is not None
-        ]
-        if not sources:
+        queries, hits = audit_taint(program, catalog)
+        if not queries:
             continue
         programs += 1
-        for site in sources[:2]:
-            depth = rng.randint(0, 3)
-            result = taint_reachability(program, graph, site, catalog, depth)
-            got_sinks = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
-            want = taint_scan(program, catalog, site.method, site.line, depth)
-            assert got_sinks == want, "taint/oracle divergence"
-            for hit in result.reached_sinks:
-                assert replay_witness(program, catalog, site, hit.witness), "witness replay failed"
-            taint_queries += 1
-            taint_hits += len(result.reached_sinks)
+        taint_queries += queries
+        taint_hits += hits
 
     graph_checks = 0
     for i in range(max(50, n_programs // 10)):
@@ -111,11 +120,19 @@ def main(n_programs: int, seed: int) -> int:
         assert result.best() == (classified or chains)[0], "best trigger divergence"
         graph_checks += 1
 
+    # taint around call cycles and self-calls
+    cyclic_queries = cyclic_hits = 0
+    for _ in range(max(50, n_programs // 10)):
+        queries, hits = audit_taint(parse_checked(gen_cyclic_program(rng, values=True)[0]), catalog)
+        cyclic_queries += queries
+        cyclic_hits += hits
+
     elapsed = time.time() - t0
     print(
         f"audited {programs} programs: {taint_queries} taint queries "
         f"({taint_hits} sink hits, all witnesses replayed), {slice_queries} slices, "
-        f"{graph_checks} trigger graphs, parser and index scans on every program; "
+        f"{graph_checks} trigger graphs, {cyclic_queries} taint queries on cyclic call "
+        f"graphs ({cyclic_hits} sink hits), parser and index scans on every program; "
         f"no divergences in {elapsed:.1f}s"
     )
     return 0

@@ -17,7 +17,6 @@ from functools import cache
 from importlib import resources
 from itertools import islice
 from string import Template
-from typing import Callable
 
 from .analysis import (
     ContextWindow,
@@ -551,30 +550,6 @@ class PipelineStageError(TriageError):
 MAX_SESSION_THREADS = 8
 
 
-def _concurrent_sessions(
-    session: Callable[[CallSite, CostLedger], EvidenceVector],
-    sites: list[CallSite],
-    ledger: CostLedger,
-) -> list[EvidenceVector]:
-    """Run one session per site on a bounded pool, each into its own ledger.
-
-    The sessions share only immutable graph and index data. Vectors come back
-    in site order and the sub-ledgers join `ledger` in site order, so the
-    result, and the first error in site order, are those of a sequential loop.
-    """
-    subs = [CostLedger() for _ in sites]
-    pool = ThreadPoolExecutor(max_workers=min(len(sites), MAX_SESSION_THREADS))
-    try:
-        futures = [pool.submit(session, site, sub) for site, sub in zip(sites, subs)]
-        vectors = [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-    for sub in subs:
-        for exchange in sub.exchanges:
-            ledger.append(exchange)
-    return vectors
-
-
 def run_pipeline(
     bundle: AppBundle,
     catalogs: Catalogs,
@@ -603,13 +578,22 @@ def run_pipeline(
             permission=perm, severity=sev,
         )
 
+    # Each session meters into its own ledger. Both maps return in candidate
+    # order, and the pool's map cancels the sessions not yet started on the
+    # first error, so vectors, joined ledger and error are the same either way.
+    sites = recon.candidates
+    subs = [CostLedger() for _ in sites]
     try:
-        if router.waits_on_network and len(recon.candidates) > 1:
-            vectors = _concurrent_sessions(session, recon.candidates, ledger)
+        if router.waits_on_network and len(sites) > 1:
+            with ThreadPoolExecutor(min(len(sites), MAX_SESSION_THREADS)) as pool:
+                vectors = list(pool.map(session, sites, subs))
         else:
-            vectors = [session(site, ledger) for site in recon.candidates]
+            vectors = list(map(session, sites, subs))
     except TriageError as exc:
         raise PipelineStageError("trace", exc) from exc
+    for sub in subs:
+        for exchange in sub.exchanges:
+            ledger.append(exchange)
 
     try:
         report = adjudicate(recon, vectors, router, ledger, bundle.app_id)

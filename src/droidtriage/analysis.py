@@ -10,7 +10,10 @@ Four operations over an immutable program + call graph:
 Taint is flow-sensitive inside a method, context-insensitive across calls
 and depth-limited.  Values move only through copies, call arguments and
 return values; there is no heap and no implicit flow through branches.
-Every reported sink carries a replayable def-use witness.
+Each fact carries its witness: IN(line) maps a tainted variable to a linked
+list of def-use steps back to the source or an entry parameter, unwound only
+when the variable reaches a sink or a return.  Every reported sink carries
+the resulting replayable witness.
 
 A slice is the least set of lines that holds the target, every definition
 reaching a use on a kept line, and every If with a kept line strictly
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import ApiCatalog, EntryCatalog
 from .errors import (
@@ -35,7 +38,6 @@ from .errors import (
 from .index import CallGraph, CallSite
 from .ir import (
     Assign,
-    Goto,
     If,
     Invoke,
     IrProgram,
@@ -221,53 +223,32 @@ class TaintResult:
     searched_depth: int
 
 
-# A witness chain is relative when anchored at a callee entry parameter; the
-# caller splices its own chain for the feeding argument in front of it.
-_Chain = tuple[tuple[tuple[MethodSig, int], ...], str | None]  # (steps, anchor param)
+# A tainted variable's witness: a linked list `(steps, rest)` of step groups,
+# newest first, that ends at its anchor -- None for the injected source, or
+# the name of the entry parameter the taint came in by.
+_Witness = tuple[tuple[tuple[MethodSig, int], ...], "_Witness"] | str | None
 
 
-@dataclass
-class _RelHit:
-    site: CallSite
-    category: str
-    steps: tuple[tuple[MethodSig, int], ...]
-    anchor: str | None
-    tainted_arg: str
-
-
-@dataclass
-class _Summary:
-    returns_tainted: bool = False
-    ret_chain: _Chain | None = None
-    hits: list[_RelHit] = field(default_factory=list)
+def _unwind(witness: _Witness) -> tuple[tuple[tuple[MethodSig, int], ...], str | None]:
+    """The witness's steps, oldest first, and its anchor."""
+    groups = []
+    while isinstance(witness, tuple):
+        group, witness = witness
+        groups.append(group)
+    return tuple(step for group in reversed(groups) for step in group), witness
 
 
 class _Ctx:
-    """One flow-sensitive pass over a single method."""
+    """One flow-sensitive pass over a single method, and afterwards its
+    summary: the sinks it reaches, each with the anchor its witness is
+    relative to, and the unwound witness of its first tainted return."""
 
-    def __init__(self, method: MethodDef, entry_params: frozenset[str],
-                 inject: tuple[int, str] | None, depth: int):
+    def __init__(self, method: MethodDef, inject: tuple[int, str] | None, depth: int):
         self.method = method
-        self.entry_params = entry_params
         self.inject = inject
         self.depth = depth
-        self.insets: dict[int, set[str]] = {}
-        self.parent: dict[tuple[int, str], tuple] = {}
-        self.hits: dict[tuple[str, int], _RelHit] = {}
-        self.summary = _Summary()
-
-
-def _successors(method: MethodDef, line: int) -> list[int]:
-    stmt = method.body[line - 1]
-    n = len(method.body)
-    if isinstance(stmt, Return):
-        return []
-    if isinstance(stmt, Goto):
-        return [stmt.target]
-    succ = [line + 1] if line < n else []
-    if isinstance(stmt, If) and stmt.target not in succ:
-        succ.append(stmt.target)
-    return succ
+        self.hits: dict[tuple[str, int], tuple[SinkHit, str | None]] = {}
+        self.ret: tuple[tuple[tuple[MethodSig, int], ...], str | None] | None = None
 
 
 class _TaintEngine:
@@ -275,92 +256,54 @@ class _TaintEngine:
         self.methods = program.method_map
         self.catalog = catalog
         self.depth_limit = depth_limit
-        self.summaries: dict[tuple[str, frozenset[str], int], _Summary] = {}
-
-    # -- chain reconstruction -------------------------------------------
-
-    def _chain(self, ctx: _Ctx, line: int, var: str) -> _Chain:
-        """Def-use steps making `var` tainted at IN(line), oldest first.
-
-        Parent events always point at facts recorded earlier, so following
-        them back ends at the injection or at an entry parameter."""
-        sig = ctx.method.signature
-        later: list[tuple[tuple[MethodSig, int], ...]] = []  # newest step group first
-        while True:
-            event = ctx.parent[(line, var)]
-            if event[0] == "inject":
-                steps, anchor = [(sig, ctx.inject[0])], None
-                break
-            if event[0] == "entry":
-                steps, anchor = [], var
-                break
-            if event[0] == "flow":
-                line = event[1]
-            elif event[0] == "copy":
-                line, var = event[1], event[2]
-                later.append(((sig, line),))
-            elif event[0] == "ret":
-                line, var = event[1], event[2]
-                later.append(((sig, line),) + event[3])
-            else:
-                raise AssertionError(f"unknown taint event {event!r}")
-        for group in reversed(later):
-            steps.extend(group)
-        return tuple(steps), anchor
+        self.summaries: dict[tuple[str, frozenset[str], int], _Ctx] = {}
 
     # -- transfer --------------------------------------------------------
 
-    def _transfer(self, ctx: _Ctx, line: int) -> tuple[set[str], dict[str, tuple]]:
-        """OUT(line), and the parent event of each variable tainted here."""
-        method = ctx.method
-        stmt = method.body[line - 1]
-        tin = ctx.insets.get(line, set())
-        out = set(tin)
-        born: dict[str, tuple] = {}
+    def _transfer(self, ctx: _Ctx, line: int, tin: dict[str, _Witness]) -> dict[str, _Witness]:
+        """OUT(line): each variable tainted after the line, with its witness.
+        A variable the line leaves alone keeps its witness object."""
+        sig = ctx.method.signature
+        stmt = ctx.method.body[line - 1]
+        out = dict(tin)
 
         if isinstance(stmt, Assign):
-            out.discard(stmt.dst)
-            if stmt.src is not None and stmt.src in tin:
-                out.add(stmt.dst)
-                born[stmt.dst] = ("copy", line, stmt.src)
+            out.pop(stmt.dst, None)
+            if stmt.src in tin:
+                out[stmt.dst] = (((sig, line),), tin[stmt.src])
         elif isinstance(stmt, Invoke):
+            out.pop(stmt.dst, None)
             tainted_args = [a for a in stmt.uses if a in tin]
             if tainted_args:
                 category = self.catalog.sink_category(stmt.callee)
                 if category is not None:
-                    self._record_hit(ctx, line, stmt, tainted_args[0], category)
+                    self._record_hit(ctx, line, stmt, tainted_args[0], category, tin)
                 callee = self.methods.get(stmt.callee)
-                ret_event = None
                 if callee is not None and ctx.depth > 0:
-                    ret_event = self._apply_summary(ctx, line, stmt, callee, tin)
-                if stmt.dst is not None:
-                    out.discard(stmt.dst)
-                    if ret_event is not None:
-                        out.add(stmt.dst)
-                        born[stmt.dst] = ret_event
-            elif stmt.dst is not None:
-                out.discard(stmt.dst)
+                    ret = self._apply_summary(ctx, line, stmt, callee, tin)
+                    if ret is not None:
+                        out[stmt.dst] = ret
         if ctx.inject is not None and line == ctx.inject[0]:
-            out.add(ctx.inject[1])
-            born[ctx.inject[1]] = ("inject",)
-        if isinstance(stmt, Return) and stmt.var is not None and stmt.var in tin:
-            if not ctx.summary.returns_tainted:
-                steps, anchor = self._chain(ctx, line, stmt.var)
-                ctx.summary.returns_tainted = True
-                ctx.summary.ret_chain = (steps + ((method.signature, line),), anchor)
-        return out, born
+            out[ctx.inject[1]] = (((sig, line),), None)
+        if isinstance(stmt, Return) and stmt.var in tin and ctx.ret is None:
+            steps, anchor = _unwind(tin[stmt.var])
+            ctx.ret = (steps + ((sig, line),), anchor)
+        return out
 
-    def _record_hit(self, ctx: _Ctx, line: int, stmt: Invoke, arg: str, category: str) -> None:
-        key = (str(ctx.method.signature), line)
+    def _record_hit(self, ctx: _Ctx, line: int, stmt: Invoke, arg: str, category: str,
+                    tin: dict[str, _Witness]) -> None:
+        sig = ctx.method.signature
+        key = (str(sig), line)
         if key in ctx.hits:
             return
-        steps, anchor = self._chain(ctx, line, arg)
-        site = CallSite(ctx.method.signature, line, stmt.callee, stmt.dst)
-        full = steps + ((ctx.method.signature, line),)
-        ctx.hits[key] = _RelHit(site, category, full, anchor, arg)
+        steps, anchor = _unwind(tin[arg])
+        site = CallSite(sig, line, stmt.callee, stmt.dst)
+        ctx.hits[key] = (SinkHit(site, category, steps + ((sig, line),), arg), anchor)
 
-    def _apply_summary(self, ctx: _Ctx, line: int, stmt: Invoke,
-                       callee: MethodDef, tin: set[str]) -> tuple | None:
+    def _apply_summary(self, ctx: _Ctx, line: int, stmt: Invoke, callee: MethodDef,
+                       tin: dict[str, _Witness]) -> _Witness:
+        """Splice the callee's hits into the caller's, and return the witness
+        of the call's result if the callee returns taint, else None."""
         tainted_params = frozenset(
             callee.params[i]
             for i, a in enumerate(stmt.args)
@@ -370,75 +313,66 @@ class _TaintEngine:
             return None
         summary = self._summary_for(callee, tainted_params, ctx.depth - 1)
         arg_of = {p: stmt.args[callee.params.index(p)] for p in tainted_params}
-        for rel in summary.hits:
-            key = (str(rel.site.method), rel.site.line)
-            if key in ctx.hits:
+        call = ((ctx.method.signature, line),)
+        for key, (hit, param) in summary.hits.items():
+            if key in ctx.hits or param not in arg_of:
                 continue
-            if rel.anchor is None or rel.anchor not in arg_of:
-                continue
-            feed = arg_of[rel.anchor]
-            steps, anchor = self._chain(ctx, line, feed)
-            ctx.hits[key] = _RelHit(
-                rel.site, rel.category,
-                steps + ((ctx.method.signature, line),) + rel.steps,
-                anchor, rel.tainted_arg,
-            )
-        if summary.returns_tainted and stmt.dst is not None:
-            inner_steps, inner_anchor = summary.ret_chain
-            if inner_anchor is not None and inner_anchor in arg_of:
-                return ("ret", line, arg_of[inner_anchor], inner_steps)
+            steps, anchor = _unwind(tin[arg_of[param]])
+            ctx.hits[key] = (SinkHit(hit.site, hit.category, steps + call + hit.witness,
+                                     hit.tainted_arg), anchor)
+        if summary.ret is not None and stmt.dst is not None:
+            steps, param = summary.ret
+            if param in arg_of:
+                return (call + steps, tin[arg_of[param]])
         return None
 
     # -- fixpoint ----------------------------------------------------------
 
-    def _summary_for(self, method: MethodDef, params: frozenset[str], depth: int) -> _Summary:
+    def _summary_for(self, method: MethodDef, params: frozenset[str], depth: int) -> _Ctx:
         key = (str(method.signature), params, depth)
         cached = self.summaries.get(key)
         if cached is not None:
             return cached
-        ctx = _Ctx(method, params, None, depth)
-        self._run(ctx)
-        ctx.summary.hits = [ctx.hits[k] for k in sorted(ctx.hits)]
-        self.summaries[key] = ctx.summary
-        return ctx.summary
+        ctx = _Ctx(method, None, depth)
+        self._run(ctx, {p: p for p in sorted(params)})
+        self.summaries[key] = ctx
+        return ctx
 
-    def _run(self, ctx: _Ctx) -> None:
+    def _run(self, ctx: _Ctx, entry: dict[str, _Witness]) -> None:
+        """Worklist to the fixpoint.  Only a variable new to IN(succ) takes a
+        witness there, so the first witness to reach a line is the one kept."""
         method = ctx.method
         if not method.body:
             return
+        insets: dict[int, dict[str, _Witness]] = {}
         work: deque[int] = deque()
-        if ctx.entry_params:
-            ctx.insets[1] = set(ctx.entry_params)
-            for p in sorted(ctx.entry_params):
-                ctx.parent[(1, p)] = ("entry",)
+        if entry:
+            insets[1] = entry
             work.append(1)
         if ctx.inject is not None:
             work.append(ctx.inject[0])
+        successors = method.successors
         while work:
             line = work.popleft()
-            out, born = self._transfer(ctx, line)
-            for succ in _successors(method, line):
-                tin = ctx.insets.setdefault(succ, set())
-                new = sorted(out - tin)
+            out = self._transfer(ctx, line, insets.get(line, {}))
+            for succ in successors[line]:
+                tin = insets.setdefault(succ, {})
+                new = [var for var in out if var not in tin]
                 if not new:
                     continue
                 for var in new:
-                    tin.add(var)
-                    ctx.parent.setdefault((succ, var), born.get(var, ("flow", line)))
+                    tin[var] = out[var]
                 if succ not in work:
                     work.append(succ)
 
     def run_source(self, site: CallSite) -> list[SinkHit]:
         method = self.methods[site.method]
         stmt = method.body[site.line - 1]
-        ctx = _Ctx(method, frozenset(), (site.line, stmt.dst), self.depth_limit)
-        self._run(ctx)
-        hits = []
-        for key in sorted(ctx.hits):
-            rel = ctx.hits[key]
-            assert rel.anchor is None, "top-level witness must be absolute"
-            hits.append(SinkHit(rel.site, rel.category, rel.steps, rel.tainted_arg))
-        return hits
+        ctx = _Ctx(method, (site.line, stmt.dst), self.depth_limit)
+        self._run(ctx, {})
+        assert all(anchor is None for _hit, anchor in ctx.hits.values()), \
+            "top-level witness must be absolute"
+        return [ctx.hits[key][0] for key in sorted(ctx.hits)]
 
 
 def taint_reachability(
@@ -519,14 +453,6 @@ class Slice:
     removed_count: int
 
 
-def _predecessors(method: MethodDef) -> dict[int, list[int]]:
-    preds: dict[int, list[int]] = {i: [] for i in range(1, len(method.body) + 1)}
-    for line in range(1, len(method.body) + 1):
-        for succ in _successors(method, line):
-            preds[succ].append(line)
-    return preds
-
-
 def backward_slice(
     program: IrProgram,
     method_sig: MethodSig,
@@ -549,7 +475,7 @@ def backward_slice(
         raise InvalidTargetError(
             f"{target_var!r} neither defined nor used at {method_sig}:{target_line}"
         )
-    preds = _predecessors(method)
+    preds = method.predecessors
     ranges = [(min(s.line, s.target), max(s.line, s.target), s.line)
               for s in method.body if isinstance(s, If)]
     kept: set[int] = set()

@@ -103,9 +103,6 @@ class ApiCatalog:
         return self.patterns.setdefault(text, _Entry())
 
 
-ENTRY_KINDS = ("UserInteraction", "SystemEvent", "Lifecycle", "Unknown")
-
-
 @dataclass
 class EntryCatalog:
     """Classifies methods as app entry points.

@@ -214,6 +214,31 @@ class MethodDef:
     def loc(self) -> int:
         return len(self.body)
 
+    @cached_property
+    def successors(self) -> dict[int, list[int]]:
+        """Line -> the lines control reaches next, built on first use and
+        shared by every tool that walks this method."""
+        succ: dict[int, list[int]] = {}
+        for line, stmt in enumerate(self.body, 1):
+            if isinstance(stmt, Return):
+                succ[line] = []
+            elif isinstance(stmt, Goto):
+                succ[line] = [stmt.target]
+            else:
+                succ[line] = [line + 1] if line < len(self.body) else []
+                if isinstance(stmt, If) and stmt.target not in succ[line]:
+                    succ[line].append(stmt.target)
+        return succ
+
+    @cached_property
+    def predecessors(self) -> dict[int, list[int]]:
+        """Line -> the lines whose successors include it, in line order."""
+        preds: dict[int, list[int]] = {line: [] for line in self.successors}
+        for line, succs in self.successors.items():
+            for succ in succs:
+                preds[succ].append(line)
+        return preds
+
 
 @dataclass
 class ClassDef:

@@ -159,23 +159,31 @@ def gen_dag_program(rng: random.Random, max_nodes: int = 30) -> tuple[str, list[
     return _call_program(rng, n, edges), edges, n - 1
 
 
-def gen_cyclic_program(rng: random.Random, max_nodes: int = 12) -> tuple[str, list[tuple[int, int]], int]:
+def gen_cyclic_program(rng: random.Random, max_nodes: int = 12,
+                       values: bool = False) -> tuple[str, list[tuple[int, int]], int]:
     """Like `gen_dag_program`, but an edge may join any two methods either
-    way, so the call structure has cycles and self-calls."""
+    way, so the call structure has cycles and self-calls.  With `values`,
+    taint can flow around those cycles (see `_call_program`)."""
     n = rng.randint(1, max_nodes)
     edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < min(0.3, 2.5 / n)]
-    return _call_program(rng, n, edges), edges, rng.randrange(n)
+    return _call_program(rng, n, edges, values), edges, rng.randrange(n)
 
 
-def _call_program(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> str:
-    """Methods `dag.N<i>` calling along `edges`, then an external logger."""
+def _call_program(rng: random.Random, n: int, edges: list[tuple[int, int]],
+                  values: bool = False) -> str:
+    """Methods `dag.N<i>` calling along `edges`, then an external logger.
+
+    With `values`, each method takes a string `p` and returns one; it may
+    read the source API, passes a random live value to each callee, may send
+    one to the network sink, and returns one."""
     entry_names = ["onClick", "onCreate", "onReceive", "onStartCommand", "helper"]
     names = [
         rng.choice(entry_names) if rng.random() < 0.4 else "helper"
         for _ in range(n)
     ]
     # qualified, unique signatures: class per node keeps component kinds simple
-    sigs = [f"dag.N{i}.{names[i]}()->void" for i in range(n)]
+    shape = "(string)->string" if values else "()->void"
+    sigs = [f"dag.N{i}.{names[i]}{shape}" for i in range(n)]
 
     out_edges: dict[int, list[int]] = {}
     for a, b in edges:
@@ -184,10 +192,22 @@ def _call_program(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> s
     chunks = []
     for i in range(n):
         chunks.append(f"class dag.N{i} {{")
-        chunks.append(f"  method {sigs[i]} () {{")
+        chunks.append(f"  method {sigs[i]} ({'p' if values else ''}) {{")
+        live = ["p"]
+        if values and rng.random() < 0.5:
+            chunks.append("    s = call ext.api.Src.read()->string()")
+            live.append("s")
         for b in sorted(set(out_edges.get(i, []))):
-            chunks.append(f"    call {sigs[b]}()")
+            if values:
+                chunks.append(f"    r{b} = call {sigs[b]}({rng.choice(live)})")
+                live.append(f"r{b}")
+            else:
+                chunks.append(f"    call {sigs[b]}()")
+        if values and rng.random() < 0.5:
+            chunks.append(f"    call ext.api.Net.send(string)->void({rng.choice(live)})")
         chunks.append(f"    call ext.api.Util.log(string)->void(\"x\")")
+        if values:
+            chunks.append(f"    return {rng.choice(live)}")
         chunks.append("  }")
         chunks.append("}")
     return "\n".join(chunks) + "\n"

@@ -506,26 +506,41 @@ def _all_sources(program):
     return sites
 
 
+def _check_taint(program, sites, rng) -> int:
+    """Query each site at a random depth against the brute-force oracle and
+    replay every witness; returns the number of sink hits."""
+    catalog = synth_catalog()
+    graph = build_call_graph(program)
+    hits = 0
+    for site in sites:
+        depth = rng.randint(0, 3)
+        result = taint_reachability(program, graph, site, catalog, depth)
+        got = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
+        assert got == taint_scan(program, catalog, site.method, site.line, depth)
+        for hit in result.reached_sinks:
+            assert replay_witness(program, catalog, site, hit.witness)
+        hits += len(result.reached_sinks)
+    return hits
+
+
 def test_taint_matches_bruteforce_oracle_generated():
     rng = random.Random(31)
-    catalog = synth_catalog()
     checked = 0
     for _ in range(60):
         program = parse_program(gen_program(rng, max_methods=8, max_lines=16))
-        graph = build_call_graph(program)
-        sources = _all_sources(program)
-        if not sources:
-            continue
-        for site in sources[:3]:
-            depth = rng.randint(0, 3)
-            result = taint_reachability(program, graph, site, catalog, depth)
-            got = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
-            expected = taint_scan(program, catalog, site.method, site.line, depth)
-            assert got == expected
-            for hit in result.reached_sinks:
-                assert replay_witness(program, catalog, site, hit.witness)
-            checked += 1
+        sources = _all_sources(program)[:3]
+        _check_taint(program, sources, rng)
+        checked += len(sources)
     assert checked > 50
+
+
+def test_taint_matches_bruteforce_oracle_on_call_cycles():
+    rng = random.Random(37)
+    hits = 0
+    for _ in range(25):
+        program = parse_program(gen_cyclic_program(rng, values=True)[0])
+        hits += _check_taint(program, _all_sources(program), rng)
+    assert hits > 50
 
 
 # -- slicing -----------------------------------------------------------------
