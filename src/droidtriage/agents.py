@@ -11,6 +11,7 @@ Every model exchange is metered into a cost ledger under its tier.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
@@ -275,6 +276,21 @@ def _capped(args: dict, key: str, ceiling: int | None = None) -> int:
     return number if ceiling is None else min(number, ceiling)
 
 
+# An observation shows at most MAX_SHOWN chains or sinks, and of a slice or a
+# witness only its first `context_radius` and last `context_radius + 1` items,
+# so its size does not grow with the attacker's program.
+MAX_SHOWN = 10
+
+
+def _ends(items: Sequence, radius: int) -> tuple[Sequence, int]:
+    """`items`, or only its first `radius` and last `radius + 1`; and how many
+    were left out between them."""
+    hidden = len(items) - 2 * radius - 1
+    if hidden <= 0:
+        return items, 0
+    return items[:radius] + items[-radius - 1:], hidden
+
+
 # Each tool function calls its analysis by its module-global name at call
 # time, so a wrapper installed on that name sees every call.
 def _context(box: ToolBox, radius: int, args: dict) -> tuple[dict, str]:
@@ -294,7 +310,7 @@ def _context(box: ToolBox, radius: int, args: dict) -> tuple[dict, str]:
 def _triggers(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
     box.chains = chains = trigger_paths(box.graph, box.site, box.entry_catalog, depth)
     shown = [{"entry_kind": c.entry_kind, "path": [str(m) for m in c.path]}
-             for c in islice(chains, 10)]
+             for c in islice(chains, MAX_SHOWN)]
     obs = {"count": chains.count, "chains": shown}
     return obs, f"{chains.count} chain(s), kinds {','.join(chains.kinds)}"
 
@@ -302,17 +318,21 @@ def _triggers(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
 def _taint(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
     program = box.bundle.program
     box.taint = result = taint_reachability(program, box.graph, box.site, box.api_catalog, depth)
-    obs = {
-        "source": box.site.render(),
-        "searched_depth": result.searched_depth,
-        "reached_sinks": [
-            {"sink": str(h.site.callee), "method": str(h.site.method), "line": h.site.line,
-             "category": h.category, "tainted_arg": h.tainted_arg,
-             "witness": [[str(m), l] for m, l in h.witness]}
-            for h in result.reached_sinks
-        ],
-    }
-    return obs, f"{len(result.reached_sinks)} sink hit(s)"
+    hits = result.reached_sinks
+    shown = []
+    for h in hits[:MAX_SHOWN]:
+        witness, hidden = _ends(h.witness, box.budgets.context_radius)
+        sink = {"sink": str(h.site.callee), "method": str(h.site.method), "line": h.site.line,
+                "category": h.category, "tainted_arg": h.tainted_arg,
+                "witness": [[str(m), l] for m, l in witness]}
+        if hidden:
+            sink["witness_length"] = len(h.witness)
+        shown.append(sink)
+    obs = {"source": box.site.render(), "searched_depth": result.searched_depth,
+           "reached_sinks": shown}
+    if len(hits) > MAX_SHOWN:
+        obs["sink_count"] = len(hits)
+    return obs, f"{len(hits)} sink hit(s)"
 
 
 def _slice(box: ToolBox, _size: None, args: dict) -> tuple[dict, str]:
@@ -327,13 +347,18 @@ def _slice(box: ToolBox, _size: None, args: dict) -> tuple[dict, str]:
         raise ToolError("no slice target: give method/line/var explicitly")
     box.slice = result = backward_slice(box.bundle.program, method, line, var)
     body = box.bundle.program.method_map[method].body
+    radius = box.budgets.context_radius
+    shown, hidden = _ends(result.kept_lines, radius)
+    statements = [f"{l}: {render_stmt(body[l - 1])}" for l in shown]
+    if hidden:
+        statements.insert(radius, f"... {hidden} kept line(s) not shown")
     obs = {
         "method": str(method),
         "line": line,
         "var": var,
         "kept_lines": result.kept_lines,
         "removed_count": result.removed_count,
-        "statements": [f"{l}: {render_stmt(body[l - 1])}" for l in result.kept_lines],
+        "statements": statements,
     }
     return obs, f"kept {len(result.kept_lines)} line(s), removed {result.removed_count}"
 

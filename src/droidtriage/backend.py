@@ -103,13 +103,6 @@ class CostLedger:
             self.totals[exchange.tier][0] += exchange.input_tokens
             self.totals[exchange.tier][1] += exchange.output_tokens
 
-    def recomputed_totals(self) -> dict[str, list[int]]:
-        fresh = {t: [0, 0] for t in TIERS}
-        for ex in self.exchanges:
-            fresh[ex.tier][0] += ex.input_tokens
-            fresh[ex.tier][1] += ex.output_tokens
-        return fresh
-
     def tier_tokens(self, tier: str) -> int:
         a, b = self.totals[tier]
         return a + b

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import ApiCatalog
-from .ir import IrProgram, MethodSig, render_stmt
+from .ir import IrProgram, MethodSig
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,11 +72,3 @@ def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
             sites.append(CallSite(caller, stmt.line, callee, stmt.dst))
     return index
 
-
-def global_search(program: IrProgram, pattern: str) -> list[tuple[MethodSig, int, str]]:
-    """Case-sensitive substring search over canonical statement renderings."""
-    if not pattern:
-        raise ValueError("empty search pattern")
-    methods = sorted(program.methods(), key=lambda m: str(m.signature))
-    rendered = ((m.signature, s.line, render_stmt(s)) for m in methods for s in m.body)
-    return [hit for hit in rendered if pattern in hit[2]]

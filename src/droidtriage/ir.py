@@ -352,19 +352,6 @@ def _parse_component(value: str, line_no: int) -> Component:
     return Component(cls, kind, actions, "exported" in extras)
 
 
-def render_manifest(manifest: Manifest) -> str:
-    lines = [
-        f"package: {manifest.package}",
-        f"category: {manifest.category}",
-        f"description: {manifest.description}",
-    ]
-    lines += [f"permission:{p}" for p in manifest.permissions]
-    for c in manifest.components:
-        actions = "".join(f":action={a}" for a in c.intent_actions)
-        lines.append(f"component:{c.kind}:{c.name}{actions}" + (":exported" if c.exported else ""))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # IR parsing
 # ---------------------------------------------------------------------------

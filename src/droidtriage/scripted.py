@@ -190,9 +190,10 @@ class ScriptedProvider:
                 }
             )
         if hits:
+            # a cut observation carries the full count beside its first sinks
             summary = (
-                f"tainted data from the candidate reaches {len(hits)} sink(s), "
-                f"first via {hits[0]['category']}"
+                f"tainted data from the candidate reaches "
+                f"{taint.get('sink_count', len(hits))} sink(s), first via {hits[0]['category']}"
             )
         else:
             summary = "no tainted flow from the candidate reaches any sink"

@@ -225,3 +225,28 @@ def dag_manifest_text(n: int) -> str:
         kind = "Receiver" if i % 2 == 0 else "Service"
         lines.append(f"component:{kind}:dag.N{i}")
     return "\n".join(lines) + "\n"
+
+
+# Names from the shipped API catalog, for shapes run through the whole pipeline.
+DEVICE_SOURCE = "android.telephony.TelephonyManager.getDeviceId()->string"
+STORAGE_SINK = "android.content.SharedPreferences.Editor.putString(string,string)->editor"
+
+
+def gen_fold_chain(lines: int) -> tuple[str, str]:
+    """The hostile fold-chain shape as (manifest, IR) text for the shipped
+    catalog: one `lines`-line `onCreate` where `k` is a constant, every other
+    line is `c = call fold(k, c)` through an app method the catalog does not
+    know, a device id is read mid-method, and a storage sink on line
+    `lines - 1` writes `c` and the id.  The slice from that sink keeps every
+    line but the final return."""
+    fold = "app.Mix.fold(string,string)->string"
+    body = ['k = const "key"', 'c = const "seed"']
+    body += [f"id = call {DEVICE_SOURCE}()" if line == lines // 2 else f"c = call {fold}(k,c)"
+             for line in range(3, lines - 1)]
+    body += [f"e = call {STORAGE_SINK}(c,id)", "return"]
+    manifest = ("package: fold.app\ncategory: wallpaper gallery\ndescription: wallpapers\n"
+                "permission:READ_PHONE_STATE\ncomponent:Activity:fold.app.Main:exported\n")
+    ir = ("class fold.app.Main extends android.app.Activity {\n"
+          "  method fold.app.Main.onCreate(bundle)->void (b) {\n"
+          + "".join(f"    {stmt}\n" for stmt in body) + "  }\n}\n")
+    return manifest, ir

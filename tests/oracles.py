@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 
+from droidtriage.backend import TIERS, CostLedger
 from droidtriage.errors import BadBranchTargetError, DuplicateSignatureError, IrSyntaxError
 from droidtriage.ir import (
     Assign,
@@ -17,6 +18,7 @@ from droidtriage.ir import (
     If,
     Invoke,
     IrProgram,
+    Manifest,
     MethodDef,
     MethodSig,
     Nop,
@@ -262,17 +264,27 @@ def parse_program_cascade(text: str) -> IrProgram:
     return IrProgram(classes)
 
 
-def grep_scan(program: IrProgram, pattern: str) -> list[tuple[str, int, str]]:
-    from droidtriage.ir import render_stmt
+def render_manifest(manifest: Manifest) -> str:
+    """Manifest text in the form `parse_manifest` reads."""
+    lines = [
+        f"package: {manifest.package}",
+        f"category: {manifest.category}",
+        f"description: {manifest.description}",
+    ]
+    lines += [f"permission:{p}" for p in manifest.permissions]
+    for c in manifest.components:
+        actions = "".join(f":action={a}" for a in c.intent_actions)
+        lines.append(f"component:{c.kind}:{c.name}{actions}" + (":exported" if c.exported else ""))
+    return "\n".join(lines) + "\n"
 
-    hits = []
-    for m in program.methods():
-        for stmt in m.body:
-            text = render_stmt(stmt)
-            if pattern in text:
-                hits.append((str(m.signature), stmt.line, text))
-    hits.sort()
-    return hits
+
+def recomputed_totals(ledger: CostLedger) -> dict[str, list[int]]:
+    """A ledger's per-tier [input, output] tokens, summed afresh from its exchanges."""
+    fresh = {t: [0, 0] for t in TIERS}
+    for ex in ledger.exchanges:
+        fresh[ex.tier][0] += ex.input_tokens
+        fresh[ex.tier][1] += ex.output_tokens
+    return fresh
 
 
 def percentile_scan(values: list[int], p: float) -> int:

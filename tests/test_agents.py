@@ -36,6 +36,8 @@ from droidtriage.index import CallSite, build_api_index, build_call_graph
 from droidtriage.ir import Manifest, parse_bundle, parse_sig
 from droidtriage.scripted import _POLICY, ScriptedProvider
 
+from genprog import DEVICE_SOURCE, gen_fold_chain
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CFG = load_config()
 CATALOGS = Catalogs(CFG.api_catalog, CFG.entry_catalog)
@@ -487,6 +489,77 @@ def test_taint_witness_across_long_method_replays():
     [hit] = vec.taint.reached_sinks
     assert (hit.category, hit.site.line) == ("network", 1002)
     assert replay_witness(bundle.program, CFG.api_catalog, site, hit.witness)
+
+
+def _observations(ledger: CostLedger, tool: str) -> list[dict]:
+    """Every `tool` observation the last trace exchange showed the model."""
+    last = [ex for ex in ledger.exchanges if ex.tier == "trace"][-1]
+    shown = [json.loads(text) for role, text in last.messages
+             if role == "user" and text.startswith("{")]
+    return [obs for obs in shown if obs["tool"] == tool]
+
+
+def test_slice_observation_bounded_on_fold_chain():
+    # the slice keeps every line, and each kept line used to cost the model
+    # six tokens: one in kept_lines, five in statements
+    tokens = {}
+    for lines in (1000, 2000, 4000, 8000):
+        bundle = parse_bundle(*gen_fold_chain(lines))
+        _report, ledger = run_pipeline(bundle, CATALOGS, scripted_router())
+        [obs] = _observations(ledger, "backward_slice")
+        assert obs["kept_lines"] == list(range(1, lines))
+        statements = obs["statements"]
+        assert len(statements) == 42
+        assert statements[:2] == ['1: k = const "key"', '2: c = const "seed"']
+        assert statements[20] == f"... {lines - 42} kept line(s) not shown"
+        assert statements[21].startswith(f"{lines - 21}: ")
+        assert statements[-1].startswith(f"{lines - 1}: e = call ")
+        tokens[lines] = ledger.total_tokens
+    sizes = sorted(tokens)
+    for small, big in zip(sizes, sizes[1:]):
+        assert tokens[big] - tokens[small] <= big - small
+
+
+def _one_method(body: list[str]):
+    """A bundle of one exported activity's onCreate, with the device id read
+    on line 1, and the call site that reads it."""
+    method = "l.Main.onCreate(bundle)->void"
+    mir = "".join(f"    {stmt}\n" for stmt in [f"v0 = call {DEVICE_SOURCE}()", *body, "return"])
+    bundle = parse_bundle("package: l\ncategory: game\npermission:READ_PHONE_STATE\n"
+                          "component:Activity:l.Main:exported\n",
+                          f"class l.Main {{\n  method {method} (b) {{\n{mir}  }}\n}}\n")
+    graph = build_call_graph(bundle.program)
+    entry = CFG.entry_catalog.bound(bundle.manifest)
+    site = CallSite(parse_sig(method), 1, parse_sig(DEVICE_SOURCE), "v0")
+    return _toolbox(bundle, graph, entry, site), site
+
+
+def test_taint_observation_cuts_long_witness():
+    copies = [f"v{i} = v{i - 1}" for i in range(1, 501)]
+    box, site = _one_method([*copies, "call android.webkit.WebView.loadUrl(string)->void(v500)"])
+    obs, _digest = box.dispatch("taint_reachability", {})
+    [shown] = obs["reached_sinks"]
+    [hit] = box.taint.reached_sinks
+    assert len(hit.witness) == 502  # the source, 500 copies, the sink
+    assert replay_witness(box.bundle.program, CFG.api_catalog, site, hit.witness)
+    assert shown["witness_length"] == 502
+    full = [[str(m), line] for m, line in hit.witness]
+    assert shown["witness"] == full[:20] + full[-21:]
+    assert "sink_count" not in obs
+
+
+def test_taint_observation_shows_ten_sinks_and_the_count():
+    sinks = ["call android.webkit.WebView.loadUrl(string)->void(v0)"] * 12
+    box, site = _one_method(sinks)
+    obs, digest = box.dispatch("taint_reachability", {})
+    assert [h["line"] for h in obs["reached_sinks"]] == list(range(2, 12))
+    assert obs["sink_count"] == 12 and digest == "12 sink hit(s)"
+    assert all("witness_length" not in h for h in obs["reached_sinks"])
+    assert len(box.taint.reached_sinks) == 12
+
+    vec = trace_candidate(site, box, scripted_router(), 8, CostLedger())
+    assert vec.hit_count == 12
+    assert vec.agent_summary.startswith("tainted data from the candidate reaches 12 sink(s)")
 
 
 def test_trace_invalid_actions_consume_budget_without_steps():

@@ -34,6 +34,8 @@ from droidtriage.errors import (
 )
 from droidtriage.scripted import ScriptedProvider
 
+from oracles import recomputed_totals
+
 
 def _exchange(tier, in_tok, out_tok, model="m") -> Exchange:
     return Exchange(tier, (("user", "hi"),), "ok", in_tok, out_tok, model, 0.0)
@@ -61,7 +63,7 @@ def test_ledger_totals_match_recomputation():
     ledger.append(_exchange("trace", 100, 20))
     ledger.append(_exchange("trace", 50, 5))
     ledger.append(_exchange("verdict", 7, 3))
-    assert ledger.totals == ledger.recomputed_totals()
+    assert ledger.totals == recomputed_totals(ledger)
     assert ledger.total_tokens == 197
     assert ledger.tier_tokens("trace") == 175
 
@@ -89,7 +91,7 @@ def test_ledger_concurrent_appends_consistent():
     for t in threads:
         t.join()
     assert len(ledger.exchanges) == 1600
-    assert ledger.totals == ledger.recomputed_totals()
+    assert ledger.totals == recomputed_totals(ledger)
     assert ledger.tier_tokens("trace") == 1600 * 4
 
 

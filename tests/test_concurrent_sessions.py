@@ -31,6 +31,8 @@ from droidtriage.index import build_api_index
 from droidtriage.ir import parse_bundle
 from droidtriage.scripted import ScriptedProvider
 
+from oracles import recomputed_totals
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CFG = load_config()
 CATALOGS = Catalogs(CFG.api_catalog, CFG.entry_catalog)
@@ -139,7 +141,7 @@ def test_out_of_order_sessions_match_sequential_run(monkeypatch):
     assert [v.candidate.render() for v in vectors] == candidates
     assert vectors == ref_vectors
     assert _exchanges(ledger) == _exchanges(ref_ledger)
-    assert ledger.totals == ref_ledger.totals == ledger.recomputed_totals()
+    assert ledger.totals == ref_ledger.totals == recomputed_totals(ledger)
     assert report.to_json() == ref_report.to_json()
 
 
@@ -211,7 +213,7 @@ def test_session_threads_bounded_by_the_constant():
     traced = [ex for ex in ledger.exchanges if ex.tier == "trace"]
     assert [json.loads(ex.messages[1][1].split("```json")[1].split("```")[0])["line"]
             for ex in traced] == list(range(1, n + 1))
-    assert ledger.totals == ledger.recomputed_totals()
+    assert ledger.totals == recomputed_totals(ledger)
     assert 1 < provider.peak <= MAX_SESSION_THREADS
     assert provider.in_flight == 0
     assert threading.active_count() == baseline

@@ -1,18 +1,17 @@
-"""Call graph, inverted index and global search."""
+"""Call graph and inverted index."""
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage.index import build_api_index, build_call_graph, global_search
+from droidtriage.index import build_api_index, build_call_graph
 from droidtriage.ir import Invoke, parse_program, parse_sig
 
 from genprog import gen_program, synth_catalog
-from oracles import callers_scan, grep_scan, index_scan
+from oracles import callers_scan, index_scan
 
 
 def test_single_method_no_calls():
@@ -124,31 +123,6 @@ def test_index_matches_scan_oracle_generated():
         assert got == scan
 
 
-def test_global_search_no_match_and_full_statement():
-    program = parse_program(
-        "class a.B {\n  method a.B.m()->void () {\n    x = const 42\n  }\n}\n"
-    )
-    assert global_search(program, "nothing-here") == []
-    hits = global_search(program, "x = const 42")
-    assert [(str(m), line) for m, line, _text in hits] == [("a.B.m()->void", 1)]
-
-
-def test_global_search_empty_pattern_rejected():
-    program = parse_program("class a.B {\n  method a.B.m()->void () {\n    nop\n  }\n}\n")
-    with pytest.raises(ValueError):
-        global_search(program, "")
-
-
-def test_global_search_matches_grep_oracle():
-    rng = random.Random(19)
-    for _ in range(20):
-        program = parse_program(gen_program(rng, 8, 15))
-        for pattern in ("Net.send", "const", "v1", "call "):
-            got = sorted((str(m), line, text) for m, line, text in
-                         global_search(program, pattern))
-            assert got == grep_scan(program, pattern)
-
-
 def _fixture_programs():
     from pathlib import Path
 
@@ -170,15 +144,6 @@ def test_fixture_corpus_index_matches_scan_with_shipped_catalog():
             for key in index.sites
         }
         assert got == scan, name
-
-
-def test_fixture_global_search_matches_grep():
-    for name, program in _fixture_programs():
-        for pattern in ("getMessageBody", "call ", "const"):
-            got = sorted(
-                (str(m), line, text) for m, line, text in global_search(program, pattern)
-            )
-            assert got == grep_scan(program, pattern), (name, pattern)
 
 
 def test_catalog_asked_once_per_distinct_callee_generated():

@@ -31,13 +31,18 @@ from droidtriage.ir import (
     parse_manifest,
     parse_program,
     parse_sig,
-    render_manifest,
     render_program,
     validate,
 )
 
 from genprog import gen_program
-from oracles import parse_program_cascade, percentile_scan, split_args_scan, strip_scan
+from oracles import (
+    parse_program_cascade,
+    percentile_scan,
+    render_manifest,
+    split_args_scan,
+    strip_scan,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
