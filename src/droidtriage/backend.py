@@ -9,13 +9,14 @@ the provider verbatim.  The router times every exchange alike.
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import random
 import time
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from threading import Lock
-
-import requests
 
 from .errors import (
     BackendError,
@@ -199,7 +200,10 @@ class HttpProvider:
     Transient failures (timeouts, connection errors, 429/5xx, malformed
     success bodies) are retried per the policy and surface as
     Timeout/HttpError/SchemaError once retries are exhausted; non-transient
-    HTTP statuses fail immediately.
+    HTTP statuses fail immediately.  Between attempts it waits out a 429 or
+    503's `Retry-After` seconds, capped at `timeout_s`, and otherwise sleeps a
+    uniform draw from `[0, backoff_s * attempt number]`, so concurrent
+    sessions do not retry in step.
     """
 
     TRANSIENT_STATUSES = (429, 500, 502, 503, 504)
@@ -222,33 +226,57 @@ class HttpProvider:
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         last_exc: BackendError | None = None
         for attempt in range(self.retry.count + 1):
+            delay = None
             try:
-                resp = requests.post(
-                    url, json=body, headers=headers, timeout=self.retry.timeout_s
-                )
-            except requests.Timeout:
-                last_exc = BackendTimeoutError(f"timeout after {self.retry.timeout_s}s")
-            except requests.RequestException as exc:
-                last_exc = HttpError(None, str(exc))
+                status, data, retry_after = self._post(url, body, headers)
+            except (BackendTimeoutError, HttpError) as exc:
+                last_exc = exc
             else:
-                if resp.status_code in self.TRANSIENT_STATUSES:
-                    last_exc = HttpError(resp.status_code, "transient provider failure")
-                elif resp.status_code != 200:
-                    raise HttpError(resp.status_code, resp.text[:200])
+                if status in self.TRANSIENT_STATUSES:
+                    last_exc = HttpError(status, "transient provider failure")
+                    if status in (429, 503):
+                        delay = _retry_after(retry_after, self.retry.timeout_s)
+                elif status != 200:
+                    raise HttpError(status, data.decode("utf-8", "replace")[:200])
                 else:
                     try:
-                        return self._parse(resp)
+                        return self._parse(data)
                     except SchemaError as exc:
                         last_exc = exc
             if attempt < self.retry.count:
-                time.sleep(self.retry.backoff_s * (attempt + 1))
+                if delay is None:
+                    delay = random.uniform(0, self.retry.backoff_s * (attempt + 1))
+                time.sleep(delay)
         assert last_exc is not None
         raise last_exc
 
-    @staticmethod
-    def _parse(resp) -> tuple[str, int, int]:
+    def _post(self, url: str, body: dict, headers: dict) -> tuple[int, bytes, str | None]:
+        """One POST: its status, its body and its `Retry-After` header.  A
+        transport failure raises BackendTimeoutError or HttpError(None, ...)."""
+        # imported on the first request: with the TLS and e-mail modules they
+        # load, they would cost every scripted process about 50 ms and 6 MB
+        import http.client
+        import urllib.error
+        import urllib.request
+
         try:
-            payload = resp.json()
+            request = urllib.request.Request(url, json.dumps(body).encode(), headers)
+            try:
+                with urllib.request.urlopen(request, timeout=self.retry.timeout_s) as resp:
+                    return resp.status, resp.read(), resp.headers.get("Retry-After")
+            except urllib.error.HTTPError as exc:  # every status outside 2xx
+                with exc:
+                    return exc.code, exc.read(), exc.headers.get("Retry-After")
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            # a read timeout is raw; urlopen wraps a connect timeout in URLError.reason
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise BackendTimeoutError(f"timeout after {self.retry.timeout_s}s") from None
+            raise HttpError(None, str(exc)) from None
+
+    @staticmethod
+    def _parse(data: bytes) -> tuple[str, int, int]:
+        try:
+            payload = json.loads(data)
             content = payload["choices"][0]["message"]["content"]
             usage = payload.get("usage", {})
             return (
@@ -256,8 +284,18 @@ class HttpProvider:
                 int(usage.get("prompt_tokens", 0)),
                 int(usage.get("completion_tokens", 0)),
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise SchemaError(f"malformed chat-completions response: {exc}") from None
+
+
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """A `Retry-After` header's delay in seconds (RFC 9110 §10.2.3), at most
+    `cap`; None for a missing, HTTP-date or unparsable value."""
+    try:
+        delay = float(value)
+    except (TypeError, ValueError):
+        return None
+    return min(delay, cap) if math.isfinite(delay) and delay >= 0 else None
 
 
 class ModelRouter:

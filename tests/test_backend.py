@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 from decimal import Decimal
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidtriage import backend
 from droidtriage.backend import (
     CostLedger,
     Exchange,
@@ -27,6 +33,7 @@ from droidtriage.backend import (
 )
 from droidtriage.errors import (
     BackendError,
+    BackendTimeoutError,
     EmptyLedgerError,
     HttpError,
     SchemaError,
@@ -247,17 +254,25 @@ def test_router_rejects_unknown_tier_call():
 class _StubHandler(BaseHTTPRequestHandler):
     behaviors: list[str] = []
     seen: list[dict] = []
+    keys: list[str | None] = []  # each request's Authorization header
 
     def do_POST(self):  # noqa: N802  (http.server API)
         length = int(self.headers["Content-Length"])
         self.seen.append(json.loads(self.rfile.read(length)))
+        self.keys.append(self.headers.get("Authorization"))
         mode = self.behaviors.pop(0) if self.behaviors else "ok"
-        if mode == "500":
-            self.send_response(500)
+        status, _, retry_after = mode.partition(" ")  # e.g. "429 0.05"
+        if status.isdigit():
+            self.send_response(int(status))
+            if retry_after:
+                self.send_header("Retry-After", retry_after)
             self.end_headers()
+            self.wfile.write(b"denied")
             return
         if mode == "malformed":
             body = b'{"nope": true}'
+        elif mode == "nested":
+            body = b"[" * 100_000
         else:
             body = json.dumps(
                 {
@@ -278,19 +293,33 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     _StubHandler.behaviors = []
     _StubHandler.seen = []
+    _StubHandler.keys = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
-def _http_provider(base_url: str, retries: int = 1) -> HttpProvider:
+def _http_provider(
+    base_url: str, retries: int = 1, backoff_s: float = 0.0, timeout_s: float = 2.0
+) -> HttpProvider:
     return HttpProvider(
         ModelConfig("live-x", base_url=base_url),
-        RetryPolicy(count=retries, backoff_s=0.0, timeout_s=2.0),
+        RetryPolicy(count=retries, backoff_s=backoff_s, timeout_s=timeout_s),
     )
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """Every wait the provider asks for, in order, without waiting."""
+    waits: list[float] = []
+    monkeypatch.setattr(backend.time, "sleep", waits.append)
+    return waits
 
 
 def test_live_provider_round_trip(stub_server):
@@ -305,6 +334,17 @@ def test_live_provider_round_trip(stub_server):
         {"role": "system", "content": "s"},
         {"role": "user", "content": "ping"},
     ]
+
+
+def test_live_provider_sends_bearer_key_from_env(stub_server, monkeypatch):
+    monkeypatch.setenv("DROIDTRIAGE_TEST_KEY", "sekret")
+    provider = HttpProvider(
+        ModelConfig("live-x", base_url=stub_server, api_key_env="DROIDTRIAGE_TEST_KEY"),
+        RetryPolicy(count=0, backoff_s=0.0, timeout_s=2.0),
+    )
+    provider.chat("live-x", "trace", [("user", "ping")])
+    _http_provider(stub_server).chat("live-x", "trace", [("user", "ping")])
+    assert _StubHandler.keys == ["Bearer sekret", None]
 
 
 def test_live_provider_retries_transient_then_succeeds(stub_server):
@@ -342,3 +382,90 @@ def test_live_provider_unroutable_endpoint():
     provider = _http_provider("http://127.0.0.1:9", retries=1)
     with pytest.raises(HttpError):
         provider.chat("live-x", "trace", [("user", "ping")])
+
+
+def test_live_provider_silent_endpoint_times_out_each_attempt():
+    with socket.socket() as listener:  # accepts connections, never answers
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        port = listener.getsockname()[1]
+        provider = _http_provider(f"http://127.0.0.1:{port}", retries=2, timeout_s=0.2)
+        with pytest.raises(BackendTimeoutError):
+            provider.chat("live-x", "trace", [("user", "ping")])
+        listener.settimeout(0.5)
+        attempts = 0
+        try:
+            while True:
+                listener.accept()[0].close()
+                attempts += 1
+        except TimeoutError:
+            pass
+    assert attempts == 3
+
+
+def test_live_provider_client_error_fails_at_once(stub_server, sleeps):
+    _StubHandler.behaviors = ["401", "ok"]
+    provider = _http_provider(stub_server, retries=2)
+    with pytest.raises(HttpError) as exc:
+        provider.chat("live-x", "trace", [("user", "ping")])
+    assert exc.value.status == 401
+    assert "denied" in str(exc.value)
+    assert len(_StubHandler.seen) == 1
+    assert sleeps == []
+
+
+def test_live_provider_non_200_success_status_fails_at_once(stub_server):
+    _StubHandler.behaviors = ["201"]
+    provider = _http_provider(stub_server, retries=2)
+    with pytest.raises(HttpError) as exc:
+        provider.chat("live-x", "trace", [("user", "ping")])
+    assert exc.value.status == 201
+    assert len(_StubHandler.seen) == 1
+
+
+def test_live_provider_waits_out_retry_after(stub_server, sleeps):
+    _StubHandler.behaviors = ["429 0.05", "503 1"]
+    provider = _http_provider(stub_server, retries=2, backoff_s=10.0)
+    text, _i, _o = provider.chat("live-x", "trace", [("user", "ping")])
+    assert text == "pong"
+    assert sleeps == [0.05, 1.0]
+
+
+def test_live_provider_retry_after_capped_at_timeout(stub_server, sleeps):
+    _StubHandler.behaviors = ["429 120"]
+    provider = _http_provider(stub_server, retries=1, timeout_s=2.0)
+    provider.chat("live-x", "trace", [("user", "ping")])
+    assert sleeps == [2.0]
+
+
+def test_live_provider_jittered_backoff_bounds(stub_server, sleeps):
+    # a Retry-After counts only on 429 and 503, and only as delay-seconds
+    _StubHandler.behaviors = [
+        "500", "429 Wed, 21 Oct 2015 07:28:00 GMT", "502 30", "503 -1", "429 nan"
+    ]
+    provider = _http_provider(stub_server, retries=5, backoff_s=0.5)
+    provider.chat("live-x", "trace", [("user", "ping")])
+    ceilings = [0.5 * (attempt + 1) for attempt in range(5)]
+    assert len(sleeps) == 5
+    assert all(0 <= wait <= ceiling for wait, ceiling in zip(sleeps, ceilings))
+    assert sleeps != ceilings  # drawn, not the fixed linear backoff
+
+
+def test_live_provider_nested_body_is_malformed(stub_server):
+    _StubHandler.behaviors = ["nested", "nested"]
+    provider = _http_provider(stub_server, retries=1)
+    with pytest.raises(SchemaError):
+        provider.chat("live-x", "trace", [("user", "ping")])
+    assert len(_StubHandler.seen) == 2
+
+
+def test_import_loads_no_http_stack():
+    # the HTTP client loads on the first live request, so scripted runs never pay for it
+    src = str(Path(backend.__file__).resolve().parents[1])  # the package under test
+    unwanted = {"requests", "urllib3", "charset_normalizer", "http.client", "ssl"}
+    code = f"import sys, droidtriage; print(sorted({unwanted!r} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
