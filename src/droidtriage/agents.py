@@ -20,8 +20,6 @@ from itertools import islice
 from string import Template
 
 from .analysis import (
-    ContextWindow,
-    Slice,
     TaintResult,
     TriggerChain,
     TriggerWalks,
@@ -81,39 +79,14 @@ class ReconReport:
     origins: dict[str, tuple[str, str]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ActionRecord:
-    tool: str
-    arguments: dict
-    result_digest: str
-
-
-@dataclass(frozen=True)
-class TranscriptStep:
-    observation: str
-    thought: str
-    action: ActionRecord
-
-
-@dataclass
-class AgentTranscript:
-    steps: list[TranscriptStep] = field(default_factory=list)
-    terminated_by: str = "BudgetExhausted"  # or "AgentConcluded"
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-
 @dataclass
 class EvidenceVector:
     candidate: CallSite
     trigger: TriggerChain | None
     taint: TaintResult | None
-    slice: Slice | None
-    contexts: list[ContextWindow]
-    agent_summary: str
-    transcript: AgentTranscript
+    # the session's (role, text) messages, from the system prompt to the last
+    # observation, whether or not the model received it
+    transcript: tuple[tuple[str, str], ...]
     permission: str = ""
     severity: str = "Low"
 
@@ -208,7 +181,7 @@ def recon_screen(
             continue
         perm = item.get("permission", "")
         sev = item.get("severity", "")
-        if perm in requested and sev in SEVERITIES:
+        if isinstance(perm, str) and perm in requested and sev in SEVERITIES:
             signals.append(RiskSignal(perm, str(item.get("reason", "")), sev))
     signals.sort(key=lambda s: (_SEV_RANK[s.severity], s.permission))
 
@@ -244,7 +217,7 @@ def recon_screen(
 
 @dataclass
 class ToolBox:
-    """Per-candidate tool dispatch; accumulates the best result of each kind."""
+    """Per-candidate tool dispatch; keeps the latest trigger walks and taint result."""
 
     bundle: AppBundle
     graph: CallGraph
@@ -252,16 +225,19 @@ class ToolBox:
     entry_catalog: EntryCatalog
     site: CallSite
     budgets: PipelineBudgets
-    contexts: list[ContextWindow] = field(default_factory=list)
     chains: TriggerWalks | None = None
     taint: TaintResult | None = None
-    slice: Slice | None = None
 
     def dispatch(self, action: str, args: dict) -> tuple[dict, str]:
+        """One tool call's observation, and its text as the session sends it."""
         size_arg, budget, run = TOOLS[action]
         size = _capped(args, size_arg, getattr(self.budgets, budget)) if size_arg else None
-        obs, digest = run(self, size, args)
-        return {"tool": action, **obs}, digest
+        obs = {"tool": action, **run(self, size, args)}
+        return obs, _render(obs)
+
+
+def _render(obs: dict) -> str:
+    return json.dumps(obs, indent=1, sort_keys=True)
 
 
 def _capped(args: dict, key: str, ceiling: int | None = None) -> int:
@@ -293,10 +269,9 @@ def _ends(items: Sequence, radius: int) -> tuple[Sequence, int]:
 
 # Each tool function calls its analysis by its module-global name at call
 # time, so a wrapper installed on that name sees every call.
-def _context(box: ToolBox, radius: int, args: dict) -> tuple[dict, str]:
+def _context(box: ToolBox, radius: int, args: dict) -> dict:
     window = extract_context(box.bundle.program, box.site, radius)
-    box.contexts.append(window)
-    obs = {
+    return {
         "method": str(box.site.method),
         "start_line": window.start_line,
         "end_line": window.end_line,
@@ -304,18 +279,16 @@ def _context(box: ToolBox, radius: int, args: dict) -> tuple[dict, str]:
         "truncated_tail": window.truncated_tail,
         "lines": list(window.lines),
     }
-    return obs, f"lines {window.start_line}..{window.end_line} of {box.site.method}"
 
 
-def _triggers(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
+def _triggers(box: ToolBox, depth: int, args: dict) -> dict:
     box.chains = chains = trigger_paths(box.graph, box.site, box.entry_catalog, depth)
     shown = [{"entry_kind": c.entry_kind, "path": [str(m) for m in c.path]}
              for c in islice(chains, MAX_SHOWN)]
-    obs = {"count": chains.count, "chains": shown}
-    return obs, f"{chains.count} chain(s), kinds {','.join(chains.kinds)}"
+    return {"count": chains.count, "chains": shown}
 
 
-def _taint(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
+def _taint(box: ToolBox, depth: int, args: dict) -> dict:
     program = box.bundle.program
     box.taint = result = taint_reachability(program, box.graph, box.site, box.api_catalog, depth)
     hits = result.reached_sinks
@@ -332,10 +305,10 @@ def _taint(box: ToolBox, depth: int, args: dict) -> tuple[dict, str]:
            "reached_sinks": shown}
     if len(hits) > MAX_SHOWN:
         obs["sink_count"] = len(hits)
-    return obs, f"{len(hits)} sink hit(s)"
+    return obs
 
 
-def _slice(box: ToolBox, _size: None, args: dict) -> tuple[dict, str]:
+def _slice(box: ToolBox, _size: None, args: dict) -> dict:
     if "method" in args and "line" in args and "var" in args:
         method, line, var = parse_sig(str(args["method"])), _capped(args, "line"), str(args["var"])
     elif box.taint is not None and box.taint.reached_sinks:
@@ -345,14 +318,14 @@ def _slice(box: ToolBox, _size: None, args: dict) -> tuple[dict, str]:
         method, line, var = box.site.method, box.site.line, box.site.result_var
     else:
         raise ToolError("no slice target: give method/line/var explicitly")
-    box.slice = result = backward_slice(box.bundle.program, method, line, var)
+    result = backward_slice(box.bundle.program, method, line, var)
     body = box.bundle.program.method_map[method].body
     radius = box.budgets.context_radius
     shown, hidden = _ends(result.kept_lines, radius)
     statements = [f"{l}: {render_stmt(body[l - 1])}" for l in shown]
     if hidden:
         statements.insert(radius, f"... {hidden} kept line(s) not shown")
-    obs = {
+    return {
         "method": str(method),
         "line": line,
         "var": var,
@@ -360,7 +333,6 @@ def _slice(box: ToolBox, _size: None, args: dict) -> tuple[dict, str]:
         "removed_count": result.removed_count,
         "statements": statements,
     }
-    return obs, f"kept {len(result.kept_lines)} line(s), removed {result.removed_count}"
 
 
 # The model's action space: name -> (size argument, the `PipelineBudgets`
@@ -399,64 +371,46 @@ def trace_candidate(
         payload=json.dumps(payload, indent=1, sort_keys=True)
     )
     messages: list[tuple[str, str]] = [("system", system), ("user", task)]
-    transcript = AgentTranscript()
-    summary = ""
-    observation = task
 
     for _step in range(budget):
         exchange = router.complete("trace", messages)
         ledger.append(exchange)
         messages.append(("assistant", exchange.response))
-        thought, action, args = _parse_action(exchange.response)
+        action, args = _parse_action(exchange.response)
         if action == "conclude":
-            summary = str(args.get("summary", ""))
-            transcript.steps.append(
-                TranscriptStep(observation, thought, ActionRecord("conclude", args, summary))
-            )
-            transcript.terminated_by = "AgentConcluded"
             break
         if action in TOOLS:
             try:
-                obs_data, digest = toolbox.dispatch(action, args)
+                _obs, observation = toolbox.dispatch(action, args)
             except (ToolError, ValueError, TypeError, KeyError) as exc:
                 # bad arguments from a live model are session noise, not a
                 # pipeline failure
-                obs_data = {"tool": action, "error": type(exc).__name__, "message": str(exc)}
-                digest = f"error: {exc}"
-            transcript.steps.append(
-                TranscriptStep(observation, thought, ActionRecord(action, args, digest))
-            )
+                observation = _render(
+                    {"tool": action, "error": type(exc).__name__, "message": str(exc)})
         else:
-            # invalid action: correct the model but keep the transcript to
-            # real tool steps; the attempt still consumes budget
-            obs_data = {"tool": action, "error": "UnknownTool",
-                        "message": f"choose one of {', '.join([*TOOLS, 'conclude'])}"}
-        observation = json.dumps(obs_data, indent=1, sort_keys=True)
+            # an invalid action corrects the model and still consumes budget
+            observation = _render({"tool": action, "error": "UnknownTool",
+                                   "message": f"choose one of {', '.join([*TOOLS, 'conclude'])}"})
         messages.append(("user", observation))
 
     return EvidenceVector(
         candidate=candidate,
         trigger=toolbox.chains.best() if toolbox.chains is not None else None,
         taint=toolbox.taint,
-        slice=toolbox.slice,
-        contexts=toolbox.contexts,
-        agent_summary=summary,
-        transcript=transcript,
+        transcript=tuple(messages),
         permission=permission,
         severity=severity,
     )
 
 
-def _parse_action(response: str) -> tuple[str, str, dict]:
+def _parse_action(response: str) -> tuple[str, dict]:
     try:
         obj = json.loads(response)
         action = str(obj["action"])
         args = obj.get("args") or {}
-        if not isinstance(args, dict):
-            args = {}
-        return str(obj.get("thought", "")), action, args
+        return action, args if isinstance(args, dict) else {}
     except (ValueError, KeyError, TypeError, RecursionError):
-        return "", "__unparseable__", {}
+        return "__unparseable__", {}
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +486,7 @@ def _parse_verdict(response: str, app_id: str, known_candidates: set[str]) -> Ve
     for item in chain_raw:
         if not isinstance(item, dict) or not {"candidate", "trigger", "sink", "rationale"} <= item.keys():
             raise SchemaViolationError("bad evidence_chain item")
-        if item["candidate"] not in known_candidates:
+        if not isinstance(item["candidate"], str) or item["candidate"] not in known_candidates:
             raise SchemaViolationError(f"evidence ref {item['candidate']!r} matches no vector")
         chain.append(
             EvidenceRef(

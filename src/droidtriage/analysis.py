@@ -134,7 +134,6 @@ class TriggerWalks:
         self._levels = levels
         self._heads = heads
         self.count = count
-        self.kinds = tuple(sorted({kind for row in heads for _head, kind in row}))
 
     def __len__(self) -> int:
         return self.count
@@ -178,7 +177,7 @@ def trigger_paths(
     A walk whose head matches the entry catalog is a chain of that kind; a
     maximal walk (no callers, or depth exhausted) with an unmatched head is
     an Unknown chain.  A chain's kind depends only on its head and length, so
-    the count and kinds come from a walk-count table over (method, length)
+    the count comes from a walk-count table over (method, length)
     built in O(depth x edges); no walk is listed until the result is iterated.
     """
     if site.method not in graph.nodes:

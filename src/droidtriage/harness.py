@@ -56,25 +56,30 @@ class DatasetManifest:
         base = path.parent
         entries: list[DatasetEntry] = []
         seen: set[str] = set()
-        with path.open(newline="", encoding="utf-8") as fh:
-            for row_no, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) != 5:
-                    raise ConfigError(f"{path}:{row_no}: expected 5 columns, got {len(row)}")
-                app_id, mpath, ipath, label, year = (c.strip() for c in row)
-                if label not in LABELS:
-                    raise ConfigError(f"{path}:{row_no}: bad label {label!r}")
-                if app_id in seen:
-                    raise ConfigError(f"{path}:{row_no}: duplicate app_id {app_id!r}")
-                seen.add(app_id)
-                try:
-                    year_n = int(year)
-                except ValueError:
-                    raise ConfigError(f"{path}:{row_no}: bad year {year!r}") from None
-                entries.append(
-                    DatasetEntry(app_id, base / mpath, base / ipath, label, year_n)
-                )
+        try:
+            with path.open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"dataset index unreadable: {path}: {exc}") from None
+        for row_no, row in enumerate(rows, start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if len(row) != 5:
+                raise ConfigError(f"{path}:{row_no}: expected 5 columns, got {len(row)}")
+            app_id, mpath, ipath, label, year = (c.strip() for c in row)
+            # the app_id names its report file, so it must be one name inside reports/
+            if app_id in ("", ".", "..") or any(c in app_id for c in "/\\\0"):
+                raise ConfigError(f"{path}:{row_no}: bad app_id {app_id!r}")
+            if label not in LABELS:
+                raise ConfigError(f"{path}:{row_no}: bad label {label!r}")
+            if app_id in seen:
+                raise ConfigError(f"{path}:{row_no}: duplicate app_id {app_id!r}")
+            seen.add(app_id)
+            try:
+                year_n = int(year)
+            except ValueError:
+                raise ConfigError(f"{path}:{row_no}: bad year {year!r}") from None
+            entries.append(DatasetEntry(app_id, base / mpath, base / ipath, label, year_n))
         return cls(entries)
 
 

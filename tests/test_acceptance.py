@@ -341,6 +341,8 @@ def test_criterion_10_batch_robustness(tmp_path):
             site, PipelineBudgets(),
         )
         vec = trace_candidate(site, toolbox, router, 8, ledger)
-        errors = [s for s in vec.transcript.steps if s.action.result_digest.startswith("error:")]
-        assert errors and vec.transcript.terminated_by == "AgentConcluded"
+        observations = [json.loads(text) for role, text in vec.transcript[2:] if role == "user"]
+        assert any("error" in obs for obs in observations if obs["tool"] == "taint_reachability")
+        role, last = vec.transcript[-1]
+        assert role == "assistant" and json.loads(last)["action"] == "conclude"
         assert by_id["fx_dialerspy"].report.verdict == "Malicious"

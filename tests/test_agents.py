@@ -16,6 +16,7 @@ from droidtriage.agents import (
     TOOLS,
     Catalogs,
     PipelineBudgets,
+    PipelineStageError,
     ReconReport,
     ToolBox,
     adjudicate,
@@ -143,6 +144,28 @@ def _toolbox(bundle, graph, entry, site):
     return ToolBox(bundle, graph, CFG.api_catalog, entry, site, PipelineBudgets())
 
 
+def _actions(vec) -> list[str]:
+    """The action of each assistant reply in the session, in order; None for
+    a reply that is not an action object."""
+    actions = []
+    for role, text in vec.transcript:
+        if role == "assistant":
+            try:
+                actions.append(json.loads(text)["action"])
+            except (ValueError, KeyError, TypeError, RecursionError):
+                actions.append(None)
+    return actions
+
+
+def _concluded(vec) -> bool:
+    return vec.transcript[-1][0] == "assistant" and _actions(vec)[-1] == "conclude"
+
+
+def _session_observations(vec) -> list[dict]:
+    """Every observation the session rendered, in order."""
+    return [json.loads(text) for role, text in vec.transcript[2:] if role == "user"]
+
+
 def _candidate(app_id: str, which: int = 0):
     bundle, graph, index, entry = pipeline_parts(app_id)
     report = recon_screen(
@@ -159,9 +182,11 @@ def test_trace_budget_one_exhausts_cleanly():
         site, _toolbox(bundle, graph, entry, site), scripted_router(), 1,
         CostLedger(), perm, sev,
     )
-    assert vec.transcript.terminated_by == "BudgetExhausted"
-    assert vec.transcript.step_count == 1
-    assert vec.contexts and vec.taint is None and vec.slice is None
+    assert not _concluded(vec)
+    assert _actions(vec) == ["extract_context"]
+    [obs] = _session_observations(vec)
+    assert obs["tool"] == "extract_context" and "error" not in obs
+    assert vec.taint is None
     assert vec.trigger_kind == "Unknown"
 
 
@@ -171,9 +196,8 @@ def test_trace_scripted_policy_five_steps_with_hit():
     vec = trace_candidate(
         site, _toolbox(bundle, graph, entry, site), scripted_router(), 8, ledger, perm, sev
     )
-    assert vec.transcript.terminated_by == "AgentConcluded"
-    assert vec.transcript.step_count == 5
-    assert [s.action.tool for s in vec.transcript.steps] == [
+    assert _concluded(vec)
+    assert _actions(vec) == [
         "extract_context",
         "trigger_paths",
         "taint_reachability",
@@ -182,7 +206,8 @@ def test_trace_scripted_policy_five_steps_with_hit():
     ]
     assert vec.trigger_kind == "SystemEvent"
     assert vec.sink_category in ("network", "telephony")
-    assert vec.slice is not None
+    [sliced] = [o for o in _session_observations(vec) if o["tool"] == "backward_slice"]
+    assert "error" not in sliced and sliced["kept_lines"]
     assert len(ledger.exchanges) == 5
     assert {e.tier for e in ledger.exchanges} == {"trace"}
 
@@ -193,9 +218,9 @@ def test_trace_no_hit_concludes_in_four_steps():
         site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
         CostLedger(), perm, sev,
     )
-    assert vec.transcript.step_count == 4
+    assert len(_actions(vec)) == 4
     assert vec.hit_count == 0
-    assert vec.slice is None
+    assert "backward_slice" not in _actions(vec)
 
 
 def test_trace_tool_error_becomes_observation_not_abort():
@@ -206,10 +231,10 @@ def test_trace_tool_error_becomes_observation_not_abort():
         site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
         CostLedger(), perm, sev,
     )
-    assert vec.transcript.terminated_by == "AgentConcluded"
-    taint_step = vec.transcript.steps[2]
-    assert taint_step.action.tool == "taint_reachability"
-    assert taint_step.action.result_digest.startswith("error:")
+    assert _concluded(vec)
+    taint_obs = _session_observations(vec)[2]
+    assert taint_obs["tool"] == "taint_reachability"
+    assert "error" in taint_obs
     assert vec.taint is None
 
 
@@ -220,7 +245,7 @@ def test_trace_unreachable_candidate_gets_unknown_trigger():
         CostLedger(), perm, sev,
     )
     assert vec.trigger_kind == "Unknown"
-    assert vec.transcript.terminated_by == "AgentConcluded"
+    assert _concluded(vec)
     assert vec.hit_count == 1
 
 
@@ -249,10 +274,11 @@ def test_trace_latest_invocation_wins():
     )
     # every context window is kept; the trigger field reflects the last call
     # (site is line 1 of a 5-line method: radius 2 -> lines 1..3, radius 4 -> 1..5)
-    assert [w.width for w in vec.contexts] == [3, 5]
-    assert vec.contexts[0].site == vec.contexts[1].site
+    windows = [o for o in _session_observations(vec) if o["tool"] == "extract_context"]
+    assert [(w["start_line"], w["end_line"]) for w in windows] == [(1, 3), (1, 5)]
+    assert windows[0]["method"] == windows[1]["method"] == str(site.method)
     assert vec.trigger_kind == "SystemEvent"
-    assert vec.transcript.step_count == 5
+    assert len(_actions(vec)) == 5
 
 
 _PING_PONG = """
@@ -294,8 +320,8 @@ def test_trace_model_sizes_capped_at_budgets(action, args):
     toolbox = _toolbox(bundle, graph, entry, site)
     vec = trace_candidate(site, toolbox, ModelRouter(config, {"m": FixedProvider()}), 2,
                           CostLedger())
-    assert vec.transcript.terminated_by == "BudgetExhausted"
-    assert [s.action.tool for s in vec.transcript.steps] == [action, action]
+    assert not _concluded(vec)
+    assert _actions(vec) == [action, action]
     if action == "trigger_paths":
         assert [len(c.path) for c in toolbox.chains] == [budgets.trigger_depth + 1]
     else:
@@ -324,9 +350,9 @@ def test_trace_slice_line_overflow_is_error_observation():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     toolbox = _toolbox(bundle, graph, entry, site)
     vec = trace_candidate(site, toolbox, _fixed_router(reply), 1, CostLedger(), perm, sev)
-    [step] = vec.transcript.steps
-    assert step.action.result_digest == "error: line must be an integer, got inf"
-    assert toolbox.slice is None
+    assert _session_observations(vec) == [{
+        "tool": "backward_slice", "error": "ToolError",
+        "message": "line must be an integer, got inf"}]
 
 
 # A reply nested deeper than the recursion limit makes `json.loads` raise
@@ -351,8 +377,8 @@ def test_trace_deeply_nested_reply_is_unparseable_action():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), _text_router(_DEEP_REPLY),
                           2, CostLedger(), perm, sev)
-    assert vec.transcript.terminated_by == "BudgetExhausted"
-    assert vec.transcript.step_count == 0
+    assert _actions(vec) == [None, None]
+    assert [o["error"] for o in _session_observations(vec)] == ["UnknownTool", "UnknownTool"]
 
 
 def test_recon_deeply_nested_reply_is_backend_error():
@@ -391,10 +417,10 @@ def test_trigger_paths_tool_counts_walks_without_listing_them():
     bundle, site = _lattice(32, 6)
     graph = build_call_graph(bundle.program)
     box = _toolbox(bundle, graph, CFG.entry_catalog.bound(bundle.manifest), site)
-    obs, digest = box.dispatch("trigger_paths", {"max_depth": 5})
+    obs, _text = box.dispatch("trigger_paths", {"max_depth": 5})
     assert obs["count"] == 32 ** 5
     assert len(obs["chains"]) == 10
-    assert digest.endswith("kinds Unknown")
+    assert {c["entry_kind"] for c in obs["chains"]} == {"Unknown"}
     assert obs["chains"][0]["path"] == [
         *(f"h.net.L{layer}N0.relay(string)->void" for layer in range(5, 0, -1)), str(site.method)]
 
@@ -405,17 +431,18 @@ def _fuzz_candidate():
 
 
 class _RecordingBox(ToolBox):
-    """Records the digest each dispatch returned, or the error it raised."""
+    """Records the observation each dispatch rendered, or the error it raised."""
 
     def dispatch(self, action, args):
         try:
-            obs, digest = super().dispatch(action, args)
+            obs, text = super().dispatch(action, args)
         except Exception as exc:
-            self.outcomes.append(f"error: {exc}")
+            self.outcomes.append({"tool": action, "error": type(exc).__name__,
+                                  "message": str(exc)})
             raise
-        assert not digest.startswith("error:")
-        self.outcomes.append(digest)
-        return obs, digest
+        assert "error" not in obs
+        self.outcomes.append(json.loads(text))
+        return obs, text
 
 
 # JSON values a live model might put anywhere: huge, negative, fractional and
@@ -456,8 +483,47 @@ def test_trace_survives_arbitrary_action_json(replies):
     box.outcomes = []
     vec = trace_candidate(site, box, _fixed_router(*replies), len(replies), CostLedger(),
                           perm, sev)
-    digests = [s.action.result_digest for s in vec.transcript.steps if s.action.tool in TOOLS]
-    assert digests == box.outcomes
+    shown = [obs for obs in _session_observations(vec) if obs["tool"] in TOOLS]
+    assert shown == box.outcomes
+
+
+def test_transcript_is_the_conversation():
+    router = scripted_router()
+    traced = 0
+    for app_id in sorted(d.name for d in FIXTURES.iterdir() if d.is_dir()):
+        bundle, graph, index, entry = pipeline_parts(app_id)
+        recon = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
+        for site in recon.candidates:
+            ledger = CostLedger()
+            vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), router, 8, ledger)
+            last = ledger.exchanges[-1]
+            sent = len(last.messages)
+            assert vec.transcript[:sent] == last.messages
+            assert vec.transcript[sent] == ("assistant", last.response)
+            # a session ends on its conclusion, or on the observation it had no budget to send
+            assert [role for role, _text in vec.transcript[sent + 1:]] in ([], ["user"])
+            traced += 1
+    assert traced == 9
+
+
+def test_budget_one_transcript_ends_with_the_unsent_observation():
+    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    ledger = CostLedger()
+    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), scripted_router(), 1,
+                          ledger, perm, sev)
+    [exchange] = ledger.exchanges
+    assert vec.transcript[:-1] == (*exchange.messages, ("assistant", exchange.response))
+    role, text = vec.transcript[-1]
+    assert role == "user" and json.loads(text)["tool"] == "extract_context"
+
+
+def test_dispatch_returns_the_observation_and_its_text():
+    bundle, graph, entry, site, _perm, _sev = _candidate("fx_smsleak")
+    box = _toolbox(bundle, graph, entry, site)
+    for tool in TOOLS:
+        obs, text = box.dispatch(tool, {})
+        assert obs["tool"] == tool and "error" not in obs
+        assert json.loads(text) == obs
 
 
 def test_trace_prompt_lists_the_tool_table():
@@ -537,7 +603,7 @@ def _one_method(body: list[str]):
 def test_taint_observation_cuts_long_witness():
     copies = [f"v{i} = v{i - 1}" for i in range(1, 501)]
     box, site = _one_method([*copies, "call android.webkit.WebView.loadUrl(string)->void(v500)"])
-    obs, _digest = box.dispatch("taint_reachability", {})
+    obs, _text = box.dispatch("taint_reachability", {})
     [shown] = obs["reached_sinks"]
     [hit] = box.taint.reached_sinks
     assert len(hit.witness) == 502  # the source, 500 copies, the sink
@@ -551,15 +617,16 @@ def test_taint_observation_cuts_long_witness():
 def test_taint_observation_shows_ten_sinks_and_the_count():
     sinks = ["call android.webkit.WebView.loadUrl(string)->void(v0)"] * 12
     box, site = _one_method(sinks)
-    obs, digest = box.dispatch("taint_reachability", {})
+    obs, _text = box.dispatch("taint_reachability", {})
     assert [h["line"] for h in obs["reached_sinks"]] == list(range(2, 12))
-    assert obs["sink_count"] == 12 and digest == "12 sink hit(s)"
+    assert obs["sink_count"] == 12
     assert all("witness_length" not in h for h in obs["reached_sinks"])
     assert len(box.taint.reached_sinks) == 12
 
     vec = trace_candidate(site, box, scripted_router(), 8, CostLedger())
     assert vec.hit_count == 12
-    assert vec.agent_summary.startswith("tainted data from the candidate reaches 12 sink(s)")
+    summary = json.loads(vec.transcript[-1][1])["args"]["summary"]
+    assert summary.startswith("tainted data from the candidate reaches 12 sink(s)")
 
 
 def test_trace_invalid_actions_consume_budget_without_steps():
@@ -581,10 +648,11 @@ def test_trace_invalid_actions_consume_budget_without_steps():
     vec = trace_candidate(
         site, _toolbox(bundle, graph, entry, site), router, 3, CostLedger(), perm, sev
     )
-    # two invalid attempts consumed budget; only the real tool step is recorded
-    assert vec.transcript.terminated_by == "BudgetExhausted"
-    assert [s.action.tool for s in vec.transcript.steps] == ["extract_context"]
-    assert len(vec.contexts) == 1
+    # two invalid attempts consumed budget; only the third ran a tool
+    assert _actions(vec) == [None, "teleport", "extract_context"]
+    observations = _session_observations(vec)
+    assert [o.get("error") for o in observations] == ["UnknownTool", "UnknownTool", None]
+    assert observations[2]["tool"] == "extract_context"
 
 
 def test_trace_bad_tool_arguments_surface_as_observations():
@@ -608,9 +676,10 @@ def test_trace_bad_tool_arguments_surface_as_observations():
     vec = trace_candidate(
         site, _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), perm, sev
     )
-    assert vec.transcript.terminated_by == "AgentConcluded"
-    digests = [s.action.result_digest for s in vec.transcript.steps]
-    assert digests[0].startswith("error:") and digests[1].startswith("error:")
+    assert _concluded(vec)
+    observations = _session_observations(vec)
+    assert [o["tool"] for o in observations] == ["extract_context", "backward_slice"]
+    assert all("error" in o for o in observations)
 
 
 def test_recon_rejects_non_list_signals():
@@ -630,6 +699,20 @@ def test_recon_rejects_non_list_signals():
         recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
 
 
+def test_recon_skips_signals_with_unhashable_fields():
+    # a list where a string belongs used to escape as `TypeError: unhashable type`
+    reply = {"declared_intents": [], "risk_signals": [
+        {"permission": [], "severity": "High", "reason": "list permission"},
+        {"permission": "READ_SMS", "severity": {"level": "High"}, "reason": "dict severity"},
+        {"permission": "READ_SMS", "severity": "High", "reason": "sms"},
+    ]}
+    bundle, _graph, index, _entry = pipeline_parts("fx_smsleak")
+    report = recon_screen(bundle.manifest, index, CFG.api_catalog,
+                          _text_router(json.dumps(reply)), 15, CostLedger())
+    assert [(s.permission, s.severity, s.reason) for s in report.risk_signals] == [
+        ("READ_SMS", "High", "sms")]
+
+
 def test_transcript_respects_budget_generated():
     bundle, graph, entry, site, perm, sev = _candidate("fx_spyloc", which=2)
     for budget in (1, 2, 3, 8):
@@ -637,7 +720,7 @@ def test_transcript_respects_budget_generated():
             site, _toolbox(bundle, graph, entry, site), scripted_router(), budget,
             CostLedger(), perm, sev,
         )
-        assert vec.transcript.step_count <= budget
+        assert len(_actions(vec)) <= budget
 
 
 # -- tier 3 -------------------------------------------------------------------
@@ -718,6 +801,44 @@ def test_adjudicate_rejects_unknown_evidence_ref():
     router = ModelRouter(config, {"m": RogueProvider()})
     with pytest.raises(SchemaViolationError):
         adjudicate(_empty_recon(), [], router, CostLedger(), "x")
+
+
+def test_adjudicate_unhashable_evidence_ref_is_schema_violation():
+    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+                          CostLedger(), perm, sev)
+    body = {"verdict": "Malicious", "threat_category": "x", "confidence": 0.9,
+            "evidence_chain": [{"candidate": [], "trigger": "SystemEvent", "sink": "network",
+                                "rationale": "r"}],
+            "rationale": "r"}
+    ledger = CostLedger()
+    with pytest.raises(SchemaViolationError, match="matches no vector"):
+        adjudicate(_empty_recon(), [vec], _text_router(json.dumps(body)), ledger, "x")
+    assert len(ledger.exchanges) == 2  # retried once
+
+
+def test_pipeline_unhashable_reply_fields_end_in_triage_errors():
+    class UnhashableProvider(ScriptedProvider):
+        def chat(self, model_id, tier, messages):
+            if tier == "recon":
+                return json.dumps({"declared_intents": [], "risk_signals": [
+                    {"permission": ["READ_SMS"], "severity": "High"}]}), 1, 1
+            if tier == "verdict":
+                return json.dumps({"verdict": "Malicious", "threat_category": "x",
+                                   "confidence": 1, "rationale": "r", "evidence_chain": [
+                                       {"candidate": {}, "trigger": "", "sink": "",
+                                        "rationale": ""}]}), 1, 1
+            return super().chat(model_id, tier, messages)
+
+    config = RouterConfig(
+        tier_models={"recon": "m", "trace": "m", "verdict": "m"},
+        models={"m": ModelConfig("m")},
+    )
+    router = ModelRouter(config, {"m": UnhashableProvider()})
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(load_fixture("fx_smsleak"), CATALOGS, router)
+    assert info.value.tier == "verdict"
+    assert isinstance(info.value.cause, SchemaViolationError)
 
 
 # -- pipeline -----------------------------------------------------------------

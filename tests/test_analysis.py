@@ -258,7 +258,6 @@ def test_trigger_walks_drain_to_oracle_with_count_kinds_and_best(gen):
                 lambda name: catalog.classify(parse_sig(name)), depth,
             )
             assert result.count == len(result) == len(drained)
-            assert result.kinds == tuple(sorted({c.entry_kind for c in drained}))
             classified = [c for c in drained if c.entry_kind != "Unknown"]
             assert result.best() == (classified or drained)[0]
             assert list(result) == drained
@@ -310,7 +309,6 @@ def test_best_trigger_skips_unknown_chains_drawn_first():
     shallow = trigger_paths(graph, site, catalog, max_depth=1)
     assert [str(c.path[0]) for c in shallow] == ["u.A.helper()->void", "u.B.helper()->void"]
     assert shallow.best() == list(shallow)[0]
-    assert shallow.kinds == ("Unknown",)
 
 
 # -- taint -------------------------------------------------------------------

@@ -84,6 +84,24 @@ def test_stats_lists_undecodable_entry_as_failure(tmp_path, capsys):
     assert [f.split(":")[0] for f in stats["failures"]] == ["bad"]
 
 
+def test_stats_undecodable_index_fails_cleanly(tmp_path, capsys):
+    idx = tmp_path / "bad.idx"
+    idx.write_bytes(b"\xff\n")
+    assert main(["stats", str(idx)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.idx" in err
+
+
+def test_batch_app_id_cannot_escape_reports(tmp_path, capsys):
+    clean = FIXTURES / "fx_clean"
+    idx = tmp_path / "d.idx"
+    idx.write_text(f"../escaped,{clean}/app.mmf,{clean}/app.mir,Benign,2020\n")
+    out = tmp_path / "out"
+    assert main(["batch", str(idx), "--out", str(out)]) == 1
+    assert "bad app_id" in capsys.readouterr().err
+    assert not (out / "escaped.json").exists()
+
+
 def test_metrics_from_results_jsonl(tmp_path, capsys):
     out = tmp_path / "run"
     main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(out)])

@@ -126,6 +126,25 @@ def test_dataset_rejects_duplicates_and_bad_labels(tmp_path):
         DatasetManifest.load(bad)
 
 
+@pytest.mark.parametrize("content", [
+    b"a,m.mmf,i.mir,Benign,2020\n\xff\n",  # not UTF-8
+    b"a," + b"m" * 200_000 + b",i.mir,Benign,2020\n",  # past the csv module's field limit
+])
+def test_dataset_unreadable_index_is_config_error(tmp_path, content):
+    bad = tmp_path / "d.idx"
+    bad.write_bytes(content)
+    with pytest.raises(ConfigError, match="d.idx"):
+        DatasetManifest.load(bad)
+
+
+@pytest.mark.parametrize("app_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+def test_dataset_rejects_app_ids_outside_reports(tmp_path, app_id):
+    idx = tmp_path / "d.idx"
+    idx.write_text(f"ok,m.mmf,i.mir,Benign,2020\n{app_id},m.mmf,i.mir,Benign,2020\n")
+    with pytest.raises(ConfigError, match="d.idx:2: bad app_id"):
+        DatasetManifest.load(idx)
+
+
 # -- batch ---------------------------------------------------------------------
 
 
