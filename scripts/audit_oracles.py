@@ -45,10 +45,10 @@ def audit_taint(program, catalog) -> tuple[int, int]:
     graph = build_call_graph(program)
     queries = hits = 0
     for m in program.methods():
-        for s in m.body:
+        for line, s in enumerate(m.body, 1):
             if not (isinstance(s, Invoke) and s.dst is not None):
                 continue
-            site = CallSite(m.signature, s.line, s.callee, s.dst)
+            site = CallSite(m.signature, line, s.callee, s.dst)
             for depth in range(4):
                 result = taint_reachability(program, graph, site, catalog, depth)
                 got_sinks = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
@@ -77,10 +77,10 @@ def main(n_programs: int, seed: int) -> int:
         assert got == scan, "index/oracle divergence"
 
         for m in program.methods():
-            for stmt in m.body:
-                want = sorted(slice_fixpoint_scan(m, stmt.line))
+            for line, stmt in enumerate(m.body, 1):
+                want = sorted(slice_fixpoint_scan(m, line))
                 for var in {defined_var(stmt), *used_vars(stmt)} - {None}:
-                    got_slice = backward_slice(program, m.signature, stmt.line, var)
+                    got_slice = backward_slice(program, m.signature, line, var)
                     assert got_slice.kept_lines == want, "slice/oracle divergence"
                     slice_queries += 1
 
@@ -103,7 +103,7 @@ def main(n_programs: int, seed: int) -> int:
         catalog_b = ENTRY_RULES.bound(parse_manifest(dag_manifest_text(len(program.methods()))))
         sig_of = {i: str(m.signature) for i, m in enumerate(program.methods())}
         m = program.methods()[site_idx]
-        site = CallSite(m.signature, m.body[-1].line, m.body[-1].callee, None)
+        site = CallSite(m.signature, len(m.body), m.body[-1].callee, None)
         depth = rng.choice((2, 4, 6))
         result = trigger_paths(graph, site, catalog_b, max_depth=depth)
         chains = list(result)

@@ -475,8 +475,8 @@ def backward_slice(
             f"{target_var!r} neither defined nor used at {method_sig}:{target_line}"
         )
     preds = method.predecessors
-    ranges = [(min(s.line, s.target), max(s.line, s.target), s.line)
-              for s in method.body if isinstance(s, If)]
+    ranges = [(min(line, s.target), max(line, s.target), line)
+              for line, s in enumerate(method.body, 1) if isinstance(s, If)]
     kept: set[int] = set()
     asked: set[tuple[int, str]] = set()
     work: list[tuple[int, str | None]] = [(target_line, None)]  # None: keep the line

@@ -1,10 +1,10 @@
 """Global call graph and the system-API inverted index.
 
 Both structures are built once per bundle from one shared call list,
-`IrProgram.calls` (every Invoke with its caller, methods in rendering order),
-and never mutated, so concurrent agent sessions can share them freely.  The
-call graph keeps each method's distinct callers; the index keeps every
-concrete call site.
+`IrProgram.calls` (every Invoke with its caller and line, methods in
+rendering order), and never mutated, so concurrent agent sessions can share
+them freely.  The call graph keeps each method's distinct callers; the index
+keeps every concrete call site.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class CallGraph:
 def build_call_graph(program: IrProgram) -> CallGraph:
     # the callers of a callee, as dict keys in the order the sorted call list meets them
     callers: dict[MethodSig, dict[MethodSig, None]] = {}
-    for caller, stmt in program.calls:
+    for caller, _, stmt in program.calls:
         callers.setdefault(stmt.callee, {})[caller] = None
     return CallGraph(set(program.method_map) | set(callers),
                      {c: tuple(s) for c, s in callers.items()})
@@ -63,12 +63,12 @@ def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
     defined = program.method_map
     index = ApiIndex()
     sites_of: dict[MethodSig, list[CallSite] | None] = {}  # None: not indexed
-    for caller, stmt in program.calls:
+    for caller, line, stmt in program.calls:
         callee = stmt.callee
         if callee not in sites_of:
             system = callee not in defined and catalog.is_system(callee)
             sites_of[callee] = index.sites.setdefault(str(callee), []) if system else None
         if (sites := sites_of[callee]) is not None:
-            sites.append(CallSite(caller, stmt.line, callee, stmt.dst))
+            sites.append(CallSite(caller, line, callee, stmt.dst))
     return index
 

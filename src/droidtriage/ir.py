@@ -1,10 +1,12 @@
 """Textual app bundle: manifest + line-oriented three-address IR.
 
 The IR is deliberately small: assignments, constant loads, calls, forward
-and backward gotos, conditional gotos, returns and nops.  Statement line
-numbers are 1-based and local to the enclosing method, so branch targets
-are checkable at parse time.  Variables are method-local; there are no
-fields, arrays or exceptions.
+and backward gotos, conditional gotos, returns and nops.  A statement's line
+is its 1-based position in `MethodDef.body`, local to the enclosing method,
+so branch targets are checkable at parse time.  Statements carry no position:
+each distinct statement text is parsed once per program, and every line that
+spells it shares that one immutable object.  Variables are method-local;
+there are no fields, arrays or exceptions.
 
 Grammar (one construct per line, `#` starts a comment):
 
@@ -118,7 +120,6 @@ def _split_args(text: str) -> list[str]:
 class Assign:
     """`dst = src` (variable copy) or `dst = const lit` when literal is set."""
 
-    line: int
     dst: str
     src: str | None = None
     literal: str | None = None
@@ -126,7 +127,6 @@ class Assign:
 
 @dataclass(frozen=True, slots=True)
 class Invoke:
-    line: int
     callee: MethodSig
     args: tuple[str, ...]
     dst: str | None = None
@@ -141,26 +141,23 @@ class Invoke:
 
 @dataclass(frozen=True, slots=True)
 class If:
-    line: int
     cond: str
     target: int
 
 
 @dataclass(frozen=True, slots=True)
 class Goto:
-    line: int
     target: int
 
 
 @dataclass(frozen=True, slots=True)
 class Return:
-    line: int
     var: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class Nop:
-    line: int
+    """`nop`; it has no fields, so every `nop` of a program is one object."""
 
 
 IrStatement = Assign | Invoke | If | Goto | Return | Nop
@@ -261,11 +258,12 @@ class IrProgram:
         return {m.signature: m for m in self.methods()}
 
     @cached_property
-    def calls(self) -> list[tuple[MethodSig, Invoke]]:
-        """Every (caller, Invoke) pair, methods in rendering order and
+    def calls(self) -> list[tuple[MethodSig, int, Invoke]]:
+        """Every (caller, line, Invoke) triple, methods in rendering order and
         statements in line order; the call graph and the API index share it."""
         methods = sorted(self.methods(), key=lambda m: str(m.signature))
-        return [(m.signature, s) for m in methods for s in m.body if isinstance(s, Invoke)]
+        return [(m.signature, line, s) for m in methods
+                for line, s in enumerate(m.body, 1) if isinstance(s, Invoke)]
 
 
 COMPONENT_KINDS = ("Activity", "Service", "Receiver", "Provider")
@@ -371,6 +369,15 @@ _COPY_RE = re.compile(r"([A-Za-z_]\w*)$")
 _UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
 
 
+def _target(digits: str, file_line: int) -> int:
+    """A branch target; past the interpreter's int-string digit limit it is
+    a syntax error, not the `ValueError` that `int` raises."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise IrSyntaxError(file_line, f"branch target of {len(digits)} digits") from None
+
+
 def _strip(raw: str) -> str:
     """Remove comments and surrounding whitespace; quote-aware for `#`."""
     if "#" not in raw:
@@ -380,13 +387,17 @@ def _strip(raw: str) -> str:
 
 class _Parse:
     """One parse's tables: each distinct signature text becomes the one
-    `MethodSig` every line naming it shares, and each distinct argument list
-    is split and checked once, its variable tokens recorded. They die with
-    the parse, so attacker text cannot grow them past its own size."""
+    `MethodSig` every line naming it shares, each distinct argument list is
+    split and checked once, its variable tokens recorded, and each distinct
+    statement text becomes the one statement every line spelling it shares.
+    Only texts that parsed are stored, so an error names its own file line.
+    The tables die with the parse, so attacker text cannot grow them past its
+    own size."""
 
     def __init__(self) -> None:
         self.sigs: dict[str, MethodSig] = {}
         self.arg_lists: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        self.stmts: dict[str, IrStatement] = {}
 
     def sig(self, text: str, file_line: int) -> MethodSig:
         sig = self.sigs.get(text)
@@ -408,7 +419,7 @@ class _Parse:
             entry = self.arg_lists[text] = (args, uses)
         return entry
 
-    def stmt(self, line: str, stmt_line: int, file_line: int) -> IrStatement:
+    def stmt(self, line: str, file_line: int) -> IrStatement:
         """The first word, or the word after `<dst> =`, picks the one form
         that can match: the result is that of trying call, if, goto, return,
         nop, const and copy in turn."""
@@ -418,30 +429,30 @@ class _Parse:
             callee, (args, uses) = self.sig(m.group(1), file_line), self.args(m.group(2), file_line)
             if dst is not None and not is_var_token(dst):
                 raise IrSyntaxError(file_line, f"bad destination {dst!r}")
-            return Invoke(stmt_line, callee, args, dst, uses)
+            return Invoke(callee, args, dst, uses)
         if dst is None:
             if line.startswith("if") and (m := _IF_RE.match(line)):
                 if not is_var_token(m.group(1)):
                     raise IrSyntaxError(file_line, f"bad condition variable {m.group(1)!r}")
-                return If(stmt_line, m.group(1), int(m.group(2)))
+                return If(m.group(1), _target(m.group(2), file_line))
             if line.startswith("goto") and (m := _GOTO_RE.match(line)):
-                return Goto(stmt_line, int(m.group(1)))
+                return Goto(_target(m.group(1), file_line))
             if line.startswith("return") and (m := _RETURN_RE.match(line)):
                 if m.group(1) is not None and not is_var_token(m.group(1)):
                     raise IrSyntaxError(file_line, f"bad return variable {m.group(1)!r}")
-                return Return(stmt_line, m.group(1))
+                return Return(m.group(1))
             if line == "nop":
-                return Nop(stmt_line)
+                return Nop()
         elif line.startswith("const", pos) and (m := _CONST_RE.match(line, pos)):
             literal = m.group(1).strip()
             if not is_var_token(dst):
                 raise IrSyntaxError(file_line, f"bad destination {dst!r}")
             _check_arg_token(literal, file_line)
-            return Assign(stmt_line, dst, literal=literal)
+            return Assign(dst, literal=literal)
         elif m := _COPY_RE.match(line, pos):
             if not is_var_token(dst) or not is_var_token(m.group(1)):
                 raise IrSyntaxError(file_line, f"bad assignment {line!r}")
-            return Assign(stmt_line, dst, src=m.group(1))
+            return Assign(dst, src=m.group(1))
         raise IrSyntaxError(file_line, f"unrecognized statement {line!r}")
 
 
@@ -451,6 +462,7 @@ def parse_program(text: str) -> IrProgram:
     cur_class: ClassDef | None = None
     cur_method: MethodDef | None = None
     parse = _Parse()
+    stmts = parse.stmts
 
     for file_line, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -461,7 +473,8 @@ def parse_program(text: str) -> IrProgram:
                 _check_branch_targets(cur_method)
                 cur_method = None
                 continue
-            cur_method.body.append(parse.stmt(line, len(cur_method.body) + 1, file_line))
+            stmt = stmts.get(line) or stmts.setdefault(line, parse.stmt(line, file_line))
+            cur_method.body.append(stmt)
             continue
         if cur_class is not None:
             if line == "}":
@@ -553,10 +566,10 @@ def validate(bundle: AppBundle) -> list[Diagnostic]:
                                     f"component class {comp.name} not defined in program"))
     for method in bundle.program.methods():
         defined = set(method.params)
-        for stmt in method.body:
+        for line, stmt in enumerate(method.body, 1):
             for var in used_vars(stmt):
                 if var not in defined:
-                    diags.append(Diagnostic("UseBeforeDef", f"{method.signature}:{stmt.line}",
+                    diags.append(Diagnostic("UseBeforeDef", f"{method.signature}:{line}",
                                             f"variable {var!r} used before assignment"))
             if (d := defined_var(stmt)) is not None:
                 defined.add(d)

@@ -36,13 +36,13 @@ def index_scan(program: IrProgram, catalog) -> dict[str, list[tuple[str, int]]]:
     defined = {m.signature for m in program.methods()}
     out: dict[str, list[tuple[str, int]]] = {}
     for m in program.methods():
-        for stmt in m.body:
+        for line, stmt in enumerate(m.body, 1):
             if (
                 isinstance(stmt, Invoke)
                 and stmt.callee not in defined
                 and catalog.is_system(stmt.callee)
             ):
-                out.setdefault(str(stmt.callee), []).append((str(m.signature), stmt.line))
+                out.setdefault(str(stmt.callee), []).append((str(m.signature), line))
     for sites in out.values():
         sites.sort()
     return out
@@ -149,7 +149,14 @@ _CONST_RE = re.compile(r"^(\w+)\s*=\s*const\s+(.+)$")
 _COPY_RE = re.compile(r"^(\w+)\s*=\s*([A-Za-z_]\w*)$")
 
 
-def parse_stmt_cascade(line: str, stmt_line: int, file_line: int):
+def _branch_target(digits: str, file_line: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise IrSyntaxError(file_line, f"branch target of {len(digits)} digits") from None
+
+
+def parse_stmt_cascade(line: str, file_line: int):
     """One statement: try each statement regex in turn."""
     m = _INVOKE_RE.match(line)
     if m:
@@ -163,37 +170,37 @@ def parse_stmt_cascade(line: str, stmt_line: int, file_line: int):
             _check_arg_token(a, file_line)
         if dst is not None and not is_var_token(dst):
             raise IrSyntaxError(file_line, f"bad destination {dst!r}")
-        return Invoke(stmt_line, callee, args, dst)
+        return Invoke(callee, args, dst)
     m = _IF_RE.match(line)
     if m:
         cond, target = m.groups()
         if not is_var_token(cond):
             raise IrSyntaxError(file_line, f"bad condition variable {cond!r}")
-        return If(stmt_line, cond, int(target))
+        return If(cond, _branch_target(target, file_line))
     m = _GOTO_RE.match(line)
     if m:
-        return Goto(stmt_line, int(m.group(1)))
+        return Goto(_branch_target(m.group(1), file_line))
     m = _RETURN_RE.match(line)
     if m:
         var = m.group(1)
         if var is not None and not is_var_token(var):
             raise IrSyntaxError(file_line, f"bad return variable {var!r}")
-        return Return(stmt_line, var)
+        return Return(var)
     if line == "nop":
-        return Nop(stmt_line)
+        return Nop()
     m = _CONST_RE.match(line)
     if m:
         dst, literal = m.group(1), m.group(2).strip()
         if not is_var_token(dst):
             raise IrSyntaxError(file_line, f"bad destination {dst!r}")
         _check_arg_token(literal, file_line)
-        return Assign(stmt_line, dst, literal=literal)
+        return Assign(dst, literal=literal)
     m = _COPY_RE.match(line)
     if m:
         dst, src = m.groups()
         if not is_var_token(dst) or not is_var_token(src):
             raise IrSyntaxError(file_line, f"bad assignment {line!r}")
-        return Assign(stmt_line, dst, src=src)
+        return Assign(dst, src=src)
     raise IrSyntaxError(file_line, f"unrecognized statement {line!r}")
 
 
@@ -217,8 +224,7 @@ def parse_program_cascade(text: str) -> IrProgram:
                         raise BadBranchTargetError(str(cur_method.signature), stmt.target)
                 cur_method = None
                 continue
-            stmt = parse_stmt_cascade(line, len(cur_method.body) + 1, file_line)
-            cur_method.body.append(stmt)
+            cur_method.body.append(parse_stmt_cascade(line, file_line))
             continue
         if cur_class is not None:
             if line == "}":
@@ -464,11 +470,11 @@ def slice_fixpoint_scan(method: MethodDef, target_line: int) -> set[int]:
             kept.add(l)
             for u in used_vars(method.body[l - 1]):
                 work.extend(reaching_defs(method, preds, l, u) - kept)
-        for s in method.body:
-            if isinstance(s, If) and s.line not in kept:
-                lo, hi = sorted((s.line, s.target))
+        for line, s in enumerate(method.body, 1):
+            if isinstance(s, If) and line not in kept:
+                lo, hi = sorted((line, s.target))
                 if any(k in kept for k in range(lo + 1, hi)):
-                    work.append(s.line)
+                    work.append(line)
         if not work:
             return kept
 

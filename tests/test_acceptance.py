@@ -109,9 +109,9 @@ def test_criterion_3_taint_oracle_equivalence():
             program = parse_program(gen_program(rng, max_methods=10, max_lines=20))
             graph = build_call_graph(program)
             sources = [
-                CallSite(m.signature, s.line, s.callee, s.dst)
+                CallSite(m.signature, line, s.callee, s.dst)
                 for m in program.methods()
-                for s in m.body
+                for line, s in enumerate(m.body, 1)
                 if isinstance(s, Invoke) and s.dst is not None
             ]
             if not sources:
@@ -146,8 +146,8 @@ def test_criterion_4_slice_and_trigger_oracles():
                 var = defined_var(stmt) or next(iter(used_vars(stmt)), None)
                 if var is None:
                     continue
-                got = backward_slice(program, m.signature, stmt.line, var)
-                assert set(got.kept_lines) == slice_scan(m, stmt.line)
+                got = backward_slice(program, m.signature, len(m.body), var)
+                assert set(got.kept_lines) == slice_scan(m, len(m.body))
                 slices_checked += 1
         assert slices_checked >= 200
 
@@ -164,7 +164,7 @@ def test_criterion_4_slice_and_trigger_oracles():
             )
             sig_of = {i: str(m.signature) for i, m in enumerate(program.methods())}
             m = program.methods()[site_idx]
-            site = CallSite(m.signature, m.body[-1].line, m.body[-1].callee, None)
+            site = CallSite(m.signature, len(m.body), m.body[-1].callee, None)
             depth = rng.choice((2, 4, 6))
             chains = trigger_paths(graph, site, catalog, max_depth=depth)
             got = [(tuple(str(x) for x in c.path), c.entry_kind) for c in chains]

@@ -199,8 +199,8 @@ def test_trigger_chains_match_enumeration_oracle_on_dags():
             parse_manifest(dag_manifest_text(len(program.methods())))
         )
         site_method = program.methods()[site_idx].signature
-        site_stmt = program.methods()[site_idx].body[-1]
-        site = CallSite(site_method, site_stmt.line, site_stmt.callee, None)
+        site_body = program.methods()[site_idx].body
+        site = CallSite(site_method, len(site_body), site_body[-1].callee, None)
         for depth in (1, 3, 6):
             chains = trigger_paths(graph, site, catalog, max_depth=depth)
             got = [(tuple(str(m) for m in c.path), c.entry_kind) for c in chains]
@@ -225,7 +225,7 @@ def test_trigger_chains_are_walks_in_transpose():
             parse_manifest(dag_manifest_text(len(program.methods())))
         )
         m = program.methods()[site_idx]
-        site = CallSite(m.signature, m.body[-1].line, m.body[-1].callee, None)
+        site = CallSite(m.signature, len(m.body), m.body[-1].callee, None)
         sig_of = {i: str(m.signature) for i, m in enumerate(program.methods())}
         edge_set = {(sig_of[a], sig_of[b]) for a, b in edges}
         for chain in trigger_paths(graph, site, catalog, max_depth=4):
@@ -248,7 +248,7 @@ def test_trigger_walks_drain_to_oracle_with_count_kinds_and_best(gen):
         sig_of = {i: str(m.signature) for i, m in enumerate(program.methods())}
         catalog = ENTRY_RULES.bound(parse_manifest(dag_manifest_text(len(program.methods()))))
         m = program.methods()[site_idx]
-        site = CallSite(m.signature, m.body[-1].line, m.body[-1].callee, None)
+        site = CallSite(m.signature, len(m.body), m.body[-1].callee, None)
         for depth in (0, 1, 3, 6):
             result = trigger_paths(graph, site, catalog, max_depth=depth)
             drained = list(result)
@@ -498,9 +498,9 @@ def test_taint_source_errors():
 def _all_sources(program):
     sites = []
     for m in program.methods():
-        for stmt in m.body:
+        for line, stmt in enumerate(m.body, 1):
             if isinstance(stmt, Invoke) and stmt.dst is not None:
-                sites.append(CallSite(m.signature, stmt.line, stmt.callee, stmt.dst))
+                sites.append(CallSite(m.signature, line, stmt.callee, stmt.dst))
     return sites
 
 
@@ -610,8 +610,23 @@ def test_slice_matches_closure_oracle_straightline():
             if not candidates:
                 continue
             var = candidates[0]
-            got = backward_slice(program, m.signature, stmt.line, var)
-            assert set(got.kept_lines) == slice_scan(m, stmt.line)
+            got = backward_slice(program, m.signature, len(m.body), var)
+            assert set(got.kept_lines) == slice_scan(m, len(m.body))
+
+
+def test_shared_if_keeps_the_range_rule_at_each_position():
+    program = parse_program(
+        "class a.B {\n  method a.B.m(int)->int (p) {\n    x = const 1\n    if p goto 6\n"
+        "    y = x\n    if p goto 6\n    z = y\n    return z\n  }\n}\n")
+    m = program.methods()[0]
+    assert m.body[1] is m.body[3]
+    # line 3 lies inside the range of the If at line 2 only; line 5 inside both
+    assert backward_slice(program, m.signature, 3, "y").kept_lines == [1, 2, 3]
+    assert backward_slice(program, m.signature, 5, "z").kept_lines == [1, 2, 3, 4, 5]
+    for line, stmt in enumerate(m.body, 1):
+        for var in {defined_var(stmt), *used_vars(stmt)} - {None}:
+            got = backward_slice(program, m.signature, line, var)
+            assert got.kept_lines == sorted(slice_fixpoint_scan(m, line))
 
 
 def test_slice_closure_invariant_with_branches():
@@ -620,13 +635,13 @@ def test_slice_closure_invariant_with_branches():
     for _ in range(40):
         program = parse_program(gen_program(rng, max_methods=4, max_lines=20))
         for m in program.methods():
-            for stmt in reversed(m.body):
+            for line, stmt in reversed(list(enumerate(m.body, 1))):
                 var = defined_var(stmt) or next(iter(used_vars(stmt)), None)
                 if var is None:
                     continue
-                result = backward_slice(program, m.signature, stmt.line, var)
+                result = backward_slice(program, m.signature, line, var)
                 kept = set(result.kept_lines)
-                assert stmt.line in kept
+                assert line in kept
                 # closure: re-resolving uses over kept lines stays inside kept
                 from oracles import predecessors, reaching_defs
 
@@ -635,9 +650,9 @@ def test_slice_closure_invariant_with_branches():
                     for u in used_vars(m.body[l - 1]):
                         assert reaching_defs(m, preds, l, u) <= kept
                 # control closure under the linear If-range rule
-                for s in m.body:
-                    if isinstance(s, If) and s.line not in kept:
-                        lo, hi = sorted((s.line, s.target))
+                for if_line, s in enumerate(m.body, 1):
+                    if isinstance(s, If) and if_line not in kept:
+                        lo, hi = sorted((if_line, s.target))
                         assert not any(k in kept for k in range(lo + 1, hi))
                 checked += 1
                 break
@@ -650,10 +665,10 @@ def test_slice_matches_fixpoint_oracle_with_branches():
     for _ in range(300):
         program = parse_program(gen_program(rng, max_methods=4, max_lines=20))
         for m in program.methods():
-            for stmt in m.body:
-                want = slice_fixpoint_scan(m, stmt.line)
+            for line, stmt in enumerate(m.body, 1):
+                want = slice_fixpoint_scan(m, line)
                 for var in {defined_var(stmt), *used_vars(stmt)} - {None}:
-                    got = backward_slice(program, m.signature, stmt.line, var)
+                    got = backward_slice(program, m.signature, line, var)
                     assert got.kept_lines == sorted(want)
                     assert got.removed_count == len(m.body) - len(want)
                     checked += 1

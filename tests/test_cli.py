@@ -137,6 +137,22 @@ def test_analyze_undecodable_bundle_fails_cleanly(tmp_path, capsys):
     assert "error: unreadable bundle:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stmt", ["goto " + "1" * 5000, "if b goto " + "9" * 5000],
+                         ids=["goto", "if"])
+def test_branch_target_past_int_digit_limit_fails_cleanly(tmp_path, capsys, stmt):
+    # `int` refuses more than 4,300 digits; that escaped as a ValueError traceback
+    (tmp_path / "app.mmf").write_text("package: a\n")
+    (tmp_path / "app.mir").write_text(
+        f"class a.B {{\n  method a.B.m()->void () {{\n    {stmt}\n  }}\n}}\n")
+    idx = tmp_path / "one.idx"
+    idx.write_text(f"a,{tmp_path}/app.mmf,{tmp_path}/app.mir,Benign,2020\n")
+    assert main(["stats", str(idx)]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        "a: line 3: branch target of 5000 digits"]
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: branch target of 5000 digits")
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_jobs_below_one_rejected(tmp_path, capsys, value):
     # 0 used to fall back to the CPU count; -1 raised ValueError from the pool

@@ -22,6 +22,18 @@ def test_single_method_no_calls():
     assert graph.callers_of(parse_sig("a.B.m()->void")) == ()
 
 
+def test_one_call_text_at_two_lines_is_two_sites():
+    send = "call ext.api.Net.send(string)->void(p)"
+    program = parse_program(
+        f"class a.B {{\n  method a.B.m(string)->void (p) {{\n    {send}\n    nop\n    {send}\n"
+        "  }\n}\n")
+    body = program.methods()[0].body
+    assert body[0] is body[2]
+    sites = build_api_index(program, synth_catalog()).lookup("ext.api.Net.send(string)->void")
+    assert [(str(s.method), s.line) for s in sites] == [
+        ("a.B.m(string)->void", 1), ("a.B.m(string)->void", 3)]
+
+
 def test_duplicate_call_sites_kept_and_external_leaf():
     text = """
 class a.B {

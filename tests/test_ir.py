@@ -20,9 +20,11 @@ from droidtriage.errors import (
 )
 from droidtriage.harness import read_bundle
 from droidtriage.ir import (
+    Assign,
     Invoke,
     LocDistribution,
     MethodSig,
+    Return,
     _split_args,
     _strip,
     is_var_token,
@@ -167,8 +169,9 @@ class a.B {
 """
     program = parse_program(text)
     body = program.methods()[0].body
-    assert [s.line for s in body] == [1, 2, 3]
-    assert body[1].literal == '"has # inside"'
+    # the comments and the blank line take no position: three statements
+    assert body == [Assign("x", literal="1"), Assign("s", literal='"has # inside"'),
+                    Return("x")]
 
 
 def test_manifest_parse_and_components():
@@ -209,6 +212,13 @@ def test_use_before_def_diagnostic():
     assert [d.code for d in validate(bundle)] == ["UseBeforeDef"]
 
 
+def test_use_before_def_names_each_position_of_a_shared_statement():
+    bundle = parse_bundle("package: a\n", _in_method("y = z", "nop", "y = z"))
+    body = bundle.program.methods()[0].body
+    assert body[0] is body[2]
+    assert [d.where for d in validate(bundle)] == ["a.B.m(int)->void:1", "a.B.m(int)->void:3"]
+
+
 def test_duplicate_permission_diagnostic():
     bundle = parse_bundle("package: a\npermission:X\npermission:X\n", "")
     assert [d.code for d in validate(bundle)] == ["DuplicatePermission"]
@@ -239,7 +249,7 @@ def test_parsed_invoke_uses_are_its_variable_arguments(seed):
     calls = [s for m in parse_program(text).methods() for s in m.body if isinstance(s, Invoke)]
     for s in calls:
         assert s.uses == tuple(a for a in s.args if is_var_token(a))
-        assert s.uses == Invoke(s.line, s.callee, s.args, s.dst).uses
+        assert s.uses == Invoke(s.callee, s.args, s.dst).uses
 
 
 def test_all_fixtures_validate_clean():
@@ -375,6 +385,17 @@ def _in_method(*stmts: str) -> str:
     return f"class a.B {{\n  method a.B.m(int)->void (p) {{\n{body}  }}\n}}\n"
 
 
+@pytest.mark.parametrize("stmt", ["goto " + "1" * 5000, "if p goto " + "9" * 5000],
+                         ids=["goto", "if"])
+def test_branch_target_past_int_digit_limit_is_syntax_error(stmt):
+    # `int` refuses a string of more than 4,300 digits with a ValueError
+    text = _in_method("nop", stmt)
+    with pytest.raises(IrSyntaxError) as exc:
+        parse_program(text)
+    assert exc.value.line == 4
+    _assert_same_parse(text)
+
+
 @pytest.mark.parametrize(
     "stmt",
     [
@@ -395,6 +416,23 @@ def _in_method(*stmts: str) -> str:
 )
 def test_statement_forms_match_cascade(stmt):
     _assert_same_parse(_in_method(*stmt.split("\n")))
+
+
+def test_repeated_statement_text_is_one_object():
+    fold = "c = call app.Mix.fold(string,string)->string(k,c)"
+    body = parse_program(_in_method(*[fold, f"  {fold}  # spacing and a comment"] * 1000)
+                         ).methods()[0].body
+    assert len(body) == 2000
+    assert all(s is body[0] for s in body)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_statement_objects_at_most_distinct_texts(seed):
+    text = gen_program(random.Random(seed), max_methods=12, max_lines=30)
+    body = [s for m in parse_program(text).methods() for s in m.body]
+    texts = {line.strip() for line in text.splitlines() if line.startswith("    ")}
+    assert len({id(s) for s in body}) <= len(texts)
 
 
 _RESERVED_WORDS = ("call", "const", "goto", "if", "return", "nop", "true", "false", "null")

@@ -25,8 +25,8 @@ N_PROGRAMS = 100
 
 
 def _sources(program) -> list[CallSite]:
-    return [CallSite(m.signature, s.line, s.callee, s.dst)
-            for m in program.methods() for s in m.body
+    return [CallSite(m.signature, line, s.callee, s.dst)
+            for m in program.methods() for line, s in enumerate(m.body, 1)
             if isinstance(s, Invoke) and s.dst is not None]
 
 
@@ -69,9 +69,9 @@ def test_golden_programs_have_branches_loops_and_recursion():
     for program in _programs():
         methods = program.method_map
         for m in program.methods():
-            for s in m.body:
+            for line, s in enumerate(m.body, 1):
                 if isinstance(s, (If, Goto)):
-                    shapes.add("loop" if s.target <= s.line else "branch")
+                    shapes.add("loop" if s.target <= line else "branch")
                 if isinstance(s, Invoke) and s.callee == m.signature:
                     shapes.add("recursion")
                 elif isinstance(s, Invoke) and s.callee in methods:
