@@ -53,13 +53,9 @@ def _template(name: str) -> Template:
 class PipelineBudgets:
     max_iterations: int = 8
     candidate_cap: int = 15
-    taint_depth: int = 3
-    trigger_depth: int = 5
-    context_radius: int = 20
 
     def __post_init__(self):
-        check_floors(self, {"max_iterations": 1, "candidate_cap": 1, "taint_depth": 0,
-                            "trigger_depth": 0, "context_radius": 0})
+        check_floors(self, {"max_iterations": 1, "candidate_cap": 1})
 
 
 @dataclass(frozen=True)
@@ -224,14 +220,13 @@ class ToolBox:
     api_catalog: ApiCatalog
     entry_catalog: EntryCatalog
     site: CallSite
-    budgets: PipelineBudgets
-    chains: TriggerWalks | None = None
-    taint: TaintResult | None = None
+    chains: TriggerWalks | None = field(default=None, init=False)
+    taint: TaintResult | None = field(default=None, init=False)
 
     def dispatch(self, action: str, args: dict) -> tuple[dict, str]:
         """One tool call's observation, and its text as the session sends it."""
-        size_arg, budget, run = TOOLS[action]
-        size = _capped(args, size_arg, getattr(self.budgets, budget)) if size_arg else None
+        size_arg, ceiling, run = TOOLS[action]
+        size = _capped(args, size_arg, ceiling) if size_arg else None
         obs = {"tool": action, **run(self, size, args)}
         return obs, _render(obs)
 
@@ -252,10 +247,13 @@ def _capped(args: dict, key: str, ceiling: int | None = None) -> int:
     return number if ceiling is None else min(number, ceiling)
 
 
-# An observation shows at most MAX_SHOWN chains or sinks, and of a slice or a
-# witness only its first `context_radius` and last `context_radius + 1` items,
-# so its size does not grow with the attacker's program.
+# Tool ceilings, constants so no config can raise them.  An observation shows
+# at most MAX_SHOWN chains or sinks, and of a slice or a witness only its first
+# CONTEXT_RADIUS and last CONTEXT_RADIUS + 1 items, whatever the app's size.
 MAX_SHOWN = 10
+CONTEXT_RADIUS = 20
+TRIGGER_DEPTH = 5
+TAINT_DEPTH = 3
 
 
 def _ends(items: Sequence, radius: int) -> tuple[Sequence, int]:
@@ -294,7 +292,7 @@ def _taint(box: ToolBox, depth: int, args: dict) -> dict:
     hits = result.reached_sinks
     shown = []
     for h in hits[:MAX_SHOWN]:
-        witness, hidden = _ends(h.witness, box.budgets.context_radius)
+        witness, hidden = _ends(h.witness, CONTEXT_RADIUS)
         sink = {"sink": str(h.site.callee), "method": str(h.site.method), "line": h.site.line,
                 "category": h.category, "tainted_arg": h.tainted_arg,
                 "witness": [[str(m), l] for m, l in witness]}
@@ -320,11 +318,10 @@ def _slice(box: ToolBox, _size: None, args: dict) -> dict:
         raise ToolError("no slice target: give method/line/var explicitly")
     result = backward_slice(box.bundle.program, method, line, var)
     body = box.bundle.program.method_map[method].body
-    radius = box.budgets.context_radius
-    shown, hidden = _ends(result.kept_lines, radius)
+    shown, hidden = _ends(result.kept_lines, CONTEXT_RADIUS)
     statements = [f"{l}: {render_stmt(body[l - 1])}" for l in shown]
     if hidden:
-        statements.insert(radius, f"... {hidden} kept line(s) not shown")
+        statements.insert(CONTEXT_RADIUS, f"... {hidden} kept line(s) not shown")
     return {
         "method": str(method),
         "line": line,
@@ -335,13 +332,13 @@ def _slice(box: ToolBox, _size: None, args: dict) -> dict:
     }
 
 
-# The model's action space: name -> (size argument, the `PipelineBudgets`
-# field capping it, tool function).  The prompt `trace_system.txt` lists the
-# same names in the same order.
+# The model's action space: name -> (size argument, its ceiling, tool
+# function).  The prompt `trace_system.txt` lists the same names in the same
+# order.
 TOOLS = {
-    "extract_context": ("radius", "context_radius", _context),
-    "trigger_paths": ("max_depth", "trigger_depth", _triggers),
-    "taint_reachability": ("depth_limit", "taint_depth", _taint),
+    "extract_context": ("radius", CONTEXT_RADIUS, _context),
+    "trigger_paths": ("max_depth", TRIGGER_DEPTH, _triggers),
+    "taint_reachability": ("depth_limit", TAINT_DEPTH, _taint),
     "backward_slice": (None, None, _slice),
 }
 
@@ -462,7 +459,7 @@ def adjudicate(
 def _parse_verdict(response: str, app_id: str, known_candidates: set[str]) -> VerdictReport:
     try:
         obj = json.loads(response)
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise SchemaViolationError(f"not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaViolationError("verdict must be a JSON object")
@@ -475,7 +472,7 @@ def _parse_verdict(response: str, app_id: str, known_candidates: set[str]) -> Ve
         raise SchemaViolationError(f"bad verdict {verdict!r}")
     try:
         confidence = float(obj["confidence"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaViolationError("confidence not a number") from None
     if not (0.0 <= confidence <= 1.0):
         raise SchemaViolationError("confidence outside [0,1]")
@@ -551,7 +548,7 @@ def run_pipeline(
 
     def session(site: CallSite, into: CostLedger) -> EvidenceVector:
         perm, sev = recon.origins.get(site.render(), ("", "Low"))
-        toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site, budgets)
+        toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site)
         return trace_candidate(
             site, toolbox, router, budgets.max_iterations, into,
             permission=perm, severity=sev,

@@ -81,7 +81,7 @@ def _check_site(program: IrProgram, site: CallSite) -> MethodDef:
     return method
 
 
-def extract_context(program: IrProgram, site: CallSite, radius: int = 20) -> ContextWindow:
+def extract_context(program: IrProgram, site: CallSite, radius: int) -> ContextWindow:
     """Rendered statements within `radius` lines of the site, clipped to the
     method.  A truncation flag is set when the requested radius hit the
     method boundary on that side and the window does not already cover the
@@ -379,7 +379,7 @@ def taint_reachability(
     graph: CallGraph,
     source: CallSite,
     catalog: ApiCatalog,
-    depth_limit: int = 3,
+    depth_limit: int,
 ) -> TaintResult:
     """Mark the source call's return value tainted and search for sinks."""
     if depth_limit < 0:

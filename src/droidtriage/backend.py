@@ -278,13 +278,12 @@ class HttpProvider:
         try:
             payload = json.loads(data)
             content = payload["choices"][0]["message"]["content"]
-            usage = payload.get("usage", {})
-            return (
-                content,
-                int(usage.get("prompt_tokens", 0)),
-                int(usage.get("completion_tokens", 0)),
-            )
-        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+            usage = payload.get("usage", {})  # AttributeError below if not an object
+            counts = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+            if not isinstance(content, str) or not all(type(n) is int and n >= 0 for n in counts):
+                raise ValueError("content must be a string, token counts integers >= 0")
+            return content, *counts
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError, RecursionError) as exc:
             raise SchemaError(f"malformed chat-completions response: {exc}") from None
 
 

@@ -12,7 +12,7 @@ at run time, so coverage can grow without code changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .ir import COMPONENT_KINDS, Manifest, MethodSig
@@ -109,7 +109,7 @@ class EntryCatalog:
 
     System-event rules are conditional on the method's class being declared
     in the manifest as a component of the stated kind; binding a manifest
-    fills in that component map.
+    fills in that component map and shares the rules, which `parse` fixes.
     """
 
     user: set[str] = field(default_factory=set)
@@ -145,7 +145,7 @@ class EntryCatalog:
         comp: dict[str, set[str]] = {}
         for c in manifest.components:
             comp.setdefault(c.name, set()).add(c.kind)
-        return EntryCatalog(set(self.user), dict(self.system), set(self.lifecycle), comp)
+        return replace(self, component_kinds=comp)
 
     def classify(self, sig: MethodSig) -> str | None:
         """Entry kind for a method, or None when it is not an entry point."""

@@ -5,13 +5,13 @@ INI sections (see data/default_config.ini for the shipped defaults):
     [router]   recon/trace/verdict = <model-id>
     [retry]    count, backoff_s, timeout_s
     [model.<id>]  base_url, api_key_env, price_in, price_out (USD per M tokens)
-    [budgets]  max_iterations, candidate_cap, taint_depth, trigger_depth,
-               context_radius
+    [budgets]  max_iterations, candidate_cap
     [catalogs] api = builtin|<path>, entry = builtin|<path>
 
-A bad value is a ConfigError naming its section and key.  The run, not the
-file, picks the provider.  Secrets never live in the file: `api_key_env`
-names the environment variable holding the key.
+A bad value, or a [retry] or [budgets] key that names no value, is a
+ConfigError naming its section and key.  The run, not the file, picks the
+provider.  Secrets never live in the file: `api_key_env` names the
+environment variable holding the key.
 """
 
 from __future__ import annotations
@@ -74,18 +74,21 @@ def _section(name: str):
 
 
 def _read_section(parser: configparser.ConfigParser, name: str, cls):
-    """`cls` with each key of section `name` parsed as the type of its default."""
+    """`cls` with each key of section `name` parsed as the type of its default.
+    A key of the section itself that names no field is a ConfigError."""
     sec = parser[name] if name in parser else {}
+    types = {f.name: type(f.default) for f in fields(cls)}
     values = {}
     with _section(name):
-        for f in fields(cls):
-            if f.name in sec:
-                parse = type(f.default)
+        unknown = set(sec) - set(parser.defaults()) - types.keys()
+        if unknown:
+            raise ConfigError(f"unknown key {', '.join(sorted(unknown))}")
+        for key, parse in types.items():
+            if key in sec:
                 try:
-                    values[f.name] = parse(sec[f.name])
+                    values[key] = parse(sec[key])
                 except ValueError:
-                    raise ConfigError(f"{f.name} must be {parse.__name__}, got "
-                                      f"{sec[f.name]!r}") from None
+                    raise ConfigError(f"{key} must be {parse.__name__}, got {sec[key]!r}") from None
         return cls(**values)
 
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
-from droidtriage.agents import Catalogs, PipelineBudgets, ToolBox, recon_screen, trace_candidate
+from droidtriage.agents import Catalogs, ToolBox, recon_screen, trace_candidate
 from droidtriage.analysis import extract_context, replay_witness, taint_reachability, trigger_paths
 from droidtriage.backend import CostLedger, Exchange, PricingTable, cost_of, format_usd, tier_shares
 from droidtriage.catalog import EntryCatalog
@@ -337,8 +337,7 @@ def test_criterion_10_batch_robustness(tmp_path):
         site = recon.candidates[1]
         assert site.result_var is None
         toolbox = ToolBox(
-            bundle, graph, CFG.api_catalog, CFG.entry_catalog.bound(bundle.manifest),
-            site, PipelineBudgets(),
+            bundle, graph, CFG.api_catalog, CFG.entry_catalog.bound(bundle.manifest), site,
         )
         vec = trace_candidate(site, toolbox, router, 8, ledger)
         observations = [json.loads(text) for role, text in vec.transcript[2:] if role == "user"]

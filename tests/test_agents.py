@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage.agents import (
+    TAINT_DEPTH,
     TOOLS,
+    TRIGGER_DEPTH,
     Catalogs,
     PipelineBudgets,
     PipelineStageError,
@@ -141,7 +143,7 @@ def test_recon_meters_one_exchange():
 
 
 def _toolbox(bundle, graph, entry, site):
-    return ToolBox(bundle, graph, CFG.api_catalog, entry, site, PipelineBudgets())
+    return ToolBox(bundle, graph, CFG.api_catalog, entry, site)
 
 
 def _actions(vec) -> list[str]:
@@ -316,16 +318,15 @@ def test_trace_model_sizes_capped_at_budgets(action, args):
     site = CallSite(ping, 1, parse_sig(
         "android.telephony.TelephonyManager.getDeviceId()->string"), "id")
     entry = CFG.entry_catalog.bound(bundle.manifest)
-    budgets = PipelineBudgets()
     toolbox = _toolbox(bundle, graph, entry, site)
     vec = trace_candidate(site, toolbox, ModelRouter(config, {"m": FixedProvider()}), 2,
                           CostLedger())
     assert not _concluded(vec)
     assert _actions(vec) == [action, action]
     if action == "trigger_paths":
-        assert [len(c.path) for c in toolbox.chains] == [budgets.trigger_depth + 1]
+        assert [len(c.path) for c in toolbox.chains] == [TRIGGER_DEPTH + 1]
     else:
-        assert toolbox.taint.searched_depth == budgets.taint_depth
+        assert toolbox.taint.searched_depth == TAINT_DEPTH
 
 
 def _fixed_router(*replies: dict) -> ModelRouter:
@@ -394,6 +395,23 @@ def test_adjudicate_deeply_nested_reply_is_schema_violation():
     ledger = CostLedger()
     with pytest.raises(SchemaViolationError, match="not JSON"):
         adjudicate(_empty_recon(), [], _text_router(_DEEP_REPLY), ledger, "x")
+    assert len(ledger.exchanges) == 2  # retried once
+
+
+def test_adjudicate_overflowing_confidence_is_schema_violation():
+    # float() of an integer of 309 or more digits raises OverflowError
+    reply = ('{"verdict": "Benign", "threat_category": "none", "confidence": ' + "9" * 309
+             + ', "evidence_chain": [], "rationale": ""}')
+    ledger = CostLedger()
+    with pytest.raises(SchemaViolationError, match="confidence not a number"):
+        adjudicate(_empty_recon(), [], _text_router(reply), ledger, "x")
+    assert len(ledger.exchanges) == 2  # retried once
+
+
+def test_adjudicate_non_string_reply_is_schema_violation():
+    ledger = CostLedger()
+    with pytest.raises(SchemaViolationError, match="not JSON"):
+        adjudicate(_empty_recon(), [], _text_router(None), ledger, "x")
     assert len(ledger.exchanges) == 2  # retried once
 
 
@@ -479,7 +497,7 @@ def _replies(draw):
 def test_trace_survives_arbitrary_action_json(replies):
     # the actions come from the tool table, so a new tool is fuzzed too
     bundle, graph, entry, site, perm, sev = _fuzz_candidate()
-    box = _RecordingBox(bundle, graph, CFG.api_catalog, entry, site, PipelineBudgets())
+    box = _RecordingBox(bundle, graph, CFG.api_catalog, entry, site)
     box.outcomes = []
     vec = trace_candidate(site, box, _fixed_router(*replies), len(replies), CostLedger(),
                           perm, sev)

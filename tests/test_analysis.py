@@ -88,7 +88,7 @@ def test_window_invalid_site():
     program, site = _method_program(5, 3)
     bad = CallSite(site.method, 2, site.callee, None)  # line 2 is a const
     with pytest.raises(InvalidSiteError):
-        extract_context(program, bad)
+        extract_context(program, bad, radius=20)
 
 
 @given(st.integers(1, 200), st.integers(1, 200))

@@ -273,6 +273,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             body = b'{"nope": true}'
         elif mode == "nested":
             body = b"[" * 100_000
+        elif mode.startswith("body "):  # e.g. 'body {"choices": []}'
+            body = mode[5:].encode()
         else:
             body = json.dumps(
                 {
@@ -457,6 +459,45 @@ def test_live_provider_nested_body_is_malformed(stub_server):
     with pytest.raises(SchemaError):
         provider.chat("live-x", "trace", [("user", "ping")])
     assert len(_StubHandler.seen) == 2
+
+
+_REPLY = '{"choices": [{"message": {"content": %s}}]%s}'
+# 200 bodies whose content is not a string, whose usage is not an object, or
+# whose token counts are not non-negative JSON integers
+_MALFORMED_SUCCESS = {
+    "content-null": _REPLY % ("null", ""),
+    "content-list": _REPLY % ('["pong"]', ""),
+    "usage-null": _REPLY % ('"pong"', ', "usage": null'),
+    "usage-list": _REPLY % ('"pong"', ', "usage": [11, 3]'),
+    "tokens-overflow": _REPLY % ('"pong"', ', "usage": {"prompt_tokens": 1e999}'),
+    "tokens-negative": _REPLY % ('"pong"', ', "usage": {"completion_tokens": -5}'),
+    "tokens-float": _REPLY % ('"pong"', ', "usage": {"prompt_tokens": 11.0}'),
+    "tokens-string": _REPLY % ('"pong"', ', "usage": {"prompt_tokens": "11"}'),
+    "tokens-bool": _REPLY % ('"pong"', ', "usage": {"completion_tokens": true}'),
+}
+_malformed_success = pytest.mark.parametrize(
+    "body", _MALFORMED_SUCCESS.values(), ids=_MALFORMED_SUCCESS.keys())
+
+
+@_malformed_success
+def test_parse_rejects_malformed_success_body(body):
+    with pytest.raises(SchemaError):
+        HttpProvider._parse(body.encode())
+
+
+def test_parse_missing_usage_counts_zero():
+    assert HttpProvider._parse((_REPLY % ('"pong"', "")).encode()) == ("pong", 0, 0)
+    assert HttpProvider._parse((_REPLY % ('"pong"', ', "usage": {}')).encode()) == ("pong", 0, 0)
+
+
+@_malformed_success
+def test_live_provider_malformed_success_body_retried_then_schema_error(stub_server, body):
+    retries = 2
+    _StubHandler.behaviors = ["body " + body] * (retries + 1)
+    provider = _http_provider(stub_server, retries=retries)
+    with pytest.raises(SchemaError):
+        provider.chat("live-x", "trace", [("user", "ping")])
+    assert len(_StubHandler.seen) == retries + 1
 
 
 def test_import_loads_no_http_stack():

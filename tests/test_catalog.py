@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from droidtriage.catalog import SINK_CATEGORIES, ApiCatalog
+from droidtriage.catalog import SINK_CATEGORIES, ApiCatalog, EntryCatalog
 from droidtriage.config import _builtin
 from droidtriage.errors import ConfigError
-from droidtriage.ir import MethodSig, parse_sig
+from droidtriage.ir import MethodSig, parse_manifest, parse_sig
 
 from genprog import SYNTH_CATALOG_TEXT
 from oracles import PatternScan
@@ -98,3 +98,14 @@ def test_source_lines_are_system_apis():
 def test_bad_pattern_rejected():
     with pytest.raises(ConfigError):
         ApiCatalog.parse("api:a.B\n")
+
+
+def test_bound_entry_catalog_shares_the_rules():
+    rules = EntryCatalog.parse("user:onClick\nsystem:onReceive@Receiver\nlifecycle:onCreate\n")
+    bound = rules.bound(parse_manifest("package: t\ncomponent:Receiver:t.Boot\n"))
+    assert bound.user is rules.user and bound.system is rules.system
+    assert bound.lifecycle is rules.lifecycle
+    assert rules.component_kinds == {}
+    on_receive = parse_sig("t.Boot.onReceive()->void")
+    assert bound.classify(on_receive) == "SystemEvent"
+    assert rules.classify(on_receive) is None

@@ -177,6 +177,9 @@ def test_fixture_batch_matches_golden_bytes(tmp_path, capsys):
         assert (out / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
 
 
+UNKNOWN_KEYS = ("taint_depth", "trigger_depth", "context_radius", "max_iteration", "counts")
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("budgets", "max_iterations", "0"),
     ("budgets", "max_iterations", "abc"),
@@ -191,18 +194,26 @@ def test_fixture_batch_matches_golden_bytes(tmp_path, capsys):
     ("model.m2", "price_in", "abc"),
     ("model.m2", "price_in", "-1"),
     ("model.m2", "price_out", "NaN"),
+    ("budgets", "max_iteration", "1"),
+    ("retry", "counts", "1"),
 ])
 def test_batch_bad_config_value_fails_cleanly(tmp_path, capsys, section, key, value):
     # out-of-range values used to load (max_iterations = 0 then aborted the
     # batch with a ValueError traceback, candidate_cap = 0 triaged nothing);
-    # unparseable ones ended in ValueError or InvalidOperation tracebacks
+    # unparseable ones ended in ValueError or InvalidOperation tracebacks;
+    # a misspelled key was dropped, so the run went on with the default, and
+    # the removed tool ceilings now fail the same way
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[router]\nrecon = m\ntrace = m\nverdict = m\n[model.m]\nprice_in = 1\n"
                    f"[{section}]\n{key} = {value}\n")
     rc = main(["batch", str(FIXTURES / "corpus.idx"), "--config", str(cfg),
                "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: [{section}] {key} must be ")
+    err = capsys.readouterr().err
+    if key in UNKNOWN_KEYS:
+        assert err == f"error: [{section}] unknown key {key}\n"
+    else:
+        assert err.startswith(f"error: [{section}] {key} must be ")
     assert not (tmp_path / "o").exists()
 
 

@@ -107,11 +107,34 @@ def test_build_router_takes_exactly_two_modes(mode):
 def test_floor_values_accepted(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(MINIMAL + "\n[budgets]\nmax_iterations = 1\ncandidate_cap = 1\n"
-                    "taint_depth = 0\ntrigger_depth = 0\ncontext_radius = 0\n"
                     "[retry]\ncount = 0\nbackoff_s = 0\ntimeout_s = 0.01\n")
     cfg = load_config(path)
-    assert cfg.budgets == PipelineBudgets(1, 1, 0, 0, 0)
+    assert cfg.budgets == PipelineBudgets(1, 1)
     assert cfg.router.retry == RetryPolicy(0, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("section,key", [
+    # the tool ceilings, once [budgets] keys and now constants
+    ("budgets", "taint_depth"),
+    ("budgets", "trigger_depth"),
+    ("budgets", "context_radius"),
+    # misspellings, which used to be dropped so the run kept the default
+    ("budgets", "max_iteration"),
+    ("retry", "counts"),
+])
+def test_unknown_section_key_rejected(tmp_path, section, key):
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + f"\n[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key {key}$"):
+        load_config(path)
+
+
+def test_default_section_keys_are_not_section_keys(tmp_path):
+    # configparser shows [DEFAULT] keys in every section; only a section's
+    # own keys must name a field
+    path = tmp_path / "cfg.ini"
+    path.write_text("[DEFAULT]\ntrace = m1\n" + MINIMAL + "\n[budgets]\nmax_iterations = 3\n")
+    assert load_config(path).budgets == PipelineBudgets(3, 15)
 
 
 @pytest.mark.parametrize("text", ["no section header\n",
