@@ -10,7 +10,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from droidtriage.analysis import backward_slice, replay_witness, taint_reachability, trigger_paths
 from droidtriage.catalog import EntryCatalog
@@ -73,7 +74,7 @@ def main(n_programs: int, seed: int) -> int:
 
         index = build_api_index(program, catalog)
         scan = index_scan(program, catalog)
-        got = {k: [(str(s.method), s.line) for s in index.sites[k]] for k in index.sites}
+        got = {k: [(str(s.method), s.line) for s in index.lookup(k)] for k in index.sites}
         assert got == scan, "index/oracle divergence"
 
         for m in program.methods():

@@ -10,6 +10,7 @@ Every model exchange is metered into a cost ledger under its tier.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from itertools import islice
+from operator import itemgetter
 from string import Template
 
 from .analysis import (
@@ -38,7 +40,7 @@ from .errors import (
     TriageError,
 )
 from .index import ApiIndex, CallGraph, CallSite, build_api_index, build_call_graph
-from .ir import AppBundle, Manifest, parse_sig, render_stmt
+from .ir import AppBundle, CallRow, Manifest, parse_sig, render_stmt
 
 SEVERITIES = ("High", "Medium", "Low")
 _SEV_RANK = {s: i for i, s in enumerate(SEVERITIES)}
@@ -182,27 +184,22 @@ def recon_screen(
     signals.sort(key=lambda s: (_SEV_RANK[s.severity], s.permission))
 
     # each indexed API is pulled in by the first High/Medium signal whose
-    # permission covers it
+    # permission covers it; only the `cap` first pulled rows by (severity,
+    # callee text, line, caller text) become call sites
     pulling = [s for s in signals if s.severity in ("High", "Medium")]
-    chosen: list[tuple[CallSite, str, str]] = []
-    for sites in api_index.sites.values():
-        perms = catalog.permissions_of(sites[0].callee)
+    pulled: list[tuple[tuple[int, str, int, str], CallRow, RiskSignal]] = []
+    for callee, rows in api_index.sites.items():
+        perms = catalog.permissions_of(rows[0][2].callee)
         signal = next((s for s in pulling if s.permission in perms), None)
         if signal is not None:
-            chosen += [(site, signal.permission, signal.severity) for site in sites]
+            rank = _SEV_RANK[signal.severity]
+            pulled += [((rank, callee, row[1], str(row[0])), row, signal) for row in rows]
 
-    ordered = sorted(
-        chosen,
-        key=lambda t: (_SEV_RANK[t[2]], str(t[0].callee), t[0].line, str(t[0].method)),
-    )[:cap]
-    report = ReconReport(
-        declared_intents=declared,
-        requested_permissions=list(manifest.permissions),
-        risk_signals=signals,
-        candidates=[site for site, _p, _s in ordered],
-    )
-    for site, perm, sev in ordered:
-        report.origins[site.render()] = (perm, sev)
+    report = ReconReport(declared, list(manifest.permissions), signals, candidates=[])
+    for _key, (caller, line, stmt), signal in heapq.nsmallest(cap, pulled, key=itemgetter(0)):
+        site = CallSite(caller, line, stmt.callee, stmt.dst)
+        report.candidates.append(site)
+        report.origins[site.render()] = (signal.permission, signal.severity)
     return report
 
 

@@ -8,10 +8,10 @@ INI sections (see data/default_config.ini for the shipped defaults):
     [budgets]  max_iterations, candidate_cap
     [catalogs] api = builtin|<path>, entry = builtin|<path>
 
-A bad value, or a [retry] or [budgets] key that names no value, is a
-ConfigError naming its section and key.  The run, not the file, picks the
-provider.  Secrets never live in the file: `api_key_env` names the
-environment variable holding the key.
+A bad value, or a key of [router], [retry], [budgets] or [catalogs] not
+listed above, is a ConfigError naming its section and key.  The run, not the
+file, picks the provider.  Secrets never live in the file: `api_key_env`
+names the environment variable holding the key.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .agents import PipelineBudgets
 from .backend import (
+    TIERS,
     ModelConfig,
     ModelRouter,
     PricingTable,
@@ -73,16 +74,20 @@ def _section(name: str):
         raise ConfigError(f"[{name}] {exc}") from None
 
 
-def _read_section(parser: configparser.ConfigParser, name: str, cls):
-    """`cls` with each key of section `name` parsed as the type of its default.
-    A key of the section itself that names no field is a ConfigError."""
+def _known_keys(parser: configparser.ConfigParser, name: str, known) -> dict[str, str]:
+    """Section `name`, or {}; a key of its own not in `known` is a ConfigError."""
     sec = parser[name] if name in parser else {}
+    if unknown := set(sec) - set(parser.defaults()) - set(known):
+        raise ConfigError(f"[{name}] unknown key {', '.join(sorted(unknown))}")
+    return sec
+
+
+def _read_section(parser: configparser.ConfigParser, name: str, cls):
+    """`cls` with each key of section `name` parsed as the type of its default."""
     types = {f.name: type(f.default) for f in fields(cls)}
+    sec = _known_keys(parser, name, types)
     values = {}
     with _section(name):
-        unknown = set(sec) - set(parser.defaults()) - types.keys()
-        if unknown:
-            raise ConfigError(f"unknown key {', '.join(sorted(unknown))}")
         for key, parse in types.items():
             if key in sec:
                 try:
@@ -112,7 +117,7 @@ def load_config(path: str | Path | None = None) -> AppConfig:
 def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfig:
     if "router" not in parser:
         raise ConfigError("config missing [router] section")
-    tier_models = {k: v for k, v in parser["router"].items()}
+    tier_models = {t: v for t, v in _known_keys(parser, "router", TIERS).items() if t in TIERS}
 
     retry = _read_section(parser, "retry", RetryPolicy)
 
@@ -134,8 +139,10 @@ def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfi
 
     budgets = _read_section(parser, "budgets", PipelineBudgets)
 
+    catalogs = _known_keys(parser, "catalogs", ("api", "entry"))
+
     def _catalog_text(key: str, builtin_name: str) -> str:
-        value = parser.get("catalogs", key, fallback="builtin")
+        value = catalogs.get(key, "builtin")
         if value == "builtin":
             return _builtin(builtin_name)
         p = Path(value)

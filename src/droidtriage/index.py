@@ -1,10 +1,10 @@
 """Global call graph and the system-API inverted index.
 
-Both structures are built once per bundle from one shared call list,
-`IrProgram.calls` (every Invoke with its caller and line, methods in
-rendering order), and never mutated, so concurrent agent sessions can share
-them freely.  The call graph keeps each method's distinct callers; the index
-keeps every concrete call site.
+Both read one grouping, `IrProgram.calls` (callee -> its (caller, line,
+Invoke) rows), and neither copies a row.  The graph derives a callee's
+distinct callers on first ask, and the index builds `CallSite` objects only
+when `lookup` asks.  Concurrent agent sessions share both: the graph's memo
+holds values fixed by the rows, so two sessions filling it store equal tuples.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import ApiCatalog
-from .ir import IrProgram, MethodSig
+from .ir import CallRow, IrProgram, MethodSig
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,44 +31,35 @@ class CallSite:
 @dataclass
 class CallGraph:
     nodes: set[MethodSig]
-    # callee -> distinct callers, sorted by their canonical rendering
-    callers: dict[MethodSig, tuple[MethodSig, ...]]
+    calls: dict[MethodSig, list[CallRow]]
+    # callee -> distinct callers, in rendering order; filled on first ask
+    _callers: dict[MethodSig, tuple[MethodSig, ...]] = field(default_factory=dict, init=False)
 
     def callers_of(self, sig: MethodSig) -> tuple[MethodSig, ...]:
-        return self.callers.get(sig, ())
+        if (found := self._callers.get(sig)) is None:
+            rows = self.calls.get(sig, ())
+            found = self._callers.setdefault(sig, tuple(dict.fromkeys(r[0] for r in rows)))
+        return found
 
 
 def build_call_graph(program: IrProgram) -> CallGraph:
-    # the callers of a callee, as dict keys in the order the sorted call list meets them
-    callers: dict[MethodSig, dict[MethodSig, None]] = {}
-    for caller, _, stmt in program.calls:
-        callers.setdefault(stmt.callee, {})[caller] = None
-    return CallGraph(set(program.method_map) | set(callers),
-                     {c: tuple(s) for c, s in callers.items()})
+    return CallGraph(set(program.method_map) | set(program.calls), program.calls)
 
 
 @dataclass
 class ApiIndex:
-    """Signature -> call sites, restricted to the system-API surface."""
+    """Signature text -> its call rows, restricted to the system-API surface."""
 
-    sites: dict[str, list[CallSite]] = field(default_factory=dict)
+    sites: dict[str, list[CallRow]] = field(default_factory=dict)
 
     def lookup(self, sig: MethodSig | str) -> list[CallSite]:
-        return list(self.sites.get(str(sig), []))
+        return [CallSite(caller, line, stmt.callee, stmt.dst)
+                for caller, line, stmt in self.sites.get(str(sig), ())]
 
 
 def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
-    """External call sites grouped by callee; the catalog is asked once per
-    callee, when the sorted call list first meets it."""
+    """The rows of each external callee the catalog calls system; the catalog
+    is asked once per callee, in `IrProgram.calls` order."""
     defined = program.method_map
-    index = ApiIndex()
-    sites_of: dict[MethodSig, list[CallSite] | None] = {}  # None: not indexed
-    for caller, line, stmt in program.calls:
-        callee = stmt.callee
-        if callee not in sites_of:
-            system = callee not in defined and catalog.is_system(callee)
-            sites_of[callee] = index.sites.setdefault(str(callee), []) if system else None
-        if (sites := sites_of[callee]) is not None:
-            sites.append(CallSite(caller, line, callee, stmt.dst))
-    return index
-
+    return ApiIndex({str(callee): rows for callee, rows in program.calls.items()
+                     if callee not in defined and catalog.is_system(callee)})

@@ -161,6 +161,7 @@ class Nop:
 
 
 IrStatement = Assign | Invoke | If | Goto | Return | Nop
+CallRow = tuple[MethodSig, int, Invoke]  # a call statement with its caller and line
 
 
 def used_vars(stmt: IrStatement) -> tuple[str, ...]:
@@ -258,12 +259,16 @@ class IrProgram:
         return {m.signature: m for m in self.methods()}
 
     @cached_property
-    def calls(self) -> list[tuple[MethodSig, int, Invoke]]:
-        """Every (caller, line, Invoke) triple, methods in rendering order and
-        statements in line order; the call graph and the API index share it."""
-        methods = sorted(self.methods(), key=lambda m: str(m.signature))
-        return [(m.signature, line, s) for m in methods
-                for line, s in enumerate(m.body, 1) if isinstance(s, Invoke)]
+    def calls(self) -> dict[MethodSig, list[CallRow]]:
+        """Callee -> its (caller, line, Invoke) rows, from one walk of the
+        methods in rendering order: callees in the order it meets them, rows in
+        caller-rendering, then line order.  Shared by readers, never mutated."""
+        grouped: dict[MethodSig, list[CallRow]] = {}
+        for m in sorted(self.methods(), key=lambda m: str(m.signature)):
+            for line, s in enumerate(m.body, 1):
+                if isinstance(s, Invoke):
+                    grouped.setdefault(s.callee, []).append((m.signature, line, s))
+        return grouped
 
 
 COMPONENT_KINDS = ("Activity", "Service", "Receiver", "Provider")

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from functools import cache
 from importlib import resources
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage.agents import (
+    SEVERITIES,
     TAINT_DEPTH,
     TOOLS,
     TRIGGER_DEPTH,
@@ -33,13 +36,14 @@ from droidtriage.backend import (
     ModelRouter,
     RouterConfig,
 )
+from droidtriage.catalog import ApiCatalog
 from droidtriage.config import load_config
 from droidtriage.errors import EmptyManifestError, SchemaViolationError
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import Manifest, parse_bundle, parse_sig
+from droidtriage.ir import Manifest, parse_bundle, parse_program, parse_sig
 from droidtriage.scripted import _POLICY, ScriptedProvider
 
-from genprog import DEVICE_SOURCE, gen_fold_chain
+from genprog import DEVICE_SOURCE, SYNTH_CATALOG_TEXT, gen_fold_chain, gen_program
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CFG = load_config()
@@ -119,9 +123,60 @@ def test_recon_candidates_all_come_from_index():
     report = recon_screen(
         bundle.manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger()
     )
-    indexed = {s.render() for sites in index.sites.values() for s in sites}
+    indexed = {s.render() for key in index.sites for s in index.lookup(key)}
     assert {c.render() for c in report.candidates} <= indexed
     assert {report.origins[c.render()][1] for c in report.candidates} == {"High"}
+
+
+# the synthetic APIs under three permissions; `Util.log` is under two, so
+# the first pulling signal decides its severity
+RECON_CATALOG = ApiCatalog.parse(SYNTH_CATALOG_TEXT + """
+perm:READ_SMS->ext.api.Src.read()->string
+perm:READ_SMS->ext.api.Util.*
+perm:CAMERA->ext.api.Util.log(string)->void
+perm:CAMERA->ext.api.Net.*
+perm:INTERNET->ext.api.Disk.*
+""")
+
+
+@given(st.integers(0, 10_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_recon_keeps_the_cap_first_of_all_pulled_sites(seed, data):
+    # recon ranks index rows and builds call sites only for those it keeps;
+    # the result must be a full sort of every pulled site, cut at the cap
+    program = parse_program(gen_program(random.Random(seed), 8, 15))
+    made = []
+    init = CallSite.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    with patch.object(CallSite, "__init__", counting_init):
+        index = build_api_index(program, RECON_CATALOG)
+    assert made == []
+
+    perms = ["READ_SMS", "CAMERA", "INTERNET"]
+    severity = {p: data.draw(st.sampled_from(SEVERITIES), label=p) for p in perms}
+    pulling = sorted((p for p in perms if severity[p] != "Low"),
+                     key=lambda p: (SEVERITIES.index(severity[p]), p))
+    pulled = []
+    for key in index.sites:
+        sites = index.lookup(key)
+        covers = RECON_CATALOG.permissions_of(sites[0].callee)
+        perm = next((p for p in pulling if p in covers), None)
+        if perm is not None:
+            pulled += [(site, (perm, severity[perm])) for site in sites]
+    pulled.sort(key=lambda t: (SEVERITIES.index(t[1][1]), str(t[0].callee),
+                               t[0].line, str(t[0].method)))
+    cap = data.draw(st.integers(1, max(1, len(pulled))), label="cap")
+
+    reply = {"risk_signals": [{"permission": p, "severity": severity[p]} for p in perms]}
+    manifest = Manifest("g", "game", "", perms, [])
+    report = recon_screen(manifest, index, RECON_CATALOG, _fixed_router(reply), cap,
+                          CostLedger())
+    assert report.candidates == [site for site, _origin in pulled[:cap]]
+    assert report.origins == {site.render(): origin for site, origin in pulled[:cap]}
 
 
 def test_recon_empty_manifest_rejected():

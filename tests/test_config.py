@@ -121,12 +121,29 @@ def test_floor_values_accepted(tmp_path):
     # misspellings, which used to be dropped so the run kept the default
     ("budgets", "max_iteration"),
     ("retry", "counts"),
+    ("catalogs", "apis"),
 ])
 def test_unknown_section_key_rejected(tmp_path, section, key):
     path = tmp_path / "cfg.ini"
     path.write_text(MINIMAL + f"\n[{section}]\n{key} = 1\n")
     with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key {key}$"):
         load_config(path)
+
+
+def test_router_key_that_is_no_tier_rejected(tmp_path):
+    # it used to load as a fourth tier that nothing routes to
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL.replace("verdict = m1\n", "verdict = m1\nverdikt = m1\n"))
+    with pytest.raises(ConfigError, match=r"^\[router\] unknown key verdikt$"):
+        load_config(path)
+
+
+def test_default_key_is_not_a_router_tier(tmp_path):
+    # it used to become a tier routed to the unconfigured model `x`
+    path = tmp_path / "cfg.ini"
+    path.write_text("[DEFAULT]\nnote = x\n" + MINIMAL)
+    assert load_config(path).router.tier_models == {
+        "recon": "m1", "trace": "m1", "verdict": "m1"}
 
 
 def test_default_section_keys_are_not_section_keys(tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ def test_single_method_no_calls():
     program = parse_program("class a.B {\n  method a.B.m()->void () {\n    nop\n  }\n}\n")
     graph = build_call_graph(program)
     assert len(graph.nodes) == 1
-    assert graph.callers == {}
+    assert [graph.callers_of(node) for node in graph.nodes] == [()]
     assert graph.callers_of(parse_sig("a.B.m()->void")) == ()
 
 
@@ -67,7 +69,7 @@ def test_edge_count_equals_invoke_count_generated():
         graph = build_call_graph(program)
         pairs = {(str(callee), caller) for callee, callers in callers_scan(program).items()
                  for caller in callers}
-        assert sum(len(c) for c in graph.callers.values()) == len(pairs)
+        assert sum(len(graph.callers_of(node)) for node in graph.nodes) == len(pairs)
 
 
 def test_reverse_is_transpose_generated():
@@ -80,6 +82,39 @@ def test_reverse_is_transpose_generated():
         scan = callers_scan(program)
         for node in graph.nodes:
             assert [str(c) for c in graph.callers_of(node)] == scan.get(node, [])
+
+
+def test_callers_memo_filled_from_many_threads():
+    # sessions share one graph and fill its callers memo concurrently: every
+    # thread must get the oracle's callers, and all of them the one stored tuple
+    program = parse_program(gen_program(random.Random(29), 12, 20))
+    scan = callers_scan(program)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            graph = build_call_graph(program)
+            nodes = sorted(graph.nodes, key=str)
+            seen: list[list[tuple]] = [[] for _ in range(8)]
+            barrier = threading.Barrier(len(seen), timeout=10)
+
+            def worker(out: list) -> None:
+                barrier.wait()
+                out.extend(graph.callers_of(node) for node in nodes)
+
+            threads = [threading.Thread(target=worker, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert [[str(c) for c in callers] for callers in seen[0]] == [
+                scan.get(node, []) for node in nodes]
+            for out in seen:
+                assert len(out) == len(nodes)
+                assert all(got is graph.callers_of(n) for got, n in zip(out, nodes))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_lookup_unindexed_signature_empty():
@@ -129,7 +164,7 @@ def test_index_matches_scan_oracle_generated():
         index = build_api_index(program, catalog)
         scan = index_scan(program, catalog)
         got = {
-            key: [(str(s.method), s.line) for s in index.sites[key]]
+            key: [(str(s.method), s.line) for s in index.lookup(key)]
             for key in index.sites
         }
         assert got == scan
@@ -152,7 +187,7 @@ def test_fixture_corpus_index_matches_scan_with_shipped_catalog():
         index = build_api_index(program, catalog)
         scan = index_scan(program, catalog)
         got = {
-            key: [(str(s.method), s.line) for s in index.sites[key]]
+            key: [(str(s.method), s.line) for s in index.lookup(key)]
             for key in index.sites
         }
         assert got == scan, name
@@ -195,6 +230,6 @@ def test_index_oracle_property(seed):
     index = build_api_index(program, catalog)
     scan = index_scan(program, catalog)
     got = {
-        key: [(str(s.method), s.line) for s in index.sites[key]] for key in index.sites
+        key: [(str(s.method), s.line) for s in index.lookup(key)] for key in index.sites
     }
     assert got == scan
