@@ -16,14 +16,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from droidtriage.analysis import backward_slice, replay_witness, taint_reachability, trigger_paths
 from droidtriage.catalog import EntryCatalog
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import (
-    Invoke, defined_var, parse_manifest, parse_program, parse_sig, render_program, used_vars,
-)
+from droidtriage.ir import Invoke, parse_manifest, parse_program, parse_sig, render_program
 
 from genprog import (
     dag_manifest_text, gen_cyclic_program, gen_dag_program, gen_program, synth_catalog,
 )
-from oracles import index_scan, parse_program_cascade, slice_fixpoint_scan, taint_scan, trigger_scan
+from oracles import (
+    defined_var, index_scan, parse_program_cascade, slice_fixpoint_scan, taint_scan, trigger_scan,
+    used_vars,
+)
 
 ENTRY_RULES = EntryCatalog.parse(
     "user:onClick\nsystem:onReceive@Receiver\nsystem:onStartCommand@Service\n"

@@ -8,6 +8,8 @@ Usage: python scripts/make_loc_corpus.py [dir]
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from droidtriage.cli import main
 
 LOCS = [5, 8, 12, 17, 22, 26, 29, 31, 51, 60]

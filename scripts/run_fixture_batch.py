@@ -7,9 +7,10 @@ Usage: python scripts/run_fixture_batch.py [out_dir]
 import sys
 from pathlib import Path
 
-from droidtriage.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from droidtriage.cli import main
 
 
 if __name__ == "__main__":

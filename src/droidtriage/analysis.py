@@ -18,14 +18,21 @@ the resulting replayable witness.
 A slice is the least set of lines that holds the target, every definition
 reaching a use on a kept line, and every If with a kept line strictly
 between the If and its branch target (a linear approximation of control
-dependence).  It is computed in one pass over a demand worklist.
+dependence).  It is computed from two tables cached per method, each line's
+region head and each variable's definition lines: a use on a kept line is
+answered by one bisection inside its region, and moves on to the head's
+predecessors, once per (head, variable), only when the region defines
+nothing before it.  A kept line pops from an If-range index the Ifs whose
+range holds it, so a kept If leaves the index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product
 
 from .catalog import ApiCatalog, EntryCatalog
 from .errors import (
@@ -44,10 +51,7 @@ from .ir import (
     MethodDef,
     MethodSig,
     Return,
-    defined_var,
-    is_var_token,
     render_stmt,
-    used_vars,
 )
 
 # ---------------------------------------------------------------------------
@@ -265,13 +269,11 @@ class _TaintEngine:
         sig = ctx.method.signature
         stmt = ctx.method.body[line - 1]
         out = dict(tin)
+        out.pop(stmt.dst, None)
 
-        if isinstance(stmt, Assign):
-            out.pop(stmt.dst, None)
-            if stmt.src in tin:
-                out[stmt.dst] = (((sig, line),), tin[stmt.src])
+        if isinstance(stmt, Assign) and stmt.src in tin:
+            out[stmt.dst] = (((sig, line),), tin[stmt.src])
         elif isinstance(stmt, Invoke):
-            out.pop(stmt.dst, None)
             tainted_args = [a for a in stmt.uses if a in tin]
             if tainted_args:
                 category = self.catalog.sink_category(stmt.callee)
@@ -306,7 +308,7 @@ class _TaintEngine:
         tainted_params = frozenset(
             callee.params[i]
             for i, a in enumerate(stmt.args)
-            if i < len(callee.params) and is_var_token(a) and a in tin
+            if i < len(callee.params) and a in tin
         )
         if not tainted_params:
             return None
@@ -452,6 +454,45 @@ class Slice:
     removed_count: int
 
 
+class _IfRanges:
+    """A method's Ifs sorted by the low end of their open branch range, under
+    a tree holding each node's highest high end (0 once popped): a query
+    visits the O(log n) nodes that tile the Ifs below the line, and descends
+    only into those holding an If that reaches past it."""
+
+    def __init__(self, method: MethodDef):
+        ifs = sorted((min(line, s.target), max(line, s.target), line)
+                     for line, s in enumerate(method.body, 1) if isinstance(s, If))
+        self.lows, self.lines = [r[0] for r in ifs], [r[2] for r in ifs]
+        self.size = size = 1 << max(len(ifs) - 1, 0).bit_length()
+        # node n has children 2n and 2n + 1; leaf `size + i` is the i-th If
+        self.high = high = [0] * size + [r[1] for r in ifs] + [0] * (size - len(ifs))
+        for node in range(size - 1, 0, -1):
+            high[node] = max(high[2 * node], high[2 * node + 1])
+
+    def pop_holding(self, line: int) -> list[int]:
+        """Remove and return the lines of the Ifs whose range strictly holds `line`."""
+        high, size, found = self.high, self.size, []
+        lo, hi, todo = size, size + bisect_left(self.lows, line), []
+        while lo < hi:  # the nodes tiling leaves [lo, hi), bottom up
+            if lo & 1 and high[lo] > line:
+                todo.append(lo)
+            if hi & 1 and high[hi - 1] > line:
+                todo.append(hi - 1)
+            lo, hi = (lo + 1) >> 1, hi >> 1
+        while todo:
+            node = todo.pop()
+            if node < size:
+                todo += [child for child in (2 * node, 2 * node + 1) if high[child] > line]
+            else:
+                found.append(self.lines[node - size])
+                high[node] = 0
+                while node > 1 and (new := max(high[node], high[node ^ 1])) != high[node >> 1]:
+                    node >>= 1
+                    high[node] = new
+        return found
+
+
 def backward_slice(
     program: IrProgram,
     method_sig: MethodSig,
@@ -459,41 +500,39 @@ def backward_slice(
     target_var: str,
 ) -> Slice:
     """Backward closure over data dependences plus the linear If-range
-    control-dependence approximation.
-
-    A kept line asks each predecessor for the variables it uses; a demand
-    `(line, var)` walks back until it meets a definition of `var`, which is
-    kept.  `asked` is shared by the whole slice, so no demand is walked twice."""
+    control-dependence approximation, computed as the module docstring says."""
     method = program.method_map.get(method_sig)
     if method is None:
         raise InvalidTargetError(f"unknown method {method_sig}")
     if not (1 <= target_line <= len(method.body)):
         raise InvalidTargetError(f"{method_sig} has no line {target_line}")
     stmt = method.body[target_line - 1]
-    if defined_var(stmt) != target_var and target_var not in used_vars(stmt):
+    if stmt.dst != target_var and target_var not in stmt.uses:
         raise InvalidTargetError(
             f"{target_var!r} neither defined nor used at {method_sig}:{target_line}"
         )
-    preds = method.predecessors
-    ranges = [(min(line, s.target), max(line, s.target), line)
-              for line, s in enumerate(method.body, 1) if isinstance(s, If)]
+    body, preds, heads, def_lines = method.body, method.predecessors, method.blocks, method.def_lines
+    ifs = _IfRanges(method)
     kept: set[int] = set()
-    asked: set[tuple[int, str]] = set()
-    work: list[tuple[int, str | None]] = [(target_line, None)]  # None: keep the line
-    while work:
-        line, var = work.pop()
-        stmt = method.body[line - 1]
-        if var is None:
-            if line not in kept:
-                kept.add(line)
-                work += [(p, u) for u in used_vars(stmt) for p in preds[line]]
-                work += [(s, None) for lo, hi, s in ranges if lo < line < hi]
-        elif (line, var) not in asked:
-            asked.add((line, var))
-            if defined_var(stmt) == var:
-                work.append((line, None))
-            else:
-                work += [(p, var) for p in preds[line]]
+    moved: set[tuple[int, str]] = set()
+    keep = [target_line]
+    while keep:
+        line = keep.pop()
+        if line in kept:
+            continue
+        kept.add(line)
+        if ifs.high[1] > line:  # some If left in the index reaches past the line
+            keep += ifs.pop_holding(line)
+        demands = [*product(preds[line], body[line - 1].uses)]
+        while demands:
+            at, var = demands.pop()
+            defs, head = def_lines.get(var, ()), heads[at]
+            i = bisect_right(defs, at)
+            if i and defs[i - 1] >= head:
+                keep.append(defs[i - 1])
+            elif (head, var) not in moved:
+                moved.add((head, var))
+                demands += [(p, var) for p in preds[head]]
     kept_sorted = sorted(kept)
     return Slice((method_sig, target_line, target_var), kept_sorted,
                  len(method.body) - len(kept_sorted))

@@ -5,7 +5,9 @@ and backward gotos, conditional gotos, returns and nops.  A statement's line
 is its 1-based position in `MethodDef.body`, local to the enclosing method,
 so branch targets are checkable at parse time.  Statements carry no position:
 each distinct statement text is parsed once per program, and every line that
-spells it shares that one immutable object.  Variables are method-local;
+spells it shares that one immutable object.  Each statement carries `uses`,
+the variables it reads in order, and `dst`, the variable it defines or None,
+set when it is built and left out of equality.  Variables are method-local;
 there are no fields, arrays or exceptions.
 
 Grammar (one construct per line, `#` starts a comment):
@@ -123,6 +125,10 @@ class Assign:
     dst: str
     src: str | None = None
     literal: str | None = None
+    uses: tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "uses", () if self.src is None else (self.src,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,41 +149,40 @@ class Invoke:
 class If:
     cond: str
     target: int
+    uses: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    dst = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "uses", (self.cond,))
 
 
 @dataclass(frozen=True, slots=True)
 class Goto:
     target: int
+    uses = ()
+    dst = None
 
 
 @dataclass(frozen=True, slots=True)
 class Return:
     var: str | None = None
+    uses: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    dst = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "uses", () if self.var is None else (self.var,))
 
 
 @dataclass(frozen=True, slots=True)
 class Nop:
     """`nop`; it has no fields, so every `nop` of a program is one object."""
 
+    uses = ()
+    dst = None
+
 
 IrStatement = Assign | Invoke | If | Goto | Return | Nop
 CallRow = tuple[MethodSig, int, Invoke]  # a call statement with its caller and line
-
-
-def used_vars(stmt: IrStatement) -> tuple[str, ...]:
-    if isinstance(stmt, Assign) and stmt.src is not None:
-        return (stmt.src,)
-    if isinstance(stmt, Invoke):
-        return stmt.uses
-    if isinstance(stmt, If):
-        return (stmt.cond,)
-    if isinstance(stmt, Return) and stmt.var is not None:
-        return (stmt.var,)
-    return ()
-
-
-def defined_var(stmt: IrStatement) -> str | None:
-    return stmt.dst if isinstance(stmt, (Assign, Invoke)) else None
 
 
 def render_stmt(stmt: IrStatement) -> str:
@@ -236,6 +241,25 @@ class MethodDef:
             for succ in succs:
                 preds[succ].append(line)
         return preds
+
+    @cached_property
+    def blocks(self) -> dict[int, int]:
+        """Line -> the first line of its region: a run of lines each reached
+        only from the line before it, so a fall-through If or a `goto` to the
+        next line does not end one."""
+        heads: dict[int, int] = {}
+        for line, preds in self.predecessors.items():
+            heads[line] = heads[line - 1] if preds == [line - 1] else line
+        return heads
+
+    @cached_property
+    def def_lines(self) -> dict[str, list[int]]:
+        """Variable -> the lines that define it, ascending."""
+        defs: dict[str, list[int]] = {}
+        for line, stmt in enumerate(self.body, 1):
+            if stmt.dst is not None:
+                defs.setdefault(stmt.dst, []).append(line)
+        return defs
 
 
 @dataclass
@@ -572,12 +596,12 @@ def validate(bundle: AppBundle) -> list[Diagnostic]:
     for method in bundle.program.methods():
         defined = set(method.params)
         for line, stmt in enumerate(method.body, 1):
-            for var in used_vars(stmt):
+            for var in stmt.uses:
                 if var not in defined:
                     diags.append(Diagnostic("UseBeforeDef", f"{method.signature}:{line}",
                                             f"variable {var!r} used before assignment"))
-            if (d := defined_var(stmt)) is not None:
-                defined.add(d)
+            if stmt.dst is not None:
+                defined.add(stmt.dst)
     return diags
 
 

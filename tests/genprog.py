@@ -250,3 +250,57 @@ def gen_fold_chain(lines: int) -> tuple[str, str]:
           "  method fold.app.Main.onCreate(bundle)->void (b) {\n"
           + "".join(f"    {stmt}\n" for stmt in body) + "  }\n}\n")
     return manifest, ir
+
+
+# Slice shapes: one method `s.S.m()->void` of `lines` lines, returned as
+# (IR text, target line, target variable) for `backward_slice`.
+
+
+def _shape(body: list[str]) -> str:
+    return ("class s.S {\n  method s.S.m()->void () {\n"
+            + "".join(f"    {stmt}\n" for stmt in body) + "  }\n}\n")
+
+
+def _constants_used_at_end(names: list[str], middle: list[str]) -> list[str]:
+    """A constant per name, then `middle`, then one call using every name,
+    then `return`."""
+    use = f"call s.S.use({','.join(['int'] * len(names))})->void({','.join(names)})"
+    return [f"{v} = const {i}" for i, v in enumerate(names)] + middle + [use, "return"]
+
+
+def gen_if_ladder(lines: int) -> tuple[str, int, str]:
+    """`k` and `v` are constants, then the lines alternate `if k goto <last
+    line>` and `v = v`, and the last line returns `v`.  Every If's range holds
+    every later line but the return, so the slice of the return keeps every
+    line except an If right before it."""
+    body = ["k = const 1", "v = const 0"]
+    body += [f"if k goto {lines}" if line % 2 else "v = v" for line in range(3, lines)]
+    return _shape(body + ["return v"]), lines, "v"
+
+
+def gen_wide_use(lines: int) -> tuple[str, int, str]:
+    """`lines - 2` constants, then one call that uses all of them."""
+    names = [f"v{i}" for i in range(1, lines - 1)]
+    return _shape(_constants_used_at_end(names, [])), lines - 1, "v1"
+
+
+def gen_goto_chain(lines: int) -> tuple[str, int, str]:
+    """Half the lines constants, then a chain of `goto <next line>`, then one
+    call that uses every constant.  A `goto` to the next line joins nothing,
+    so the whole method up to the call is one region."""
+    k = lines // 2
+    names = [f"v{i}" for i in range(1, k + 1)]
+    chain = [f"goto {line + 1}" for line in range(k + 1, lines - 1)]
+    return _shape(_constants_used_at_end(names, chain)), lines - 1, "v1"
+
+
+def gen_join_ladder(lines: int) -> tuple[str, int, str]:
+    """`c` and a third of the lines constants, then a ladder of real joins
+    (`if c goto <line + 2>` over a `nop`, so the line after has two
+    predecessors), then one call that uses every constant: each constant's
+    demand crosses every join."""
+    k = lines // 3
+    names = [f"v{i}" for i in range(1, k + 1)]
+    ladder = [f"if c goto {line + 2}" if (line - k) % 2 == 0 else "nop"
+              for line in range(k + 2, lines - 1)]
+    return _shape(["c = const 1"] + _constants_used_at_end(names, ladder)), lines - 1, "v1"

@@ -24,10 +24,8 @@ from droidtriage.ir import (
     Nop,
     Return,
     _check_arg_token,
-    defined_var,
     is_var_token,
     parse_sig,
-    used_vars,
 )
 
 
@@ -395,6 +393,31 @@ def taint_scan(program: IrProgram, catalog, source_method, source_line: int,
 
     analyze(methods[source_method], frozenset(), source_line, depth_limit)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# statement facts
+# ---------------------------------------------------------------------------
+
+
+def used_vars(stmt) -> tuple[str, ...]:
+    """The variables a statement reads, in order, by its class: the reference
+    for `stmt.uses`."""
+    if isinstance(stmt, Assign) and stmt.src is not None:
+        return (stmt.src,)
+    if isinstance(stmt, Invoke):
+        return tuple(a for a in stmt.args if is_var_token(a))
+    if isinstance(stmt, If):
+        return (stmt.cond,)
+    if isinstance(stmt, Return) and stmt.var is not None:
+        return (stmt.var,)
+    return ()
+
+
+def defined_var(stmt) -> str | None:
+    """The variable a statement defines, by its class: the reference for
+    `stmt.dst`."""
+    return stmt.dst if isinstance(stmt, (Assign, Invoke)) else None
 
 
 # ---------------------------------------------------------------------------

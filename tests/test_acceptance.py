@@ -29,7 +29,7 @@ from droidtriage.index import CallSite, build_api_index, build_call_graph
 from droidtriage.ir import Invoke, parse_bundle, parse_program, parse_sig
 
 from genprog import dag_manifest_text, gen_dag_program, gen_program, synth_catalog
-from oracles import index_scan, slice_scan, taint_scan, trigger_scan
+from oracles import defined_var, index_scan, slice_scan, taint_scan, trigger_scan, used_vars
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CFG = load_config()
@@ -134,7 +134,7 @@ def test_criterion_4_slice_and_trigger_oracles():
     with criterion(4, "slice closure + trigger enumeration oracles", 60.0):
         rng = random.Random(1004)
         from droidtriage.analysis import backward_slice
-        from droidtriage.ir import defined_var, parse_manifest, used_vars
+        from droidtriage.ir import parse_manifest
 
         slices_checked = 0
         for _ in range(200):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidtriage import analysis
 from droidtriage.analysis import (
     backward_slice,
     extract_context,
@@ -23,10 +27,21 @@ from droidtriage.errors import (
     NotAnInvokeError,
 )
 from droidtriage.index import CallSite, build_call_graph
-from droidtriage.ir import Invoke, If, Manifest, parse_program, parse_sig, used_vars, defined_var
+from droidtriage.ir import Invoke, If, Manifest, parse_program, parse_sig
 
-from genprog import dag_manifest_text, gen_cyclic_program, gen_dag_program, gen_program, synth_catalog
-from oracles import slice_fixpoint_scan, slice_scan, taint_scan, trigger_scan
+from genprog import (
+    dag_manifest_text,
+    gen_cyclic_program,
+    gen_dag_program,
+    gen_fold_chain,
+    gen_goto_chain,
+    gen_if_ladder,
+    gen_join_ladder,
+    gen_program,
+    gen_wide_use,
+    synth_catalog,
+)
+from oracles import defined_var, slice_fixpoint_scan, slice_scan, taint_scan, trigger_scan, used_vars
 
 ENTRY_RULES = EntryCatalog.parse(
     "user:onClick\nsystem:onReceive@Receiver\nsystem:onStartCommand@Service\n"
@@ -673,3 +688,76 @@ def test_slice_matches_fixpoint_oracle_with_branches():
                     assert got.removed_count == len(m.body) - len(want)
                     checked += 1
     assert checked > 3000
+
+
+# -- attacker shapes ---------------------------------------------------------
+
+SLICE_SHAPES = [gen_if_ladder, gen_wide_use, gen_goto_chain, gen_join_ladder]
+
+
+def _fold_shape(lines: int) -> tuple[str, int, str]:
+    return gen_fold_chain(lines)[1], lines - 1, "c"
+
+
+def _shape_slice(gen, lines: int):
+    text, line, var = gen(lines)
+    program = parse_program(text)
+    method = program.methods()[0]
+    return method, backward_slice(program, method.signature, line, var)
+
+
+@pytest.mark.parametrize("gen", SLICE_SHAPES + [_fold_shape])
+def test_slice_matches_fixpoint_oracle_on_shapes(gen):
+    for lines in (5, 6, 7, 8, 21, 50, 101, 200):
+        method, got = _shape_slice(gen, lines)
+        assert got.kept_lines == sorted(slice_fixpoint_scan(method, got.target[1])), lines
+
+
+@pytest.mark.parametrize("gen", [gen_if_ladder, gen_wide_use, gen_goto_chain, _fold_shape])
+def test_slice_region_lookups_linear_on_shapes(gen, monkeypatch):
+    # each region lookup is one bisection into a variable's definition lines;
+    # the count is deterministic, so the bound needs no timing
+    lookups = 0
+
+    def counting(defs, line):
+        nonlocal lookups
+        lookups += 1
+        return bisect_right(defs, line)
+
+    monkeypatch.setattr(analysis, "bisect_right", counting)
+    for lines in (1000, 2000, 4000, 8000):
+        lookups = 0
+        _method, got = _shape_slice(gen, lines)
+        # every kept line but the target is found by a lookup
+        assert lines // 2 <= len(got.kept_lines) <= lookups + 1
+        assert lookups <= 2 * lines, (lines, lookups)
+
+
+def test_slice_of_one_fresh_method_from_many_threads():
+    # live sessions share one MethodDef: threads that slice it at once fill its
+    # cached predecessor, region and definition tables while others read them,
+    # and each must get the slice of a method sliced alone
+    shapes = [gen_if_ladder(1500), gen_join_ladder(120), _fold_shape(1500)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for text, line, var in shapes:
+            program = parse_program(text)
+            sig = program.methods()[0].signature
+            want = backward_slice(parse_program(text), sig, line, var)
+            got: list = [None] * 8
+            barrier = threading.Barrier(len(got), timeout=10)
+
+            def worker(i: int) -> None:
+                barrier.wait()
+                got[i] = backward_slice(program, sig, line, var)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(got))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * len(got)
+    finally:
+        sys.setswitchinterval(old)

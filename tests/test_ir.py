@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -39,11 +40,13 @@ from droidtriage.ir import (
 
 from genprog import gen_program
 from oracles import (
+    defined_var,
     parse_program_cascade,
     percentile_scan,
     render_manifest,
     split_args_scan,
     strip_scan,
+    used_vars,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -250,6 +253,31 @@ def test_parsed_invoke_uses_are_its_variable_arguments(seed):
     for s in calls:
         assert s.uses == tuple(a for a in s.args if is_var_token(a))
         assert s.uses == Invoke(s.callee, s.args, s.dst).uses
+
+
+def _assert_facts_match_reference(program) -> None:
+    for m in program.methods():
+        for stmt in m.body:
+            assert stmt.uses == used_vars(stmt), stmt
+            assert stmt.dst == defined_var(stmt), stmt
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_statement_facts_match_reference(seed):
+    # the parser's statements, then the same statements rebuilt field by field
+    program = parse_program(gen_program(random.Random(seed), max_methods=6, max_lines=12))
+    _assert_facts_match_reference(program)
+    for m in program.methods():
+        m.body = [type(s)(*(getattr(s, f.name) for f in fields(s) if f.init and f.name != "uses"))
+                  for s in m.body]
+    _assert_facts_match_reference(program)
+
+
+def test_fixture_statement_facts_match_reference():
+    for d in sorted(FIXTURES.iterdir()):
+        if d.is_dir():
+            _assert_facts_match_reference(fixture_bundle(d.name).program)
 
 
 def test_all_fixtures_validate_clean():
