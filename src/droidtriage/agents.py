@@ -14,6 +14,7 @@ import heapq
 import json
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -32,13 +33,7 @@ from .analysis import (
 )
 from .backend import CostLedger, ModelRouter, check_floors
 from .catalog import ApiCatalog, EntryCatalog
-from .errors import (
-    BackendError,
-    EmptyManifestError,
-    SchemaViolationError,
-    ToolError,
-    TriageError,
-)
+from .errors import InvalidBundleError, SchemaViolationError, ToolError, TriageError
 from .index import ApiIndex, CallGraph, CallSite, build_api_index, build_call_graph
 from .ir import AppBundle, CallRow, Manifest, parse_sig, render_stmt
 
@@ -142,7 +137,7 @@ def recon_screen(
     ledger: CostLedger,
 ) -> ReconReport:
     if not manifest.package:
-        raise EmptyManifestError("manifest has no package")
+        raise InvalidBundleError("manifest has no package")
     payload = {
         "package": manifest.package,
         "category": manifest.category,
@@ -170,7 +165,7 @@ def recon_screen(
         if not isinstance(raw_signals, list):
             raise TypeError("risk_signals must be a list")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise BackendError(f"unparseable screening response: {exc}") from None
+        raise SchemaViolationError(f"unparseable screening response: {exc}") from None
 
     requested = set(manifest.permissions)
     signals = []
@@ -511,11 +506,14 @@ class Catalogs:
     entry: EntryCatalog
 
 
-class PipelineStageError(TriageError):
-    def __init__(self, tier: str, cause: Exception):
-        super().__init__(f"[{tier}] {cause}")
-        self.tier = tier
-        self.cause = cause
+@contextmanager
+def _stage(tier: str):
+    """Re-raise a TriageError of the block as its own class, with `[tier]` in
+    front of its message, so the error keeps its kind."""
+    try:
+        yield
+    except TriageError as exc:
+        raise type(exc)(f"[{tier}] {exc}") from exc
 
 
 # Most sessions of one app that run at once. A constant, so neither
@@ -535,13 +533,11 @@ def run_pipeline(
     api_index = build_api_index(bundle.program, catalogs.api)
     entry_catalog = catalogs.entry.bound(bundle.manifest)
 
-    try:
+    with _stage("recon"):
         recon = recon_screen(
             bundle.manifest, api_index, catalogs.api, router,
             budgets.candidate_cap, ledger,
         )
-    except TriageError as exc:
-        raise PipelineStageError("recon", exc) from exc
 
     def session(site: CallSite, into: CostLedger) -> EvidenceVector:
         perm, sev = recon.origins.get(site.render(), ("", "Low"))
@@ -556,20 +552,16 @@ def run_pipeline(
     # first error, so vectors, joined ledger and error are the same either way.
     sites = recon.candidates
     subs = [CostLedger() for _ in sites]
-    try:
+    with _stage("trace"):
         if router.waits_on_network and len(sites) > 1:
             with ThreadPoolExecutor(min(len(sites), MAX_SESSION_THREADS)) as pool:
                 vectors = list(pool.map(session, sites, subs))
         else:
             vectors = list(map(session, sites, subs))
-    except TriageError as exc:
-        raise PipelineStageError("trace", exc) from exc
     for sub in subs:
         for exchange in sub.exchanges:
             ledger.append(exchange)
 
-    try:
+    with _stage("verdict"):
         report = adjudicate(recon, vectors, router, ledger, bundle.app_id)
-    except TriageError as exc:
-        raise PipelineStageError("verdict", exc) from exc
     return report, ledger

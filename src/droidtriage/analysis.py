@@ -35,13 +35,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .catalog import ApiCatalog, EntryCatalog
-from .errors import (
-    InvalidSiteError,
-    InvalidTargetError,
-    NoResultVariableError,
-    NotAnInvokeError,
-    UnknownMethodError,
-)
+from .errors import ToolError
 from .index import CallGraph, CallSite
 from .ir import (
     Assign,
@@ -76,12 +70,12 @@ class ContextWindow:
 def _check_site(program: IrProgram, site: CallSite) -> MethodDef:
     method = program.method_map.get(site.method)
     if method is None:
-        raise InvalidSiteError(f"unknown method {site.method}")
+        raise ToolError(f"unknown method {site.method}")
     if not (1 <= site.line <= len(method.body)):
-        raise InvalidSiteError(f"{site.method} has no line {site.line}")
+        raise ToolError(f"{site.method} has no line {site.line}")
     stmt = method.body[site.line - 1]
     if not isinstance(stmt, Invoke) or stmt.callee != site.callee:
-        raise InvalidSiteError(f"{site.method}:{site.line} is not a call to {site.callee}")
+        raise ToolError(f"{site.method}:{site.line} is not a call to {site.callee}")
     return method
 
 
@@ -185,7 +179,7 @@ def trigger_paths(
     built in O(depth x edges); no walk is listed until the result is iterated.
     """
     if site.method not in graph.nodes:
-        raise UnknownMethodError(str(site.method))
+        raise ToolError(f"unknown method {site.method}")
     levels: list[dict[MethodSig, list[MethodSig]]] = [{site.method: []}]
     walks = [{site.method: 1}]
     while len(levels) <= max_depth:
@@ -388,12 +382,12 @@ def taint_reachability(
         raise ValueError("depth_limit must be >= 0")
     method = program.method_map.get(source.method)
     if method is None or not (1 <= source.line <= len(method.body)):
-        raise InvalidSiteError(f"no statement at {source.method}:{source.line}")
+        raise ToolError(f"no statement at {source.method}:{source.line}")
     stmt = method.body[source.line - 1]
     if not isinstance(stmt, Invoke):
-        raise NotAnInvokeError(f"{source.method}:{source.line} is not a call")
+        raise ToolError(f"{source.method}:{source.line} is not a call")
     if stmt.dst is None:
-        raise NoResultVariableError(f"{source.method}:{source.line} discards its result")
+        raise ToolError(f"{source.method}:{source.line} discards its result")
     engine = _TaintEngine(program, catalog, depth_limit)
     hits = engine.run_source(source)
     return TaintResult(source, hits, depth_limit)
@@ -503,12 +497,12 @@ def backward_slice(
     control-dependence approximation, computed as the module docstring says."""
     method = program.method_map.get(method_sig)
     if method is None:
-        raise InvalidTargetError(f"unknown method {method_sig}")
+        raise ToolError(f"unknown method {method_sig}")
     if not (1 <= target_line <= len(method.body)):
-        raise InvalidTargetError(f"{method_sig} has no line {target_line}")
+        raise ToolError(f"{method_sig} has no line {target_line}")
     stmt = method.body[target_line - 1]
     if stmt.dst != target_var and target_var not in stmt.uses:
-        raise InvalidTargetError(
+        raise ToolError(
             f"{target_var!r} neither defined nor used at {method_sig}:{target_line}"
         )
     body, preds, heads, def_lines = method.body, method.predecessors, method.blocks, method.def_lines

@@ -18,15 +18,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from threading import Lock
 
-from .errors import (
-    BackendError,
-    BackendTimeoutError,
-    ConfigError,
-    EmptyLedgerError,
-    HttpError,
-    SchemaError,
-    UnpricedModelError,
-)
+from .errors import ConfigError, ProviderUnavailableError, SchemaError
 
 TIERS = ("recon", "trace", "verdict")
 
@@ -81,7 +73,7 @@ class PricingTable:
         try:
             return self.rates[model_id]
         except KeyError:
-            raise UnpricedModelError(model_id) from None
+            raise ConfigError(f"no pricing configured for model {model_id!r}") from None
 
 
 class CostLedger:
@@ -143,7 +135,7 @@ def format_usd(x: Decimal) -> str:
 def tier_shares(ledger: CostLedger) -> dict[str, float]:
     total = ledger.total_tokens
     if total <= 0:
-        raise EmptyLedgerError("no tokens metered")
+        raise ValueError("no tokens metered")
     return {t: ledger.tier_tokens(t) / total for t in TIERS}
 
 
@@ -188,22 +180,22 @@ class RouterConfig:
     def validate(self) -> None:
         missing = [t for t in TIERS if t not in self.tier_models]
         if missing:
-            raise BackendError(f"tiers without a model: {missing}")
+            raise ConfigError(f"tiers without a model: {missing}")
         for tier, model_id in self.tier_models.items():
             if model_id not in self.models:
-                raise BackendError(f"tier {tier} routed to unconfigured model {model_id}")
+                raise ConfigError(f"tier {tier} routed to unconfigured model {model_id}")
 
 
 class HttpProvider:
     """Chat-completions client.
 
     Transient failures (timeouts, connection errors, 429/5xx, malformed
-    success bodies) are retried per the policy and surface as
-    Timeout/HttpError/SchemaError once retries are exhausted; non-transient
-    HTTP statuses fail immediately.  Between attempts it waits out a 429 or
-    503's `Retry-After` seconds, capped at `timeout_s`, and otherwise sleeps a
-    uniform draw from `[0, backoff_s * attempt number]`, so concurrent
-    sessions do not retry in step.
+    success bodies) are retried per the policy and surface as a
+    ProviderUnavailableError or SchemaError once retries are exhausted;
+    non-transient HTTP statuses fail immediately.  Between attempts it waits
+    out a 429 or 503's `Retry-After` seconds, capped at `timeout_s`, and
+    otherwise sleeps a uniform draw from `[0, backoff_s * attempt number]`, so
+    concurrent sessions do not retry in step.
     """
 
     TRANSIENT_STATUSES = (429, 500, 502, 503, 504)
@@ -224,20 +216,20 @@ class HttpProvider:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        last_exc: BackendError | None = None
+        last_exc: ProviderUnavailableError | SchemaError | None = None
         for attempt in range(self.retry.count + 1):
             delay = None
             try:
                 status, data, retry_after = self._post(url, body, headers)
-            except (BackendTimeoutError, HttpError) as exc:
+            except ProviderUnavailableError as exc:
                 last_exc = exc
             else:
                 if status in self.TRANSIENT_STATUSES:
-                    last_exc = HttpError(status, "transient provider failure")
+                    last_exc = _http_error(status, "transient provider failure")
                     if status in (429, 503):
                         delay = _retry_after(retry_after, self.retry.timeout_s)
                 elif status != 200:
-                    raise HttpError(status, data.decode("utf-8", "replace")[:200])
+                    raise _http_error(status, data.decode("utf-8", "replace")[:200])
                 else:
                     try:
                         return self._parse(data)
@@ -252,7 +244,7 @@ class HttpProvider:
 
     def _post(self, url: str, body: dict, headers: dict) -> tuple[int, bytes, str | None]:
         """One POST: its status, its body and its `Retry-After` header.  A
-        transport failure raises BackendTimeoutError or HttpError(None, ...)."""
+        transport failure raises ProviderUnavailableError."""
         # imported on the first request: with the TLS and e-mail modules they
         # load, they would cost every scripted process about 50 ms and 6 MB
         import http.client
@@ -270,8 +262,8 @@ class HttpProvider:
         except (OSError, http.client.HTTPException, ValueError) as exc:
             # a read timeout is raw; urlopen wraps a connect timeout in URLError.reason
             if isinstance(getattr(exc, "reason", exc), TimeoutError):
-                raise BackendTimeoutError(f"timeout after {self.retry.timeout_s}s") from None
-            raise HttpError(None, str(exc)) from None
+                raise ProviderUnavailableError(f"timeout after {self.retry.timeout_s}s") from None
+            raise _http_error(None, str(exc)) from None
 
     @staticmethod
     def _parse(data: bytes) -> tuple[str, int, int]:
@@ -285,6 +277,10 @@ class HttpProvider:
             return content, *counts
         except (KeyError, IndexError, TypeError, ValueError, AttributeError, RecursionError) as exc:
             raise SchemaError(f"malformed chat-completions response: {exc}") from None
+
+
+def _http_error(status: int | None, message: str) -> ProviderUnavailableError:
+    return ProviderUnavailableError(f"http error (status={status}) {message}".strip())
 
 
 def _retry_after(value: str | None, cap: float) -> float | None:
@@ -314,9 +310,9 @@ class ModelRouter:
 
     def complete(self, tier: str, messages: list[tuple[str, str]]) -> Exchange:
         if tier not in TIERS:
-            raise BackendError(f"unknown tier {tier!r}")
+            raise ValueError(f"unknown tier {tier!r}")
         if not messages:
-            raise BackendError("messages must be nonempty")
+            raise ValueError("messages must be nonempty")
         model_id = self.config.tier_models[tier]
         provider = self.providers[model_id]
         start = time.monotonic()

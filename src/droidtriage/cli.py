@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .agents import Catalogs, PipelineBudgets, run_pipeline
 from .config import load_config
-from .errors import ReportIoError, TriageError
+from .errors import ReportIoError, TriageError, UnreadableBundleError
 from .harness import (
     BatchConfig,
     DatasetManifest,
@@ -27,9 +27,7 @@ def _bundle_paths(bundle_dir: Path) -> tuple[Path, Path]:
     mmf = sorted(bundle_dir.glob("*.mmf"))
     mir = sorted(bundle_dir.glob("*.mir"))
     if len(mmf) != 1 or len(mir) != 1:
-        raise TriageError(
-            f"{bundle_dir} must contain exactly one .mmf and one .mir file"
-        )
+        raise UnreadableBundleError(f"{bundle_dir} must contain exactly one .mmf and one .mir file")
     return mmf[0], mir[0]
 
 

@@ -156,8 +156,5 @@ def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfi
     entry_catalog = EntryCatalog.parse(_catalog_text("entry", "entrypoints.epc"))
 
     router = RouterConfig(tier_models=tier_models, models=models, retry=retry)
-    try:
-        router.validate()
-    except Exception as exc:
-        raise ConfigError(str(exc)) from None
+    router.validate()
     return AppConfig(router, pricing, budgets, api_catalog, entry_catalog)

@@ -1,121 +1,60 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline: one class per kind of failure.
+
+A batch records a skipped app under its error's `kind`.  A misuse of the
+package by its caller (an empty ledger, an unknown tier) is a `ValueError`.
+"""
 
 from __future__ import annotations
+
+KINDS = ("bundle-unreadable", "bundle-invalid", "tool", "provider-unavailable",
+         "provider-schema", "model-schema", "config", "report-io")
 
 
 class TriageError(Exception):
     """Base class for all errors raised by this package."""
 
-
-# ---------------------------------------------------------------- parsing
-
-
-class IrSyntaxError(TriageError):
-    """Malformed manifest or IR text."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
-
-
-class DuplicateSignatureError(TriageError):
-    def __init__(self, sig: str):
-        super().__init__(f"duplicate method signature: {sig}")
-        self.sig = sig
-
-
-class BadBranchTargetError(TriageError):
-    def __init__(self, method: str, target: int):
-        super().__init__(f"{method}: branch target {target} does not exist")
-        self.method = method
-        self.target = target
-
-
-class EmptyProgramError(TriageError):
-    pass
-
-
-# ---------------------------------------------------------------- analysis
-
-
-class ToolError(TriageError):
-    """Base for analysis-tool failures; surfaced to agents as observations."""
-
-
-class InvalidSiteError(ToolError):
-    pass
-
-
-class UnknownMethodError(ToolError):
-    pass
-
-
-class NotAnInvokeError(ToolError):
-    pass
-
-
-class NoResultVariableError(ToolError):
-    pass
-
-
-class InvalidTargetError(ToolError):
-    pass
-
-
-# ---------------------------------------------------------------- backend
-
-
-class BackendError(TriageError):
-    pass
-
-
-class BackendTimeoutError(BackendError):
-    pass
-
-
-class HttpError(BackendError):
-    def __init__(self, status, message: str = ""):
-        super().__init__(f"http error (status={status}) {message}".strip())
-        self.status = status
-
-
-class SchemaError(BackendError):
-    """Provider response did not match the chat-completions wire shape."""
-
-
-class SchemaViolationError(TriageError):
-    """Model output failed report-schema validation after retry."""
-
-
-class UnpricedModelError(TriageError):
-    def __init__(self, model_id: str):
-        super().__init__(f"no pricing configured for model {model_id!r}")
-        self.model_id = model_id
-
-
-class EmptyLedgerError(TriageError):
-    pass
-
-
-# ---------------------------------------------------------------- harness
-
-
-class EmptyManifestError(TriageError):
-    pass
+    kind: str
 
 
 class UnreadableBundleError(TriageError):
     """A bundle file could not be read or is not UTF-8."""
 
+    kind = "bundle-unreadable"
 
-class EmptyEvaluationError(TriageError):
-    pass
+
+class InvalidBundleError(TriageError):
+    """Malformed manifest or IR text."""
+
+    kind = "bundle-invalid"
+
+
+class ToolError(TriageError):
+    """An analysis tool refused its arguments; surfaced to agents as an observation."""
+
+    kind = "tool"
+
+
+class ProviderUnavailableError(TriageError):
+    """The model provider timed out, failed or refused the request."""
+
+    kind = "provider-unavailable"
+
+
+class SchemaError(TriageError):
+    """Provider response did not match the chat-completions wire shape."""
+
+    kind = "provider-schema"
+
+
+class SchemaViolationError(TriageError):
+    """Model output failed its tier's schema."""
+
+    kind = "model-schema"
 
 
 class ConfigError(TriageError):
-    pass
+    kind = "config"
 
 
 class ReportIoError(TriageError):
-    pass
+    kind = "report-io"

@@ -23,13 +23,8 @@ from typing import Iterable
 
 from .agents import Catalogs, PipelineBudgets, VerdictReport, run_pipeline
 from .backend import CostLedger, ModelRouter, PricingTable, cost_of, format_usd, tier_shares
-from .errors import (
-    ConfigError,
-    EmptyEvaluationError,
-    ReportIoError,
-    TriageError,
-    UnreadableBundleError,
-)
+from .errors import (ConfigError, InvalidBundleError, ReportIoError, TriageError,
+                     UnreadableBundleError)
 from .ir import AppBundle, parse_bundle, validate
 
 LABELS = ("Benign", "Malicious")
@@ -119,7 +114,7 @@ class MetricSet:
 
 def compute_metrics(c: ConfusionCounts) -> MetricSet:
     if c.total <= 0:
-        raise EmptyEvaluationError("no evaluated entries")
+        raise ValueError("no evaluated entries")
     accuracy = (c.tp + c.tn) / c.total
     precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
     recall = c.tp / (c.tp + c.fn) if (c.tp + c.fn) > 0 else None
@@ -140,6 +135,7 @@ class EntryResult:
     report: VerdictReport | None = None
     ledger: CostLedger | None = None
     skip_reason: str | None = None
+    skip_class: str | None = None  # an error kind, or "internal-error"
 
     @property
     def evaluated(self) -> bool:
@@ -169,19 +165,17 @@ def read_bundle(manifest_path: Path, ir_path: Path, app_id: str | None = None) -
 def _evaluate_entry(entry: DatasetEntry, cfg: BatchConfig) -> EntryResult:
     try:
         bundle = read_bundle(entry.manifest_path, entry.ir_path, app_id=entry.app_id)
-        diags = validate(bundle)
-        if diags:
-            reasons = "; ".join(f"{d.code}@{d.where}" for d in diags[:5])
-            return EntryResult(entry, skip_reason=f"invalid bundle: {reasons}")
+        if diags := validate(bundle):
+            raise InvalidBundleError("; ".join(f"{d.code}@{d.where}" for d in diags[:5]))
         report, ledger = run_pipeline(bundle, cfg.catalogs, cfg.router, cfg.budgets)
         return EntryResult(entry, report=report, ledger=ledger)
-    except UnreadableBundleError as exc:
-        return EntryResult(entry, skip_reason=str(exc))
-    except TriageError as exc:
-        return EntryResult(entry, skip_reason=f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # a fault of the program, not of the app: classified, never fatal
+    except Exception as exc:  # every failure is a classified skip, never fatal
+        if isinstance(exc, TriageError):
+            return EntryResult(entry, skip_reason=str(exc), skip_class=exc.kind)
+        # a fault of the program, not of the app
         sys.stderr.write(f"{entry.app_id}: {traceback.format_exc()}")
-        return EntryResult(entry, skip_reason=f"internal-error: {type(exc).__name__}: {exc}")
+        return EntryResult(entry, skip_reason=f"{type(exc).__name__}: {exc}",
+                           skip_class="internal-error")
 
 
 def run_batch(dataset: DatasetManifest, cfg: BatchConfig) -> list[EntryResult]:
@@ -231,7 +225,7 @@ def _merged_ledger(results: list[EntryResult]) -> CostLedger:
 def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
     evaluated = [r for r in results if r.evaluated]
     skipped = [
-        {"app_id": r.entry.app_id, "reason": r.skip_reason}
+        {"app_id": r.entry.app_id, "class": r.skip_class, "reason": r.skip_reason}
         for r in results
         if not r.evaluated
     ]
@@ -306,6 +300,7 @@ def emit_reports(results: list[EntryResult], pricing: PricingTable,
                     row["tokens"] = r.ledger.total_tokens
                 else:
                     row["skipped"] = r.skip_reason
+                    row["skip_class"] = r.skip_class
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
         (out / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -321,6 +316,8 @@ def _digest(summary: dict) -> str:
         f"evaluated: {summary['evaluated']}",
         f"skipped:   {len(summary['skipped'])}",
     ]
+    classes = Counter(str(s["class"]) for s in summary["skipped"])
+    lines += [f"  {cls}: {n}" for cls, n in sorted(classes.items())]
     metrics = summary.get("metrics")
     if metrics:
         rendered = ", ".join(

@@ -33,12 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import (
-    BadBranchTargetError,
-    DuplicateSignatureError,
-    EmptyProgramError,
-    IrSyntaxError,
-)
+from .errors import InvalidBundleError
 
 # ---------------------------------------------------------------------------
 # signatures
@@ -100,7 +95,7 @@ def _check_arg_token(tok: str, line_no: int) -> bool:
         return False
     if len(tok) >= 2 and tok.startswith('"') and tok.endswith('"'):
         return False
-    raise IrSyntaxError(line_no, f"bad argument token {tok!r}")
+    raise InvalidBundleError(f"line {line_no}: bad argument token {tok!r}")
 
 
 _ARG_RE = re.compile(r'(?:[^",]+|"[^"]*(?:"|$))+')
@@ -343,7 +338,7 @@ def parse_manifest(text: str) -> Manifest:
         if not line:
             continue
         if ":" not in line:
-            raise IrSyntaxError(line_no, f"expected key:value, got {line!r}")
+            raise InvalidBundleError(f"line {line_no}: expected key:value, got {line!r}")
         key, value = (part.strip() for part in line.split(":", 1))
         if key == "package":
             package = value
@@ -353,28 +348,28 @@ def parse_manifest(text: str) -> Manifest:
             description = value
         elif key == "permission":
             if not value:
-                raise IrSyntaxError(line_no, "empty permission name")
+                raise InvalidBundleError(f"line {line_no}: empty permission name")
             permissions.append(value)
         elif key == "component":
             components.append(_parse_component(value, line_no))
         else:
-            raise IrSyntaxError(line_no, f"unknown manifest key {key!r}")
+            raise InvalidBundleError(f"line {line_no}: unknown manifest key {key!r}")
     if not package:
-        raise IrSyntaxError(0, "manifest missing package")
+        raise InvalidBundleError("line 0: manifest missing package")
     return Manifest(package, category, description, permissions, components)
 
 
 def _parse_component(value: str, line_no: int) -> Component:
     parts = value.split(":")
     if len(parts) < 2:
-        raise IrSyntaxError(line_no, f"component needs kind and class: {value!r}")
+        raise InvalidBundleError(f"line {line_no}: component needs kind and class: {value!r}")
     kind, cls = parts[0].strip(), parts[1].strip()
     if kind not in COMPONENT_KINDS:
-        raise IrSyntaxError(line_no, f"unknown component kind {kind!r}")
+        raise InvalidBundleError(f"line {line_no}: unknown component kind {kind!r}")
     extras = [extra.strip() for extra in parts[2:]]
     for extra in extras:
         if not extra.startswith("action=") and extra != "exported":
-            raise IrSyntaxError(line_no, f"bad component attribute {extra!r}")
+            raise InvalidBundleError(f"line {line_no}: bad component attribute {extra!r}")
     actions = tuple(extra[len("action="):] for extra in extras if extra != "exported")
     return Component(cls, kind, actions, "exported" in extras)
 
@@ -404,7 +399,7 @@ def _target(digits: str, file_line: int) -> int:
     try:
         return int(digits)
     except ValueError:
-        raise IrSyntaxError(file_line, f"branch target of {len(digits)} digits") from None
+        raise InvalidBundleError(f"line {file_line}: branch target of {len(digits)} digits") from None
 
 
 def _strip(raw: str) -> str:
@@ -434,7 +429,7 @@ class _Parse:
             try:
                 sig = parse_sig(text)
             except ValueError as exc:
-                raise IrSyntaxError(file_line, str(exc)) from None
+                raise InvalidBundleError(f"line {file_line}: {exc}") from None
             # texts that differ only in spacing share the canonical one's object
             sig = self.sigs[text] = self.sigs.setdefault(str(sig), sig)
         return sig
@@ -457,32 +452,34 @@ class _Parse:
         if line.startswith("call", pos) and (m := _CALL_RE.match(line, pos)):
             callee, (args, uses) = self.sig(m.group(1), file_line), self.args(m.group(2), file_line)
             if dst is not None and not is_var_token(dst):
-                raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+                raise InvalidBundleError(f"line {file_line}: bad destination {dst!r}")
             return Invoke(callee, args, dst, uses)
         if dst is None:
             if line.startswith("if") and (m := _IF_RE.match(line)):
                 if not is_var_token(m.group(1)):
-                    raise IrSyntaxError(file_line, f"bad condition variable {m.group(1)!r}")
+                    raise InvalidBundleError(
+                        f"line {file_line}: bad condition variable {m.group(1)!r}")
                 return If(m.group(1), _target(m.group(2), file_line))
             if line.startswith("goto") and (m := _GOTO_RE.match(line)):
                 return Goto(_target(m.group(1), file_line))
             if line.startswith("return") and (m := _RETURN_RE.match(line)):
                 if m.group(1) is not None and not is_var_token(m.group(1)):
-                    raise IrSyntaxError(file_line, f"bad return variable {m.group(1)!r}")
+                    raise InvalidBundleError(
+                        f"line {file_line}: bad return variable {m.group(1)!r}")
                 return Return(m.group(1))
             if line == "nop":
                 return Nop()
         elif line.startswith("const", pos) and (m := _CONST_RE.match(line, pos)):
             literal = m.group(1).strip()
             if not is_var_token(dst):
-                raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+                raise InvalidBundleError(f"line {file_line}: bad destination {dst!r}")
             _check_arg_token(literal, file_line)
             return Assign(dst, literal=literal)
         elif m := _COPY_RE.match(line, pos):
             if not is_var_token(dst) or not is_var_token(m.group(1)):
-                raise IrSyntaxError(file_line, f"bad assignment {line!r}")
+                raise InvalidBundleError(f"line {file_line}: bad assignment {line!r}")
             return Assign(dst, src=m.group(1))
-        raise IrSyntaxError(file_line, f"unrecognized statement {line!r}")
+        raise InvalidBundleError(f"line {file_line}: unrecognized statement {line!r}")
 
 
 def parse_program(text: str) -> IrProgram:
@@ -511,44 +508,43 @@ def parse_program(text: str) -> IrProgram:
                 continue
             m = _METHOD_RE.match(line)
             if not m:
-                raise IrSyntaxError(file_line, f"expected method or '}}', got {line!r}")
+                raise InvalidBundleError(f"line {file_line}: expected method or '}}', got {line!r}")
             sig = parse.sig(m.group(1), file_line)
             if sig.class_name != cur_class.name:
-                raise IrSyntaxError(
-                    file_line, f"method {sig} declared inside class {cur_class.name}"
-                )
+                raise InvalidBundleError(
+                    f"line {file_line}: method {sig} declared inside class {cur_class.name}")
             if sig in seen_sigs:
-                raise DuplicateSignatureError(str(sig))
+                raise InvalidBundleError(f"duplicate method signature: {sig}")
             seen_sigs.add(sig)
             params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
             for p in params:
                 if not is_var_token(p):
-                    raise IrSyntaxError(file_line, f"bad parameter name {p!r}")
+                    raise InvalidBundleError(f"line {file_line}: bad parameter name {p!r}")
             if len(set(params)) != len(params):
-                raise IrSyntaxError(file_line, f"{sig}: duplicate parameter names")
+                raise InvalidBundleError(f"line {file_line}: {sig}: duplicate parameter names")
             if len(params) != len(sig.param_types):
-                raise IrSyntaxError(
-                    file_line,
-                    f"{sig}: {len(sig.param_types)} parameter types but {len(params)} names",
-                )
+                raise InvalidBundleError(f"line {file_line}: {sig}: {len(sig.param_types)} "
+                                         f"parameter types but {len(params)} names")
             cur_method = MethodDef(sig, params, [])
             cur_class.methods.append(cur_method)
             continue
         m = _CLASS_RE.match(line)
         if not m:
-            raise IrSyntaxError(file_line, f"expected class declaration, got {line!r}")
+            raise InvalidBundleError(f"line {file_line}: expected class declaration, got {line!r}")
         cur_class = ClassDef(m.group(1), m.group(2), [])
         classes.append(cur_class)
 
     if cur_method is not None or cur_class is not None:
-        raise IrSyntaxError(len(text.splitlines()), "unexpected end of input (missing '}')")
+        raise InvalidBundleError(
+            f"line {len(text.splitlines())}: unexpected end of input (missing '}}')")
     return IrProgram(classes)
 
 
 def _check_branch_targets(method: MethodDef) -> None:
     for stmt in method.body:
         if isinstance(stmt, (If, Goto)) and not 1 <= stmt.target <= len(method.body):
-            raise BadBranchTargetError(str(method.signature), stmt.target)
+            raise InvalidBundleError(
+                f"{method.signature}: branch target {stmt.target} does not exist")
 
 
 def render_program(program: IrProgram) -> str:
@@ -621,7 +617,7 @@ class LocDistribution:
     def percentile(self, p: float) -> int:
         """Smallest LOC value v such that at least p% of methods have LOC <= v."""
         if not self.per_method_loc:
-            raise EmptyProgramError("no methods")
+            raise ValueError("no methods")
         xs = sorted(self.per_method_loc)
         rank = max(1, math.ceil(len(xs) * p / 100.0))
         return xs[min(rank, len(xs)) - 1]
@@ -643,5 +639,5 @@ class LocDistribution:
 def loc_stats(program: IrProgram) -> LocDistribution:
     methods = program.methods()
     if not methods:
-        raise EmptyProgramError("program has no methods")
+        raise ValueError("program has no methods")
     return LocDistribution([m.loc for m in methods])

@@ -13,7 +13,7 @@ import json
 import re
 
 from .backend import count_tokens
-from .errors import BackendError
+from .errors import ProviderUnavailableError
 
 _PAYLOAD_RE = re.compile(r"```json\s*(.*?)\s*```", re.DOTALL)
 
@@ -83,7 +83,7 @@ def _payload(messages: list[tuple[str, str]]) -> dict:
         blocks = _PAYLOAD_RE.findall(text)
         if blocks:
             return json.loads(blocks[-1])
-    raise BackendError("scripted provider found no JSON payload in prompt")
+    raise ProviderUnavailableError("scripted provider found no JSON payload in prompt")
 
 
 def _dump(obj) -> str:
@@ -132,7 +132,7 @@ class ScriptedProvider:
         elif tier == "verdict":
             response = self._verdict(messages)
         else:
-            raise BackendError(f"scripted provider has no policy for tier {tier!r}")
+            raise ProviderUnavailableError(f"scripted provider has no policy for tier {tier!r}")
         in_tokens = sum(count_tokens(text) for _role, text in messages)
         return response, in_tokens, count_tokens(response)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from droidtriage.backend import TIERS, CostLedger
-from droidtriage.errors import BadBranchTargetError, DuplicateSignatureError, IrSyntaxError
+from droidtriage.errors import InvalidBundleError
 from droidtriage.ir import (
     Assign,
     ClassDef,
@@ -151,7 +151,7 @@ def _branch_target(digits: str, file_line: int) -> int:
     try:
         return int(digits)
     except ValueError:  # longer than the interpreter's int-string limit
-        raise IrSyntaxError(file_line, f"branch target of {len(digits)} digits") from None
+        raise InvalidBundleError(f"line {file_line}: branch target of {len(digits)} digits") from None
 
 
 def parse_stmt_cascade(line: str, file_line: int):
@@ -162,18 +162,18 @@ def parse_stmt_cascade(line: str, file_line: int):
         try:
             callee = parse_sig(sig_text)
         except ValueError as exc:
-            raise IrSyntaxError(file_line, str(exc)) from None
+            raise InvalidBundleError(f"line {file_line}: {exc}") from None
         args = tuple(split_args_scan(args_text))
         for a in args:
             _check_arg_token(a, file_line)
         if dst is not None and not is_var_token(dst):
-            raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+            raise InvalidBundleError(f"line {file_line}: bad destination {dst!r}")
         return Invoke(callee, args, dst)
     m = _IF_RE.match(line)
     if m:
         cond, target = m.groups()
         if not is_var_token(cond):
-            raise IrSyntaxError(file_line, f"bad condition variable {cond!r}")
+            raise InvalidBundleError(f"line {file_line}: bad condition variable {cond!r}")
         return If(cond, _branch_target(target, file_line))
     m = _GOTO_RE.match(line)
     if m:
@@ -182,7 +182,7 @@ def parse_stmt_cascade(line: str, file_line: int):
     if m:
         var = m.group(1)
         if var is not None and not is_var_token(var):
-            raise IrSyntaxError(file_line, f"bad return variable {var!r}")
+            raise InvalidBundleError(f"line {file_line}: bad return variable {var!r}")
         return Return(var)
     if line == "nop":
         return Nop()
@@ -190,16 +190,16 @@ def parse_stmt_cascade(line: str, file_line: int):
     if m:
         dst, literal = m.group(1), m.group(2).strip()
         if not is_var_token(dst):
-            raise IrSyntaxError(file_line, f"bad destination {dst!r}")
+            raise InvalidBundleError(f"line {file_line}: bad destination {dst!r}")
         _check_arg_token(literal, file_line)
         return Assign(dst, literal=literal)
     m = _COPY_RE.match(line)
     if m:
         dst, src = m.groups()
         if not is_var_token(dst) or not is_var_token(src):
-            raise IrSyntaxError(file_line, f"bad assignment {line!r}")
+            raise InvalidBundleError(f"line {file_line}: bad assignment {line!r}")
         return Assign(dst, src=src)
-    raise IrSyntaxError(file_line, f"unrecognized statement {line!r}")
+    raise InvalidBundleError(f"line {file_line}: unrecognized statement {line!r}")
 
 
 def parse_program_cascade(text: str) -> IrProgram:
@@ -219,7 +219,8 @@ def parse_program_cascade(text: str) -> IrProgram:
                 n = len(cur_method.body)
                 for stmt in cur_method.body:
                     if isinstance(stmt, (If, Goto)) and not (1 <= stmt.target <= n):
-                        raise BadBranchTargetError(str(cur_method.signature), stmt.target)
+                        raise InvalidBundleError(
+                            f"{cur_method.signature}: branch target {stmt.target} does not exist")
                 cur_method = None
                 continue
             cur_method.body.append(parse_stmt_cascade(line, file_line))
@@ -230,41 +231,39 @@ def parse_program_cascade(text: str) -> IrProgram:
                 continue
             m = _METHOD_RE.match(line)
             if not m:
-                raise IrSyntaxError(file_line, f"expected method or '}}', got {line!r}")
+                raise InvalidBundleError(f"line {file_line}: expected method or '}}', got {line!r}")
             sig_text, params_text = m.groups()
             try:
                 sig = parse_sig(sig_text)
             except ValueError as exc:
-                raise IrSyntaxError(file_line, str(exc)) from None
+                raise InvalidBundleError(f"line {file_line}: {exc}") from None
             if sig.class_name != cur_class.name:
-                raise IrSyntaxError(
-                    file_line, f"method {sig} declared inside class {cur_class.name}"
-                )
+                raise InvalidBundleError(
+                    f"line {file_line}: method {sig} declared inside class {cur_class.name}")
             if sig in seen_sigs:
-                raise DuplicateSignatureError(str(sig))
+                raise InvalidBundleError(f"duplicate method signature: {sig}")
             seen_sigs.add(sig)
             params = tuple(p.strip() for p in params_text.split(",") if p.strip())
             for p in params:
                 if not is_var_token(p):
-                    raise IrSyntaxError(file_line, f"bad parameter name {p!r}")
+                    raise InvalidBundleError(f"line {file_line}: bad parameter name {p!r}")
             if len(set(params)) != len(params):
-                raise IrSyntaxError(file_line, f"{sig}: duplicate parameter names")
+                raise InvalidBundleError(f"line {file_line}: {sig}: duplicate parameter names")
             if len(params) != len(sig.param_types):
-                raise IrSyntaxError(
-                    file_line,
-                    f"{sig}: {len(sig.param_types)} parameter types but {len(params)} names",
-                )
+                raise InvalidBundleError(f"line {file_line}: {sig}: {len(sig.param_types)} "
+                                         f"parameter types but {len(params)} names")
             cur_method = MethodDef(sig, params, [])
             cur_class.methods.append(cur_method)
             continue
         m = _CLASS_RE.match(line)
         if not m:
-            raise IrSyntaxError(file_line, f"expected class declaration, got {line!r}")
+            raise InvalidBundleError(f"line {file_line}: expected class declaration, got {line!r}")
         cur_class = ClassDef(m.group(1), m.group(2), [])
         classes.append(cur_class)
 
     if cur_method is not None or cur_class is not None:
-        raise IrSyntaxError(len(text.splitlines()), "unexpected end of input (missing '}')")
+        raise InvalidBundleError(
+            f"line {len(text.splitlines())}: unexpected end of input (missing '}}')")
     return IrProgram(classes)
 
 

@@ -318,6 +318,7 @@ def test_criterion_10_batch_robustness(tmp_path):
         by_id = {r.entry.app_id: r for r in results}
         assert not by_id["broken"].evaluated
         assert "broken" in by_id["broken"].skip_reason or "line" in by_id["broken"].skip_reason
+        assert by_id["broken"].skip_class == "bundle-invalid"
         for app in ("fx_clean", "fx_dialerspy", "fx_smsleak"):
             assert by_id[app].evaluated, app
 

@@ -21,7 +21,6 @@ from droidtriage.agents import (
     TRIGGER_DEPTH,
     Catalogs,
     PipelineBudgets,
-    PipelineStageError,
     ReconReport,
     ToolBox,
     adjudicate,
@@ -38,7 +37,7 @@ from droidtriage.backend import (
 )
 from droidtriage.catalog import ApiCatalog
 from droidtriage.config import load_config
-from droidtriage.errors import EmptyManifestError, SchemaViolationError
+from droidtriage.errors import InvalidBundleError, SchemaViolationError
 from droidtriage.index import CallSite, build_api_index, build_call_graph
 from droidtriage.ir import Manifest, parse_bundle, parse_program, parse_sig
 from droidtriage.scripted import _POLICY, ScriptedProvider
@@ -182,8 +181,9 @@ def test_recon_keeps_the_cap_first_of_all_pulled_sites(seed, data):
 def test_recon_empty_manifest_rejected():
     manifest = Manifest("", "", "", [], [])
     bundle, _g, index, _e = pipeline_parts("fx_clean")
-    with pytest.raises(EmptyManifestError):
+    with pytest.raises(InvalidBundleError, match="^manifest has no package$") as exc:
         recon_screen(manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger())
+    assert exc.value.kind == "bundle-invalid"
 
 
 def test_recon_meters_one_exchange():
@@ -437,13 +437,14 @@ def test_trace_deeply_nested_reply_is_unparseable_action():
     assert [o["error"] for o in _session_observations(vec)] == ["UnknownTool", "UnknownTool"]
 
 
-def test_recon_deeply_nested_reply_is_backend_error():
-    from droidtriage.errors import BackendError
-
+def test_recon_deeply_nested_reply_is_model_schema_error():
+    # the fault is in the model's reply, not in the provider that carried it
     bundle, _graph, index, _entry = pipeline_parts("fx_clean")
-    with pytest.raises(BackendError, match="unparseable screening response"):
+    with pytest.raises(SchemaViolationError,
+                       match="^unparseable screening response: maximum recursion depth") as exc:
         recon_screen(bundle.manifest, index, CFG.api_catalog, _text_router(_DEEP_REPLY), 15,
                      CostLedger())
+    assert exc.value.kind == "model-schema"
 
 
 def test_adjudicate_deeply_nested_reply_is_schema_violation():
@@ -766,10 +767,10 @@ def test_recon_rejects_non_list_signals():
     )
     router = ModelRouter(config, {"m": WeirdProvider()})
     bundle, _graph, index, _entry = pipeline_parts("fx_clean")
-    from droidtriage.errors import BackendError
-
-    with pytest.raises(BackendError):
+    with pytest.raises(SchemaViolationError) as exc:
         recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
+    assert exc.value.kind == "model-schema"
+    assert str(exc.value) == "unparseable screening response: risk_signals must be a list"
 
 
 def test_recon_skips_signals_with_unhashable_fields():
@@ -908,10 +909,11 @@ def test_pipeline_unhashable_reply_fields_end_in_triage_errors():
         models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": UnhashableProvider()})
-    with pytest.raises(PipelineStageError) as info:
+    with pytest.raises(SchemaViolationError) as info:
         run_pipeline(load_fixture("fx_smsleak"), CATALOGS, router)
-    assert info.value.tier == "verdict"
-    assert isinstance(info.value.cause, SchemaViolationError)
+    assert info.value.kind == "model-schema"
+    assert str(info.value) == ("[verdict] verdict failed schema validation twice: "
+                               "evidence ref {} matches no vector")
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -991,7 +993,6 @@ def test_capped_rejects_non_integral_sizes(value):
 
 
 def test_pipeline_stage_errors_carry_tier():
-    from droidtriage.agents import PipelineStageError
     from droidtriage.scripted import ScriptedProvider
 
     class VerdictBomb(ScriptedProvider):
@@ -1005,9 +1006,11 @@ def test_pipeline_stage_errors_carry_tier():
         models={"m": ModelConfig("m")},
     )
     router = ModelRouter(config, {"m": VerdictBomb()})
-    with pytest.raises(PipelineStageError) as exc:
+    with pytest.raises(SchemaViolationError) as exc:
         run_pipeline(load_fixture("fx_clean"), CATALOGS, router)
-    assert exc.value.tier == "verdict"
+    assert exc.value.kind == "model-schema"
+    assert str(exc.value) == ("[verdict] verdict failed schema validation twice: "
+                              "not JSON: Expecting value: line 1 column 1 (char 0)")
 
 
 def test_pipeline_evidence_grounding_on_malicious():

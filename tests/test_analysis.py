@@ -20,12 +20,7 @@ from droidtriage.analysis import (
     trigger_paths,
 )
 from droidtriage.catalog import EntryCatalog
-from droidtriage.errors import (
-    InvalidSiteError,
-    InvalidTargetError,
-    NoResultVariableError,
-    NotAnInvokeError,
-)
+from droidtriage.errors import ToolError
 from droidtriage.index import CallSite, build_call_graph
 from droidtriage.ir import Invoke, If, Manifest, parse_program, parse_sig
 
@@ -102,8 +97,10 @@ def test_window_lines_carry_numbers():
 def test_window_invalid_site():
     program, site = _method_program(5, 3)
     bad = CallSite(site.method, 2, site.callee, None)  # line 2 is a const
-    with pytest.raises(InvalidSiteError):
+    with pytest.raises(ToolError) as exc:
         extract_context(program, bad, radius=20)
+    assert exc.value.kind == "tool"
+    assert str(exc.value) == "w.M.big()->string:2 is not a call to ext.api.Src.read()->string"
 
 
 @given(st.integers(1, 200), st.integers(1, 200))
@@ -195,10 +192,10 @@ def test_trigger_unknown_method_rejected():
     _program, graph, catalog = _trigger_setup()
     site = CallSite(parse_sig("t.Nope.m()->void"), 1,
                     parse_sig("ext.api.Src.read()->string"), "r")
-    from droidtriage.errors import UnknownMethodError
-
-    with pytest.raises(UnknownMethodError):
+    with pytest.raises(ToolError) as exc:
         trigger_paths(graph, site, catalog, max_depth=3)
+    assert exc.value.kind == "tool"
+    assert str(exc.value) == "unknown method t.Nope.m()->void"
 
 
 def test_trigger_chains_match_enumeration_oracle_on_dags():
@@ -489,25 +486,28 @@ def test_taint_source_errors():
     graph = build_call_graph(program)
     catalog = synth_catalog()
     sig = parse_sig("a.B.m()->void")
-    with pytest.raises(NotAnInvokeError):
+    with pytest.raises(ToolError, match=r"^a\.B\.m\(\)->void:1 is not a call$") as exc:
         taint_reachability(
             program, graph,
             CallSite(sig, 1, parse_sig("ext.api.Src.read()->string"), "x"),
             catalog, 3,
         )
-    with pytest.raises(NoResultVariableError):
+    assert exc.value.kind == "tool"
+    with pytest.raises(ToolError, match=r"^a\.B\.m\(\)->void:2 discards its result$") as exc:
         taint_reachability(
             program, graph,
             CallSite(sig, 2, parse_sig("ext.api.Util.log(string)->void"), None),
             catalog, 3,
         )
-    with pytest.raises(InvalidSiteError):
+    assert exc.value.kind == "tool"
+    with pytest.raises(ToolError, match=r"^no statement at a\.B\.nope\(\)->void:1$") as exc:
         taint_reachability(
             program, graph,
             CallSite(parse_sig("a.B.nope()->void"), 1,
                      parse_sig("ext.api.Src.read()->string"), "x"),
             catalog, 3,
         )
+    assert exc.value.kind == "tool"
 
 
 def _all_sources(program):
@@ -607,10 +607,14 @@ def test_slice_invalid_target():
     program = parse_program(
         "class a.B {\n  method a.B.m()->void () {\n    a = const 1\n  }\n}\n"
     )
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(ToolError) as exc:
         backward_slice(program, parse_sig("a.B.m()->void"), 1, "zz")
-    with pytest.raises(InvalidTargetError):
+    assert exc.value.kind == "tool"
+    assert str(exc.value) == "'zz' neither defined nor used at a.B.m()->void:1"
+    with pytest.raises(ToolError) as exc:
         backward_slice(program, parse_sig("a.B.m()->void"), 9, "a")
+    assert exc.value.kind == "tool"
+    assert str(exc.value) == "a.B.m()->void has no line 9"
 
 
 def test_slice_matches_closure_oracle_straightline():

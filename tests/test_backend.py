@@ -31,14 +31,7 @@ from droidtriage.backend import (
     count_tokens,
     tier_shares,
 )
-from droidtriage.errors import (
-    BackendError,
-    BackendTimeoutError,
-    EmptyLedgerError,
-    HttpError,
-    SchemaError,
-    UnpricedModelError,
-)
+from droidtriage.errors import ConfigError, ProviderUnavailableError, SchemaError
 from droidtriage.scripted import ScriptedProvider
 
 from oracles import recomputed_totals
@@ -146,8 +139,9 @@ def test_cost_of_mixed_models_matches_hand_sum():
 def test_cost_of_unpriced_model():
     ledger = CostLedger()
     ledger.append(_exchange("trace", 1, 1, "mystery"))
-    with pytest.raises(UnpricedModelError):
+    with pytest.raises(ConfigError, match="^no pricing configured for model 'mystery'$") as exc:
         cost_of(ledger, PricingTable())
+    assert exc.value.kind == "config"
 
 
 @given(st.lists(st.tuples(st.sampled_from(("recon", "trace", "verdict")),
@@ -188,7 +182,7 @@ def test_tier_shares_example_split():
 
 
 def test_tier_shares_empty_ledger():
-    with pytest.raises(EmptyLedgerError):
+    with pytest.raises(ValueError, match="^no tokens metered$"):
         tier_shares(CostLedger())
 
 
@@ -238,13 +232,15 @@ def test_router_times_every_provider_alike():
 
 def test_router_requires_all_tiers():
     config = RouterConfig(tier_models={"recon": "m"}, models={"m": ModelConfig("m")})
-    with pytest.raises(BackendError):
+    with pytest.raises(ConfigError,
+                       match=r"^tiers without a model: \['trace', 'verdict'\]$") as exc:
         ModelRouter(config, {"m": ScriptedProvider()})
+    assert exc.value.kind == "config"
 
 
 def test_router_rejects_unknown_tier_call():
     router = _scripted_router()
-    with pytest.raises(BackendError):
+    with pytest.raises(ValueError, match="^unknown tier 'preflight'$"):
         router.complete("preflight", [("user", "x")])
 
 
@@ -360,9 +356,10 @@ def test_live_provider_retries_transient_then_succeeds(stub_server):
 def test_live_provider_persistent_500_raises_http_error(stub_server):
     _StubHandler.behaviors = ["500", "500", "500"]
     provider = _http_provider(stub_server, retries=2)
-    with pytest.raises(HttpError) as exc:
+    with pytest.raises(ProviderUnavailableError) as exc:
         provider.chat("live-x", "trace", [("user", "ping")])
-    assert exc.value.status == 500
+    assert exc.value.kind == "provider-unavailable"
+    assert str(exc.value) == "http error (status=500) transient provider failure"
 
 
 def test_live_provider_malformed_body_retried_then_schema_error(stub_server):
@@ -382,8 +379,9 @@ def test_live_provider_malformed_then_ok_recovers(stub_server):
 
 def test_live_provider_unroutable_endpoint():
     provider = _http_provider("http://127.0.0.1:9", retries=1)
-    with pytest.raises(HttpError):
+    with pytest.raises(ProviderUnavailableError, match=r"^http error \(status=None\) ") as exc:
         provider.chat("live-x", "trace", [("user", "ping")])
+    assert exc.value.kind == "provider-unavailable"
 
 
 def test_live_provider_silent_endpoint_times_out_each_attempt():
@@ -392,8 +390,9 @@ def test_live_provider_silent_endpoint_times_out_each_attempt():
         listener.listen(8)
         port = listener.getsockname()[1]
         provider = _http_provider(f"http://127.0.0.1:{port}", retries=2, timeout_s=0.2)
-        with pytest.raises(BackendTimeoutError):
+        with pytest.raises(ProviderUnavailableError, match=r"^timeout after 0\.2s$") as exc:
             provider.chat("live-x", "trace", [("user", "ping")])
+        assert exc.value.kind == "provider-unavailable"
         listener.settimeout(0.5)
         attempts = 0
         try:
@@ -408,10 +407,10 @@ def test_live_provider_silent_endpoint_times_out_each_attempt():
 def test_live_provider_client_error_fails_at_once(stub_server, sleeps):
     _StubHandler.behaviors = ["401", "ok"]
     provider = _http_provider(stub_server, retries=2)
-    with pytest.raises(HttpError) as exc:
+    with pytest.raises(ProviderUnavailableError) as exc:
         provider.chat("live-x", "trace", [("user", "ping")])
-    assert exc.value.status == 401
-    assert "denied" in str(exc.value)
+    assert exc.value.kind == "provider-unavailable"
+    assert str(exc.value) == "http error (status=401) denied"
     assert len(_StubHandler.seen) == 1
     assert sleeps == []
 
@@ -419,9 +418,10 @@ def test_live_provider_client_error_fails_at_once(stub_server, sleeps):
 def test_live_provider_non_200_success_status_fails_at_once(stub_server):
     _StubHandler.behaviors = ["201"]
     provider = _http_provider(stub_server, retries=2)
-    with pytest.raises(HttpError) as exc:
+    with pytest.raises(ProviderUnavailableError) as exc:
         provider.chat("live-x", "trace", [("user", "ping")])
-    assert exc.value.status == 201
+    assert exc.value.kind == "provider-unavailable"
+    assert str(exc.value) == "http error (status=201) denied"
     assert len(_StubHandler.seen) == 1
 
 

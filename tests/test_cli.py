@@ -35,6 +35,15 @@ def test_analyze_missing_bundle_dir_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_two_ir_files_fails_cleanly(tmp_path, capsys):
+    (tmp_path / "app.mmf").write_text("package: a\n")
+    for name in ("one.mir", "two.mir"):
+        (tmp_path / name).write_text("")
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path} must contain exactly one .mmf and one .mir file\n")
+
+
 def test_batch_over_fixture_corpus(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main([

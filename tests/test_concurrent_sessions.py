@@ -20,13 +20,12 @@ from droidtriage.agents import (
     MAX_SESSION_THREADS,
     Catalogs,
     PipelineBudgets,
-    PipelineStageError,
     recon_screen,
     run_pipeline,
 )
 from droidtriage.backend import CostLedger, HttpProvider, ModelConfig, ModelRouter, RouterConfig
 from droidtriage.config import load_config
-from droidtriage.errors import HttpError
+from droidtriage.errors import ProviderUnavailableError
 from droidtriage.index import build_api_index
 from droidtriage.ir import parse_bundle
 from droidtriage.scripted import ScriptedProvider
@@ -55,7 +54,8 @@ class SlowScripted(ScriptedProvider):
 
     A trace reply for the i-th of n candidates waits (n - i) ticks, so later
     candidates are answered faster and their sessions finish first. The
-    session at `fail_at`, if any, raises `HttpError` on its first exchange.
+    session at `fail_at`, if any, raises `ProviderUnavailableError` on its
+    first exchange.
     """
 
     waits_on_network = True
@@ -78,7 +78,7 @@ class SlowScripted(ScriptedProvider):
             i = self.session_of(messages)
             time.sleep(self.TICK_S * (len(self.candidates) - i))
             if i == self.fail_at:
-                raise HttpError(503, f"session {i} lost its connection")
+                raise ProviderUnavailableError(f"session {i} lost its connection")
             with self._lock:
                 self.answered.append(i)
         return super().chat(model_id, tier, messages)
@@ -151,12 +151,11 @@ def test_failed_session_raises_the_sequential_error(monkeypatch):
     errors = []
     for provider in (SlowScripted(candidates, fail_at=1),
                      SequentialSlowScripted(candidates, fail_at=1)):
-        with pytest.raises(PipelineStageError) as exc:
+        with pytest.raises(ProviderUnavailableError) as exc:
             run_pipeline(bundle, CATALOGS, _router(provider))
-        assert exc.value.tier == "trace"
-        assert isinstance(exc.value.cause, HttpError)
+        assert exc.value.kind == "provider-unavailable"
         errors.append(str(exc.value))
-    assert errors[0] == errors[1] == "[trace] http error (status=503) session 1 lost its connection"
+    assert errors[0] == errors[1] == "[trace] session 1 lost its connection"
 
 
 def _wide_bundle(n_calls: int):

@@ -11,7 +11,7 @@ import pytest
 from droidtriage.agents import Catalogs
 from droidtriage.backend import ModelRouter
 from droidtriage.config import load_config
-from droidtriage.errors import ConfigError, EmptyEvaluationError, ReportIoError
+from droidtriage.errors import ConfigError, ProviderUnavailableError, ReportIoError
 from droidtriage.harness import (
     BatchConfig,
     ConfusionCounts,
@@ -78,7 +78,7 @@ def test_metrics_zero_sum_precision_recall_undefined_f1():
 
 
 def test_metrics_empty_evaluation():
-    with pytest.raises(EmptyEvaluationError):
+    with pytest.raises(ValueError, match="^no evaluated entries$"):
         compute_metrics(ConfusionCounts(0, 0, 0, 0))
 
 
@@ -167,6 +167,7 @@ def test_batch_single_unparseable_entry_skipped(tmp_path):
     assert summary["evaluated"] == 0
     assert len(summary["skipped"]) == 1
     assert "broken" in summary["skipped"][0]["app_id"]
+    assert summary["skipped"][0]["class"] == "bundle-invalid"
 
 
 def test_batch_undecodable_bundle_skipped(tmp_path):
@@ -178,6 +179,7 @@ def test_batch_undecodable_bundle_skipped(tmp_path):
                    f"fx_clean,{clean}/app.mmf,{clean}/app.mir,Benign,2020\n")
     results = run_batch(DatasetManifest.load(idx), batch_config())
     by_id = {r.entry.app_id: r for r in results}
+    assert by_id["bad"].skip_class == "bundle-unreadable"
     assert by_id["bad"].skip_reason.startswith("unreadable bundle:")
     assert by_id["fx_clean"].evaluated
     assert by_id["fx_clean"].report.verdict == "Benign"
@@ -228,7 +230,8 @@ def test_batch_internal_error_in_threaded_session_is_classified_skip(capsys):
     assert cfg.router.waits_on_network
     results = run_batch(DatasetManifest.load(FIXTURES / "corpus.idx"), cfg)
     by_id = {r.entry.app_id: r for r in results}
-    assert by_id["fx_spyloc"].skip_reason == "internal-error: RuntimeError: provider bug"
+    assert by_id["fx_spyloc"].skip_class == "internal-error"
+    assert by_id["fx_spyloc"].skip_reason == "RuntimeError: provider bug"
     assert all(r.evaluated for app, r in by_id.items() if app != "fx_spyloc")
     # the traceback goes to standard error, named by the app
     err = capsys.readouterr().err
@@ -236,8 +239,84 @@ def test_batch_internal_error_in_threaded_session_is_classified_skip(capsys):
     summary = summarize(results, CFG.pricing)
     assert summary["evaluated"] == len(results) - 1
     assert summary["skipped"] == [
-        {"app_id": "fx_spyloc", "reason": "internal-error: RuntimeError: provider bug"}
+        {"app_id": "fx_spyloc", "class": "internal-error", "reason": "RuntimeError: provider bug"}
     ]
+
+
+def test_batch_records_the_class_of_each_skip(tmp_path, capsys):
+    # one app for each skip class a batch can reach, beside one that passes
+    from droidtriage.scripted import ScriptedProvider
+
+    clean = FIXTURES / "fx_clean"
+    manifest = (clean / "app.mmf").read_text()
+    ir_text = (clean / "app.mir").read_text()
+    bundles = {
+        "ok": (manifest, ir_text),
+        "undecodable": (manifest, b"\xff\xfe"),
+        "unparseable": (manifest, "class Broken {\n  method nope\n"),
+        "duplicated": (manifest + "permission:INTERNET\n", ir_text),
+        "garbled": (manifest, ir_text),
+        "offline": (manifest.replace("com.light.torch\n", "com.offline\n"), ir_text),
+        "buggy": (manifest.replace("com.light.torch\n", "com.buggy\n"), ir_text),
+    }
+    rows = []
+    for app, (mmf, mir) in bundles.items():
+        (tmp_path / f"{app}.mmf").write_text(mmf)
+        (tmp_path / f"{app}.mir").write_bytes(mir if isinstance(mir, bytes) else mir.encode())
+        rows.append(f"{app},{app}.mmf,{app}.mir,Benign,2020\n")
+    (tmp_path / "all.idx").write_text("".join(rows))
+
+    class FaultyModel(ScriptedProvider):
+        def chat(self, model_id, tier, messages):
+            prompt = messages[-1][1]
+            if tier == "verdict" and '"app_id":"garbled"' in prompt:
+                return "garbage", 1, 1
+            if tier == "recon" and '"com.offline"' in prompt:
+                raise ProviderUnavailableError("provider is down")
+            if tier == "recon" and '"com.buggy"' in prompt:
+                raise RuntimeError("provider bug")
+            return super().chat(model_id, tier, messages)
+
+    cfg = batch_config()
+    cfg.router = ModelRouter(cfg.router.config, {m: FaultyModel() for m in cfg.router.providers})
+    results = run_batch(DatasetManifest.load(tmp_path / "all.idx"), cfg)
+    capsys.readouterr()  # the internal error's traceback
+    expected = {
+        "undecodable": "bundle-unreadable",
+        "unparseable": "bundle-invalid",
+        "duplicated": "bundle-invalid",
+        "garbled": "model-schema",
+        "offline": "provider-unavailable",
+        "buggy": "internal-error",
+    }
+    by_id = {r.entry.app_id: r for r in results}
+    assert by_id["ok"].evaluated and by_id["ok"].skip_class is None
+    assert {app: by_id[app].skip_class for app in expected} == expected
+    assert by_id["duplicated"].skip_reason == "DuplicatePermission@INTERNET"
+    assert by_id["garbled"].skip_reason == ("[verdict] verdict failed schema validation twice: "
+                                            "not JSON: Expecting value: line 1 column 1 (char 0)")
+    assert by_id["offline"].skip_reason == "[recon] provider is down"
+    assert by_id["buggy"].skip_reason == "RuntimeError: provider bug"
+
+    out = tmp_path / "out"
+    summary = emit_reports(results, CFG.pricing, out)
+    rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+    assert {row["app_id"]: row["skip_class"] for row in rows if "skipped" in row} == expected
+    assert "skip_class" not in next(row for row in rows if row["app_id"] == "ok")
+    saved = json.loads((out / "summary.json").read_text())
+    assert saved == summary
+    assert {s["app_id"]: s["class"] for s in saved["skipped"]} == expected
+    digest = (out / "digest.txt").read_text()
+    assert digest.splitlines()[:7] == [
+        "evaluated: 1",
+        "skipped:   6",
+        "  bundle-invalid: 2",
+        "  bundle-unreadable: 1",
+        "  internal-error: 1",
+        "  model-schema: 1",
+        "  provider-unavailable: 1",
+    ]
+    assert digest.splitlines()[7].startswith("metrics:")
 
 
 def test_batch_order_permutation_invariant(tmp_path):
@@ -342,7 +421,7 @@ def test_emit_reports_removes_stale_reports(tmp_path):
     out = tmp_path / "out"
     emit_reports([kept, dropped], CFG.pricing, out)
     assert len(list((out / "reports").iterdir())) == 2
-    rerun = [kept, EntryResult(dropped.entry, skip_reason="invalid bundle: x")]
+    rerun = [kept, EntryResult(dropped.entry, skip_reason="x", skip_class="bundle-invalid")]
     emit_reports(rerun, CFG.pricing, out)
     assert [p.name for p in (out / "reports").iterdir()] == [f"{kept.entry.app_id}.json"]
     assert (out / "reports" / f"{kept.entry.app_id}.json").read_text() == kept.report.to_json()

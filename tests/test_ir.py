@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage.errors import (
-    BadBranchTargetError,
-    DuplicateSignatureError,
-    EmptyProgramError,
-    IrSyntaxError,
-    TriageError,
-)
+from droidtriage.errors import InvalidBundleError, TriageError
 from droidtriage.harness import read_bundle
 from droidtriage.ir import (
     Assign,
@@ -110,9 +104,10 @@ class a.B {
   }
 }
 """
-    with pytest.raises(BadBranchTargetError) as exc:
+    with pytest.raises(InvalidBundleError,
+                       match=r"^a\.B\.m\(\)->void: branch target 99 does not exist$") as exc:
         parse_program(text)
-    assert exc.value.target == 99
+    assert exc.value.kind == "bundle-invalid"
 
 
 def test_duplicate_signature_rejected():
@@ -126,36 +121,53 @@ class a.B {
   }
 }
 """
-    with pytest.raises(DuplicateSignatureError):
+    with pytest.raises(InvalidBundleError,
+                       match=r"^duplicate method signature: a\.B\.m\(\)->void$") as exc:
         parse_program(text)
+    assert exc.value.kind == "bundle-invalid"
 
 
-@pytest.mark.parametrize(
-    "stmt",
-    ["x = ", "call broken(", "if goto 3", "goto x", "x = const", "2x = const 1"],
-)
+_MALFORMED = {
+    "x = ": "unrecognized statement 'x ='",
+    "call broken(": "unrecognized statement 'call broken('",
+    "if goto 3": "unrecognized statement 'if goto 3'",
+    "goto x": "unrecognized statement 'goto x'",
+    "x = const": "bad assignment 'x = const'",
+    "2x = const 1": "bad destination '2x'",
+}
+
+
+@pytest.mark.parametrize("stmt", list(_MALFORMED))
 def test_malformed_statements(stmt):
     text = f"class a.B {{\n  method a.B.m()->void () {{\n    {stmt}\n  }}\n}}\n"
-    with pytest.raises(IrSyntaxError):
+    with pytest.raises(InvalidBundleError) as exc:
         parse_program(text)
+    assert exc.value.kind == "bundle-invalid"
+    assert str(exc.value) == f"line 3: {_MALFORMED[stmt]}"
 
 
 def test_method_must_match_enclosing_class():
     text = "class a.B {\n  method a.C.m()->void () {\n    nop\n  }\n}\n"
-    with pytest.raises(IrSyntaxError):
+    with pytest.raises(InvalidBundleError) as exc:
         parse_program(text)
+    assert exc.value.kind == "bundle-invalid"
+    assert str(exc.value) == "line 2: method a.C.m()->void declared inside class a.B"
 
 
 def test_duplicate_parameter_names_rejected():
     text = "class a.B {\n  method a.B.m(int,int)->void (x,x) {\n    nop\n  }\n}\n"
-    with pytest.raises(IrSyntaxError):
+    with pytest.raises(InvalidBundleError) as exc:
         parse_program(text)
+    assert exc.value.kind == "bundle-invalid"
+    assert str(exc.value) == "line 2: a.B.m(int,int)->void: duplicate parameter names"
 
 
 def test_param_count_must_match_types():
     text = "class a.B {\n  method a.B.m(int,int)->void (x) {\n    nop\n  }\n}\n"
-    with pytest.raises(IrSyntaxError):
+    with pytest.raises(InvalidBundleError) as exc:
         parse_program(text)
+    assert exc.value.kind == "bundle-invalid"
+    assert str(exc.value) == "line 2: a.B.m(int,int)->void: 2 parameter types but 1 names"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -192,8 +204,10 @@ def test_manifest_parse_and_components():
 
 
 def test_manifest_bad_component_kind():
-    with pytest.raises(IrSyntaxError):
+    with pytest.raises(InvalidBundleError) as exc:
         parse_manifest("package: a\ncomponent:Widget:a.B\n")
+    assert exc.value.kind == "bundle-invalid"
+    assert str(exc.value) == "line 2: unknown component kind 'Widget'"
 
 
 # -- validation -------------------------------------------------------------
@@ -355,7 +369,7 @@ def test_percentile_single_method():
 
 
 def test_loc_stats_empty_program():
-    with pytest.raises(EmptyProgramError):
+    with pytest.raises(ValueError, match="^program has no methods$"):
         loc_stats(parse_program(""))
 
 
@@ -395,12 +409,13 @@ def test_split_args_matches_character_scan(text):
 
 
 def _outcome(parse, text):
-    """A parse's rendering and program, or its error's type, text and line.
-    Programs compare field by field, down to every statement and `MethodSig`."""
+    """A parse's rendering and program, or its error's type and text, which
+    names the line.  Programs compare field by field, down to every statement
+    and `MethodSig`."""
     try:
         program = parse(text)
     except TriageError as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
+        return type(exc), str(exc)
     return render_program(program), program
 
 
@@ -418,9 +433,10 @@ def _in_method(*stmts: str) -> str:
 def test_branch_target_past_int_digit_limit_is_syntax_error(stmt):
     # `int` refuses a string of more than 4,300 digits with a ValueError
     text = _in_method("nop", stmt)
-    with pytest.raises(IrSyntaxError) as exc:
+    with pytest.raises(InvalidBundleError) as exc:
         parse_program(text)
-    assert exc.value.line == 4
+    assert exc.value.kind == "bundle-invalid"
+    assert str(exc.value) == "line 4: branch target of 5000 digits"
     _assert_same_parse(text)
 
 
@@ -534,7 +550,7 @@ def test_statements_share_one_signature_per_callee_text():
 
 # -- the bundle boundary ----------------------------------------------------
 # A bundle is written by the attacker: whatever its text or bytes, parsing it
-# may only raise a TriageError, which the batch records as a skip.
+# may only raise a bundle error, which the batch records as a skip of its kind.
 
 _IR_WORDS = ("class ", "method ", " extends ", " {", "}", "\n", "=", " = ", "call ", "const ",
              "goto ", "if ", "return", "nop", "a.B.c(int)->void", "(", ")", "->", ",", '"', "#",
@@ -571,8 +587,8 @@ def test_parse_bundle_raises_only_triage_errors(manifest_text, ir_text):
     for mmf in (manifest_text, "package: p\n"):
         try:
             parse_bundle(mmf, ir_text)
-        except TriageError:
-            pass
+        except TriageError as exc:
+            assert exc.kind == "bundle-invalid", exc
 
 
 @given(st.binary(max_size=300) | _texts(_MMF_WORDS).map(lambda t: t.encode("utf-8", "surrogatepass")),
@@ -585,5 +601,5 @@ def test_read_bundle_raises_only_triage_errors(manifest_bytes, ir_bytes):
         mir.write_bytes(ir_bytes)
         try:
             read_bundle(mmf, mir)
-        except TriageError:
-            pass
+        except TriageError as exc:
+            assert exc.kind in ("bundle-invalid", "bundle-unreadable"), exc
