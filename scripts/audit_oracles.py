@@ -64,6 +64,19 @@ def audit_taint(program, catalog) -> tuple[int, int]:
     return queries, hits
 
 
+def audit_slices(program, method) -> int:
+    """Slice every variable of every line of `method` against the oracle;
+    returns the number of slices."""
+    slices = 0
+    for line, stmt in enumerate(method.body, 1):
+        want = sorted(slice_fixpoint_scan(method, line))
+        for var in {defined_var(stmt), *used_vars(stmt)} - {None}:
+            got = backward_slice(program, method.signature, line, var)
+            assert got.kept_lines == want, "slice/oracle divergence"
+            slices += 1
+    return slices
+
+
 def main(n_programs: int, seed: int) -> int:
     rng = random.Random(seed)
     catalog = synth_catalog()
@@ -79,12 +92,7 @@ def main(n_programs: int, seed: int) -> int:
         assert got == scan, "index/oracle divergence"
 
         for m in program.methods():
-            for line, stmt in enumerate(m.body, 1):
-                want = sorted(slice_fixpoint_scan(m, line))
-                for var in {defined_var(stmt), *used_vars(stmt)} - {None}:
-                    got_slice = backward_slice(program, m.signature, line, var)
-                    assert got_slice.kept_lines == want, "slice/oracle divergence"
-                    slice_queries += 1
+            slice_queries += audit_slices(program, m)
 
         queries, hits = audit_taint(program, catalog)
         if not queries:
@@ -129,10 +137,19 @@ def main(n_programs: int, seed: int) -> int:
         cyclic_queries += queries
         cyclic_hits += hits
 
+    # branchy methods of up to 200 lines, so the slice's If table is several
+    # levels deep
+    long_slices = 0
+    for _ in range(max(10, n_programs // 25)):
+        program = parse_checked(gen_program(rng, max_methods=2, max_lines=200))
+        for m in program.methods():
+            long_slices += audit_slices(program, m)
+
     elapsed = time.time() - t0
     print(
         f"audited {programs} programs: {taint_queries} taint queries "
         f"({taint_hits} sink hits, all witnesses replayed), {slice_queries} slices, "
+        f"{long_slices} slices of methods up to 200 lines, "
         f"{graph_checks} trigger graphs, {cyclic_queries} taint queries on cyclic call "
         f"graphs ({cyclic_hits} sink hits), parser and index scans on every program; "
         f"no divergences in {elapsed:.1f}s"

@@ -231,9 +231,12 @@ def _capped(args: dict, key: str, ceiling: int | None = None) -> int:
     """A model-chosen size or line as a non-negative int; a size defaults to `ceiling`
     and never exceeds it."""
     value = args.get(key, ceiling)
-    if isinstance(value, float) and not value.is_integer():  # inf, nan, 2.5
-        raise ToolError(f"{key} must be an integer, got {value!r}")
-    number = int(value)
+    try:
+        if isinstance(value, float) and not value.is_integer():  # inf, nan, 2.5
+            raise ValueError
+        number = int(value)  # also takes bools and digit strings
+    except (ValueError, TypeError):
+        raise ToolError(f"{key} must be an integer, got {value!r}") from None
     if number < 0:
         raise ToolError(f"{key} must not be negative, got {number}")
     return number if ceiling is None else min(number, ceiling)
@@ -300,7 +303,11 @@ def _taint(box: ToolBox, depth: int, args: dict) -> dict:
 
 def _slice(box: ToolBox, _size: None, args: dict) -> dict:
     if "method" in args and "line" in args and "var" in args:
-        method, line, var = parse_sig(str(args["method"])), _capped(args, "line"), str(args["var"])
+        try:
+            method = parse_sig(str(args["method"]))
+        except ValueError as exc:
+            raise ToolError(str(exc)) from None
+        line, var = _capped(args, "line"), str(args["var"])
     elif box.taint is not None and box.taint.reached_sinks:
         hit = box.taint.reached_sinks[0]
         method, line, var = hit.site.method, hit.site.line, hit.tainted_arg
@@ -371,11 +378,10 @@ def trace_candidate(
         if action in TOOLS:
             try:
                 _obs, observation = toolbox.dispatch(action, args)
-            except (ToolError, ValueError, TypeError, KeyError) as exc:
-                # bad arguments from a live model are session noise, not a
-                # pipeline failure
-                observation = _render(
-                    {"tool": action, "error": type(exc).__name__, "message": str(exc)})
+            except ToolError as exc:
+                # a tool refusing a live model's arguments is session noise;
+                # any other error is a fault of the program and ends the app
+                observation = _render({"tool": action, "error": "ToolError", "message": str(exc)})
         else:
             # an invalid action corrects the model and still consumes budget
             observation = _render({"tool": action, "error": "UnknownTool",

@@ -22,14 +22,18 @@ dependence).  It is computed from two tables cached per method, each line's
 region head and each variable's definition lines: a use on a kept line is
 answered by one bisection inside its region, and moves on to the head's
 predecessors, once per (head, variable), only when the region defines
-nothing before it.  A kept line pops from an If-range index the Ifs whose
-range holds it, so a kept If leaves the index.
+nothing before it.  The Ifs sit in a stabbing table built per slice, a
+segment tree over the lines in which each If is filed under the nodes that
+tile its range; a kept line pops the buckets on its leaf-to-root path, so
+each bucket is emptied at most once.
+
+Every refusal of a tool's arguments is a ToolError.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import deque
+from bisect import bisect_right
+from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
@@ -42,6 +46,7 @@ from .ir import (
     If,
     Invoke,
     IrProgram,
+    IrStatement,
     MethodDef,
     MethodSig,
     Return,
@@ -67,16 +72,15 @@ class ContextWindow:
         return self.end_line - self.start_line + 1
 
 
-def _check_site(program: IrProgram, site: CallSite) -> MethodDef:
-    method = program.method_map.get(site.method)
+def _statement_at(program: IrProgram, sig: MethodSig, line: int) -> tuple[MethodDef, IrStatement]:
+    """The method `sig` and its statement on `line`, or a ToolError saying
+    which of the two does not exist."""
+    method = program.method_map.get(sig)
     if method is None:
-        raise ToolError(f"unknown method {site.method}")
-    if not (1 <= site.line <= len(method.body)):
-        raise ToolError(f"{site.method} has no line {site.line}")
-    stmt = method.body[site.line - 1]
-    if not isinstance(stmt, Invoke) or stmt.callee != site.callee:
-        raise ToolError(f"{site.method}:{site.line} is not a call to {site.callee}")
-    return method
+        raise ToolError(f"unknown method {sig}")
+    if not (1 <= line <= len(method.body)):
+        raise ToolError(f"{sig} has no line {line}")
+    return method, method.body[line - 1]
 
 
 def extract_context(program: IrProgram, site: CallSite, radius: int) -> ContextWindow:
@@ -84,7 +88,9 @@ def extract_context(program: IrProgram, site: CallSite, radius: int) -> ContextW
     method.  A truncation flag is set when the requested radius hit the
     method boundary on that side and the window does not already cover the
     whole method."""
-    method = _check_site(program, site)
+    method, stmt = _statement_at(program, site.method, site.line)
+    if not isinstance(stmt, Invoke) or stmt.callee != site.callee:
+        raise ToolError(f"{site.method}:{site.line} is not a call to {site.callee}")
     n = len(method.body)
     start = max(1, site.line - radius)
     end = min(n, site.line + radius)
@@ -380,10 +386,7 @@ def taint_reachability(
     """Mark the source call's return value tainted and search for sinks."""
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
-    method = program.method_map.get(source.method)
-    if method is None or not (1 <= source.line <= len(method.body)):
-        raise ToolError(f"no statement at {source.method}:{source.line}")
-    stmt = method.body[source.line - 1]
+    _method, stmt = _statement_at(program, source.method, source.line)
     if not isinstance(stmt, Invoke):
         raise ToolError(f"{source.method}:{source.line} is not a call")
     if stmt.dst is None:
@@ -448,43 +451,25 @@ class Slice:
     removed_count: int
 
 
-class _IfRanges:
-    """A method's Ifs sorted by the low end of their open branch range, under
-    a tree holding each node's highest high end (0 once popped): a query
-    visits the O(log n) nodes that tile the Ifs below the line, and descends
-    only into those holding an If that reaches past it."""
-
-    def __init__(self, method: MethodDef):
-        ifs = sorted((min(line, s.target), max(line, s.target), line)
-                     for line, s in enumerate(method.body, 1) if isinstance(s, If))
-        self.lows, self.lines = [r[0] for r in ifs], [r[2] for r in ifs]
-        self.size = size = 1 << max(len(ifs) - 1, 0).bit_length()
-        # node n has children 2n and 2n + 1; leaf `size + i` is the i-th If
-        self.high = high = [0] * size + [r[1] for r in ifs] + [0] * (size - len(ifs))
-        for node in range(size - 1, 0, -1):
-            high[node] = max(high[2 * node], high[2 * node + 1])
-
-    def pop_holding(self, line: int) -> list[int]:
-        """Remove and return the lines of the Ifs whose range strictly holds `line`."""
-        high, size, found = self.high, self.size, []
-        lo, hi, todo = size, size + bisect_left(self.lows, line), []
-        while lo < hi:  # the nodes tiling leaves [lo, hi), bottom up
-            if lo & 1 and high[lo] > line:
-                todo.append(lo)
-            if hi & 1 and high[hi - 1] > line:
-                todo.append(hi - 1)
-            lo, hi = (lo + 1) >> 1, hi >> 1
-        while todo:
-            node = todo.pop()
-            if node < size:
-                todo += [child for child in (2 * node, 2 * node + 1) if high[child] > line]
-            else:
-                found.append(self.lines[node - size])
-                high[node] = 0
-                while node > 1 and (new := max(high[node], high[node ^ 1])) != high[node >> 1]:
-                    node >>= 1
-                    high[node] = new
-        return found
+def _if_buckets(body: list[IrStatement]) -> tuple[int, dict[int, list[int]]]:
+    """A stabbing table over the lines: a segment tree whose leaf `size + L`
+    stands for line L, with each If's line filed under the O(log n) nodes
+    that tile its open branch range.  The Ifs whose range holds line L are
+    the ones filed on the path from that leaf to the root."""
+    size = 1 << len(body).bit_length()
+    buckets: dict[int, list[int]] = defaultdict(list)
+    for line, stmt in enumerate(body, 1):
+        if isinstance(stmt, If):
+            lo, hi = size + min(line, stmt.target) + 1, size + max(line, stmt.target)
+            while lo < hi:  # the nodes tiling leaves [lo, hi), bottom up
+                if lo & 1:
+                    buckets[lo].append(line)
+                    lo += 1
+                if hi & 1:
+                    hi -= 1
+                    buckets[hi].append(line)
+                lo, hi = lo >> 1, hi >> 1
+    return size, buckets
 
 
 def backward_slice(
@@ -495,18 +480,13 @@ def backward_slice(
 ) -> Slice:
     """Backward closure over data dependences plus the linear If-range
     control-dependence approximation, computed as the module docstring says."""
-    method = program.method_map.get(method_sig)
-    if method is None:
-        raise ToolError(f"unknown method {method_sig}")
-    if not (1 <= target_line <= len(method.body)):
-        raise ToolError(f"{method_sig} has no line {target_line}")
-    stmt = method.body[target_line - 1]
+    method, stmt = _statement_at(program, method_sig, target_line)
     if stmt.dst != target_var and target_var not in stmt.uses:
         raise ToolError(
             f"{target_var!r} neither defined nor used at {method_sig}:{target_line}"
         )
     body, preds, heads, def_lines = method.body, method.predecessors, method.blocks, method.def_lines
-    ifs = _IfRanges(method)
+    size, ifs = _if_buckets(body)
     kept: set[int] = set()
     moved: set[tuple[int, str]] = set()
     keep = [target_line]
@@ -515,8 +495,10 @@ def backward_slice(
         if line in kept:
             continue
         kept.add(line)
-        if ifs.high[1] > line:  # some If left in the index reaches past the line
-            keep += ifs.pop_holding(line)
+        node = size + line
+        while ifs and node:  # an If filed in several buckets is dropped by `kept`
+            keep += ifs.pop(node, ())
+            node >>= 1
         demands = [*product(preds[line], body[line - 1].uses)]
         while demands:
             at, var = demands.pop()

@@ -8,10 +8,10 @@ INI sections (see data/default_config.ini for the shipped defaults):
     [budgets]  max_iterations, candidate_cap
     [catalogs] api = builtin|<path>, entry = builtin|<path>
 
-A bad value, or a key of [router], [retry], [budgets] or [catalogs] not
-listed above, is a ConfigError naming its section and key.  The run, not the
-file, picks the provider.  Secrets never live in the file: `api_key_env`
-names the environment variable holding the key.
+A bad value, or a key not listed above, is a ConfigError naming its section
+and key.  The run, not the file, picks the provider, so a leftover `kind` in
+a [model.<id>] section is ignored.  Secrets never live in the file:
+`api_key_env` names the environment variable holding the key.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfi
         if not section.startswith("model."):
             continue
         model_id = section[len("model."):]
-        sec = parser[section]
+        sec = _known_keys(parser, section, ("base_url", "api_key_env", "price_in", "price_out",
+                                            "kind"))
         models[model_id] = ModelConfig(
             model_id=model_id,
             base_url=sec.get("base_url", ""),

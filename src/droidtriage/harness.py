@@ -181,6 +181,8 @@ def _evaluate_entry(entry: DatasetEntry, cfg: BatchConfig) -> EntryResult:
 def run_batch(dataset: DatasetManifest, cfg: BatchConfig) -> list[EntryResult]:
     if not dataset.entries:
         raise ConfigError("dataset is empty")
+    for model_id in cfg.router.config.tier_models.values():
+        cfg.pricing.rate(model_id)  # the summary prices every exchange: refuse before the first
     jobs = cfg.jobs or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(lambda e: _evaluate_entry(e, cfg), dataset.entries))

@@ -278,6 +278,15 @@ def gen_if_ladder(lines: int) -> tuple[str, int, str]:
     return _shape(body + ["return v"]), lines, "v"
 
 
+def gen_if_ladder_back(lines: int) -> tuple[str, int, str]:
+    """`gen_if_ladder` mirrored: every If is `if k goto 2`, so its range holds
+    every line between line 2 and itself, and the slice of the return keeps
+    every line but the first If."""
+    body = ["k = const 1", "v = const 0"]
+    body += ["if k goto 2" if line % 2 else "v = v" for line in range(3, lines)]
+    return _shape(body + ["return v"]), lines, "v"
+
+
 def gen_wide_use(lines: int) -> tuple[str, int, str]:
     """`lines - 2` constants, then one call that uses all of them."""
     names = [f"v{i}" for i in range(1, lines - 1)]

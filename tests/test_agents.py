@@ -37,7 +37,7 @@ from droidtriage.backend import (
 )
 from droidtriage.catalog import ApiCatalog
 from droidtriage.config import load_config
-from droidtriage.errors import InvalidBundleError, SchemaViolationError
+from droidtriage.errors import InvalidBundleError, SchemaViolationError, ToolError
 from droidtriage.index import CallSite, build_api_index, build_call_graph
 from droidtriage.ir import Manifest, parse_bundle, parse_program, parse_sig
 from droidtriage.scripted import _POLICY, ScriptedProvider
@@ -411,6 +411,22 @@ def test_trace_slice_line_overflow_is_error_observation():
         "message": "line must be an integer, got inf"}]
 
 
+@pytest.mark.parametrize("action,args,message", [
+    ("extract_context", {"radius": "abc"}, "radius must be an integer, got 'abc'"),
+    ("trigger_paths", {"max_depth": [1]}, "max_depth must be an integer, got [1]"),
+    ("backward_slice", {"method": "no sig", "line": 1, "var": "x"},
+     "malformed signature: 'no sig'"),
+])
+def test_trace_bad_argument_is_tool_error_observation(action, args, message):
+    # these raised ValueError or TypeError, which the session caught by name
+    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site),
+                          _fixed_router({"action": action, "args": args}), 1, CostLedger(),
+                          perm, sev)
+    assert _session_observations(vec) == [{"tool": action, "error": "ToolError",
+                                           "message": message}]
+
+
 # A reply nested deeper than the recursion limit makes `json.loads` raise
 # RecursionError, which no handler caught, so it aborted the whole batch.
 _DEEP_REPLY = "[" * 200000 + "]" * 200000
@@ -505,14 +521,14 @@ def _fuzz_candidate():
 
 
 class _RecordingBox(ToolBox):
-    """Records the observation each dispatch rendered, or the error it raised."""
+    """Records the observation each dispatch rendered, or the ToolError it raised."""
 
     def dispatch(self, action, args):
         try:
             obs, text = super().dispatch(action, args)
         except Exception as exc:
-            self.outcomes.append({"tool": action, "error": type(exc).__name__,
-                                  "message": str(exc)})
+            assert isinstance(exc, ToolError), exc  # the only refusal a tool makes
+            self.outcomes.append({"tool": action, "error": "ToolError", "message": str(exc)})
             raise
         assert "error" not in obs
         self.outcomes.append(json.loads(text))
@@ -981,15 +997,19 @@ def test_report_to_dict_equals_field_walk():
         ]
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 2.5, -3, -1.0])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 2.5, -3, -1.0,
+                                   "abc", pytest.param("9" * 5000, id="5000-digits"), [1], {},
+                                   None])
 def test_capped_rejects_non_integral_sizes(value):
     from droidtriage.agents import _capped
-    from droidtriage.errors import ToolError
 
-    with pytest.raises(ToolError):
+    with pytest.raises(ToolError, match="^max_depth must"):
         _capped({"max_depth": value}, "max_depth", 5)
     assert _capped({"max_depth": 3.0}, "max_depth", 5) == 3
     assert _capped({"max_depth": 10**400}, "max_depth", 5) == 5
+    # the values it has always taken
+    assert _capped({"max_depth": " 4 "}, "max_depth", 5) == 4
+    assert _capped({"max_depth": True}, "max_depth", 5) == 1
 
 
 def test_pipeline_stage_errors_carry_tier():

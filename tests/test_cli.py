@@ -226,6 +226,27 @@ def test_batch_bad_config_value_fails_cleanly(tmp_path, capsys, section, key, va
     assert not (tmp_path / "o").exists()
 
 
+def test_batch_with_unpriced_routed_model_fails_before_any_exchange(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the summary prices every exchange, so a routed model without prices used
+    # to fail only after every app was triaged, leaving an empty reports/
+    from droidtriage.scripted import ScriptedProvider
+
+    exchanges = []
+    chat = ScriptedProvider.chat
+    monkeypatch.setattr(ScriptedProvider, "chat",
+                        lambda self, *args: exchanges.append(args) or chat(self, *args))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[router]\nrecon = m\ntrace = m\nverdict = judge\n"
+                   "[model.m]\nprice_in = 1\nprice_out = 1\n[model.judge]\n")
+    rc = main(["batch", str(FIXTURES / "corpus.idx"), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: no pricing configured for model 'judge'\n"
+    assert exchanges == []
+    assert not (tmp_path / "o").exists()
+
+
 def _metrics_error(path, capsys) -> str:
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err

@@ -98,6 +98,15 @@ def test_backend_mode_forces_scripted_everywhere(tmp_path):
     assert json.loads(exchange.response)["declared_intents"] == ["x"]
 
 
+@pytest.mark.parametrize("key", ["price_inn", "base-url", "api_key"])
+def test_model_section_unknown_key_rejected(tmp_path, key):
+    # `price_inn = 0.10` beside `price_out` used to load with an input price of 0
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL.replace("price_in =", f"{key} ="))
+    with pytest.raises(ConfigError, match=rf"^\[model\.m1\] unknown key {key}$"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("mode", [None, "live", "Scripted"])
 def test_build_router_takes_exactly_two_modes(mode):
     with pytest.raises(ConfigError):

@@ -243,6 +243,27 @@ def test_batch_internal_error_in_threaded_session_is_classified_skip(capsys):
     ]
 
 
+def test_batch_fault_inside_a_tool_is_internal_error_skip(monkeypatch, capsys):
+    # a tool's own fault is not the model's noise: it used to become an
+    # `"error": "KeyError"` observation, and fx_spyloc then read Benign
+    from droidtriage import agents
+
+    def broken_taint(*args):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(agents, "taint_reachability", broken_taint)
+    results = run_batch(DatasetManifest.load(FIXTURES / "corpus.idx"), batch_config())
+    assert "KeyError: 'planted'" in capsys.readouterr().err
+    by_id = {r.entry.app_id: r for r in results}
+    assert not by_id["fx_spyloc"].evaluated
+    for app, r in by_id.items():
+        if r.evaluated:  # only an app whose sessions never asked for taint
+            assert not any(json.loads(ex.response).get("action") == "taint_reachability"
+                           for ex in r.ledger.exchanges if ex.tier == "trace"), app
+        else:
+            assert (r.skip_class, r.skip_reason) == ("internal-error", "KeyError: 'planted'")
+
+
 def test_batch_records_the_class_of_each_skip(tmp_path, capsys):
     # one app for each skip class a batch can reach, beside one that passes
     from droidtriage.scripted import ScriptedProvider
