@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -522,9 +522,19 @@ def _stage(tier: str):
         raise type(exc)(f"[{tier}] {exc}") from exc
 
 
-# Most sessions of one app that run at once. A constant, so neither
-# `candidate_cap` nor a model reply can raise the thread count.
-MAX_SESSION_THREADS = 8
+# Most calls of one `overlap_map` that run at once. A constant, so neither a
+# cap, a dataset's size nor a model reply can raise the thread count.
+MAX_THREADS = 8
+
+
+def overlap_map(router: ModelRouter, fn: Callable, *items: Sequence) -> list:
+    """`list(map(fn, *items))`, overlapped on at most `MAX_THREADS` threads only
+    while the router's provider waits on the network.  Either way, results keep
+    input order and the first error in input order is the one raised."""
+    if router.waits_on_network and len(items[0]) > 1:
+        with ThreadPoolExecutor(min(len(items[0]), MAX_THREADS)) as pool:
+            return list(pool.map(fn, *items))
+    return list(map(fn, *items))
 
 
 def run_pipeline(
@@ -553,17 +563,11 @@ def run_pipeline(
             permission=perm, severity=sev,
         )
 
-    # Each session meters into its own ledger. Both maps return in candidate
-    # order, and the pool's map cancels the sessions not yet started on the
-    # first error, so vectors, joined ledger and error are the same either way.
-    sites = recon.candidates
-    subs = [CostLedger() for _ in sites]
+    # Each session meters into its own ledger, so vectors, joined ledger and
+    # error are the same whether the sessions overlap or not.
+    subs = [CostLedger() for _ in recon.candidates]
     with _stage("trace"):
-        if router.waits_on_network and len(sites) > 1:
-            with ThreadPoolExecutor(min(len(sites), MAX_SESSION_THREADS)) as pool:
-                vectors = list(pool.map(session, sites, subs))
-        else:
-            vectors = list(map(session, sites, subs))
+        vectors = overlap_map(router, session, recon.candidates, subs)
     for sub in subs:
         for exchange in sub.exchanges:
             ledger.append(exchange)

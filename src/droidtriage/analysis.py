@@ -263,33 +263,32 @@ class _TaintEngine:
 
     # -- transfer --------------------------------------------------------
 
-    def _transfer(self, ctx: _Ctx, line: int, tin: dict[str, _Witness]) -> dict[str, _Witness]:
-        """OUT(line): each variable tainted after the line, with its witness.
-        A variable the line leaves alone keeps its witness object."""
+    def _transfer(self, ctx: _Ctx, line: int, facts: dict[str, _Witness]) -> None:
+        """Turn `facts` from IN(line) into OUT(line) in place: each variable
+        tainted after the line, with its witness.  A variable the line leaves
+        alone keeps its witness object."""
         sig = ctx.method.signature
         stmt = ctx.method.body[line - 1]
-        out = dict(tin)
-        out.pop(stmt.dst, None)
-
-        if isinstance(stmt, Assign) and stmt.src in tin:
-            out[stmt.dst] = (((sig, line),), tin[stmt.src])
+        gen = None
+        if isinstance(stmt, Assign) and stmt.src in facts:
+            gen = (((sig, line),), facts[stmt.src])
         elif isinstance(stmt, Invoke):
-            tainted_args = [a for a in stmt.uses if a in tin]
+            tainted_args = [a for a in stmt.uses if a in facts]
             if tainted_args:
                 category = self.catalog.sink_category(stmt.callee)
                 if category is not None:
-                    self._record_hit(ctx, line, stmt, tainted_args[0], category, tin)
+                    self._record_hit(ctx, line, stmt, tainted_args[0], category, facts)
                 callee = self.methods.get(stmt.callee)
                 if callee is not None and ctx.depth > 0:
-                    ret = self._apply_summary(ctx, line, stmt, callee, tin)
-                    if ret is not None:
-                        out[stmt.dst] = ret
-        if ctx.inject is not None and line == ctx.inject[0]:
-            out[ctx.inject[1]] = (((sig, line),), None)
-        if isinstance(stmt, Return) and stmt.var in tin and ctx.ret is None:
-            steps, anchor = _unwind(tin[stmt.var])
+                    gen = self._apply_summary(ctx, line, stmt, callee, facts)
+        elif isinstance(stmt, Return) and stmt.var in facts and ctx.ret is None:
+            steps, anchor = _unwind(facts[stmt.var])
             ctx.ret = (steps + ((sig, line),), anchor)
-        return out
+        facts.pop(stmt.dst, None)
+        if gen is not None:
+            facts[stmt.dst] = gen
+        if ctx.inject is not None and line == ctx.inject[0]:
+            facts[ctx.inject[1]] = (((sig, line),), None)
 
     def _record_hit(self, ctx: _Ctx, line: int, stmt: Invoke, arg: str, category: str,
                     tin: dict[str, _Witness]) -> None:
@@ -340,8 +339,10 @@ class _TaintEngine:
         return ctx
 
     def _run(self, ctx: _Ctx, entry: dict[str, _Witness]) -> None:
-        """Worklist to the fixpoint.  Only a variable new to IN(succ) takes a
-        witness there, so the first witness to reach a line is the one kept."""
+        """Worklist to the fixpoint.  IN is kept only at region heads: a walk
+        starts at a queued head, or at the injected source line, and runs to
+        the end of its region on one dict.  Only a variable new to IN(head)
+        takes a witness there, so the first witness to reach a head is kept."""
         method = ctx.method
         if not method.body:
             return
@@ -352,19 +353,22 @@ class _TaintEngine:
             work.append(1)
         if ctx.inject is not None:
             work.append(ctx.inject[0])
-        successors = method.successors
+        successors, heads = method.successors, method.blocks
         while work:
             line = work.popleft()
-            out = self._transfer(ctx, line, insets.get(line, {}))
-            for succ in successors[line]:
-                tin = insets.setdefault(succ, {})
-                new = [var for var in out if var not in tin]
-                if not new:
-                    continue
-                for var in new:
-                    tin[var] = out[var]
-                if succ not in work:
-                    work.append(succ)
+            facts = dict(insets.get(line, {}))
+            while line:
+                self._transfer(ctx, line, facts)
+                succs, line = successors[line], 0
+                for succ in succs:
+                    if heads[succ] != succ:  # the next line of this region
+                        line = succ
+                        continue
+                    tin = insets.setdefault(succ, {})
+                    if new := [var for var in facts if var not in tin]:
+                        tin.update((var, facts[var]) for var in new)
+                        if succ not in work:
+                            work.append(succ)
 
     def run_source(self, site: CallSite) -> list[SinkHit]:
         method = self.methods[site.method]

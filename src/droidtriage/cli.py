@@ -80,7 +80,6 @@ def cmd_batch(args) -> int:
         router=router,
         pricing=cfg.pricing,
         budgets=_budgets(cfg.budgets, args),
-        jobs=args.jobs,
     )
     results = run_batch(dataset, batch_cfg)
     summary = emit_reports(results, cfg.pricing, args.out)
@@ -158,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--budget", type=_at_least_one, default=None, help="max agent iterations")
     p.add_argument("--cap", type=_at_least_one, default=None, help="candidate cap per app")
-    p.add_argument("--jobs", type=_at_least_one, default=None)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("stats", help="function-size distribution of a dataset")

@@ -8,10 +8,11 @@ INI sections (see data/default_config.ini for the shipped defaults):
     [budgets]  max_iterations, candidate_cap
     [catalogs] api = builtin|<path>, entry = builtin|<path>
 
-A bad value, or a key not listed above, is a ConfigError naming its section
-and key.  The run, not the file, picks the provider, so a leftover `kind` in
-a [model.<id>] section is ignored.  Secrets never live in the file:
-`api_key_env` names the environment variable holding the key.
+A bad value, a key not listed above, or only one of a model's two prices is
+a ConfigError naming its section and key.  The run, not the file, picks the
+provider, so a leftover `kind` in a [model.<id>] section is ignored.
+Secrets never live in the file: `api_key_env` names the environment variable
+holding the key.
 """
 
 from __future__ import annotations
@@ -137,6 +138,9 @@ def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfi
         if "price_in" in sec or "price_out" in sec:
             with _section(section):
                 pricing.set(model_id, sec.get("price_in", "0"), sec.get("price_out", "0"))
+                for key in ("price_in", "price_out"):
+                    if key not in sec:  # a lone price would cost the other side at $0
+                        raise ConfigError(f"{key} missing: prices come in pairs")
 
     budgets = _read_section(parser, "budgets", PipelineBudgets)
 

@@ -1,27 +1,25 @@
 """Dataset ingestion, batch execution, metrics and report emission.
 
 A dataset is a CSV-like index of `app_id,manifest,ir,label,year` rows with
-paths relative to the index file.  Entries are evaluated concurrently and
-independently; failures are recorded as skips, never abort the batch, and
-all aggregation happens after the full join so results are invariant under
-entry-order permutation.
+paths relative to the index file.  Entries are evaluated independently, and
+overlap only while a live provider waits on the network (`overlap_map`).
+Failures are recorded as skips and never abort the batch; all aggregation
+happens after the full join, so results are invariant under entry order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import statistics
 import sys
 import traceback
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .agents import Catalogs, PipelineBudgets, VerdictReport, run_pipeline
+from .agents import Catalogs, PipelineBudgets, VerdictReport, overlap_map, run_pipeline
 from .backend import CostLedger, ModelRouter, PricingTable, cost_of, format_usd, tier_shares
 from .errors import (ConfigError, InvalidBundleError, ReportIoError, TriageError,
                      UnreadableBundleError)
@@ -148,7 +146,6 @@ class BatchConfig:
     router: ModelRouter
     pricing: PricingTable
     budgets: PipelineBudgets
-    jobs: int | None = None
 
 
 def read_bundle(manifest_path: Path, ir_path: Path, app_id: str | None = None) -> AppBundle:
@@ -183,9 +180,7 @@ def run_batch(dataset: DatasetManifest, cfg: BatchConfig) -> list[EntryResult]:
         raise ConfigError("dataset is empty")
     for model_id in cfg.router.config.tier_models.values():
         cfg.pricing.rate(model_id)  # the summary prices every exchange: refuse before the first
-    jobs = cfg.jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda e: _evaluate_entry(e, cfg), dataset.entries))
+    results = overlap_map(cfg.router, lambda e: _evaluate_entry(e, cfg), dataset.entries)
     return sorted(results, key=lambda r: r.entry.app_id)
 
 

@@ -313,3 +313,14 @@ def gen_join_ladder(lines: int) -> tuple[str, int, str]:
     ladder = [f"if c goto {line + 2}" if (line - k) % 2 == 0 else "nop"
               for line in range(k + 2, lines - 1)]
     return _shape(["c = const 1"] + _constants_used_at_end(names, ladder)), lines - 1, "v1"
+
+
+def gen_copy_chain(lines: int) -> str:
+    """The taint copy chain: one `lines`-line method `s.S.m()->void` whose
+    line 1 reads a device id into `v1`, whose next lines copy it down a chain
+    `v<i> = v<i-1>`, and whose line `lines - 1` writes the last copy to a
+    storage sink.  Every copy stays tainted to the end of the method."""
+    last = f"v{lines - 2}"
+    body = [f"v1 = call {DEVICE_SOURCE}()"]
+    body += [f"v{i} = v{i - 1}" for i in range(2, lines - 1)]
+    return _shape(body + [f"e = call {STORAGE_SINK}({last},{last})", "return"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -20,12 +21,15 @@ from droidtriage.analysis import (
     trigger_paths,
 )
 from droidtriage.catalog import EntryCatalog
+from droidtriage.config import load_config
 from droidtriage.errors import ToolError
 from droidtriage.index import CallSite, build_call_graph
 from droidtriage.ir import Invoke, If, Manifest, parse_program, parse_sig
 
 from genprog import (
+    DEVICE_SOURCE,
     dag_manifest_text,
+    gen_copy_chain,
     gen_cyclic_program,
     gen_dag_program,
     gen_fold_chain,
@@ -785,3 +789,28 @@ def test_slice_of_one_fresh_method_from_many_threads():
             assert got == [want] * len(got)
     finally:
         sys.setswitchinterval(old)
+
+
+def _copy_chain_taint_peak(lines: int) -> int:
+    """Peak bytes that tracemalloc sees during one taint call on a fresh
+    copy chain."""
+    program = parse_program(gen_copy_chain(lines))
+    method = program.methods()[0]
+    source = CallSite(method.signature, 1, parse_sig(DEVICE_SOURCE), "v1")
+    graph = build_call_graph(program)
+    tracemalloc.start()
+    try:
+        result = taint_reachability(program, graph, source, load_config().api_catalog, 3)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [hit.site.line for hit in result.reached_sinks] == [lines - 1]
+    return peak
+
+
+def test_taint_memory_linear_on_copy_chain():
+    # IN used to be kept at every line, and each line's IN holds every copy
+    # made so far, so four times the lines took about sixteen times the bytes;
+    # the test counts bytes, not time
+    small, large = _copy_chain_taint_peak(1000), _copy_chain_taint_peak(4000)
+    assert large < 8 * small, (small, large)

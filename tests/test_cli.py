@@ -162,14 +162,14 @@ def test_branch_target_past_int_digit_limit_fails_cleanly(tmp_path, capsys, stmt
     assert capsys.readouterr().err.startswith("error: line 3: branch target of 5000 digits")
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_jobs_below_one_rejected(tmp_path, capsys, value):
-    # 0 used to fall back to the CPU count; -1 raised ValueError from the pool
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    # apps overlap only when the provider waits on the network, so there is no
+    # thread count to set
     with pytest.raises(SystemExit) as exc:
         main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(tmp_path / "o"),
-              "--jobs", value])
+              "--jobs", "2"])
     assert exc.value.code == 2
-    assert "at least 1" in capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -214,7 +214,7 @@ def test_batch_bad_config_value_fails_cleanly(tmp_path, capsys, section, key, va
     # the removed tool ceilings now fail the same way
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[router]\nrecon = m\ntrace = m\nverdict = m\n[model.m]\nprice_in = 1\n"
-                   f"[{section}]\n{key} = {value}\n")
+                   f"price_out = 1\n[{section}]\n{key} = {value}\n")
     rc = main(["batch", str(FIXTURES / "corpus.idx"), "--config", str(cfg),
                "--out", str(tmp_path / "o")])
     assert rc == 1

@@ -17,7 +17,7 @@ import pytest
 
 from droidtriage import agents
 from droidtriage.agents import (
-    MAX_SESSION_THREADS,
+    MAX_THREADS,
     Catalogs,
     PipelineBudgets,
     recon_screen,
@@ -213,7 +213,7 @@ def test_session_threads_bounded_by_the_constant():
     assert [json.loads(ex.messages[1][1].split("```json")[1].split("```")[0])["line"]
             for ex in traced] == list(range(1, n + 1))
     assert ledger.totals == recomputed_totals(ledger)
-    assert 1 < provider.peak <= MAX_SESSION_THREADS
+    assert 1 < provider.peak <= MAX_THREADS
     assert provider.in_flight == 0
     assert threading.active_count() == baseline
     assert report.app_id == "wide"

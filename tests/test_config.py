@@ -107,6 +107,15 @@ def test_model_section_unknown_key_rejected(tmp_path, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("missing", ["price_in", "price_out"])
+def test_model_section_with_one_price_rejected(tmp_path, missing):
+    # `price_in` alone used to load with the output side priced at 0
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL.replace(f"{missing} =", "# "))
+    with pytest.raises(ConfigError, match=rf"^\[model\.m1\] {missing} missing"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("mode", [None, "live", "Scripted"])
 def test_build_router_takes_exactly_two_modes(mode):
     with pytest.raises(ConfigError):

@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from droidtriage.agents import Catalogs
+from droidtriage import harness
+from droidtriage.agents import MAX_THREADS, Catalogs
 from droidtriage.backend import ModelRouter
 from droidtriage.config import load_config
 from droidtriage.errors import ConfigError, ProviderUnavailableError, ReportIoError
 from droidtriage.harness import (
     BatchConfig,
     ConfusionCounts,
+    DatasetEntry,
     DatasetManifest,
     compute_metrics,
     confusion_of,
@@ -34,13 +38,12 @@ def scripted_router() -> ModelRouter:
     return CFG.build_router("scripted")
 
 
-def batch_config(jobs=None) -> BatchConfig:
+def batch_config() -> BatchConfig:
     return BatchConfig(
         catalogs=Catalogs(CFG.api_catalog, CFG.entry_catalog),
         router=scripted_router(),
         pricing=CFG.pricing,
         budgets=CFG.budgets,
-        jobs=jobs,
     )
 
 
@@ -224,7 +227,7 @@ def test_batch_internal_error_in_threaded_session_is_classified_skip(capsys):
                 raise RuntimeError("provider bug")
             return super().chat(model_id, tier, messages)
 
-    cfg = batch_config(jobs=2)
+    cfg = batch_config()
     cfg.router = ModelRouter(cfg.router.config,
                              {m: FaultyNetworkModel() for m in cfg.router.providers})
     assert cfg.router.waits_on_network
@@ -350,11 +353,78 @@ def test_batch_order_permutation_invariant(tmp_path):
     assert summarize(a, CFG.pricing) == summarize(b, CFG.pricing)
 
 
-def test_batch_parallel_matches_serial():
-    ds = DatasetManifest.load(FIXTURES / "corpus.idx")
-    serial = run_batch(ds, batch_config(jobs=1))
-    parallel = run_batch(ds, batch_config(jobs=6))
-    assert [r.report.to_json() for r in serial] == [r.report.to_json() for r in parallel]
+def _with_provider(provider) -> BatchConfig:
+    cfg = batch_config()
+    cfg.router = ModelRouter(cfg.router.config, {m: provider for m in cfg.router.providers})
+    return cfg
+
+
+def test_scripted_batch_runs_on_the_calling_thread():
+    # a CPU-bound provider gains nothing from threads, so no app gets one
+    from droidtriage.scripted import ScriptedProvider
+
+    threads = set()
+
+    class Recording(ScriptedProvider):
+        def chat(self, model_id, tier, messages):
+            threads.add(threading.get_ident())
+            return super().chat(model_id, tier, messages)
+
+    results = run_batch(DatasetManifest.load(FIXTURES / "corpus.idx"),
+                        _with_provider(Recording()))
+    assert results and all(r.evaluated for r in results)
+    assert threads == {threading.get_ident()}
+
+
+def test_network_batch_overlaps_apps_and_matches_sequential(monkeypatch):
+    from droidtriage.scripted import ScriptedProvider
+
+    class Waiting(ScriptedProvider):
+        waits_on_network = True
+
+        def chat(self, model_id, tier, messages):
+            time.sleep(0.002)
+            return super().chat(model_id, tier, messages)
+
+    class Sequential(Waiting):
+        waits_on_network = False
+
+    # twice the fixtures, so there are more apps than threads
+    fixtures = DatasetManifest.load(FIXTURES / "corpus.idx").entries
+    ds = DatasetManifest([DatasetEntry(f"{e.app_id}_{k}", e.manifest_path, e.ir_path,
+                                       e.label, e.year) for k in range(2) for e in fixtures])
+    assert len(ds.entries) > MAX_THREADS
+    in_flight = peak = 0
+    lock = threading.Lock()
+    evaluate = harness._evaluate_entry
+
+    def counting(entry, cfg):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        try:
+            return evaluate(entry, cfg)
+        finally:
+            with lock:
+                in_flight -= 1
+
+    monkeypatch.setattr(harness, "_evaluate_entry", counting)
+    baseline = threading.active_count()
+    overlapped = run_batch(ds, _with_provider(Waiting()))
+    assert 1 < peak <= MAX_THREADS
+    assert threading.active_count() == baseline
+    peak = 0
+    sequential = run_batch(ds, _with_provider(Sequential()))
+    assert peak == 1
+
+    def exchanges(r):
+        return [(ex.tier, ex.messages, ex.response, ex.input_tokens, ex.output_tokens)
+                for ex in r.ledger.exchanges]
+
+    assert all(r.evaluated for r in overlapped)
+    assert [r.report.to_json() for r in overlapped] == [r.report.to_json() for r in sequential]
+    assert [exchanges(r) for r in overlapped] == [exchanges(r) for r in sequential]
 
 
 # -- per-year ------------------------------------------------------------------
