@@ -162,14 +162,15 @@ def test_branch_target_past_int_digit_limit_fails_cleanly(tmp_path, capsys, stmt
     assert capsys.readouterr().err.startswith("error: line 3: branch target of 5000 digits")
 
 
-def test_jobs_flag_is_gone(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_jobs_below_one_rejected(tmp_path, capsys, value):
     # apps overlap only when the provider waits on the network, so there is no
-    # thread count to set
+    # thread count to set: --jobs is an unknown argument whatever its value
     with pytest.raises(SystemExit) as exc:
         main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(tmp_path / "o"),
-              "--jobs", "2"])
+              "--jobs", value])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: --jobs {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
