@@ -42,25 +42,23 @@ def parse_checked(text: str):
 
 
 def audit_taint(program, catalog) -> tuple[int, int]:
-    """Query every source at depths 0-3 against the oracle and replay every
-    witness; returns (queries, sink hits)."""
-    graph = build_call_graph(program)
+    """Query every source once against the oracle and replay every witness;
+    returns (queries, sink hits)."""
     queries = hits = 0
     for m in program.methods():
         for line, s in enumerate(m.body, 1):
             if not (isinstance(s, Invoke) and s.dst is not None):
                 continue
             site = CallSite(m.signature, line, s.callee, s.dst)
-            for depth in range(4):
-                result = taint_reachability(program, graph, site, catalog, depth)
-                got_sinks = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
-                want = taint_scan(program, catalog, site.method, site.line, depth)
-                assert got_sinks == want, "taint/oracle divergence"
-                for hit in result.reached_sinks:
-                    assert replay_witness(program, catalog, site, hit.witness), \
-                        "witness replay failed"
-                queries += 1
-                hits += len(result.reached_sinks)
+            result = taint_reachability(program, site, catalog)
+            got_sinks = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
+            want = taint_scan(program, catalog, site.method, site.line)
+            assert got_sinks == want, "taint/oracle divergence"
+            for hit in result.reached_sinks:
+                assert replay_witness(program, catalog, site, hit.witness), \
+                    "witness replay failed"
+            queries += 1
+            hits += len(result.reached_sinks)
     return queries, hits
 
 

@@ -248,7 +248,6 @@ def _capped(args: dict, key: str, ceiling: int | None = None) -> int:
 MAX_SHOWN = 10
 CONTEXT_RADIUS = 20
 TRIGGER_DEPTH = 5
-TAINT_DEPTH = 3
 
 
 def _ends(items: Sequence, radius: int) -> tuple[Sequence, int]:
@@ -281,9 +280,8 @@ def _triggers(box: ToolBox, depth: int, args: dict) -> dict:
     return {"count": chains.count, "chains": shown}
 
 
-def _taint(box: ToolBox, depth: int, args: dict) -> dict:
-    program = box.bundle.program
-    box.taint = result = taint_reachability(program, box.graph, box.site, box.api_catalog, depth)
+def _taint(box: ToolBox, _size: None, args: dict) -> dict:
+    box.taint = result = taint_reachability(box.bundle.program, box.site, box.api_catalog)
     hits = result.reached_sinks
     shown = []
     for h in hits[:MAX_SHOWN]:
@@ -294,8 +292,7 @@ def _taint(box: ToolBox, depth: int, args: dict) -> dict:
         if hidden:
             sink["witness_length"] = len(h.witness)
         shown.append(sink)
-    obs = {"source": box.site.render(), "searched_depth": result.searched_depth,
-           "reached_sinks": shown}
+    obs = {"source": box.site.render(), "reached_sinks": shown}
     if len(hits) > MAX_SHOWN:
         obs["sink_count"] = len(hits)
     return obs
@@ -337,7 +334,7 @@ def _slice(box: ToolBox, _size: None, args: dict) -> dict:
 TOOLS = {
     "extract_context": ("radius", CONTEXT_RADIUS, _context),
     "trigger_paths": ("max_depth", TRIGGER_DEPTH, _triggers),
-    "taint_reachability": ("depth_limit", TAINT_DEPTH, _taint),
+    "taint_reachability": (None, None, _taint),
     "backward_slice": (None, None, _slice),
 }
 

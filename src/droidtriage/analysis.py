@@ -7,13 +7,15 @@ Four operations over an immutable program + call graph:
 * taint_reachability-- forward taint from a call's return value to sinks
 * backward_slice    -- intra-method dependency slice
 
-Taint is flow-sensitive inside a method, context-insensitive across calls
-and depth-limited.  Values move only through copies, call arguments and
-return values; there is no heap and no implicit flow through branches.
-Each fact carries its witness: IN(line) maps a tainted variable to a linked
-list of def-use steps back to the source or an entry parameter, unwound only
-when the variable reaches a sink or a return.  Every reported sink carries
-the resulting replayable witness.
+Taint is flow-sensitive inside a method and context-insensitive across
+calls, with no depth limit.  Values move only through copies, call arguments
+and return values; there is no heap and no implicit flow through branches.
+So taint is distributive: each (method, tainted parameter) has one summary,
+the sinks it reaches and whether it returns taint, and the summaries are
+solved to a fixpoint by a worklist, recursion included.  Each fact carries
+its witness, a linked list of def-use steps back to the source or to the
+pass's parameter, into which a call splices its callee's witness by
+reference; it is unwound only for the reported sinks, each of which replays.
 
 A slice is the least set of lines that holds the target, every definition
 reaching a use on a kept line, and every If with a kept line strictly
@@ -35,7 +37,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict, deque
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import product
 
 from .catalog import ApiCatalog, EntryCatalog
@@ -223,142 +226,136 @@ class SinkHit:
 class TaintResult:
     source: CallSite
     reached_sinks: list[SinkHit]
-    searched_depth: int
 
 
-# A tainted variable's witness: a linked list `(steps, rest)` of step groups,
-# newest first, that ends at its anchor -- None for the injected source, or
-# the name of the entry parameter the taint came in by.
-_Witness = tuple[tuple[tuple[MethodSig, int], ...], "_Witness"] | str | None
+# A tainted variable's witness, relative to the start of its pass: None, or a
+# node `(inner, step, rest)` for the steps of `rest`, then `step`, then those
+# of `inner`: None for a def-use step, or the witness of a callee, spliced in
+# by reference at its call step so that a relay chain costs one node per call.
+_Witness = tuple["_Witness", tuple[MethodSig, int], "_Witness"] | None
 
 
-def _unwind(witness: _Witness) -> tuple[tuple[tuple[MethodSig, int], ...], str | None]:
-    """The witness's steps, oldest first, and its anchor."""
-    groups = []
-    while isinstance(witness, tuple):
-        group, witness = witness
-        groups.append(group)
-    return tuple(step for group in reversed(groups) for step in group), witness
+def _unwind(witness: _Witness) -> tuple[tuple[MethodSig, int], ...]:
+    """The witness's steps, oldest first, on an explicit stack."""
+    steps, todo = [], [witness]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            continue
+        if len(node) == 2:  # a step (method, line)
+            steps.append(node)
+        else:
+            todo += node  # (inner, step, rest): `rest` is popped first
+    return tuple(steps)
 
 
-class _Ctx:
-    """One flow-sensitive pass over a single method, and afterwards its
-    summary: the sinks it reaches, each with the anchor its witness is
-    relative to, and the unwound witness of its first tainted return."""
+@dataclass(eq=False)
+class _Pass:
+    """One flow-sensitive pass over a method, from its tainted parameter
+    `param` (a summary) or from the injected source line, re-run until the
+    summaries it reads stop changing.  It keeps the sinks it reaches and the
+    witness of its first tainted return, each as first found, and the passes
+    that read it, in the order they first did."""
 
-    def __init__(self, method: MethodDef, inject: tuple[int, str] | None, depth: int):
-        self.method = method
-        self.inject = inject
-        self.depth = depth
-        self.hits: dict[tuple[str, int], tuple[SinkHit, str | None]] = {}
-        self.ret: tuple[tuple[tuple[MethodSig, int], ...], str | None] | None = None
+    method: MethodDef
+    param: str | None
+    order: int  # 0 for the source's pass, then the order summaries are first read in
+    inject: tuple[int, str] | None = None
+    hits: dict[tuple[str, int], tuple[CallSite, str, str, _Witness]] = field(default_factory=dict)
+    ret: _Witness = None
+    readers: dict[_Pass, None] = field(default_factory=dict)
+    queued: bool = False
 
 
 class _TaintEngine:
-    def __init__(self, program: IrProgram, catalog: ApiCatalog, depth_limit: int):
+    """The summaries of one query, keyed by (method, parameter), solved with
+    a worklist: no pass calls another, a summary not yet computed reads as
+    empty, and a summary that gains a sink or its tainted return queues its
+    readers again."""
+
+    def __init__(self, program: IrProgram, catalog: ApiCatalog):
         self.methods = program.method_map
         self.catalog = catalog
-        self.depth_limit = depth_limit
-        self.summaries: dict[tuple[str, frozenset[str], int], _Ctx] = {}
+        self.summaries: dict[tuple[MethodSig, str], _Pass] = {}
+        self.work: list[tuple[int, _Pass]] = []  # a heap on -order
 
     # -- transfer --------------------------------------------------------
 
-    def _transfer(self, ctx: _Ctx, line: int, facts: dict[str, _Witness]) -> None:
+    def _transfer(self, p: _Pass, line: int, facts: dict[str, _Witness]) -> None:
         """Turn `facts` from IN(line) into OUT(line) in place: each variable
         tainted after the line, with its witness.  A variable the line leaves
         alone keeps its witness object."""
-        sig = ctx.method.signature
-        stmt = ctx.method.body[line - 1]
+        sig = p.method.signature
+        stmt = p.method.body[line - 1]
         gen = None
         if isinstance(stmt, Assign) and stmt.src in facts:
-            gen = (((sig, line),), facts[stmt.src])
+            gen = (None, (sig, line), facts[stmt.src])
         elif isinstance(stmt, Invoke):
             tainted_args = [a for a in stmt.uses if a in facts]
             if tainted_args:
                 category = self.catalog.sink_category(stmt.callee)
-                if category is not None:
-                    self._record_hit(ctx, line, stmt, tainted_args[0], category, facts)
+                if category is not None and (key := (str(sig), line)) not in p.hits:
+                    site, arg = CallSite(sig, line, stmt.callee, stmt.dst), tainted_args[0]
+                    p.hits[key] = (site, category, arg, (None, (sig, line), facts[arg]))
                 callee = self.methods.get(stmt.callee)
-                if callee is not None and ctx.depth > 0:
-                    gen = self._apply_summary(ctx, line, stmt, callee, facts)
-        elif isinstance(stmt, Return) and stmt.var in facts and ctx.ret is None:
-            steps, anchor = _unwind(facts[stmt.var])
-            ctx.ret = (steps + ((sig, line),), anchor)
+                if callee is not None:
+                    gen = self._apply_summaries(p, (sig, line), stmt, callee, facts)
+        elif isinstance(stmt, Return) and stmt.var in facts and p.ret is None:
+            p.ret = (None, (sig, line), facts[stmt.var])
         facts.pop(stmt.dst, None)
         if gen is not None:
             facts[stmt.dst] = gen
-        if ctx.inject is not None and line == ctx.inject[0]:
-            facts[ctx.inject[1]] = (((sig, line),), None)
+        if p.inject is not None and line == p.inject[0]:
+            facts[p.inject[1]] = (None, (sig, line), None)
 
-    def _record_hit(self, ctx: _Ctx, line: int, stmt: Invoke, arg: str, category: str,
-                    tin: dict[str, _Witness]) -> None:
-        sig = ctx.method.signature
-        key = (str(sig), line)
-        if key in ctx.hits:
-            return
-        steps, anchor = _unwind(tin[arg])
-        site = CallSite(sig, line, stmt.callee, stmt.dst)
-        ctx.hits[key] = (SinkHit(site, category, steps + ((sig, line),), arg), anchor)
-
-    def _apply_summary(self, ctx: _Ctx, line: int, stmt: Invoke, callee: MethodDef,
-                       tin: dict[str, _Witness]) -> _Witness:
-        """Splice the callee's hits into the caller's, and return the witness
-        of the call's result if the callee returns taint, else None."""
-        tainted_params = frozenset(
-            callee.params[i]
-            for i, a in enumerate(stmt.args)
-            if i < len(callee.params) and a in tin
-        )
-        if not tainted_params:
-            return None
-        summary = self._summary_for(callee, tainted_params, ctx.depth - 1)
-        arg_of = {p: stmt.args[callee.params.index(p)] for p in tainted_params}
-        call = ((ctx.method.signature, line),)
-        for key, (hit, param) in summary.hits.items():
-            if key in ctx.hits or param not in arg_of:
+    def _apply_summaries(self, p: _Pass, call: tuple[MethodSig, int], stmt: Invoke,
+                         callee: MethodDef, tin: dict[str, _Witness]) -> _Witness:
+        """Splice the summary of each tainted parameter, in parameter order,
+        into the caller's hits, and return the witness of the call's result
+        by the first parameter whose summary returns taint, else None."""
+        gen = None
+        for param, arg in zip(callee.params, stmt.args):
+            if arg not in tin:
                 continue
-            steps, anchor = _unwind(tin[arg_of[param]])
-            ctx.hits[key] = (SinkHit(hit.site, hit.category, steps + call + hit.witness,
-                                     hit.tainted_arg), anchor)
-        if summary.ret is not None and stmt.dst is not None:
-            steps, param = summary.ret
-            if param in arg_of:
-                return (call + steps, tin[arg_of[param]])
-        return None
+            if (summary := self.summaries.get((callee.signature, param))) is None:
+                summary = _Pass(callee, param, len(self.summaries) + 1)
+                self.summaries[callee.signature, param] = summary
+                self._queue(summary)
+            summary.readers[p] = None  # `p` runs again whenever the summary changes
+            for key, (site, category, tainted, witness) in summary.hits.items():
+                if key not in p.hits:
+                    p.hits[key] = (site, category, tainted, (witness, call, tin[arg]))
+            if gen is None and summary.ret is not None and stmt.dst is not None:
+                gen = (summary.ret, call, tin[arg])
+        return gen
 
     # -- fixpoint ----------------------------------------------------------
 
-    def _summary_for(self, method: MethodDef, params: frozenset[str], depth: int) -> _Ctx:
-        key = (str(method.signature), params, depth)
-        cached = self.summaries.get(key)
-        if cached is not None:
-            return cached
-        ctx = _Ctx(method, None, depth)
-        self._run(ctx, {p: p for p in sorted(params)})
-        self.summaries[key] = ctx
-        return ctx
+    def _queue(self, p: _Pass) -> None:
+        if not p.queued:
+            p.queued = True
+            heappush(self.work, (-p.order, p))
 
-    def _run(self, ctx: _Ctx, entry: dict[str, _Witness]) -> None:
-        """Worklist to the fixpoint.  IN is kept only at region heads: a walk
-        starts at a queued head, or at the injected source line, and runs to
-        the end of its region on one dict.  Only a variable new to IN(head)
-        takes a witness there, so the first witness to reach a head is kept."""
-        method = ctx.method
-        if not method.body:
-            return
+    def _run(self, p: _Pass) -> None:
+        """One pass, a worklist over the lines.  IN is kept only at region
+        heads: a walk starts at a queued head, or at the injected source line,
+        and runs to the end of its region on one dict.  Only a variable new to
+        IN(head) takes a witness there, so the first witness to reach a head
+        is kept."""
+        method = p.method
         insets: dict[int, dict[str, _Witness]] = {}
         work: deque[int] = deque()
-        if entry:
-            insets[1] = entry
+        if p.param is not None and method.body:
+            insets[1] = {p.param: None}
             work.append(1)
-        if ctx.inject is not None:
-            work.append(ctx.inject[0])
+        if p.inject is not None:
+            work.append(p.inject[0])
         successors, heads = method.successors, method.blocks
         while work:
             line = work.popleft()
             facts = dict(insets.get(line, {}))
             while line:
-                self._transfer(ctx, line, facts)
+                self._transfer(p, line, facts)
                 succs, line = successors[line], 0
                 for succ in succs:
                     if heads[succ] != succ:  # the next line of this region
@@ -370,34 +367,33 @@ class _TaintEngine:
                         if succ not in work:
                             work.append(succ)
 
-    def run_source(self, site: CallSite) -> list[SinkHit]:
-        method = self.methods[site.method]
-        stmt = method.body[site.line - 1]
-        ctx = _Ctx(method, (site.line, stmt.dst), self.depth_limit)
-        self._run(ctx, {})
-        assert all(anchor is None for _hit, anchor in ctx.hits.values()), \
-            "top-level witness must be absolute"
-        return [ctx.hits[key][0] for key in sorted(ctx.hits)]
+    def solve(self, root: _Pass) -> None:
+        """Run passes until no summary changes.  The pass read last runs first,
+        so a callee settles before its callers run again; first-in-first-out
+        order re-ran a whole relay chain above each sink it reached."""
+        self._queue(root)
+        while self.work:
+            _order, p = heappop(self.work)
+            p.queued = False
+            found, returned = len(p.hits), p.ret is not None
+            self._run(p)
+            if len(p.hits) > found or (p.ret is not None and not returned):
+                for reader in p.readers:
+                    self._queue(reader)
 
 
-def taint_reachability(
-    program: IrProgram,
-    graph: CallGraph,
-    source: CallSite,
-    catalog: ApiCatalog,
-    depth_limit: int,
-) -> TaintResult:
+def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog) -> TaintResult:
     """Mark the source call's return value tainted and search for sinks."""
-    if depth_limit < 0:
-        raise ValueError("depth_limit must be >= 0")
-    _method, stmt = _statement_at(program, source.method, source.line)
+    method, stmt = _statement_at(program, source.method, source.line)
     if not isinstance(stmt, Invoke):
         raise ToolError(f"{source.method}:{source.line} is not a call")
     if stmt.dst is None:
         raise ToolError(f"{source.method}:{source.line} discards its result")
-    engine = _TaintEngine(program, catalog, depth_limit)
-    hits = engine.run_source(source)
-    return TaintResult(source, hits, depth_limit)
+    root = _Pass(method, None, 0, (source.line, stmt.dst))
+    _TaintEngine(program, catalog).solve(root)
+    hits = (root.hits[key] for key in sorted(root.hits))
+    return TaintResult(source, [SinkHit(site, category, _unwind(witness), arg)
+                                for site, category, arg, witness in hits])
 
 
 def replay_witness(

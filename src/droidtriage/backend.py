@@ -152,6 +152,9 @@ def check_floors(obj, floors: dict[str, int]) -> None:
             raise ConfigError(f"{name} must be at least {floor}, got {value}")
 
 
+MAX_WAIT_S = 86_400  # a day, the longest backoff or timeout a policy may set
+
+
 @dataclass
 class RetryPolicy:
     count: int = 2
@@ -162,6 +165,9 @@ class RetryPolicy:
         check_floors(self, {"count": 0, "backoff_s": 0})
         if not self.timeout_s > 0:
             raise ConfigError(f"timeout_s must be above 0, got {self.timeout_s}")
+        for key, value in (("backoff_s", self.backoff_s), ("timeout_s", self.timeout_s)):
+            if not value <= MAX_WAIT_S:  # also inf: sleep and settimeout overflow on it
+                raise ConfigError(f"{key} must be at most {MAX_WAIT_S}, got {value}")
 
 
 @dataclass

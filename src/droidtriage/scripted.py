@@ -15,7 +15,8 @@ import re
 from .backend import count_tokens
 from .errors import ProviderUnavailableError
 
-_PAYLOAD_RE = re.compile(r"```json\s*(.*?)\s*```", re.DOTALL)
+# A fence is a whole line, and json.dumps escapes newlines: app text cannot forge one.
+_PAYLOAD_RE = re.compile(r"^```json\n(.*?)\n```$", re.MULTILINE | re.DOTALL)
 
 # Permissions considered ordinary for an app of a given declared category
 # (substring match on the lowercased category), on top of BASE_EXPECTED.

@@ -324,3 +324,23 @@ def gen_copy_chain(lines: int) -> str:
     body = [f"v1 = call {DEVICE_SOURCE}()"]
     body += [f"v{i} = v{i - 1}" for i in range(2, lines - 1)]
     return _shape(body + [f"e = call {STORAGE_SINK}({last},{last})", "return"])
+
+
+def gen_relay_chain(n: int, recursive: bool = False) -> str:
+    """A device id relayed down a call chain: `r.R.m()->void` reads it on line
+    1 and passes it to `r.R.r1`, each of the `n` relays `r.R.r<i>(string)->void`
+    passes its parameter to the next, and the last writes it to a storage
+    sink.  With `recursive`, each relay first calls itself on its parameter,
+    so every relay is a cycle of the call graph."""
+    def relay(i: int) -> str:
+        return f"r.R.r{i}(string)->void"
+
+    head = [f"v = call {DEVICE_SOURCE}()", f"call {relay(1)}(v)", "return"]
+    methods = ["  method r.R.m()->void () {\n" + "".join(f"    {s}\n" for s in head) + "  }\n"]
+    for i in range(1, n + 1):
+        body = [f"call {relay(i)}(p)"] if recursive else []
+        body += [f"call {relay(i + 1)}(p)" if i < n else f"e = call {STORAGE_SINK}(p,p)",
+                 "return"]
+        methods.append(f"  method {relay(i)} (p) {{\n"
+                       + "".join(f"    {s}\n" for s in body) + "  }\n")
+    return "class r.R {\n" + "".join(methods) + "}\n"

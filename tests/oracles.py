@@ -329,15 +329,17 @@ def _succs(method: MethodDef, line: int) -> list[int]:
     return out
 
 
-def taint_scan(program: IrProgram, catalog, source_method, source_line: int,
-               depth_limit: int) -> set[tuple[str, int]]:
+def taint_scan(program: IrProgram, catalog, source_method, source_line: int) -> set[tuple[str, int]]:
     """Sink sites reachable from the source's return value: round-robin
-    dataflow, recursion into callees, no witness machinery."""
+    dataflow, recursion into callees with a memo per (callee, tainted
+    parameter set), and the whole query re-run until no memo entry changes,
+    so recursive calls reach their fixpoint; no witness machinery."""
     methods = {m.signature: m for m in program.methods()}
     hits: set[tuple[str, int]] = set()
-    memo: dict[tuple[str, frozenset, int], bool] = {}
+    memo: dict[tuple[str, frozenset], bool] = {}  # returns taint, only ever False -> True
+    done: set[tuple[str, frozenset]] = set()  # analysed in the current round
 
-    def analyze(method: MethodDef, entry: frozenset, inject: int | None, depth: int) -> bool:
+    def analyze(method: MethodDef, entry: frozenset, inject: int | None) -> bool:
         n = len(method.body)
         insets: list[set[str]] = [set() for _ in range(n + 1)]
         if entry:
@@ -363,18 +365,18 @@ def taint_scan(program: IrProgram, catalog, source_method, source_line: int,
                         if catalog.sink_category(stmt.callee) is not None:
                             hits.add((str(method.signature), line))
                         callee = methods.get(stmt.callee)
-                        if callee is not None and depth > 0:
+                        if callee is not None:
                             tp = frozenset(
                                 callee.params[i]
                                 for i, a in enumerate(stmt.args)
                                 if i < len(callee.params) and is_var_token(a) and a in tin
                             )
                             if tp:
-                                key = (str(callee.signature), tp, depth - 1)
-                                if key not in memo:
-                                    memo[key] = False  # cycle guard
-                                    memo[key] = analyze(callee, tp, None, depth - 1)
-                                ret_tainted = memo[key]
+                                key = (str(callee.signature), tp)
+                                if key not in done:
+                                    done.add(key)  # a recursive call reads the last round
+                                    memo[key] = analyze(callee, tp, None) or memo.get(key, False)
+                                ret_tainted = memo.get(key, False)
                     if stmt.dst is not None:
                         out.discard(stmt.dst)
                         if ret_tainted:
@@ -390,8 +392,12 @@ def taint_scan(program: IrProgram, catalog, source_method, source_line: int,
                         changed = True
         return returns_tainted
 
-    analyze(methods[source_method], frozenset(), source_line, depth_limit)
-    return hits
+    while True:
+        before = dict(memo)
+        done.clear()
+        analyze(methods[source_method], frozenset(), source_line)
+        if memo == before:
+            return hits
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,6 @@ def test_criterion_3_taint_oracle_equivalence():
         programs = 0
         while programs < 200:
             program = parse_program(gen_program(rng, max_methods=10, max_lines=20))
-            graph = build_call_graph(program)
             sources = [
                 CallSite(m.signature, line, s.callee, s.dst)
                 for m in program.methods()
@@ -118,10 +117,9 @@ def test_criterion_3_taint_oracle_equivalence():
                 continue
             programs += 1
             for site in sources[:2]:
-                depth = rng.randint(0, 3)
-                result = taint_reachability(program, graph, site, catalog, depth)
+                result = taint_reachability(program, site, catalog)
                 got = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
-                want = taint_scan(program, catalog, site.method, site.line, depth)
+                want = taint_scan(program, catalog, site.method, site.line)
                 assert got == want
                 for hit in result.reached_sinks:
                     assert replay_witness(program, catalog, site, hit.witness), hit

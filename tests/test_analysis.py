@@ -38,6 +38,7 @@ from genprog import (
     gen_if_ladder_back,
     gen_join_ladder,
     gen_program,
+    gen_relay_chain,
     gen_wide_use,
     synth_catalog,
 )
@@ -351,9 +352,8 @@ class a.B {
 }
 """
     program = parse_program(text)
-    graph = build_call_graph(program)
     site = _site_of(program, "a.B.m()->void", 1)
-    result = taint_reachability(program, graph, site, synth_catalog(), 3)
+    result = taint_reachability(program, site, synth_catalog())
     assert result.reached_sinks == []
 
 
@@ -368,9 +368,8 @@ class a.B {
 }
 """
     program = parse_program(text)
-    graph = build_call_graph(program)
     site = _site_of(program, "a.B.m()->void", 1)
-    result = taint_reachability(program, graph, site, synth_catalog(), 3)
+    result = taint_reachability(program, site, synth_catalog())
     assert len(result.reached_sinks) == 1
     hit = result.reached_sinks[0]
     assert hit.category == "network"
@@ -387,7 +386,7 @@ def test_taint_long_copy_chain_witness_replays():
     program = parse_program("class a.B {\n  method a.B.m()->void () {\n"
                             + "".join(f"    {line}\n" for line in lines) + "  }\n}\n")
     site = _site_of(program, "a.B.m()->void", 1)
-    result = taint_reachability(program, build_call_graph(program), site, synth_catalog(), 3)
+    result = taint_reachability(program, site, synth_catalog())
     [hit] = result.reached_sinks
     assert [line for _m, line in hit.witness] == list(range(1, n + 2))
     assert replay_witness(program, synth_catalog(), site, hit.witness)
@@ -407,12 +406,11 @@ class a.B {
 }
 """
     program = parse_program(text)
-    graph = build_call_graph(program)
     site = _site_of(program, "a.B.m()->void", 1)
-    assert taint_reachability(program, graph, site, synth_catalog(), 3).reached_sinks == []
+    assert taint_reachability(program, site, synth_catalog()).reached_sinks == []
 
 
-def test_taint_cross_method_storage_hit_requires_depth():
+def test_taint_cross_method_storage_hit():
     text = """
 class a.B {
   method a.B.a()->void () {
@@ -427,18 +425,13 @@ class a.B {
 }
 """
     program = parse_program(text)
-    graph = build_call_graph(program)
     site = _site_of(program, "a.B.a()->void", 1)
     catalog = synth_catalog()
-    deep = taint_reachability(program, graph, site, catalog, 1)
-    assert [(str(h.site.method), h.site.line) for h in deep.reached_sinks] == [
-        ("a.B.b(string)->void", 2)
-    ]
-    assert deep.reached_sinks[0].category == "storage"
-    assert deep.reached_sinks[0].tainted_arg == "p"
-    assert replay_witness(program, catalog, site, deep.reached_sinks[0].witness)
-    shallow = taint_reachability(program, graph, site, catalog, 0)
-    assert shallow.reached_sinks == []
+    [hit] = taint_reachability(program, site, catalog).reached_sinks
+    assert (str(hit.site.method), hit.site.line) == ("a.B.b(string)->void", 2)
+    assert hit.category == "storage"
+    assert hit.tainted_arg == "p"
+    assert replay_witness(program, catalog, site, hit.witness)
 
 
 def test_taint_return_value_propagates_to_caller():
@@ -456,9 +449,8 @@ class a.B {
 }
 """
     program = parse_program(text)
-    graph = build_call_graph(program)
     site = _site_of(program, "a.B.a()->void", 1)
-    result = taint_reachability(program, graph, site, synth_catalog(), 2)
+    result = taint_reachability(program, site, synth_catalog())
     assert len(result.reached_sinks) == 1
     assert replay_witness(program, synth_catalog(), site, result.reached_sinks[0].witness)
 
@@ -477,9 +469,8 @@ class a.B {
 }
 """
     program = parse_program(text)
-    graph = build_call_graph(program)
     site = _site_of(program, "a.B.m(string)->void", 1)
-    result = taint_reachability(program, graph, site, synth_catalog(), 3)
+    result = taint_reachability(program, site, synth_catalog())
     assert [h.site.line for h in result.reached_sinks] == [6]
 
 
@@ -488,36 +479,35 @@ def test_taint_source_errors():
         "class a.B {\n  method a.B.m()->void () {\n    x = const 1\n"
         "    call ext.api.Util.log(string)->void(x)\n  }\n}\n"
     )
-    graph = build_call_graph(program)
     catalog = synth_catalog()
     sig = parse_sig("a.B.m()->void")
     with pytest.raises(ToolError, match=r"^a\.B\.m\(\)->void:1 is not a call$") as exc:
         taint_reachability(
-            program, graph,
+            program,
             CallSite(sig, 1, parse_sig("ext.api.Src.read()->string"), "x"),
-            catalog, 3,
+            catalog,
         )
     assert exc.value.kind == "tool"
     with pytest.raises(ToolError, match=r"^a\.B\.m\(\)->void:2 discards its result$") as exc:
         taint_reachability(
-            program, graph,
+            program,
             CallSite(sig, 2, parse_sig("ext.api.Util.log(string)->void"), None),
-            catalog, 3,
+            catalog,
         )
     assert exc.value.kind == "tool"
     # the address check the three tools share
     with pytest.raises(ToolError, match=r"^unknown method a\.B\.nope\(\)->void$") as exc:
         taint_reachability(
-            program, graph,
+            program,
             CallSite(parse_sig("a.B.nope()->void"), 1,
                      parse_sig("ext.api.Src.read()->string"), "x"),
-            catalog, 3,
+            catalog,
         )
     assert exc.value.kind == "tool"
     with pytest.raises(ToolError, match=r"^a\.B\.m\(\)->void has no line 3$"):
         taint_reachability(
-            program, graph, CallSite(sig, 3, parse_sig("ext.api.Src.read()->string"), "x"),
-            catalog, 3,
+            program, CallSite(sig, 3, parse_sig("ext.api.Src.read()->string"), "x"),
+            catalog,
         )
 
 
@@ -530,17 +520,15 @@ def _all_sources(program):
     return sites
 
 
-def _check_taint(program, sites, rng) -> int:
-    """Query each site at a random depth against the brute-force oracle and
-    replay every witness; returns the number of sink hits."""
+def _check_taint(program, sites) -> int:
+    """Query each site against the brute-force oracle and replay every
+    witness; returns the number of sink hits."""
     catalog = synth_catalog()
-    graph = build_call_graph(program)
     hits = 0
     for site in sites:
-        depth = rng.randint(0, 3)
-        result = taint_reachability(program, graph, site, catalog, depth)
+        result = taint_reachability(program, site, catalog)
         got = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
-        assert got == taint_scan(program, catalog, site.method, site.line, depth)
+        assert got == taint_scan(program, catalog, site.method, site.line)
         for hit in result.reached_sinks:
             assert replay_witness(program, catalog, site, hit.witness)
         hits += len(result.reached_sinks)
@@ -553,7 +541,7 @@ def test_taint_matches_bruteforce_oracle_generated():
     for _ in range(60):
         program = parse_program(gen_program(rng, max_methods=8, max_lines=16))
         sources = _all_sources(program)[:3]
-        _check_taint(program, sources, rng)
+        _check_taint(program, sources)
         checked += len(sources)
     assert checked > 50
 
@@ -563,7 +551,7 @@ def test_taint_matches_bruteforce_oracle_on_call_cycles():
     hits = 0
     for _ in range(25):
         program = parse_program(gen_cyclic_program(rng, values=True)[0])
-        hits += _check_taint(program, _all_sources(program), rng)
+        hits += _check_taint(program, _all_sources(program))
     assert hits > 50
 
 
@@ -797,10 +785,9 @@ def _copy_chain_taint_peak(lines: int) -> int:
     program = parse_program(gen_copy_chain(lines))
     method = program.methods()[0]
     source = CallSite(method.signature, 1, parse_sig(DEVICE_SOURCE), "v1")
-    graph = build_call_graph(program)
     tracemalloc.start()
     try:
-        result = taint_reachability(program, graph, source, load_config().api_catalog, 3)
+        result = taint_reachability(program, source, load_config().api_catalog)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -813,4 +800,53 @@ def test_taint_memory_linear_on_copy_chain():
     # made so far, so four times the lines took about sixteen times the bytes;
     # the test counts bytes, not time
     small, large = _copy_chain_taint_peak(1000), _copy_chain_taint_peak(4000)
+    assert large < 8 * small, (small, large)
+
+
+def _relay_chain_taint(n: int, recursive: bool):
+    """The relay chain's program, its source and one taint call's result."""
+    program = parse_program(gen_relay_chain(n, recursive))
+    source = CallSite(parse_sig("r.R.m()->void"), 1, parse_sig(DEVICE_SOURCE), "v")
+    return program, source, taint_reachability(program, source, load_config().api_catalog)
+
+
+@pytest.mark.parametrize("recursive", [False, True])
+def test_taint_relay_chain_needs_no_call_stack(recursive):
+    # no pass calls another and a witness unwinds on an explicit stack, so a
+    # sink 2,000 calls below the source needs no more frames than one call
+    load_config()  # parsed once before the limit drops
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        program, source, result = _relay_chain_taint(2000, recursive)
+    finally:
+        sys.setrecursionlimit(old)
+    [hit] = result.reached_sinks
+    assert str(hit.site.method) == "r.R.r2000(string)->void"
+    assert len(hit.witness) == 2002
+    assert replay_witness(program, load_config().api_catalog, source, hit.witness)
+
+
+def _relay_chain_taint_peak(n: int) -> int:
+    program = parse_program(gen_relay_chain(n))
+    source = CallSite(parse_sig("r.R.m()->void"), 1, parse_sig(DEVICE_SOURCE), "v")
+    catalog = load_config().api_catalog
+    tracemalloc.start()
+    try:
+        result = taint_reachability(program, source, catalog)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.reached_sinks) == 1
+    return peak
+
+
+def test_taint_memory_linear_on_relay_chain():
+    # a callee's witness is spliced into its caller's by reference; copying
+    # it at every call would make four times the relays cost sixteen times
+    # the bytes.  The test counts bytes, not time
+    small, large = _relay_chain_taint_peak(500), _relay_chain_taint_peak(2000)
     assert large < 8 * small, (small, large)

@@ -131,6 +131,23 @@ def test_floor_values_accepted(tmp_path):
     assert cfg.router.retry == RetryPolicy(0, 0.0, 0.01)
 
 
+def test_retry_waits_of_a_day_accepted(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + "\n[retry]\nbackoff_s = 86400\ntimeout_s = 86400\n")
+    assert load_config(path).router.retry == RetryPolicy(2, 86400.0, 86400.0)
+
+
+@pytest.mark.parametrize("key", ["backoff_s", "timeout_s"])
+@pytest.mark.parametrize("value", ["inf", "1e12", "86400.5"])
+def test_retry_wait_past_a_day_rejected(tmp_path, key, value):
+    # each used to load, and every live exchange then raised OverflowError
+    # from time.sleep or socket.settimeout
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + f"\n[retry]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^\[retry\] {key} must be at most 86400, got "):
+        load_config(path)
+
+
 @pytest.mark.parametrize("section,key", [
     # the tool ceilings, once [budgets] keys and now constants
     ("budgets", "taint_depth"),

@@ -1,8 +1,8 @@
 """Taint witnesses, step for step.
 
 `golden/taint_witnesses.txt` holds every hit of every source of a fixed-seed
-set of generated programs (branches, loops and recursion) at depths 0-3: the
-sink site, its category, the tainted argument and the full witness.  The
+set of generated programs (branches, loops and recursion): the sink site, its
+category, the tainted argument and the full witness, which must replay.  The
 hand-written cases pin the splices a callee contributes.
 
 Run this file to rewrite the golden: python tests/test_taint_witnesses.py
@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 
 from droidtriage.analysis import replay_witness, taint_reachability
-from droidtriage.index import CallSite, build_call_graph
+from droidtriage.index import CallSite
 from droidtriage.ir import Goto, If, Invoke, parse_program, parse_sig
 
 from genprog import gen_program, synth_catalog
@@ -44,15 +44,14 @@ def witness_lines() -> list[str]:
     catalog = synth_catalog()
     lines = []
     for i, program in enumerate(_programs()):
-        graph = build_call_graph(program)
         for site in _sources(program):
-            for depth in range(4):
-                for hit in taint_reachability(program, graph, site, catalog, depth).reached_sinks:
-                    lines.append(
-                        f"p{i} {site.method}:{site.line} d{depth} -> "
-                        f"{hit.site.method}:{hit.site.line} {hit.category} "
-                        f"{hit.tainted_arg} | {_steps(hit.witness)}"
-                    )
+            for hit in taint_reachability(program, site, catalog).reached_sinks:
+                assert replay_witness(program, catalog, site, hit.witness), hit
+                lines.append(
+                    f"p{i} {site.method}:{site.line} -> "
+                    f"{hit.site.method}:{hit.site.line} {hit.category} "
+                    f"{hit.tainted_arg} | {_steps(hit.witness)}"
+                )
     return lines
 
 
@@ -79,17 +78,17 @@ def test_golden_programs_have_branches_loops_and_recursion():
     assert shapes == {"branch", "loop", "recursion", "call"}
     # some witnesses end in another method than their source
     golden = GOLDEN.read_text()
-    assert any(line.split()[1].rsplit(":", 1)[0] != line.split()[4].rsplit(":", 1)[0]
+    assert any(line.split()[1].rsplit(":", 1)[0] != line.split()[3].rsplit(":", 1)[0]
                for line in golden.splitlines())
 
 
-def _hit_steps(text: str, method: str, line: int, depth: int):
+def _hit_steps(text: str, method: str, line: int):
     program = parse_program(text)
     sig = parse_sig(method)
     stmt = program.method_map[sig].body[line - 1]
     site = CallSite(sig, line, stmt.callee, stmt.dst)
     catalog = synth_catalog()
-    result = taint_reachability(program, build_call_graph(program), site, catalog, depth)
+    result = taint_reachability(program, site, catalog)
     for hit in result.reached_sinks:
         assert replay_witness(program, catalog, site, hit.witness)
     return [(f"{h.site.method}:{h.site.line}", h.tainted_arg,
@@ -116,11 +115,10 @@ class a.B {
   }
 }
 """
-    assert _hit_steps(text, "a.B.a()->void", 1, 2) == [(
+    assert _hit_steps(text, "a.B.a()->void", 1) == [(
         "a.B.c(string)->void:2", "t",
         ["a:1", "a:2", "a:3", "b:1", "b:2", "c:1", "c:2"],
     )]
-    assert _hit_steps(text, "a.B.a()->void", 1, 1) == []
 
 
 def test_tainted_return_through_a_copying_callee():
@@ -138,9 +136,30 @@ class a.B {
   }
 }
 """
-    assert _hit_steps(text, "a.B.a()->void", 1, 1) == [(
+    assert _hit_steps(text, "a.B.a()->void", 1) == [(
         "a.B.a()->void:4", "z",
         ["a:1", "a:2", "ident:1", "ident:2", "a:3", "a:4"],
+    )]
+
+
+def test_recursive_call_returns_its_own_taint_to_a_sink():
+    # r only learns that it returns taint after its recursive call, so the
+    # summary must run again, as a reader of itself, before v is tainted
+    text = """
+class a.B {
+  method a.B.a()->void () {
+    x = call ext.api.Src.read()->string()
+    call a.B.r(string)->string(x)
+  }
+  method a.B.r(string)->string (p) {
+    v = call a.B.r(string)->string(p)
+    call ext.api.Net.send(string)->void(v)
+    return p
+  }
+}
+"""
+    assert _hit_steps(text, "a.B.a()->void", 1) == [(
+        "a.B.r(string)->string:2", "v", ["a:1", "a:2", "r:1", "r:3", "r:2"],
     )]
 
 
@@ -160,7 +179,7 @@ class a.B {
   }
 }
 """
-    assert _hit_steps(text, "a.B.m(string)->void", 1, 0) == [(
+    assert _hit_steps(text, "a.B.m(string)->void", 1) == [(
         "a.B.m(string)->void:7", "y", ["m:1", "m:3", "m:7"],
     )]
 
