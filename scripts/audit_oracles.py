@@ -15,11 +15,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from droidtriage.analysis import backward_slice, replay_witness, taint_reachability, trigger_paths
 from droidtriage.catalog import EntryCatalog
+from droidtriage.config import load_config
 from droidtriage.index import CallSite, build_api_index, build_call_graph
 from droidtriage.ir import Invoke, parse_manifest, parse_program, parse_sig, render_program
 
 from genprog import (
-    dag_manifest_text, gen_cyclic_program, gen_dag_program, gen_program, synth_catalog,
+    dag_manifest_text, gen_cyclic_program, gen_dag_program, gen_program, gen_relay_chain,
+    synth_catalog,
 )
 from oracles import (
     defined_var, index_scan, parse_program_cascade, slice_fixpoint_scan, taint_scan, trigger_scan,
@@ -135,6 +137,17 @@ def main(n_programs: int, seed: int) -> int:
         cyclic_queries += queries
         cyclic_hits += hits
 
+    # relay chains with a sink in every relay, plain and recursive, against
+    # the shipped catalog
+    relay_queries = relay_hits = 0
+    shipped = load_config().api_catalog
+    for n in range(1, 31):
+        for recursive in (False, True):
+            text = gen_relay_chain(n, recursive, leaky=True)
+            queries, hits = audit_taint(parse_checked(text), shipped)
+            relay_queries += queries
+            relay_hits += hits
+
     # branchy methods of up to 200 lines, so the slice's If table is several
     # levels deep
     long_slices = 0
@@ -149,7 +162,8 @@ def main(n_programs: int, seed: int) -> int:
         f"({taint_hits} sink hits, all witnesses replayed), {slice_queries} slices, "
         f"{long_slices} slices of methods up to 200 lines, "
         f"{graph_checks} trigger graphs, {cyclic_queries} taint queries on cyclic call "
-        f"graphs ({cyclic_hits} sink hits), parser and index scans on every program; "
+        f"graphs ({cyclic_hits} sink hits), {relay_queries} taint queries on leaky relay "
+        f"chains ({relay_hits} sink hits), parser and index scans on every program; "
         f"no divergences in {elapsed:.1f}s"
     )
     return 0

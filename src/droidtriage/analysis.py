@@ -11,11 +11,13 @@ Taint is flow-sensitive inside a method and context-insensitive across
 calls, with no depth limit.  Values move only through copies, call arguments
 and return values; there is no heap and no implicit flow through branches.
 So taint is distributive: each (method, tainted parameter) has one summary,
-the sinks it reaches and whether it returns taint, and the summaries are
-solved to a fixpoint by a worklist, recursion included.  Each fact carries
-its witness, a linked list of def-use steps back to the source or to the
-pass's parameter, into which a call splices its callee's witness by
-reference; it is unwound only for the reported sinks, each of which replays.
+the sinks of its method that it reaches, the summaries it calls and whether
+it returns taint, solved to a fixpoint by a worklist, recursion included.
+Sinks stay in the pass that reaches them, and one breadth-first walk over
+the calls from the source's pass collects them.  Each fact carries its
+witness, a linked list of def-use steps back to the source or to the pass's
+parameter, into which a call splices its callee's witness by reference; it
+is unwound only for the reported sinks, each of which replays.
 
 A slice is the least set of lines that holds the target, every definition
 reaching a use on a kept line, and every If with a kept line strictly
@@ -38,7 +40,6 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import product
 
 from .catalog import ApiCatalog, EntryCatalog
@@ -232,6 +233,8 @@ class TaintResult:
 # node `(inner, step, rest)` for the steps of `rest`, then `step`, then those
 # of `inner`: None for a def-use step, or the witness of a callee, spliced in
 # by reference at its call step so that a relay chain costs one node per call.
+# A sink stays in its pass; the walk that collects it joins its witness to
+# the steps to that pass by a None step, `(witness, None, prefix)`.
 _Witness = tuple["_Witness", tuple[MethodSig, int], "_Witness"] | None
 
 
@@ -252,16 +255,16 @@ def _unwind(witness: _Witness) -> tuple[tuple[MethodSig, int], ...]:
 @dataclass(eq=False)
 class _Pass:
     """One flow-sensitive pass over a method, from its tainted parameter
-    `param` (a summary) or from the injected source line, re-run until the
-    summaries it reads stop changing.  It keeps the sinks it reaches and the
-    witness of its first tainted return, each as first found, and the passes
-    that read it, in the order they first did."""
+    `param` (a summary) or from the injected source line, re-run when a
+    summary it reads first returns taint.  It keeps its method's sinks, the
+    summaries it calls with the call step and argument witness, its first
+    tainted return, each as first found, and its readers in first-read order."""
 
     method: MethodDef
     param: str | None
-    order: int  # 0 for the source's pass, then the order summaries are first read in
     inject: tuple[int, str] | None = None
-    hits: dict[tuple[str, int], tuple[CallSite, str, str, _Witness]] = field(default_factory=dict)
+    sinks: dict[tuple[str, int], tuple[CallSite, str, str, _Witness]] = field(default_factory=dict)
+    calls: dict[_Pass, tuple[tuple[MethodSig, int], _Witness]] = field(default_factory=dict)
     ret: _Witness = None
     readers: dict[_Pass, None] = field(default_factory=dict)
     queued: bool = False
@@ -270,14 +273,14 @@ class _Pass:
 class _TaintEngine:
     """The summaries of one query, keyed by (method, parameter), solved with
     a worklist: no pass calls another, a summary not yet computed reads as
-    empty, and a summary that gains a sink or its tainted return queues its
-    readers again."""
+    empty, and a summary whose return first turns tainted queues its readers
+    again."""
 
     def __init__(self, program: IrProgram, catalog: ApiCatalog):
         self.methods = program.method_map
         self.catalog = catalog
         self.summaries: dict[tuple[MethodSig, str], _Pass] = {}
-        self.work: list[tuple[int, _Pass]] = []  # a heap on -order
+        self.work: deque[_Pass] = deque()
 
     # -- transfer --------------------------------------------------------
 
@@ -294,14 +297,16 @@ class _TaintEngine:
             tainted_args = [a for a in stmt.uses if a in facts]
             if tainted_args:
                 category = self.catalog.sink_category(stmt.callee)
-                if category is not None and (key := (str(sig), line)) not in p.hits:
+                if category is not None and (key := (str(sig), line)) not in p.sinks:
                     site, arg = CallSite(sig, line, stmt.callee, stmt.dst), tainted_args[0]
-                    p.hits[key] = (site, category, arg, (None, (sig, line), facts[arg]))
+                    p.sinks[key] = (site, category, arg, (None, (sig, line), facts[arg]))
                 callee = self.methods.get(stmt.callee)
                 if callee is not None:
                     gen = self._apply_summaries(p, (sig, line), stmt, callee, facts)
         elif isinstance(stmt, Return) and stmt.var in facts and p.ret is None:
             p.ret = (None, (sig, line), facts[stmt.var])
+            for reader in p.readers:  # once per summary
+                self._queue(reader)
         facts.pop(stmt.dst, None)
         if gen is not None:
             facts[stmt.dst] = gen
@@ -310,21 +315,19 @@ class _TaintEngine:
 
     def _apply_summaries(self, p: _Pass, call: tuple[MethodSig, int], stmt: Invoke,
                          callee: MethodDef, tin: dict[str, _Witness]) -> _Witness:
-        """Splice the summary of each tainted parameter, in parameter order,
-        into the caller's hits, and return the witness of the call's result
-        by the first parameter whose summary returns taint, else None."""
+        """Record the summary of each tainted parameter, in parameter order,
+        as a call of the caller's, and return the witness of the call's
+        result by the first parameter whose summary returns taint, else None."""
         gen = None
         for param, arg in zip(callee.params, stmt.args):
             if arg not in tin:
                 continue
             if (summary := self.summaries.get((callee.signature, param))) is None:
-                summary = _Pass(callee, param, len(self.summaries) + 1)
+                summary = _Pass(callee, param)
                 self.summaries[callee.signature, param] = summary
                 self._queue(summary)
-            summary.readers[p] = None  # `p` runs again whenever the summary changes
-            for key, (site, category, tainted, witness) in summary.hits.items():
-                if key not in p.hits:
-                    p.hits[key] = (site, category, tainted, (witness, call, tin[arg]))
+            summary.readers[p] = None  # `p` runs again when the summary first returns taint
+            p.calls.setdefault(summary, (call, tin[arg]))
             if gen is None and summary.ret is not None and stmt.dst is not None:
                 gen = (summary.ret, call, tin[arg])
         return gen
@@ -334,7 +337,7 @@ class _TaintEngine:
     def _queue(self, p: _Pass) -> None:
         if not p.queued:
             p.queued = True
-            heappush(self.work, (-p.order, p))
+            self.work.append(p)
 
     def _run(self, p: _Pass) -> None:
         """One pass, a worklist over the lines.  IN is kept only at region
@@ -368,32 +371,34 @@ class _TaintEngine:
                             work.append(succ)
 
     def solve(self, root: _Pass) -> None:
-        """Run passes until no summary changes.  The pass read last runs first,
-        so a callee settles before its callers run again; first-in-first-out
-        order re-ran a whole relay chain above each sink it reached."""
+        """Run passes until no summary changes.  A summary's return turns
+        tainted at most once, so a pass runs again at most once per callee."""
         self._queue(root)
         while self.work:
-            _order, p = heappop(self.work)
+            p = self.work.popleft()
             p.queued = False
-            found, returned = len(p.hits), p.ret is not None
             self._run(p)
-            if len(p.hits) > found or (p.ret is not None and not returned):
-                for reader in p.readers:
-                    self._queue(reader)
 
 
 def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog) -> TaintResult:
-    """Mark the source call's return value tainted and search for sinks."""
+    """Taint the source call's result; a sink keeps the first path the walk finds."""
     method, stmt = _statement_at(program, source.method, source.line)
     if not isinstance(stmt, Invoke):
         raise ToolError(f"{source.method}:{source.line} is not a call")
     if stmt.dst is None:
         raise ToolError(f"{source.method}:{source.line} discards its result")
-    root = _Pass(method, None, 0, (source.line, stmt.dst))
+    root = _Pass(method, None, (source.line, stmt.dst))
     _TaintEngine(program, catalog).solve(root)
-    hits = (root.hits[key] for key in sorted(root.hits))
+    found, prefixes, walk = {}, {root: None}, [root]
+    for p in walk:  # breadth first: each pass once, by the first path to it
+        for key, (site, category, arg, witness) in p.sinks.items():
+            found.setdefault(key, (site, category, arg, (witness, None, prefixes[p])))
+        for callee, (call, tainted) in p.calls.items():
+            if callee not in prefixes:
+                prefixes[callee] = (None, call, (tainted, None, prefixes[p]))
+                walk.append(callee)
     return TaintResult(source, [SinkHit(site, category, _unwind(witness), arg)
-                                for site, category, arg, witness in hits])
+                                for _, (site, category, arg, witness) in sorted(found.items())])
 
 
 def replay_witness(

@@ -326,12 +326,14 @@ def gen_copy_chain(lines: int) -> str:
     return _shape(body + [f"e = call {STORAGE_SINK}({last},{last})", "return"])
 
 
-def gen_relay_chain(n: int, recursive: bool = False) -> str:
+def gen_relay_chain(n: int, recursive: bool = False, leaky: bool = False) -> str:
     """A device id relayed down a call chain: `r.R.m()->void` reads it on line
     1 and passes it to `r.R.r1`, each of the `n` relays `r.R.r<i>(string)->void`
     passes its parameter to the next, and the last writes it to a storage
     sink.  With `recursive`, each relay first calls itself on its parameter,
-    so every relay is a cycle of the call graph."""
+    so every relay is a cycle of the call graph.  With `leaky`, each relay
+    also writes its parameter to the storage sink before it passes it on, so
+    the chain has `n + 1` sinks."""
     def relay(i: int) -> str:
         return f"r.R.r{i}(string)->void"
 
@@ -339,6 +341,7 @@ def gen_relay_chain(n: int, recursive: bool = False) -> str:
     methods = ["  method r.R.m()->void () {\n" + "".join(f"    {s}\n" for s in head) + "  }\n"]
     for i in range(1, n + 1):
         body = [f"call {relay(i)}(p)"] if recursive else []
+        body += [f"l = call {STORAGE_SINK}(p,p)"] if leaky else []
         body += [f"call {relay(i + 1)}(p)" if i < n else f"e = call {STORAGE_SINK}(p,p)",
                  "return"]
         methods.append(f"  method {relay(i)} (p) {{\n"
