@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .ir import COMPONENT_KINDS, Manifest, MethodSig
+from .ir import COMPONENT_KINDS, Manifest, MethodSig, parse_sig
 
 SINK_CATEGORIES = ("network", "storage", "telephony")
 
@@ -34,10 +34,10 @@ class ApiCatalog:
     """The system-API surface the pipeline treats as sensitive.
 
     A pattern is an exact canonical signature, or a class-prefix wildcard
-    `stem.*` matching the classes `stem` and `stem.<more>`.  Patterns are
-    keyed by their text, so every question about a signature is one lookup:
-    its own rendering, then `<prefix>.*` for its class name and each dotted
-    prefix of it.
+    `stem.*` matching the classes `stem` and `stem.<more>`.  A prefix is
+    keyed by its text and a signature by its rendering, so every question
+    about a signature is one lookup: its own rendering, then `<prefix>.*` for
+    its class name and each dotted prefix of it.
     """
 
     patterns: dict[str, _Entry] = field(default_factory=dict)
@@ -96,10 +96,15 @@ class ApiCatalog:
 
     def _entry(self, text: str, line_no: int) -> _Entry:
         text = text.strip()
-        if not (text.endswith(".*") or "(" in text):
-            raise ConfigError(
-                f"catalog line {line_no}: {text!r} is neither a signature nor a class prefix"
-            )
+        if not text.endswith(".*"):
+            if "(" not in text:
+                raise ConfigError(
+                    f"catalog line {line_no}: {text!r} is neither a signature nor a class prefix"
+                )
+            try:  # keyed by its rendering, which is what a lookup asks for
+                text = str(parse_sig(text))
+            except ValueError as exc:
+                raise ConfigError(f"catalog line {line_no}: {exc}") from None
         return self.patterns.setdefault(text, _Entry())
 
 

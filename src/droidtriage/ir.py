@@ -30,8 +30,10 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InvalidBundleError
 
@@ -39,47 +41,82 @@ from .errors import InvalidBundleError
 # signatures
 # ---------------------------------------------------------------------------
 
-_SIG_RE = re.compile(r"^([A-Za-z_$][\w.$]*)\(([^()]*)\)->([\w.$]+)$")
+_QUALIFIED_RE = re.compile(r"[A-Za-z_$][\w.$]*")
+_TAIL_RE = re.compile(r"\(([^()]*)\)->([\w.$]+)")
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"^-?\d+$")
 
 _RESERVED = {"call", "const", "goto", "if", "return", "nop", "true", "false", "null"}
 
+Tail = tuple[tuple[str, ...], str]  # a signature's parameter types and return type
 
-@dataclass(frozen=True)
-class MethodSig:
+
+class MethodSig(tuple):
     """Fully qualified method signature; canonical form `cls.m(t1,t2)->ret`.
-    Its rendering and hash are computed once; equality compares the fields."""
+    An immutable tuple of the four fields and their rendering, built by one
+    call.  It equals only a `MethodSig` with the same fields, and hashes as
+    the tuple."""
 
-    class_name: str
-    method_name: str
-    param_types: tuple[str, ...]
-    return_type: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cls, name, params, ret = fields = (
-            self.class_name, self.method_name, self.param_types, self.return_type)
-        object.__setattr__(self, "_text", f"{cls}.{name}({','.join(params)})->{ret}")
-        object.__setattr__(self, "_hash", hash(fields))
+    def __new__(cls, class_name: str, method_name: str, param_types: tuple[str, ...],
+                return_type: str) -> MethodSig:
+        text = f"{class_name}.{method_name}({','.join(param_types)})->{return_type}"
+        return tuple.__new__(cls, (class_name, method_name, param_types, return_type, text))
+
+    class_name = property(itemgetter(0))
+    method_name = property(itemgetter(1))
+    param_types = property(itemgetter(2))
+    return_type = property(itemgetter(3))
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is MethodSig and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __str__(self) -> str:
-        return self._text
+        return self[4]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __repr__(self) -> str:
+        return (f"MethodSig(class_name={self[0]!r}, method_name={self[1]!r}, "
+                f"param_types={self[2]!r}, return_type={self[3]!r})")
+
+    def __getnewargs__(self) -> tuple[str, str, tuple[str, ...], str]:
+        return self[:4]  # copy and pickle rebuild it from the four fields
 
 
 def parse_sig(text: str) -> MethodSig:
     """Parse a canonical signature; raises ValueError on malformed input."""
-    m = _SIG_RE.match(text.strip())
-    if not m:
+    return _parse_sig(text, {})
+
+
+def _parse_sig(text: str, tails: dict[str, Tail]) -> MethodSig:
+    """The one signature grammar: the text up to its first `(` is the
+    qualified name, the rest the `(t1,t2)->ret` tail.  `tails` holds the
+    tails parsed so far, which repeat across signatures."""
+    stripped = text.strip()
+    cut = stripped.find("(")
+    qualified, tail = stripped[:cut], stripped[cut:]
+    parsed = tails.get(tail)
+    if parsed is None and cut >= 0 and (parsed := _parse_tail(tail)) is not None:
+        tails[tail] = parsed
+    if parsed is None or cut < 0 or not _QUALIFIED_RE.fullmatch(qualified):
         raise ValueError(f"malformed signature: {text!r}")
-    qualified, types, ret = m.groups()
-    if "." not in qualified:
+    cls, dot, name = qualified.rpartition(".")
+    if not dot:
         raise ValueError(f"signature missing class qualifier: {text!r}")
-    cls, name = qualified.rsplit(".", 1)
-    params = tuple(t.strip() for t in types.split(",") if t.strip()) if types.strip() else ()
-    return MethodSig(cls, name, params, ret)
+    return MethodSig(cls, name, *parsed)
+
+
+def _parse_tail(tail: str) -> Tail | None:
+    """A `(t1,t2)->ret` tail's parameter types and return type, or None."""
+    m = _TAIL_RE.fullmatch(tail)
+    if not m:
+        return None
+    types, ret = m.groups()
+    return tuple(t.strip() for t in types.split(",") if t.strip()) if types.strip() else (), ret
 
 
 def is_var_token(tok: str) -> bool:
@@ -393,15 +430,6 @@ _COPY_RE = re.compile(r"([A-Za-z_]\w*)$")
 _UNCOMMENTED_RE = re.compile(r'(?:[^"#]+|"[^"]*(?:"|$))*')
 
 
-def _target(digits: str, file_line: int) -> int:
-    """A branch target; past the interpreter's int-string digit limit it is
-    a syntax error, not the `ValueError` that `int` raises."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise InvalidBundleError(f"line {file_line}: branch target of {len(digits)} digits") from None
-
-
 def _strip(raw: str) -> str:
     """Remove comments and surrounding whitespace; quote-aware for `#`."""
     if "#" not in raw:
@@ -409,30 +437,69 @@ def _strip(raw: str) -> str:
     return _UNCOMMENTED_RE.match(raw).group().strip()
 
 
+def _parse_params(text: str, file_line: int) -> tuple[str, ...]:
+    """A method header's parameter names; raises on one that is no variable."""
+    params = tuple(p.strip() for p in text.split(",") if p.strip())
+    for p in params:
+        if not is_var_token(p):
+            raise InvalidBundleError(f"line {file_line}: bad parameter name {p!r}")
+    return params
+
+
 class _Parse:
-    """One parse's tables: each distinct signature text becomes the one
-    `MethodSig` every line naming it shares, each distinct argument list is
-    split and checked once, its variable tokens recorded, and each distinct
-    statement text becomes the one statement every line spelling it shares.
-    Only texts that parsed are stored, so an error names its own file line.
-    The tables die with the parse, so attacker text cannot grow them past its
-    own size."""
+    """One parse's tables: each distinct statement text becomes the one
+    statement every line spelling it shares, each distinct signature text the
+    one `MethodSig` every line naming it shares, and each distinct signature
+    tail, header parameter list and call argument list is parsed and checked
+    once.  Only texts that parsed are stored, so an error names its own file
+    line.  `lowest_target` and `highest_target` bound the branch targets
+    parsed so far (1 and 0 while there are none), so a method as long as the
+    highest needs no target check.  The tables die with the parse, so
+    attacker text cannot grow them past its own size."""
 
     def __init__(self) -> None:
-        self.sigs: dict[str, MethodSig] = {}
-        self.arg_lists: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
         self.stmts: dict[str, IrStatement] = {}
+        self.sigs: dict[str, MethodSig] = {}
+        self.tails: dict[str, Tail] = {}
+        self.param_lists: dict[str, tuple[str, ...]] = {}
+        self.arg_lists: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        self.lowest_target, self.highest_target = 1, 0
+
+    def body(self, lines: Iterator[tuple[int, str]], body: list[IrStatement]) -> bool:
+        """Read a method's statements into `body` up to its closing `}`;
+        False when the input ends first.  A text seen before costs one strip,
+        one lookup and one append; only a text holding a `#` is cut at its
+        comment."""
+        stmts, append = self.stmts, body.append
+        for file_line, raw in lines:
+            text = raw.strip()
+            stmt = stmts.get(text)
+            if stmt is None:
+                line = _strip(text) if "#" in text else text
+                if line == "}":
+                    return True
+                if not line:
+                    continue
+                stmt = stmts[line] = stmts[text] = stmts.get(line) or self.stmt(line, file_line)
+            append(stmt)
+        return False
 
     def sig(self, text: str, file_line: int) -> MethodSig:
         sig = self.sigs.get(text)
         if sig is None:
             try:
-                sig = parse_sig(text)
+                sig = _parse_sig(text, self.tails)
             except ValueError as exc:
                 raise InvalidBundleError(f"line {file_line}: {exc}") from None
             # texts that differ only in spacing share the canonical one's object
             sig = self.sigs[text] = self.sigs.setdefault(str(sig), sig)
         return sig
+
+    def params(self, text: str, file_line: int) -> tuple[str, ...]:
+        params = self.param_lists.get(text)
+        if params is None:
+            params = self.param_lists[text] = _parse_params(text, file_line)
+        return params
 
     def args(self, text: str, file_line: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """An argument list's tokens, and those of them naming variables."""
@@ -442,6 +509,18 @@ class _Parse:
             uses = tuple(a for a in args if _check_arg_token(a, file_line))
             entry = self.arg_lists[text] = (args, uses)
         return entry
+
+    def target(self, digits: str, file_line: int) -> int:
+        """A branch target, widening the parse's target range; past the
+        interpreter's int-string digit limit it is a syntax error, not the
+        `ValueError` that `int` raises."""
+        try:
+            target = int(digits)
+        except ValueError:
+            raise InvalidBundleError(f"line {file_line}: branch target of {len(digits)} digits") from None
+        self.lowest_target = min(self.lowest_target, target)
+        self.highest_target = max(self.highest_target, target)
+        return target
 
     def stmt(self, line: str, file_line: int) -> IrStatement:
         """The first word, or the word after `<dst> =`, picks the one form
@@ -459,9 +538,9 @@ class _Parse:
                 if not is_var_token(m.group(1)):
                     raise InvalidBundleError(
                         f"line {file_line}: bad condition variable {m.group(1)!r}")
-                return If(m.group(1), _target(m.group(2), file_line))
+                return If(m.group(1), self.target(m.group(2), file_line))
             if line.startswith("goto") and (m := _GOTO_RE.match(line)):
-                return Goto(_target(m.group(1), file_line))
+                return Goto(self.target(m.group(1), file_line))
             if line.startswith("return") and (m := _RETURN_RE.match(line)):
                 if m.group(1) is not None and not is_var_token(m.group(1)):
                     raise InvalidBundleError(
@@ -486,57 +565,49 @@ def parse_program(text: str) -> IrProgram:
     classes: list[ClassDef] = []
     seen_sigs: set[MethodSig] = set()
     cur_class: ClassDef | None = None
-    cur_method: MethodDef | None = None
     parse = _Parse()
-    stmts = parse.stmts
+    all_lines = text.splitlines()
+    lines = enumerate(all_lines, start=1)
 
-    for file_line, raw in enumerate(text.splitlines(), start=1):
+    for file_line, raw in lines:
         line = _strip(raw)
         if not line:
             continue
-        if cur_method is not None:
-            if line == "}":
-                _check_branch_targets(cur_method)
-                cur_method = None
-                continue
-            stmt = stmts.get(line) or stmts.setdefault(line, parse.stmt(line, file_line))
-            cur_method.body.append(stmt)
-            continue
-        if cur_class is not None:
-            if line == "}":
-                cur_class = None
-                continue
-            m = _METHOD_RE.match(line)
+        if cur_class is None:
+            m = _CLASS_RE.match(line)
             if not m:
-                raise InvalidBundleError(f"line {file_line}: expected method or '}}', got {line!r}")
-            sig = parse.sig(m.group(1), file_line)
-            if sig.class_name != cur_class.name:
-                raise InvalidBundleError(
-                    f"line {file_line}: method {sig} declared inside class {cur_class.name}")
-            if sig in seen_sigs:
-                raise InvalidBundleError(f"duplicate method signature: {sig}")
-            seen_sigs.add(sig)
-            params = tuple(p.strip() for p in m.group(2).split(",") if p.strip())
-            for p in params:
-                if not is_var_token(p):
-                    raise InvalidBundleError(f"line {file_line}: bad parameter name {p!r}")
-            if len(set(params)) != len(params):
-                raise InvalidBundleError(f"line {file_line}: {sig}: duplicate parameter names")
-            if len(params) != len(sig.param_types):
-                raise InvalidBundleError(f"line {file_line}: {sig}: {len(sig.param_types)} "
-                                         f"parameter types but {len(params)} names")
-            cur_method = MethodDef(sig, params, [])
-            cur_class.methods.append(cur_method)
+                raise InvalidBundleError(f"line {file_line}: expected class declaration, got {line!r}")
+            cur_class = ClassDef(m.group(1), m.group(2), [])
+            classes.append(cur_class)
             continue
-        m = _CLASS_RE.match(line)
+        if line == "}":
+            cur_class = None
+            continue
+        m = _METHOD_RE.match(line)
         if not m:
-            raise InvalidBundleError(f"line {file_line}: expected class declaration, got {line!r}")
-        cur_class = ClassDef(m.group(1), m.group(2), [])
-        classes.append(cur_class)
+            raise InvalidBundleError(f"line {file_line}: expected method or '}}', got {line!r}")
+        sig = parse.sig(m.group(1), file_line)
+        if sig.class_name != cur_class.name:
+            raise InvalidBundleError(
+                f"line {file_line}: method {sig} declared inside class {cur_class.name}")
+        if sig in seen_sigs:
+            raise InvalidBundleError(f"duplicate method signature: {sig}")
+        seen_sigs.add(sig)
+        params = parse.params(m.group(2), file_line)
+        if len(set(params)) != len(params):
+            raise InvalidBundleError(f"line {file_line}: {sig}: duplicate parameter names")
+        if len(params) != len(sig.param_types):
+            raise InvalidBundleError(f"line {file_line}: {sig}: {len(sig.param_types)} "
+                                     f"parameter types but {len(params)} names")
+        method = MethodDef(sig, params, [])
+        cur_class.methods.append(method)
+        if not parse.body(lines, method.body):
+            break
+        if parse.lowest_target < 1 or parse.highest_target > len(method.body):
+            _check_branch_targets(method)
 
-    if cur_method is not None or cur_class is not None:
-        raise InvalidBundleError(
-            f"line {len(text.splitlines())}: unexpected end of input (missing '}}')")
+    if cur_class is not None:
+        raise InvalidBundleError(f"line {len(all_lines)}: unexpected end of input (missing '}}')")
     return IrProgram(classes)
 
 

@@ -50,9 +50,11 @@ def gen_program(
     max_methods: int = 10,
     max_lines: int = 20,
     straight_line: bool = False,
+    min_methods: int = 1,
 ) -> str:
-    """Canonical IR text for a random well-formed program."""
-    n_methods = rng.randint(1, max_methods)
+    """Canonical IR text for a random well-formed program.  Methods with the
+    same parameter count share their signature tail and parameter list."""
+    n_methods = rng.randint(min_methods, max_methods)
     param_counts = [rng.randint(0, 3) for _ in range(n_methods)]
     sigs = [_method_sig(i, param_counts[i]) for i in range(n_methods)]
 

@@ -25,7 +25,6 @@ from droidtriage.ir import (
     Return,
     _check_arg_token,
     is_var_token,
-    parse_sig,
 )
 
 
@@ -85,7 +84,7 @@ class PatternScan:
         if pattern.endswith(".*"):
             stem = pattern[:-2]
             return sig.class_name == stem or sig.class_name.startswith(stem + ".")
-        return str(sig) == pattern
+        return sig == parse_sig_regex(pattern)  # field by field, whatever the pattern's spacing
 
     def is_system(self, sig) -> bool:
         return any(self.matches(p, sig) for p in self.system)
@@ -137,6 +136,22 @@ def split_args_scan(text: str) -> list[str]:
 # IR parsing: the regex cascade, every signature parsed where it is named
 # ---------------------------------------------------------------------------
 
+_SIG_RE = re.compile(r"^([A-Za-z_$][\w.$]*)\(([^()]*)\)->([\w.$]+)$")
+
+
+def parse_sig_regex(text: str) -> MethodSig:
+    """A signature by one regex over the whole text, nothing shared."""
+    m = _SIG_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"malformed signature: {text!r}")
+    qualified, types, ret = m.groups()
+    if "." not in qualified:
+        raise ValueError(f"signature missing class qualifier: {text!r}")
+    cls, name = qualified.rsplit(".", 1)
+    params = tuple(t.strip() for t in types.split(",") if t.strip()) if types.strip() else ()
+    return MethodSig(cls, name, params, ret)
+
+
 _CLASS_RE = re.compile(r"^class\s+([\w.$]+)(?:\s+extends\s+([\w.$]+))?\s*\{$")
 _METHOD_RE = re.compile(r"^method\s+(\S+)\s*\(([^()]*)\)\s*\{$")
 _INVOKE_RE = re.compile(r"^(?:(\w+)\s*=\s*)?call\s+([A-Za-z_$][\w.$]*\([^()]*\)->[\w.$]+)\((.*)\)$")
@@ -160,7 +175,7 @@ def parse_stmt_cascade(line: str, file_line: int):
     if m:
         dst, sig_text, args_text = m.groups()
         try:
-            callee = parse_sig(sig_text)
+            callee = parse_sig_regex(sig_text)
         except ValueError as exc:
             raise InvalidBundleError(f"line {file_line}: {exc}") from None
         args = tuple(split_args_scan(args_text))
@@ -234,7 +249,7 @@ def parse_program_cascade(text: str) -> IrProgram:
                 raise InvalidBundleError(f"line {file_line}: expected method or '}}', got {line!r}")
             sig_text, params_text = m.groups()
             try:
-                sig = parse_sig(sig_text)
+                sig = parse_sig_regex(sig_text)
             except ValueError as exc:
                 raise InvalidBundleError(f"line {file_line}: {exc}") from None
             if sig.class_name != cur_class.name:

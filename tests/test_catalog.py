@@ -17,16 +17,22 @@ from oracles import PatternScan
 SHIPPED_TEXT = _builtin("system_apis.cat")
 
 
-def _pattern_sigs(text: str) -> list[MethodSig]:
-    """Every exact signature in a catalog, plus one method of each prefix stem."""
+def _pattern_texts(text: str) -> list[str]:
+    """Every pattern of a catalog as written."""
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, rest = line.split(":", 1)
-        pattern = {"sink": rest.split(":", 1)[-1], "perm": rest.split("->", 1)[-1]}.get(kind, rest)
-        pattern = pattern.strip()
+        if line:
+            kind, rest = line.split(":", 1)
+            pattern = {"sink": rest.split(":", 1)[-1], "perm": rest.split("->", 1)[-1]}.get(kind, rest)
+            out.append(pattern.strip())
+    return out
+
+
+def _pattern_sigs(text: str) -> list[MethodSig]:
+    """Every exact signature in a catalog, plus one method of each prefix stem."""
+    out = []
+    for pattern in _pattern_texts(text):
         if pattern.endswith(".*"):
             out.append(MethodSig(pattern[:-2], "m", (), "void"))
         else:
@@ -98,6 +104,30 @@ def test_source_lines_are_system_apis():
 def test_bad_pattern_rejected():
     with pytest.raises(ConfigError):
         ApiCatalog.parse("api:a.B\n")
+
+
+def test_signature_pattern_spacing_does_not_matter():
+    text = ("sink:network:a.B.send(string, int)->void\n"
+            "perm:P-> a.B.read( )->string\nsource:a.B.read( )->string\n")
+    catalog, scan = ApiCatalog.parse(text), PatternScan(text)
+    send, read = parse_sig("a.B.send(string,int)->void"), parse_sig("a.B.read()->string")
+    assert set(catalog.patterns) == {str(send), str(read)}
+    for sig in (send, read):
+        assert catalog.is_system(sig) and scan.is_system(sig)
+        assert catalog.sink_category(sig) == scan.sink_category(sig)
+        assert catalog.permissions_of(sig) == scan.permissions_of(sig)
+    assert catalog.sink_category(send) == "network" and catalog.permissions_of(read) == {"P"}
+
+
+@pytest.mark.parametrize("line", ["api:foo(", "sink:storage:a.B.m(int", "perm:P->nodot()->void"])
+def test_malformed_signature_pattern_names_its_line(line):
+    with pytest.raises(ConfigError, match=r"^catalog line 2: (malformed signature|signature "
+                                          r"missing class qualifier)"):
+        ApiCatalog.parse("api:a.B.*\n" + line + "\n")
+
+
+def test_shipped_pattern_keys_are_their_texts():
+    assert set(ApiCatalog.parse(SHIPPED_TEXT).patterns) == set(_pattern_texts(SHIPPED_TEXT))
 
 
 def test_bound_entry_catalog_shares_the_rules():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import re
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidtriage import ir
 from droidtriage.errors import InvalidBundleError, TriageError
 from droidtriage.harness import read_bundle
 from droidtriage.ir import (
@@ -36,6 +40,7 @@ from genprog import gen_program
 from oracles import (
     defined_var,
     parse_program_cascade,
+    parse_sig_regex,
     percentile_scan,
     render_manifest,
     split_args_scan,
@@ -72,6 +77,42 @@ def test_sig_nested_class_and_empty_params():
 def test_sig_malformed(bad):
     with pytest.raises(ValueError):
         parse_sig(bad)
+
+
+def _sig_outcome(parse, text):
+    try:
+        sig = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return sig, sig.class_name, sig.method_name, sig.param_types, sig.return_type
+
+
+_SIG_PIECES = ("a", "B", ".", "$", "_", "1", "(", ")", ",", " ", "\t", "\n", "->", "-", ">",
+               "int", "é", "a.B.m", "(int, str)", "->void")
+
+
+@given(st.lists(st.sampled_from(_SIG_PIECES), max_size=12).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_sig_split_at_its_tail_matches_one_regex(text):
+    assert _sig_outcome(parse_sig, text) == _sig_outcome(parse_sig_regex, text)
+
+
+def test_method_sig_is_an_immutable_value():
+    sig = MethodSig("a.B", "m", ("int",), "void")
+    same = parse_sig(" a.B.m( int )->void")
+    assert sig == same and not sig != same and hash(sig) == hash(same) and sig is not same
+    assert str(sig) == "a.B.m(int)->void"
+    assert repr(sig) == ("MethodSig(class_name='a.B', method_name='m', param_types=('int',), "
+                         "return_type='void')")
+    # the same rendering from other fields, the tuple it is built on, its text
+    for other in (MethodSig("a", "B.m", ("int",), "void"), MethodSig("a.B", "m", (), "void"),
+                  tuple(sig), str(sig)):
+        assert sig != other and not sig == other and not other == sig, other
+    assert {sig: 1}[same] == 1
+    assert copy.deepcopy(sig) == sig == pickle.loads(pickle.dumps(sig))
+    for field_name in ("class_name", "method_name", "param_types", "return_type", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sig, field_name, "x")
 
 
 # -- parsing ----------------------------------------------------------------
@@ -526,6 +567,103 @@ def test_parse_matches_cascade_on_mutated_programs(seed, mutations):
     for where, (kind, payload) in mutations:
         if lines:
             _mutate(lines, where, kind, payload)
+    _assert_same_parse("\n".join(lines) + "\n")
+
+
+def test_parse_pays_once_per_distinct_text(monkeypatch):
+    # counts, does not time: each distinct statement text, signature tail and
+    # parameter list is parsed once, and branch targets are scanned only in a
+    # method shorter than the highest target parsed so far
+    parsed = {"stmt": Counter(), "tail": Counter(), "params": Counter()}
+    scanned: list[str] = []
+
+    def counting(kind, parse, key):
+        def wrapper(*args):
+            parsed[kind][args[key]] += 1
+            return parse(*args)
+        return wrapper
+
+    monkeypatch.setattr(ir._Parse, "stmt", counting("stmt", ir._Parse.stmt, 1))
+    monkeypatch.setattr(ir, "_parse_tail", counting("tail", ir._parse_tail, 0))
+    monkeypatch.setattr(ir, "_parse_params", counting("params", ir._parse_params, 0))
+    check = ir._check_branch_targets
+    monkeypatch.setattr(ir, "_check_branch_targets",
+                        lambda m: (scanned.append(str(m.signature)), check(m)))
+
+    call = "x = call t.A.f0(string,int)->void(p,1)"
+    long = [call, "if p goto 5", "nop  # pad", "goto 6", 'y = const "a#b"', "return p"]
+    short = [f"{call}  # the same call", "  return   p"]
+    text = "class t.A {\n"
+    for i in range(60):
+        head = f"t.A.f{i}(string,int)->void (p,q)" if i % 2 else f"t.A.f{i}(string)->string (p)"
+        body = long if i % 3 else short
+        text += f"  method {head} {{\n" + "".join(f"    {s}\n" for s in body) + "  }\n"
+    program = parse_program(text + "}\n")
+
+    assert len(program.methods()) == 60
+    assert parsed["stmt"] == Counter({call: 1, "if p goto 5": 1, "nop": 1, "goto 6": 1,
+                                      'y = const "a#b"': 1, "return p": 1, "return   p": 1})
+    assert parsed["tail"] == Counter({"(string,int)->void": 1, "(string)->string": 1})
+    assert parsed["params"] == Counter({"p,q": 1, "p": 1})
+    # f0 is short too, but comes before any branch
+    assert scanned == [str(m.signature) for m in program.methods()[3::3]]
+    _assert_same_parse(text + "}\n")
+
+
+_LATE_KINDS = ("unqualify", "params", "jump", "comment")
+_LATE_MUTATION = st.one_of(
+    st.tuples(st.just("unqualify"), st.sampled_from(["method ", "call "])),
+    st.tuples(st.just("params"), st.sampled_from(["", "p0", "p0,p1", "p0,p1,p2", "p0,p0"])),
+    st.tuples(st.just("jump"), st.just("")),
+    st.tuples(st.just("comment"), st.sampled_from(["  # c", '  # "', "# a comment", "}  # end"])),
+)
+
+
+def _mutate_late(lines: list[str], start: int, where: int, kind: str, payload: str) -> None:
+    """Rewrite a line at or after `start` so that it reuses what an earlier
+    method's header or statement already had parsed."""
+    body = [i for i in range(start, len(lines)) if lines[i].startswith("    ")]
+    heads = [i for i in range(start, len(lines)) if lines[i].startswith("  method ")]
+    if kind == "unqualify":  # a cached tail after a name with no class
+        named = [i for i in range(start, len(lines)) if payload + "g.C" in lines[i]]
+        if named:
+            i = named[where % len(named)]
+            lines[i] = re.sub(payload + r"g\.C\d+\.", payload, lines[i], count=1)
+    elif kind == "params" and heads:  # a cached parameter list on another tail
+        i = heads[where % len(heads)]
+        lines[i] = re.sub(r"\(([^()]*)\) \{$", f"({payload}) {{", lines[i])
+    elif kind == "jump" and body:  # the earlier jump with the highest target
+        jumps = [line for line in lines[:start] if "goto" in line]
+        if jumps:
+            lines[body[where % len(body)]] = max(jumps, key=lambda l: int(l.rsplit(" ", 1)[1]))
+    elif kind == "comment" and body:
+        i = body[where % len(body)]
+        if payload.startswith("#"):
+            lines.insert(i, payload)
+        elif payload.startswith("}"):
+            ends = [j for j in range(start, len(lines)) if lines[j] == "  }"]
+            if ends:
+                lines[ends[where % len(ends)]] = "  " + payload
+        else:
+            lines[i] += payload
+
+
+@given(st.integers(0, 10_000),
+       st.lists(st.tuples(st.integers(0, 10**6), _LATE_MUTATION | _MUTATION), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_cascade_across_shared_methods(seed, mutations):
+    # many methods sharing tails, parameter lists and jump texts, with every
+    # mutation in the second half, after the tables hold the first half's texts
+    lines = gen_program(random.Random(seed), max_methods=40, max_lines=8, min_methods=20).splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("  method ")]
+    start = heads[len(heads) // 2]
+    for where, (kind, payload) in mutations:
+        if kind in _LATE_KINDS:
+            _mutate_late(lines, start, where, kind, payload)
+        elif len(lines) > start:
+            late = lines[start:]
+            _mutate(late, where, kind, payload)
+            lines[start:] = late
     _assert_same_parse("\n".join(lines) + "\n")
 
 
