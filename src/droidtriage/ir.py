@@ -453,9 +453,10 @@ class _Parse:
     tail, header parameter list and call argument list is parsed and checked
     once.  Only texts that parsed are stored, so an error names its own file
     line.  `lowest_target` and `highest_target` bound the branch targets
-    parsed so far (1 and 0 while there are none), so a method as long as the
-    highest needs no target check.  The tables die with the parse, so
-    attacker text cannot grow them past its own size."""
+    parsed so far (1 and 0 while there are none): a method at least as long
+    as the highest, with no target below 1 parsed, needs no target check.
+    The tables die with the parse, so attacker text cannot grow them past
+    its own size."""
 
     def __init__(self) -> None:
         self.stmts: dict[str, IrStatement] = {}
@@ -475,7 +476,7 @@ class _Parse:
             text = raw.strip()
             stmt = stmts.get(text)
             if stmt is None:
-                line = _strip(text) if "#" in text else text
+                line = _strip(text)
                 if line == "}":
                     return True
                 if not line:

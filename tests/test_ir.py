@@ -104,9 +104,10 @@ def test_method_sig_is_an_immutable_value():
     assert str(sig) == "a.B.m(int)->void"
     assert repr(sig) == ("MethodSig(class_name='a.B', method_name='m', param_types=('int',), "
                          "return_type='void')")
-    # the same rendering from other fields, the tuple it is built on, its text
+    # the same rendering from other fields, a plain tuple of its fields and
+    # rendering, its text
     for other in (MethodSig("a", "B.m", ("int",), "void"), MethodSig("a.B", "m", (), "void"),
-                  tuple(sig), str(sig)):
+                  ("a.B", "m", ("int",), "void", "a.B.m(int)->void"), str(sig)):
         assert sig != other and not sig == other and not other == sig, other
     assert {sig: 1}[same] == 1
     assert copy.deepcopy(sig) == sig == pickle.loads(pickle.dumps(sig))
