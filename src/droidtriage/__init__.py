@@ -5,7 +5,7 @@ from .backend import CostLedger, Exchange, PricingTable, cost_of, tier_shares
 from .catalog import ApiCatalog, EntryCatalog
 from .harness import ConfusionCounts, DatasetManifest, MetricSet, compute_metrics
 from .index import ApiIndex, CallGraph, CallSite, build_api_index, build_call_graph
-from .ir import AppBundle, IrProgram, Manifest, MethodSig, loc_stats, parse_bundle, validate
+from .ir import AppBundle, IrProgram, Manifest, MethodSig, parse_bundle, validate
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "build_call_graph",
     "compute_metrics",
     "cost_of",
-    "loc_stats",
     "parse_bundle",
     "run_pipeline",
     "tier_shares",

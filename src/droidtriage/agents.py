@@ -348,8 +348,6 @@ def trace_candidate(
     permission: str = "",
     severity: str = "Low",
 ) -> EvidenceVector:
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     payload = {
         "candidate": candidate.render(),
         "method": str(candidate.method),
@@ -565,9 +563,7 @@ def run_pipeline(
     subs = [CostLedger() for _ in recon.candidates]
     with _stage("trace"):
         vectors = overlap_map(router, session, recon.candidates, subs)
-    for sub in subs:
-        for exchange in sub.exchanges:
-            ledger.append(exchange)
+    ledger.extend(subs)
 
     with _stage("verdict"):
         report = adjudicate(recon, vectors, router, ledger, bundle.app_id)

@@ -71,10 +71,6 @@ class ContextWindow:
     truncated_head: bool
     truncated_tail: bool
 
-    @property
-    def width(self) -> int:
-        return self.end_line - self.start_line + 1
-
 
 def _statement_at(program: IrProgram, sig: MethodSig, line: int) -> tuple[MethodDef, IrStatement]:
     """The method `sig` and its statement on `line`, or a ToolError saying
@@ -121,10 +117,6 @@ def extract_context(program: IrProgram, site: CallSite, radius: int) -> ContextW
 class TriggerChain:
     path: tuple[MethodSig, ...]
     entry_kind: str
-
-    @property
-    def length(self) -> int:
-        return len(self.path)
 
 
 class TriggerWalks:

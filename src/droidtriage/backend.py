@@ -14,6 +14,7 @@ import math
 import os
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 from threading import Lock
@@ -44,10 +45,6 @@ class Exchange:
     def __post_init__(self):
         if self.input_tokens < 0 or self.output_tokens < 0:
             raise ValueError("usage counts must be >= 0")
-
-    @property
-    def total_tokens(self) -> int:
-        return self.input_tokens + self.output_tokens
 
 
 def _price(name: str, value: str | Decimal) -> Decimal:
@@ -95,6 +92,11 @@ class CostLedger:
             self.exchanges.append(exchange)
             self.totals[exchange.tier][0] += exchange.input_tokens
             self.totals[exchange.tier][1] += exchange.output_tokens
+
+    def extend(self, ledgers: Iterable[CostLedger]) -> None:
+        for ledger in ledgers:
+            for exchange in ledger.exchanges:
+                self.append(exchange)
 
     def tier_tokens(self, tier: str) -> int:
         a, b = self.totals[tier]

@@ -12,12 +12,20 @@ at run time, so coverage can grow without code changes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .ir import COMPONENT_KINDS, Manifest, MethodSig, parse_sig
 
 SINK_CATEGORIES = ("network", "storage", "telephony")
+
+
+def _rules(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, rule) for each catalog line left non-blank once its comment is cut."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield line_no, line
 
 
 @dataclass
@@ -65,14 +73,9 @@ class ApiCatalog:
     @classmethod
     def parse(cls, text: str) -> "ApiCatalog":
         cat = cls()
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("api:"):
-                cat._entry(line[4:], line_no).system = True
-            elif line.startswith("source:"):
-                cat._entry(line[7:], line_no).system = True
+        for line_no, line in _rules(text):
+            if line.startswith(("api:", "source:")):
+                cat._entry(line.split(":", 1)[1], line_no).system = True
             elif line.startswith("sink:"):
                 rest = line[5:]
                 if ":" not in rest:
@@ -125,10 +128,7 @@ class EntryCatalog:
     @classmethod
     def parse(cls, text: str) -> "EntryCatalog":
         cat = cls()
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in _rules(text):
             if line.startswith("user:"):
                 cat.user.add(line[5:].strip())
             elif line.startswith("system:"):

@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from .agents import Catalogs, PipelineBudgets, run_pipeline
-from .config import load_config
+from .agents import Catalogs, run_pipeline
+from .config import AppConfig, load_config
 from .errors import ReportIoError, TriageError, UnreadableBundleError
 from .harness import (
     BatchConfig,
@@ -17,6 +17,7 @@ from .harness import (
     compute_metrics,
     confusion_counts,
     emit_reports,
+    output_dir,
     read_bundle,
     run_batch,
 )
@@ -38,28 +39,26 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _budgets(cfg_budgets: PipelineBudgets, args) -> PipelineBudgets:
+def _run(cfg: AppConfig, args) -> BatchConfig:
+    """The run that `--backend`, `--budget` and `--cap` make of a loaded config."""
     given = {"max_iterations": args.budget, "candidate_cap": args.cap}
-    return replace(cfg_budgets, **{k: v for k, v in given.items() if v is not None})
-
-
-def _backend_mode(name: str) -> str:
-    return {"scripted": "scripted", "live": "http"}[name]
+    return BatchConfig(
+        Catalogs(cfg.api_catalog, cfg.entry_catalog),
+        cfg.build_router({"scripted": "scripted", "live": "http"}[args.backend]),
+        cfg.pricing,
+        replace(cfg.budgets, **{k: v for k, v in given.items() if v is not None}),
+    )
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    router = cfg.build_router(_backend_mode(args.backend))
+    run = _run(load_config(args.config), args)
     bundle = read_bundle(*_bundle_paths(Path(args.bundle_dir)))
     diags = validate(bundle)
     if diags:
         for d in diags:
             print(f"diagnostic: {d.code} at {d.where}: {d.message}", file=sys.stderr)
         return 2
-    report, ledger = run_pipeline(
-        bundle, Catalogs(cfg.api_catalog, cfg.entry_catalog), router,
-        _budgets(cfg.budgets, args),
-    )
+    report, ledger = run_pipeline(bundle, run.catalogs, run.router, run.budgets)
     text = report.to_json()
     if args.out:
         try:
@@ -74,15 +73,9 @@ def cmd_analyze(args) -> int:
 def cmd_batch(args) -> int:
     cfg = load_config(args.config)
     dataset = DatasetManifest.load(args.dataset)
-    router = cfg.build_router(_backend_mode(args.backend))
-    batch_cfg = BatchConfig(
-        catalogs=Catalogs(cfg.api_catalog, cfg.entry_catalog),
-        router=router,
-        pricing=cfg.pricing,
-        budgets=_budgets(cfg.budgets, args),
-    )
-    results = run_batch(dataset, batch_cfg)
-    summary = emit_reports(results, cfg.pricing, args.out)
+    run = _run(cfg, args)
+    output_dir(args.out)  # refuse a bad --out before the first app is triaged
+    summary = emit_reports(run_batch(dataset, run), run.pricing, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -127,8 +120,8 @@ def cmd_metrics(args) -> int:
         return 1
     confusion = confusion_counts(pairs)
     print(json.dumps(
-        {"evaluated": len(pairs), "confusion": confusion.to_dict(),
-         "metrics": compute_metrics(confusion).to_dict()},
+        {"evaluated": len(pairs), "confusion": asdict(confusion),
+         "metrics": asdict(compute_metrics(confusion))},
         indent=2, sort_keys=True,
     ))
     return 0
@@ -141,22 +134,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="triage a single bundle directory")
+    run = argparse.ArgumentParser(add_help=False)  # the options `_run` reads
+    run.add_argument("--config", default=None, help="config file (INI sections)")
+    run.add_argument("--backend", choices=("scripted", "live"), default="scripted")
+    run.add_argument("--budget", type=_at_least_one, default=None, help="max agent iterations")
+    run.add_argument("--cap", type=_at_least_one, default=None, help="candidate cap per app")
+
+    p = sub.add_parser("analyze", parents=[run], help="triage a single bundle directory")
     p.add_argument("bundle_dir")
-    p.add_argument("--config", default=None, help="config file (INI sections)")
-    p.add_argument("--backend", choices=("scripted", "live"), default="scripted")
     p.add_argument("--out", default=None, help="also write the report here")
-    p.add_argument("--budget", type=_at_least_one, default=None)
-    p.add_argument("--cap", type=_at_least_one, default=None)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("batch", help="evaluate a dataset index")
+    p = sub.add_parser("batch", parents=[run], help="evaluate a dataset index")
     p.add_argument("dataset")
-    p.add_argument("--config", default=None, help="config file (INI sections)")
-    p.add_argument("--backend", choices=("scripted", "live"), default="scripted")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--budget", type=_at_least_one, default=None, help="max agent iterations")
-    p.add_argument("--cap", type=_at_least_one, default=None, help="candidate cap per app")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("stats", help="function-size distribution of a dataset")

@@ -92,9 +92,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class MetricSet:
@@ -105,9 +102,6 @@ class MetricSet:
     precision: float | None
     recall: float | None
     f1: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compute_metrics(c: ConfusionCounts) -> MetricSet:
@@ -210,15 +204,6 @@ def partition_by_year(results: list[EntryResult]) -> dict[int, MetricSet]:
 # ---------------------------------------------------------------------------
 
 
-def _merged_ledger(results: list[EntryResult]) -> CostLedger:
-    merged = CostLedger()
-    for r in results:
-        if r.ledger is not None:
-            for ex in r.ledger.exchanges:
-                merged.append(ex)
-    return merged
-
-
 def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
     evaluated = [r for r in results if r.evaluated]
     skipped = [
@@ -232,12 +217,13 @@ def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
     }
     if evaluated:
         confusion = confusion_of(results)
-        summary["confusion"] = confusion.to_dict()
-        summary["metrics"] = compute_metrics(confusion).to_dict()
+        summary["confusion"] = asdict(confusion)
+        summary["metrics"] = asdict(compute_metrics(confusion))
         summary["per_year"] = {
-            str(year): ms.to_dict() for year, ms in partition_by_year(results).items()
+            str(year): asdict(ms) for year, ms in partition_by_year(results).items()
         }
-        merged = _merged_ledger(results)
+        merged = CostLedger()
+        merged.extend(r.ledger for r in results if r.ledger is not None)
         if merged.total_tokens > 0:
             summary["tier_shares"] = {
                 t: round(v, 9) for t, v in tier_shares(merged).items()
@@ -261,15 +247,21 @@ def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
     return summary
 
 
+def output_dir(out_dir: str | Path) -> Path:
+    """The output directory; a path that exists and is not one is refused."""
+    out = Path(out_dir)
+    if out.exists() and not out.is_dir():
+        raise ReportIoError(f"output path {out} is not a directory")
+    return out
+
+
 def emit_reports(results: list[EntryResult], pricing: PricingTable,
                  out_dir: str | Path) -> dict:
     """Write per-app reports, results.jsonl, summary.json and a digest, and
     delete the reports of apps this run did not evaluate."""
     if not results:
         raise ReportIoError("nothing to emit")
-    out = Path(out_dir)
-    if out.exists() and not out.is_dir():
-        raise ReportIoError(f"output path {out} is not a directory")
+    out = output_dir(out_dir)
     try:
         (out / "reports").mkdir(parents=True, exist_ok=True)
     except OSError as exc:

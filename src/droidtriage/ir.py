@@ -706,10 +706,3 @@ class LocDistribution:
     @property
     def mean(self) -> float:
         return sum(self.per_method_loc) / len(self.per_method_loc)
-
-
-def loc_stats(program: IrProgram) -> LocDistribution:
-    methods = program.methods()
-    if not methods:
-        raise ValueError("program has no methods")
-    return LocDistribution([m.loc for m in methods])

@@ -195,10 +195,10 @@ def _window_method(n_lines: int, call_line: int):
 def _check_window(n: int, s: int) -> None:
     program, site = _window_method(n, s)
     w = extract_context(program, site, radius=20)
-    assert w.width <= 41
+    assert w.end_line - w.start_line + 1 <= 41
     assert w.start_line == max(1, s - 20) and w.end_line == min(n, s + 20)
     assert w.start_line <= s <= w.end_line
-    assert len(w.lines) == w.width
+    assert len(w.lines) == w.end_line - w.start_line + 1
     partial = w.start_line > 1 or w.end_line < n
     assert w.truncated_head == ((s - 20 < 1) and partial)
     assert w.truncated_tail == ((s + 20 > n) and partial)

@@ -82,7 +82,7 @@ def test_window_centered_in_long_method():
     program, site = _method_program(100, 50)
     window = extract_context(program, site, radius=20)
     assert (window.start_line, window.end_line) == (30, 70)
-    assert window.width == 41
+    assert len(window.lines) == 41
     assert not window.truncated_head and not window.truncated_tail
 
 
@@ -116,7 +116,7 @@ def test_window_contract_property(n_lines, site_line):
         site_line = ((site_line - 1) % n_lines) + 1
     program, site = _method_program(n_lines, site_line)
     window = extract_context(program, site, radius=20)
-    assert window.width <= 41
+    assert window.end_line - window.start_line + 1 <= 41
     assert window.start_line <= site.line <= window.end_line
     assert 1 <= window.start_line and window.end_line <= n_lines
     partial = window.start_line > 1 or window.end_line < n_lines
@@ -171,7 +171,7 @@ def test_site_inside_onclick_single_chain():
     chains = list(trigger_paths(graph, site, catalog, max_depth=5))
     assert len(chains) == 1
     assert chains[0].entry_kind == "UserInteraction"
-    assert chains[0].length == 1
+    assert len(chains[0].path) == 1
 
 
 def test_boot_receiver_chain():
@@ -179,7 +179,7 @@ def test_boot_receiver_chain():
     site = CallSite(parse_sig("t.Boot.helper()->void"), 1,
                     parse_sig("ext.api.Src.read()->string"), "r")
     chains = list(trigger_paths(graph, site, catalog, max_depth=5))
-    assert [(c.entry_kind, c.length) for c in chains] == [("SystemEvent", 2)]
+    assert [(c.entry_kind, len(c.path)) for c in chains] == [("SystemEvent", 2)]
     assert [str(m) for m in chains[0].path] == [
         "t.Boot.onReceive(context,intent)->void",
         "t.Boot.helper()->void",
@@ -191,7 +191,7 @@ def test_unreachable_site_yields_unknown():
     site = CallSite(parse_sig("t.Boot.orphan()->void"), 1,
                     parse_sig("ext.api.Src.read()->string"), "r")
     chains = trigger_paths(graph, site, catalog, max_depth=5)
-    assert [(c.entry_kind, c.length) for c in chains] == [("Unknown", 1)]
+    assert [(c.entry_kind, len(c.path)) for c in chains] == [("Unknown", 1)]
 
 
 def test_trigger_unknown_method_rejected():

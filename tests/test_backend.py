@@ -67,6 +67,16 @@ def test_ledger_totals_match_recomputation():
     assert ledger.total_tokens == 197
     assert ledger.tier_tokens("trace") == 175
 
+    # extending appends each ledger's exchanges in order, through `append`
+    first, second = CostLedger(), CostLedger()
+    first.append(_exchange("verdict", 1, 1))
+    second.append(_exchange("trace", 4, 0))
+    second.append(_exchange("recon", 0, 9))
+    ledger.extend([first, CostLedger(), second])
+    assert ledger.exchanges[4:] == first.exchanges + second.exchanges
+    assert ledger.totals == recomputed_totals(ledger)
+    assert ledger.total_tokens == 197 + 15
+
 
 def test_ledger_rejects_unknown_tier():
     with pytest.raises(ValueError):

@@ -58,6 +58,45 @@ def test_batch_over_fixture_corpus(tmp_path, capsys):
     assert (out / "reports" / "fx_spyloc.json").is_file()
 
 
+def test_batch_refuses_file_out_before_first_app(tmp_path, capsys, monkeypatch):
+    # the check used to come after every app was triaged (and, live, paid for)
+    from droidtriage import harness
+
+    triaged = []
+    evaluate = harness._evaluate_entry
+    monkeypatch.setattr(harness, "_evaluate_entry",
+                        lambda entry, cfg: triaged.append(entry) or evaluate(entry, cfg))
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output path {out} is not a directory\n"
+    assert triaged == []
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("options", [[], ["--cap", "1"], ["--budget", "1"]])
+def test_run_options_reach_analyze_and_batch_alike(tmp_path, capsys, options):
+    # fx_spyloc is Malicious by default, Benign under either bound
+    assert main(["analyze", str(FIXTURES / "fx_spyloc"), *options]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    tokens = int(captured.err.removeprefix("// tokens: "))
+    idx = tmp_path / "one.idx"
+    idx.write_text(f"fx_spyloc,{FIXTURES}/fx_spyloc/app.mmf,{FIXTURES}/fx_spyloc/app.mir,"
+                   "Malicious,2019\n")
+    out = tmp_path / "run"
+    assert main(["batch", str(idx), "--out", str(out), *options]) == 0
+    capsys.readouterr()
+    batch_report = json.loads((out / "reports" / "fx_spyloc.json").read_text())
+    row = json.loads((out / "results.jsonl").read_text())
+    assert batch_report["verdict"] == report["verdict"] == row["verdict"]
+    assert batch_report["rationale"] == report["rationale"]
+    assert row["tokens"] == tokens
+    assert (report["verdict"], tokens) == {
+        (): ("Malicious", 3474), ("--cap", "1"): ("Benign", 1149),
+        ("--budget", "1"): ("Benign", 721)}[tuple(options)]
+
+
 def test_batch_exit_zero_even_with_wrong_verdicts(tmp_path, capsys):
     # mislabeled dataset: completion is still exit code 0
     idx = tmp_path / "flip.idx"

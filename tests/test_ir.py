@@ -27,7 +27,6 @@ from droidtriage.ir import (
     _split_args,
     _strip,
     is_var_token,
-    loc_stats,
     parse_bundle,
     parse_manifest,
     parse_program,
@@ -399,20 +398,16 @@ def _program_with_locs(locs):
 
 
 def test_percentile_decile_example():
-    dist = loc_stats(_program_with_locs([10, 20, 30, 40, 50, 60, 70, 80, 90, 100]))
+    program = _program_with_locs([10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
+    dist = LocDistribution([m.loc for m in program.methods()])
     assert dist.percentile(80) == 80
     assert dist.percentile(100) == 100
 
 
 def test_percentile_single_method():
-    dist = loc_stats(_program_with_locs([7]))
+    dist = LocDistribution([m.loc for m in _program_with_locs([7]).methods()])
     assert dist.percentile(50) == 7
     assert dist.percentile(100) == 7
-
-
-def test_loc_stats_empty_program():
-    with pytest.raises(ValueError, match="^program has no methods$"):
-        loc_stats(parse_program(""))
 
 
 def test_percentile_monotone_and_max():
