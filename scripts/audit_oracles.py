@@ -17,15 +17,15 @@ from droidtriage.analysis import backward_slice, replay_witness, taint_reachabil
 from droidtriage.catalog import EntryCatalog
 from droidtriage.config import load_config
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import Invoke, parse_manifest, parse_program, parse_sig, render_program
+from droidtriage.ir import Invoke, parse_manifest, parse_program, parse_sig
 
 from genprog import (
     dag_manifest_text, gen_cyclic_program, gen_dag_program, gen_program, gen_relay_chain,
     synth_catalog,
 )
 from oracles import (
-    defined_var, index_scan, parse_program_cascade, slice_fixpoint_scan, taint_scan, trigger_scan,
-    used_vars,
+    defined_var, index_scan, parse_program_cascade, render_program, slice_fixpoint_scan,
+    taint_scan, trigger_scan, used_vars,
 )
 
 ENTRY_RULES = EntryCatalog.parse(

@@ -64,8 +64,6 @@ class RiskSignal:
 
 @dataclass
 class ReconReport:
-    declared_intents: list[str]
-    requested_permissions: list[str]
     risk_signals: list[RiskSignal]
     candidates: list[CallSite]
     # site rendering -> (permission, severity) of the signal that pulled it in
@@ -161,7 +159,7 @@ def recon_screen(
     try:
         parsed = json.loads(exchange.response)
         raw_signals = parsed["risk_signals"]
-        declared = [str(x) for x in parsed.get("declared_intents", [])]
+        [str(x) for x in parsed.get("declared_intents", [])]  # a list, or a schema error
         if not isinstance(raw_signals, list):
             raise TypeError("risk_signals must be a list")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -190,7 +188,7 @@ def recon_screen(
             rank = _SEV_RANK[signal.severity]
             pulled += [((rank, callee, row[1], str(row[0])), row, signal) for row in rows]
 
-    report = ReconReport(declared, list(manifest.permissions), signals, candidates=[])
+    report = ReconReport(signals, candidates=[])
     for _key, (caller, line, stmt), signal in heapq.nsmallest(cap, pulled, key=itemgetter(0)):
         site = CallSite(caller, line, stmt.callee, stmt.dst)
         report.candidates.append(site)

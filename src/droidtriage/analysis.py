@@ -17,7 +17,8 @@ Sinks stay in the pass that reaches them, and one breadth-first walk over
 the calls from the source's pass collects them.  Each fact carries its
 witness, a linked list of def-use steps back to the source or to the pass's
 parameter, into which a call splices its callee's witness by reference; it
-is unwound only for the reported sinks, each of which replays.
+is unwound only for the reported sinks, each of which replays.  Passes name
+one another by (method, parameter) key, so none is part of a reference cycle.
 
 A slice is the least set of lines that holds the target, every definition
 reaching a use on a kept line, and every If with a kept line strictly
@@ -228,6 +229,7 @@ class TaintResult:
 # A sink stays in its pass; the walk that collects it joins its witness to
 # the steps to that pass by a None step, `(witness, None, prefix)`.
 _Witness = tuple["_Witness", tuple[MethodSig, int], "_Witness"] | None
+_Key = tuple[MethodSig, str | None]  # a pass: (method, parameter), or (source method, None)
 
 
 def _unwind(witness: _Witness) -> tuple[tuple[MethodSig, int], ...]:
@@ -249,16 +251,16 @@ class _Pass:
     """One flow-sensitive pass over a method, from its tainted parameter
     `param` (a summary) or from the injected source line, re-run when a
     summary it reads first returns taint.  It keeps its method's sinks, the
-    summaries it calls with the call step and argument witness, its first
-    tainted return, each as first found, and its readers in first-read order."""
+    keys it calls with the call step and argument witness, its first tainted
+    return, each as first found, and its readers' keys in first-read order."""
 
     method: MethodDef
     param: str | None
     inject: tuple[int, str] | None = None
     sinks: dict[tuple[str, int], tuple[CallSite, str, str, _Witness]] = field(default_factory=dict)
-    calls: dict[_Pass, tuple[tuple[MethodSig, int], _Witness]] = field(default_factory=dict)
+    calls: dict[_Key, tuple[tuple[MethodSig, int], _Witness]] = field(default_factory=dict)
     ret: _Witness = None
-    readers: dict[_Pass, None] = field(default_factory=dict)
+    readers: dict[_Key, None] = field(default_factory=dict)
     queued: bool = False
 
 
@@ -271,7 +273,7 @@ class _TaintEngine:
     def __init__(self, program: IrProgram, catalog: ApiCatalog):
         self.methods = program.method_map
         self.catalog = catalog
-        self.summaries: dict[tuple[MethodSig, str], _Pass] = {}
+        self.summaries: dict[_Key, _Pass] = {}
         self.work: deque[_Pass] = deque()
 
     # -- transfer --------------------------------------------------------
@@ -298,7 +300,7 @@ class _TaintEngine:
         elif isinstance(stmt, Return) and stmt.var in facts and p.ret is None:
             p.ret = (None, (sig, line), facts[stmt.var])
             for reader in p.readers:  # once per summary
-                self._queue(reader)
+                self._queue(self.summaries[reader])
         facts.pop(stmt.dst, None)
         if gen is not None:
             facts[stmt.dst] = gen
@@ -314,12 +316,12 @@ class _TaintEngine:
         for param, arg in zip(callee.params, stmt.args):
             if arg not in tin:
                 continue
-            if (summary := self.summaries.get((callee.signature, param))) is None:
-                summary = _Pass(callee, param)
-                self.summaries[callee.signature, param] = summary
+            key = (callee.signature, param)
+            if (summary := self.summaries.get(key)) is None:
+                summary = self.summaries[key] = _Pass(callee, param)
                 self._queue(summary)
-            summary.readers[p] = None  # `p` runs again when the summary first returns taint
-            p.calls.setdefault(summary, (call, tin[arg]))
+            summary.readers[p.method.signature, p.param] = None  # `p` reruns when it returns taint
+            p.calls.setdefault(key, (call, tin[arg]))
             if gen is None and summary.ret is not None and stmt.dst is not None:
                 gen = (summary.ret, call, tin[arg])
         return gen
@@ -362,14 +364,17 @@ class _TaintEngine:
                         if succ not in work:
                             work.append(succ)
 
-    def solve(self, root: _Pass) -> None:
-        """Run passes until no summary changes.  A summary's return turns
-        tainted at most once, so a pass runs again at most once per callee."""
+    def solve(self, root: _Pass) -> dict[_Key, _Pass]:
+        """Run passes until no summary changes, and return every pass by key.
+        A summary's return turns tainted at most once, so a pass runs again at
+        most once per callee."""
+        self.summaries[root.method.signature, None] = root
         self._queue(root)
         while self.work:
             p = self.work.popleft()
             p.queued = False
             self._run(p)
+        return self.summaries
 
 
 def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog) -> TaintResult:
@@ -379,15 +384,16 @@ def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog
         raise ToolError(f"{source.method}:{source.line} is not a call")
     if stmt.dst is None:
         raise ToolError(f"{source.method}:{source.line} discards its result")
-    root = _Pass(method, None, (source.line, stmt.dst))
-    _TaintEngine(program, catalog).solve(root)
+    passes = _TaintEngine(program, catalog).solve(_Pass(method, None, (source.line, stmt.dst)))
+    root = (source.method, None)
     found, prefixes, walk = {}, {root: None}, [root]
-    for p in walk:  # breadth first: each pass once, by the first path to it
-        for key, (site, category, arg, witness) in p.sinks.items():
-            found.setdefault(key, (site, category, arg, (witness, None, prefixes[p])))
+    for key in walk:  # breadth first: each pass once, by the first path to it
+        p = passes[key]
+        for at, (site, category, arg, witness) in p.sinks.items():
+            found.setdefault(at, (site, category, arg, (witness, None, prefixes[key])))
         for callee, (call, tainted) in p.calls.items():
             if callee not in prefixes:
-                prefixes[callee] = (None, call, (tainted, None, prefixes[p]))
+                prefixes[callee] = (None, call, (tainted, None, prefixes[key]))
                 walk.append(callee)
     return TaintResult(source, [SinkHit(site, category, _unwind(witness), arg)
                                 for _, (site, category, arg, witness) in sorted(found.items())])

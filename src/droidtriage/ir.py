@@ -619,22 +619,6 @@ def _check_branch_targets(method: MethodDef) -> None:
                 f"{method.signature}: branch target {stmt.target} does not exist")
 
 
-def render_program(program: IrProgram) -> str:
-    lines: list[str] = []
-    for cls in program.classes:
-        head = f"class {cls.name}"
-        if cls.superclass:
-            head += f" extends {cls.superclass}"
-        lines.append(head + " {")
-        for method in cls.methods:
-            lines.append(f"  method {method.signature} ({','.join(method.params)}) {{")
-            for stmt in method.body:
-                lines.append(f"    {render_stmt(stmt)}")
-            lines.append("  }")
-        lines.append("}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # bundle assembly + validation
 # ---------------------------------------------------------------------------

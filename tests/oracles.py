@@ -25,6 +25,7 @@ from droidtriage.ir import (
     Return,
     _check_arg_token,
     is_var_token,
+    render_stmt,
 )
 
 
@@ -280,6 +281,23 @@ def parse_program_cascade(text: str) -> IrProgram:
         raise InvalidBundleError(
             f"line {len(text.splitlines())}: unexpected end of input (missing '}}')")
     return IrProgram(classes)
+
+
+def render_program(program: IrProgram) -> str:
+    """Program text in the form `parse_program` reads."""
+    lines: list[str] = []
+    for cls in program.classes:
+        head = f"class {cls.name}"
+        if cls.superclass:
+            head += f" extends {cls.superclass}"
+        lines.append(head + " {")
+        for method in cls.methods:
+            lines.append(f"  method {method.signature} ({','.join(method.params)}) {{")
+            for stmt in method.body:
+                lines.append(f"    {render_stmt(stmt)}")
+            lines.append("  }")
+        lines.append("}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def render_manifest(manifest: Manifest) -> str:

@@ -81,7 +81,6 @@ def test_recon_clean_flashlight_no_candidates():
     )
     assert report.candidates == []
     assert all(s.severity == "Low" for s in report.risk_signals)
-    assert report.requested_permissions == ["INTERNET"]
 
 
 def test_recon_flashlight_with_read_sms_flags_high():
@@ -789,6 +788,16 @@ def test_recon_rejects_non_list_signals():
     assert str(exc.value) == "unparseable screening response: risk_signals must be a list"
 
 
+def test_recon_rejects_non_iterable_intents():
+    # the report keeps no intents, but the reply must still list them
+    bundle, _graph, index, _entry = pipeline_parts("fx_clean")
+    router = _text_router(json.dumps({"declared_intents": 5, "risk_signals": []}))
+    with pytest.raises(SchemaViolationError) as exc:
+        recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
+    assert exc.value.kind == "model-schema"
+    assert str(exc.value) == "unparseable screening response: 'int' object is not iterable"
+
+
 def test_recon_skips_signals_with_unhashable_fields():
     # a list where a string belongs used to escape as `TypeError: unhashable type`
     reply = {"declared_intents": [], "risk_signals": [
@@ -817,7 +826,7 @@ def test_transcript_respects_budget_generated():
 
 
 def _empty_recon() -> ReconReport:
-    return ReconReport([], [], [], [])
+    return ReconReport([], [])
 
 
 def test_adjudicate_zero_candidates_benign():

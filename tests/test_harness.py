@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -374,6 +376,71 @@ def test_scripted_batch_runs_on_the_calling_thread():
                         _with_provider(Recording()))
     assert results and all(r.evaluated for r in results)
     assert threads == {threading.get_ident()}
+
+
+def test_scripted_app_runs_with_the_collector_paused(monkeypatch, tmp_path, capsys):
+    # what a scripted app builds holds no reference cycle, so the collector is
+    # paused while it runs; a live app overlaps others across round trips, so
+    # pausing there could keep the collector off for the whole batch
+    from droidtriage import agents
+    from droidtriage.scripted import ScriptedProvider
+
+    class Node:
+        pass
+
+    seen, left, earlier = [], [], []
+
+    class Recording(ScriptedProvider):
+        def chat(self, model_id, tier, messages):
+            seen.append(gc.isenabled())
+            if tier == "recon":  # each app leaves one cycle behind
+                left.append(sum(ref() is not None for ref in earlier))
+                node = Node()
+                node.self = node
+                earlier.append(weakref.ref(node))
+            return super().chat(model_id, tier, messages)
+
+    class Waiting(Recording):
+        waits_on_network = True
+
+    dataset = DatasetManifest.load(FIXTURES / "corpus.idx")
+    twice = DatasetManifest([DatasetEntry(f"{e.app_id}_{k}", e.manifest_path, e.ir_path,
+                                          e.label, e.year) for k in range(2) for e in dataset.entries])
+    assert gc.isenabled()
+    assert all(r.evaluated for r in run_batch(twice, _with_provider(Recording())))
+    assert seen and not any(seen)
+    assert gc.isenabled()
+    # the cycles an app leaves are collected before the next app is paused,
+    # so a batch never holds more than one app's
+    assert left == [0] * len(twice.entries)
+    seen.clear()
+    assert all(r.evaluated for r in run_batch(dataset, _with_provider(Waiting())))
+    assert seen and all(seen)
+
+    # the collector is back on after a skipped app, whatever its class
+    cfg = batch_config()
+    spyloc = next(e for e in dataset.entries if e.app_id == "fx_spyloc")
+    (tmp_path / "broken.mir").write_text("class Broken {\n  method nope\n")
+    broken = DatasetEntry("broken", spyloc.manifest_path, tmp_path / "broken.mir", "Benign", 2020)
+    assert harness._evaluate_entry(broken, cfg).skip_class == "bundle-invalid"
+    assert gc.isenabled()
+
+    def broken_taint(*args):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(agents, "taint_reachability", broken_taint)
+    assert harness._evaluate_entry(spyloc, cfg).skip_class == "internal-error"
+    assert "KeyError: 'planted'" in capsys.readouterr().err
+    assert gc.isenabled()
+
+    # a collector disabled by the caller is left disabled
+    monkeypatch.undo()
+    gc.disable()
+    try:
+        assert harness._evaluate_entry(spyloc, cfg).evaluated
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_network_batch_overlaps_apps_and_matches_sequential(monkeypatch):

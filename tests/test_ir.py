@@ -31,7 +31,6 @@ from droidtriage.ir import (
     parse_manifest,
     parse_program,
     parse_sig,
-    render_program,
     validate,
 )
 
@@ -42,6 +41,7 @@ from oracles import (
     parse_sig_regex,
     percentile_scan,
     render_manifest,
+    render_program,
     split_args_scan,
     strip_scan,
     used_vars,
