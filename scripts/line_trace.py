@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Which function-body lines of `src/droidtriage/*.py` no run reaches.
+
+Every line of the package that runs is recorded with `sys.settrace` and
+`threading.settrace` (standard library only) over these runs:
+
+- `batch` on the fixtures, and on the benchmark's large_apps and
+  hostile_apps workloads at seed 101;
+- `analyze` on each fixture;
+- `stats` on the fixtures, and `metrics` on the fixture batch's results;
+- a live `batch` of the fixtures against `triagebench/stub.py`;
+- `backward_slice` on the `tests/genprog.py` slice shapes, and
+  `taint_reachability` on its copy and relay chains and on a copy chain
+  split by `if ... goto` joins, so that taint joins at region heads.
+
+It then prints, per module, each function-body line that none of them ran.
+Module and class bodies run at import, before tracing starts, so they are
+not counted. Takes a few seconds; it is not part of the test suite.
+
+Usage: python scripts/line_trace.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import inspect
+import io
+import sys
+import tempfile
+import threading
+import types
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "droidtriage"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "triagebench")]
+
+import genprog  # noqa: E402
+import stub  # noqa: E402
+import workloads  # noqa: E402
+from droidtriage.analysis import backward_slice, taint_reachability  # noqa: E402
+from droidtriage.cli import main  # noqa: E402
+from droidtriage.config import load_config  # noqa: E402
+from droidtriage.index import CallSite  # noqa: E402
+from droidtriage.ir import parse_program, parse_sig  # noqa: E402
+
+SEED = 101
+SHAPE_LINES = 200
+RELAYS = 40
+
+
+def body_lines(path: Path) -> set[int]:
+    """The lines of `path` that carry code of a function body."""
+    lines: set[int] = set()
+    todo = [compile(path.read_text("utf-8"), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        if code.co_flags & inspect.CO_NEWLOCALS:  # a function, not a module or class body
+            lines |= {line for _s, _e, line in code.co_lines() if line is not None}
+            lines.discard(code.co_firstlineno)  # the `def` or decorator line
+    return lines
+
+
+class LineTrace:
+    def __init__(self, files: set[str]):
+        self.files = files
+        self.hits: dict[str, set[int]] = defaultdict(set)
+
+    def _local(self, frame, event, arg):
+        self.hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return self._local
+
+    def _global(self, frame, event, arg):
+        # frames outside the package get no local tracer, so they run untraced
+        return self._local if frame.f_code.co_filename in self.files else None
+
+    @contextlib.contextmanager
+    def active(self):
+        threading.settrace(self._global)
+        sys.settrace(self._global)
+        try:
+            yield
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+
+
+def cli(*argv: str) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    if rc != 0:
+        sys.exit(f"droidtriage {' '.join(argv)} exited {rc}: {err.getvalue()}")
+
+
+def copy_chain_with_joins(lines: int) -> str:
+    """`genprog.gen_copy_chain` with every other line `if v1 goto <line + 2>`:
+    the line after each copy has two predecessors, so it heads a region and
+    the copied taint joins there."""
+    body, last = [f"v1 = call {genprog.DEVICE_SOURCE}()"], "v1"
+    for line in range(2, lines - 1):
+        if line % 2:
+            body.append(f"c{line} = {last}")
+            last = f"c{line}"
+        else:
+            body.append(f"if v1 goto {line + 2}")
+    return genprog._shape(body + [f"e = call {genprog.STORAGE_SINK}({last},{last})", "return"])
+
+
+def analyses() -> None:
+    for shape in (genprog.gen_if_ladder, genprog.gen_if_ladder_back, genprog.gen_wide_use,
+                  genprog.gen_goto_chain, genprog.gen_join_ladder):
+        text, line, var = shape(SHAPE_LINES)
+        program = parse_program(text)
+        backward_slice(program, program.methods()[0].signature, line, var)
+    catalog, device = load_config().api_catalog, parse_sig(genprog.DEVICE_SOURCE)
+    chains = [(genprog.gen_copy_chain(SHAPE_LINES), "s.S.m()->void", "v1"),
+              (copy_chain_with_joins(SHAPE_LINES), "s.S.m()->void", "v1")]
+    chains += [(genprog.gen_relay_chain(RELAYS, recursive, leaky), "r.R.m()->void", "v")
+               for recursive in (False, True) for leaky in (False, True)]
+    for text, method, var in chains:
+        taint_reachability(parse_program(text), CallSite(parse_sig(method), 1, device, var), catalog)
+
+
+def runs(tmp: Path) -> None:
+    fixtures = ROOT / "fixtures"
+    cli("batch", str(fixtures / "corpus.idx"), "--out", str(tmp / "fixtures"))
+    cli("metrics", str(tmp / "fixtures" / "results.jsonl"))
+    cli("stats", str(fixtures / "corpus.idx"))
+    for app in sorted(p for p in fixtures.iterdir() if p.is_dir()):
+        cli("analyze", str(app))
+    for name in ("large_apps", "hostile_apps"):
+        wl = workloads.build(name, SEED, ROOT, tmp / name / "inputs")
+        cli("batch", str(wl.index), "--out", str(tmp / name / "out"))
+    proc, url = stub.start(ROOT)
+    try:
+        default = (PACKAGE / "data" / "default_config.ini").read_text("utf-8")
+        config = tmp / "live.ini"
+        config.write_text(default.replace("https://api.example.com/v1", url), "utf-8")
+        cli("batch", str(fixtures / "corpus.idx"), "--backend", "live",
+            "--config", str(config), "--out", str(tmp / "live"))
+    finally:
+        stub.stop(proc)
+    analyses()
+
+
+def report(trace: LineTrace) -> None:
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text("utf-8").splitlines()
+        body = body_lines(path)
+        missed = sorted(body - trace.hits[str(path)])
+        total += len(missed)
+        print(f"{path.name}: {len(missed)} of {len(body)} body lines unreached")
+        for line in missed:
+            print(f"  {line:4}  {source[line - 1].strip()}")
+    print(f"total: {total} unreached body lines")
+
+
+if __name__ == "__main__":
+    trace = LineTrace({str(p) for p in PACKAGE.glob("*.py")})
+    with tempfile.TemporaryDirectory() as tmp, trace.active():
+        runs(Path(tmp))
+    report(trace)

@@ -338,7 +338,6 @@ TOOLS = {
 
 
 def trace_candidate(
-    candidate: CallSite,
     toolbox: ToolBox,
     router: ModelRouter,
     budget: int,
@@ -346,6 +345,7 @@ def trace_candidate(
     permission: str = "",
     severity: str = "Low",
 ) -> EvidenceVector:
+    candidate = toolbox.site
     payload = {
         "candidate": candidate.render(),
         "method": str(candidate.method),
@@ -552,7 +552,7 @@ def run_pipeline(
         perm, sev = recon.origins.get(site.render(), ("", "Low"))
         toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site)
         return trace_candidate(
-            site, toolbox, router, budgets.max_iterations, into,
+            toolbox, router, budgets.max_iterations, into,
             permission=perm, severity=sev,
         )
 

@@ -65,7 +65,6 @@ from .ir import (
 
 @dataclass(frozen=True)
 class ContextWindow:
-    site: CallSite
     start_line: int
     end_line: int
     lines: tuple[str, ...]
@@ -100,7 +99,6 @@ def extract_context(program: IrProgram, site: CallSite, radius: int) -> ContextW
         f"{i}: {render_stmt(method.body[i - 1])}" for i in range(start, end + 1)
     )
     return ContextWindow(
-        site=site,
         start_line=start,
         end_line=end,
         lines=lines,

@@ -167,14 +167,10 @@ class Assign:
 class Invoke:
     callee: MethodSig
     args: tuple[str, ...]
-    dst: str | None = None
+    dst: str | None
     # the variable arguments in order; the parser passes the ones it found
     # while checking the argument list, so readers run no token regex
-    uses: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.uses is None:
-            object.__setattr__(self, "uses", tuple(a for a in self.args if is_var_token(a)))
+    uses: tuple[str, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)

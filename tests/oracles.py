@@ -184,7 +184,7 @@ def parse_stmt_cascade(line: str, file_line: int):
             _check_arg_token(a, file_line)
         if dst is not None and not is_var_token(dst):
             raise InvalidBundleError(f"line {file_line}: bad destination {dst!r}")
-        return Invoke(callee, args, dst)
+        return Invoke(callee, args, dst, tuple(a for a in args if is_var_token(a)))
     m = _IF_RE.match(line)
     if m:
         cond, target = m.groups()

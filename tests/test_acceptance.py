@@ -338,7 +338,7 @@ def test_criterion_10_batch_robustness(tmp_path):
         toolbox = ToolBox(
             bundle, graph, CFG.api_catalog, CFG.entry_catalog.bound(bundle.manifest), site,
         )
-        vec = trace_candidate(site, toolbox, router, 8, ledger)
+        vec = trace_candidate(toolbox, router, 8, ledger)
         observations = [json.loads(text) for role, text in vec.transcript[2:] if role == "user"]
         assert any("error" in obs for obs in observations if obs["tool"] == "taint_reachability")
         role, last = vec.transcript[-1]

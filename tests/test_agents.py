@@ -234,7 +234,7 @@ def _candidate(app_id: str, which: int = 0):
 def test_trace_budget_one_exhausts_cleanly():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), scripted_router(), 1,
+        _toolbox(bundle, graph, entry, site), scripted_router(), 1,
         CostLedger(), perm, sev,
     )
     assert not _concluded(vec)
@@ -249,7 +249,7 @@ def test_trace_scripted_policy_five_steps_with_hit():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     ledger = CostLedger()
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), scripted_router(), 8, ledger, perm, sev
+        _toolbox(bundle, graph, entry, site), scripted_router(), 8, ledger, perm, sev
     )
     assert _concluded(vec)
     assert _actions(vec) == [
@@ -270,7 +270,7 @@ def test_trace_scripted_policy_five_steps_with_hit():
 def test_trace_no_hit_concludes_in_four_steps():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak", which=1)
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
         CostLedger(), perm, sev,
     )
     assert len(_actions(vec)) == 4
@@ -283,7 +283,7 @@ def test_trace_tool_error_becomes_observation_not_abort():
     bundle, graph, entry, site, perm, sev = _candidate("fx_dialerspy", which=1)
     assert site.result_var is None
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
         CostLedger(), perm, sev,
     )
     assert _concluded(vec)
@@ -296,7 +296,7 @@ def test_trace_tool_error_becomes_observation_not_abort():
 def test_trace_unreachable_candidate_gets_unknown_trigger():
     bundle, graph, entry, site, perm, sev = _candidate("fx_dialerspy", which=0)
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
         CostLedger(), perm, sev,
     )
     assert vec.trigger_kind == "Unknown"
@@ -325,7 +325,7 @@ def test_trace_latest_invocation_wins():
     router = ModelRouter(config, {"m": RepeatingProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), perm, sev
+        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), perm, sev
     )
     # every context window is kept; the trigger field reflects the last call
     # (site is line 1 of a 5-line method: radius 2 -> lines 1..3, radius 4 -> 1..5)
@@ -372,7 +372,7 @@ def test_trace_model_sizes_capped_at_budgets(action, args):
         "android.telephony.TelephonyManager.getDeviceId()->string"), "id")
     entry = CFG.entry_catalog.bound(bundle.manifest)
     toolbox = _toolbox(bundle, graph, entry, site)
-    vec = trace_candidate(site, toolbox, ModelRouter(config, {"m": FixedProvider()}), 2,
+    vec = trace_candidate(toolbox, ModelRouter(config, {"m": FixedProvider()}), 2,
                           CostLedger())
     assert not _concluded(vec)
     assert _actions(vec) == [action, action]
@@ -404,7 +404,7 @@ def test_trace_slice_line_overflow_is_error_observation():
              "args": {"method": "a.B.c()->void", "line": 1e400, "var": "x"}}
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     toolbox = _toolbox(bundle, graph, entry, site)
-    vec = trace_candidate(site, toolbox, _fixed_router(reply), 1, CostLedger(), perm, sev)
+    vec = trace_candidate(toolbox, _fixed_router(reply), 1, CostLedger(), perm, sev)
     assert _session_observations(vec) == [{
         "tool": "backward_slice", "error": "ToolError",
         "message": "line must be an integer, got inf"}]
@@ -419,7 +419,7 @@ def test_trace_slice_line_overflow_is_error_observation():
 def test_trace_bad_argument_is_tool_error_observation(action, args, message):
     # these raised ValueError or TypeError, which the session caught by name
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
-    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site),
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site),
                           _fixed_router({"action": action, "args": args}), 1, CostLedger(),
                           perm, sev)
     assert _session_observations(vec) == [{"tool": action, "error": "ToolError",
@@ -446,7 +446,7 @@ def _text_router(text: str) -> ModelRouter:
 
 def test_trace_deeply_nested_reply_is_unparseable_action():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
-    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), _text_router(_DEEP_REPLY),
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site), _text_router(_DEEP_REPLY),
                           2, CostLedger(), perm, sev)
     assert _actions(vec) == [None, None]
     assert [o["error"] for o in _session_observations(vec)] == ["UnknownTool", "UnknownTool"]
@@ -570,7 +570,7 @@ def test_trace_survives_arbitrary_action_json(replies):
     bundle, graph, entry, site, perm, sev = _fuzz_candidate()
     box = _RecordingBox(bundle, graph, CFG.api_catalog, entry, site)
     box.outcomes = []
-    vec = trace_candidate(site, box, _fixed_router(*replies), len(replies), CostLedger(),
+    vec = trace_candidate(box, _fixed_router(*replies), len(replies), CostLedger(),
                           perm, sev)
     shown = [obs for obs in _session_observations(vec) if obs["tool"] in TOOLS]
     assert shown == box.outcomes
@@ -584,7 +584,7 @@ def test_transcript_is_the_conversation():
         recon = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
         for site in recon.candidates:
             ledger = CostLedger()
-            vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), router, 8, ledger)
+            vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, ledger)
             last = ledger.exchanges[-1]
             sent = len(last.messages)
             assert vec.transcript[:sent] == last.messages
@@ -598,7 +598,7 @@ def test_transcript_is_the_conversation():
 def test_budget_one_transcript_ends_with_the_unsent_observation():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     ledger = CostLedger()
-    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), scripted_router(), 1,
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(), 1,
                           ledger, perm, sev)
     [exchange] = ledger.exchanges
     assert vec.transcript[:-1] == (*exchange.messages, ("assistant", exchange.response))
@@ -640,7 +640,7 @@ def test_taint_witness_across_long_method_replays():
     router = scripted_router()
     report = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
     [site] = report.candidates
-    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), router, 8, CostLedger())
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, CostLedger())
     [hit] = vec.taint.reached_sinks
     assert (hit.category, hit.site.line) == ("network", 1002)
     assert replay_witness(bundle.program, CFG.api_catalog, site, hit.witness)
@@ -712,7 +712,7 @@ def test_taint_observation_shows_ten_sinks_and_the_count():
     assert all("witness_length" not in h for h in obs["reached_sinks"])
     assert len(box.taint.reached_sinks) == 12
 
-    vec = trace_candidate(site, box, scripted_router(), 8, CostLedger())
+    vec = trace_candidate(box, scripted_router(), 8, CostLedger())
     assert vec.hit_count == 12
     summary = json.loads(vec.transcript[-1][1])["args"]["summary"]
     assert summary.startswith("tainted data from the candidate reaches 12 sink(s)")
@@ -735,7 +735,7 @@ def test_trace_invalid_actions_consume_budget_without_steps():
     router = ModelRouter(config, {"m": ConfusedProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), router, 3, CostLedger(), perm, sev
+        _toolbox(bundle, graph, entry, site), router, 3, CostLedger(), perm, sev
     )
     # two invalid attempts consumed budget; only the third ran a tool
     assert _actions(vec) == [None, "teleport", "extract_context"]
@@ -763,7 +763,7 @@ def test_trace_bad_tool_arguments_surface_as_observations():
     router = ModelRouter(config, {"m": SloppyProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), perm, sev
+        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), perm, sev
     )
     assert _concluded(vec)
     observations = _session_observations(vec)
@@ -816,7 +816,7 @@ def test_transcript_respects_budget_generated():
     bundle, graph, entry, site, perm, sev = _candidate("fx_spyloc", which=2)
     for budget in (1, 2, 3, 8):
         vec = trace_candidate(
-            site, _toolbox(bundle, graph, entry, site), scripted_router(), budget,
+            _toolbox(bundle, graph, entry, site), scripted_router(), budget,
             CostLedger(), perm, sev,
         )
         assert len(_actions(vec)) <= budget
@@ -840,7 +840,7 @@ def test_adjudicate_zero_candidates_benign():
 def test_adjudicate_systemevent_storage_hit_malicious_06():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
         CostLedger(), perm, sev,
     )
     report = adjudicate(_empty_recon(), [vec], scripted_router(), CostLedger(), "x")
@@ -853,7 +853,7 @@ def test_adjudicate_systemevent_storage_hit_malicious_06():
 def test_adjudicate_user_trigger_medium_severity_stays_benign():
     bundle, graph, entry, site, perm, sev = _candidate("fx_idsave")
     vec = trace_candidate(
-        site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
         CostLedger(), perm, sev,
     )
     assert vec.hit_count == 1 and vec.trigger_kind == "UserInteraction"
@@ -904,7 +904,7 @@ def test_adjudicate_rejects_unknown_evidence_ref():
 
 def test_adjudicate_unhashable_evidence_ref_is_schema_violation():
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
-    vec = trace_candidate(site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(), 8,
                           CostLedger(), perm, sev)
     body = {"verdict": "Malicious", "threat_category": "x", "confidence": 0.9,
             "evidence_chain": [{"candidate": [], "trigger": "SystemEvent", "sink": "network",
@@ -1104,7 +1104,7 @@ def test_pipeline_evidence_grounding_on_malicious():
             perm, sev = recon.origins[site.render()]
             vectors.append(
                 trace_candidate(
-                    site, _toolbox(bundle, graph, entry, site), scripted_router(), 8,
+                    _toolbox(bundle, graph, entry, site), scripted_router(), 8,
                     ledger, perm, sev,
                 )
             )

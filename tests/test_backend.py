@@ -514,7 +514,7 @@ def test_import_loads_no_http_stack():
     # the HTTP client loads on the first live request, so scripted runs never pay for it
     src = str(Path(backend.__file__).resolve().parents[1])  # the package under test
     unwanted = {"requests", "urllib3", "charset_normalizer", "http.client", "ssl"}
-    code = f"import sys, droidtriage; print(sorted({unwanted!r} & set(sys.modules)))"
+    code = f"import sys, droidtriage.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
