@@ -15,13 +15,18 @@ Every line of the package that runs is recorded with `sys.settrace` and
 
 It then prints, per module, each function-body line that none of them ran.
 Module and class bodies run at import, before tracing starts, so they are
-not counted. Takes a few seconds; it is not part of the test suite.
+not counted. Last, a static pass (`ast`) prints, per module, each dataclass
+field that no line of the package reads as `.<field>`: a field that is only
+written, or read by `asdict`/`vars` or by code outside the package. It matches
+by name, so a read of another class's field of the same name hides a field.
+Takes a few seconds; it is not part of the test suite.
 
 Usage: python scripts/line_trace.py
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import inspect
 import io
@@ -159,8 +164,34 @@ def report(trace: LineTrace) -> None:
     print(f"total: {total} unreached body lines")
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def report_unread_fields() -> None:
+    trees = {p.name: ast.parse(p.read_text("utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    total = 0
+    for name, tree in trees.items():
+        unread = [f"{cls.name}.{stmt.target.id}" for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read]
+        total += len(unread)
+        if unread:
+            print(f"{name}: {len(unread)} dataclass field(s) no line reads")
+            for field in unread:
+                print(f"  {field}")
+    print(f"total: {total} unread dataclass fields")
+
+
 if __name__ == "__main__":
     trace = LineTrace({str(p) for p in PACKAGE.glob("*.py")})
     with tempfile.TemporaryDirectory() as tmp, trace.active():
         runs(Path(tmp))
     report(trace)
+    report_unread_fields()

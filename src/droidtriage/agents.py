@@ -35,7 +35,7 @@ from .backend import CostLedger, ModelRouter, check_floors
 from .catalog import ApiCatalog, EntryCatalog
 from .errors import InvalidBundleError, SchemaViolationError, ToolError, TriageError
 from .index import ApiIndex, CallGraph, CallSite, build_api_index, build_call_graph
-from .ir import AppBundle, CallRow, Manifest, parse_sig, render_stmt
+from .ir import AppBundle, CallRow, Manifest, MethodSig, parse_sig, render_stmt
 
 SEVERITIES = ("High", "Medium", "Low")
 _SEV_RANK = {s: i for i, s in enumerate(SEVERITIES)}
@@ -151,9 +151,7 @@ def recon_screen(
             for c in manifest.components
         ],
     }
-    prompt = _template("recon.txt").substitute(
-        payload=json.dumps(payload, indent=1, sort_keys=True)
-    )
+    prompt = _template("recon.txt").substitute(payload=_render(payload))
     exchange = router.complete("recon", [("user", prompt)])
     ledger.append(exchange)
     try:
@@ -221,8 +219,15 @@ class ToolBox:
         return obs, _render(obs)
 
 
-def _render(obs: dict) -> str:
-    return json.dumps(obs, indent=1, sort_keys=True)
+def _render(payload: dict) -> str:
+    """A payload or observation as the model reads it."""
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def _rows(box: ToolBox, method: MethodSig, lines: Sequence[int]) -> list[str]:
+    """The `"<n>: <statement>"` row the model reads for each of `lines` of `method`."""
+    body = box.bundle.program.method_map[method].body
+    return [f"{l}: {render_stmt(body[l - 1])}" for l in lines]
 
 
 def _capped(args: dict, key: str, ceiling: int | None = None) -> int:
@@ -267,7 +272,7 @@ def _context(box: ToolBox, radius: int, args: dict) -> dict:
         "end_line": window.end_line,
         "truncated_head": window.truncated_head,
         "truncated_tail": window.truncated_tail,
-        "lines": list(window.lines),
+        "lines": _rows(box, box.site.method, range(window.start_line, window.end_line + 1)),
     }
 
 
@@ -311,9 +316,8 @@ def _slice(box: ToolBox, _size: None, args: dict) -> dict:
     else:
         raise ToolError("no slice target: give method/line/var explicitly")
     result = backward_slice(box.bundle.program, method, line, var)
-    body = box.bundle.program.method_map[method].body
     shown, hidden = _ends(result.kept_lines, CONTEXT_RADIUS)
-    statements = [f"{l}: {render_stmt(body[l - 1])}" for l in shown]
+    statements = _rows(box, method, shown)
     if hidden:
         statements.insert(CONTEXT_RADIUS, f"... {hidden} kept line(s) not shown")
     return {
@@ -356,9 +360,7 @@ def trace_candidate(
         "severity": severity,
     }
     system = _template("trace_system.txt").substitute()
-    task = _template("trace_task.txt").substitute(
-        payload=json.dumps(payload, indent=1, sort_keys=True)
-    )
+    task = _template("trace_task.txt").substitute(payload=_render(payload))
     messages: list[tuple[str, str]] = [("system", system), ("user", task)]
 
     for _step in range(budget):

@@ -55,7 +55,6 @@ from .ir import (
     MethodDef,
     MethodSig,
     Return,
-    render_stmt,
 )
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,6 @@ from .ir import (
 class ContextWindow:
     start_line: int
     end_line: int
-    lines: tuple[str, ...]
     truncated_head: bool
     truncated_tail: bool
 
@@ -84,10 +82,9 @@ def _statement_at(program: IrProgram, sig: MethodSig, line: int) -> tuple[Method
 
 
 def extract_context(program: IrProgram, site: CallSite, radius: int) -> ContextWindow:
-    """Rendered statements within `radius` lines of the site, clipped to the
-    method.  A truncation flag is set when the requested radius hit the
-    method boundary on that side and the window does not already cover the
-    whole method."""
+    """The lines within `radius` of the site, clipped to the method.  A
+    truncation flag is set when the requested radius hit the method boundary
+    on that side and the window does not already cover the whole method."""
     method, stmt = _statement_at(program, site.method, site.line)
     if not isinstance(stmt, Invoke) or stmt.callee != site.callee:
         raise ToolError(f"{site.method}:{site.line} is not a call to {site.callee}")
@@ -95,13 +92,9 @@ def extract_context(program: IrProgram, site: CallSite, radius: int) -> ContextW
     start = max(1, site.line - radius)
     end = min(n, site.line + radius)
     partial = start > 1 or end < n
-    lines = tuple(
-        f"{i}: {render_stmt(method.body[i - 1])}" for i in range(start, end + 1)
-    )
     return ContextWindow(
         start_line=start,
         end_line=end,
-        lines=lines,
         truncated_head=(site.line - radius < 1) and partial,
         truncated_tail=(site.line + radius > n) and partial,
     )

@@ -174,7 +174,6 @@ class RetryPolicy:
 
 @dataclass
 class ModelConfig:
-    model_id: str
     base_url: str = ""
     api_key_env: str = ""
 
@@ -185,7 +184,7 @@ class RouterConfig:
     models: dict[str, ModelConfig]
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         missing = [t for t in TIERS if t not in self.tier_models]
         if missing:
             raise ConfigError(f"tiers without a model: {missing}")
@@ -305,7 +304,6 @@ class ModelRouter:
     """Resolves a tier to a model and provider, and stamps exchanges."""
 
     def __init__(self, config: RouterConfig, providers: dict[str, object]):
-        config.validate()
         self.config = config
         self.providers = providers
 

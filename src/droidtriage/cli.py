@@ -90,7 +90,7 @@ def cmd_stats(args) -> int:
         except (OSError, UnicodeDecodeError, TriageError) as exc:
             failures.append(f"{entry.app_id}: {exc}")
             continue
-        locs.extend(m.loc for m in program.methods())
+        locs.extend(len(m.body) for m in program.methods())
     if not locs:
         print(json.dumps({"methods": 0, "failures": failures}))
         return 1

@@ -8,9 +8,9 @@ INI sections (see data/default_config.ini for the shipped defaults):
     [budgets]  max_iterations, candidate_cap
     [catalogs] api = builtin|<path>, entry = builtin|<path>
 
-A bad value, a key not listed above, or only one of a model's two prices is
-a ConfigError naming its section and key.  The run, not the file, picks the
-provider, so a leftover `kind` in a [model.<id>] section is ignored.
+A bad value, a section or key not listed above, or only one of a model's two
+prices is a ConfigError naming its section and key.  The run, not the file,
+picks the provider, so a leftover `kind` in a [model.<id>] section is ignored.
 Secrets never live in the file: `api_key_env` names the environment variable
 holding the key.
 """
@@ -116,6 +116,9 @@ def load_config(path: str | Path | None = None) -> AppConfig:
 
 
 def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfig:
+    for name in parser.sections():
+        if not name.startswith("model.") and name not in ("router", "retry", "budgets", "catalogs"):
+            raise ConfigError(f"unknown section [{name}]")
     if "router" not in parser:
         raise ConfigError("config missing [router] section")
     tier_models = {t: v for t, v in _known_keys(parser, "router", TIERS).items() if t in TIERS}
@@ -131,7 +134,6 @@ def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfi
         sec = _known_keys(parser, section, ("base_url", "api_key_env", "price_in", "price_out",
                                             "kind"))
         models[model_id] = ModelConfig(
-            model_id=model_id,
             base_url=sec.get("base_url", ""),
             api_key_env=sec.get("api_key_env", ""),
         )
@@ -161,5 +163,4 @@ def _parse(parser: configparser.ConfigParser, base_dir: Path | None) -> AppConfi
     entry_catalog = EntryCatalog.parse(_catalog_text("entry", "entrypoints.epc"))
 
     router = RouterConfig(tier_models=tier_models, models=models, retry=retry)
-    router.validate()
     return AppConfig(router, pricing, budgets, api_catalog, entry_catalog)

@@ -6,9 +6,6 @@ package by its caller (an empty ledger, an unknown tier) is a `ValueError`.
 
 from __future__ import annotations
 
-KINDS = ("bundle-unreadable", "bundle-invalid", "tool", "provider-unavailable",
-         "provider-schema", "model-schema", "config", "report-io")
-
 
 class TriageError(Exception):
     """Base class for all errors raised by this package."""

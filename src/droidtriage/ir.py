@@ -241,10 +241,6 @@ class MethodDef:
     params: tuple[str, ...]
     body: list[IrStatement]
 
-    @property
-    def loc(self) -> int:
-        return len(self.body)
-
     @cached_property
     def successors(self) -> dict[int, list[int]]:
         """Line -> the lines control reaches next, built on first use and

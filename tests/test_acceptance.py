@@ -26,7 +26,7 @@ from droidtriage.harness import (
     run_batch,
 )
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import Invoke, parse_bundle, parse_program, parse_sig
+from droidtriage.ir import AppBundle, Invoke, Manifest, parse_bundle, parse_program, parse_sig
 
 from genprog import dag_manifest_text, gen_dag_program, gen_program, synth_catalog
 from oracles import defined_var, index_scan, slice_scan, taint_scan, trigger_scan, used_vars
@@ -198,7 +198,11 @@ def _check_window(n: int, s: int) -> None:
     assert w.end_line - w.start_line + 1 <= 41
     assert w.start_line == max(1, s - 20) and w.end_line == min(n, s + 20)
     assert w.start_line <= s <= w.end_line
-    assert len(w.lines) == w.end_line - w.start_line + 1
+    bundle = AppBundle("w", Manifest("w", "", "", [], []), program)
+    box = ToolBox(bundle, build_call_graph(program), CFG.api_catalog, CFG.entry_catalog, site)
+    obs, _text = box.dispatch("extract_context", {"radius": 20})
+    assert (obs["start_line"], obs["end_line"]) == (w.start_line, w.end_line)
+    assert len(obs["lines"]) == w.end_line - w.start_line + 1
     partial = w.start_line > 1 or w.end_line < n
     assert w.truncated_head == ((s - 20 < 1) and partial)
     assert w.truncated_tail == ((s + 20 > n) and partial)

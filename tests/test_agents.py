@@ -38,7 +38,7 @@ from droidtriage.catalog import ApiCatalog
 from droidtriage.config import load_config
 from droidtriage.errors import InvalidBundleError, SchemaViolationError, ToolError
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import Manifest, parse_bundle, parse_program, parse_sig
+from droidtriage.ir import AppBundle, Manifest, parse_bundle, parse_program, parse_sig
 from droidtriage.scripted import _POLICY, ScriptedProvider
 
 from genprog import DEVICE_SOURCE, SYNTH_CATALOG_TEXT, gen_fold_chain, gen_program
@@ -51,7 +51,7 @@ CATALOGS = Catalogs(CFG.api_catalog, CFG.entry_catalog)
 def scripted_router() -> ModelRouter:
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     return ModelRouter(config, {"m": ScriptedProvider()})
 
@@ -320,7 +320,7 @@ def test_trace_latest_invocation_wins():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": RepeatingProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
@@ -363,7 +363,7 @@ def test_trace_model_sizes_capped_at_budgets(action, args):
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     bundle = parse_bundle("package: r\n", _PING_PONG)
     graph = build_call_graph(bundle.program)
@@ -392,7 +392,7 @@ def _fixed_router(*replies: dict) -> ModelRouter:
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     return ModelRouter(config, {"m": FixedProvider()})
 
@@ -426,6 +426,44 @@ def test_trace_bad_argument_is_tool_error_observation(action, args, message):
                                            "message": message}]
 
 
+_BRANCHY = [
+    "k = const 1",
+    f"d = call {DEVICE_SOURCE}()",
+    "if k goto 6",
+    "d = const 0",
+    "goto 6",
+    "call w.B.use(string)->void(d)",
+    "return",
+]
+
+
+def _branchy_toolbox() -> ToolBox:
+    """A box on the device-id call of a method whose If and Goto lie within
+    3 lines of it."""
+    text = ("class w.B {\n  method w.B.run()->void () {\n"
+            + "".join(f"    {stmt}\n" for stmt in _BRANCHY) + "  }\n}\n")
+    program = parse_program(text)
+    bundle = AppBundle("w", Manifest("w", "", "", [], []), program)
+    site = CallSite(parse_sig("w.B.run()->void"), 2, parse_sig(DEVICE_SOURCE), "d")
+    return _toolbox(bundle, build_call_graph(program), CFG.entry_catalog, site)
+
+
+def test_context_observation_shows_branches_as_written():
+    obs, _text = _branchy_toolbox().dispatch("extract_context", {"radius": 3})
+    start, end = obs["start_line"], obs["end_line"]
+    assert (start, end) == (1, 5)
+    assert obs["lines"] == [f"{n}: {_BRANCHY[n - 1]}" for n in range(start, end + 1)]
+    assert len(obs["lines"]) == end - start + 1
+
+
+def test_slice_observation_shows_a_kept_if():
+    obs, _text = _branchy_toolbox().dispatch(
+        "backward_slice", {"method": "w.B.run()->void", "line": 6, "var": "d"})
+    assert obs["kept_lines"] == [1, 2, 3, 4, 6]
+    assert obs["statements"] == [f"{n}: {_BRANCHY[n - 1]}" for n in obs["kept_lines"]]
+    assert "3: if k goto 6" in obs["statements"]
+
+
 # A reply nested deeper than the recursion limit makes `json.loads` raise
 # RecursionError, which no handler caught, so it aborted the whole batch.
 _DEEP_REPLY = "[" * 200000 + "]" * 200000
@@ -439,7 +477,7 @@ def _text_router(text: str) -> ModelRouter:
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     return ModelRouter(config, {"m": TextProvider()})
 
@@ -730,7 +768,7 @@ def test_trace_invalid_actions_consume_budget_without_steps():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": ConfusedProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
@@ -758,7 +796,7 @@ def test_trace_bad_tool_arguments_surface_as_observations():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": SloppyProvider()})
     bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
@@ -778,7 +816,7 @@ def test_recon_rejects_non_list_signals():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": WeirdProvider()})
     bundle, _graph, index, _entry = pipeline_parts("fx_clean")
@@ -869,7 +907,7 @@ def test_adjudicate_schema_violation_after_retry():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": BrokenProvider()})
     ledger = CostLedger()
@@ -895,7 +933,7 @@ def test_adjudicate_rejects_unknown_evidence_ref():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": RogueProvider()})
     with pytest.raises(SchemaViolationError):
@@ -931,7 +969,7 @@ def test_pipeline_unhashable_reply_fields_end_in_triage_errors():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": UnhashableProvider()})
     with pytest.raises(SchemaViolationError) as info:
@@ -1079,7 +1117,7 @@ def test_pipeline_stage_errors_carry_tier():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": VerdictBomb()})
     with pytest.raises(SchemaViolationError) as exc:

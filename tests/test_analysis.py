@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage import analysis
+from droidtriage.agents import ToolBox
 from droidtriage.analysis import (
     backward_slice,
     extract_context,
@@ -26,7 +27,9 @@ from droidtriage.catalog import EntryCatalog
 from droidtriage.config import load_config
 from droidtriage.errors import ToolError
 from droidtriage.index import CallSite, build_api_index, build_call_graph
-from droidtriage.ir import Invoke, If, Manifest, parse_bundle, parse_program, parse_sig, validate
+from droidtriage.ir import (
+    AppBundle, Invoke, If, Manifest, parse_bundle, parse_program, parse_sig, validate,
+)
 
 from genprog import (
     DEVICE_SOURCE,
@@ -70,6 +73,13 @@ def _method_program(n_lines: int, call_line: int) -> tuple:
     return program, site
 
 
+def _context_obs(program, site: CallSite, radius: int) -> dict:
+    """The `extract_context` observation the model reads for `site`."""
+    bundle = AppBundle("w", Manifest("w", "", "", [], []), program)
+    box = ToolBox(bundle, build_call_graph(program), load_config().api_catalog, ENTRY_RULES, site)
+    return box.dispatch("extract_context", {"radius": radius})[0]
+
+
 # -- context windows ---------------------------------------------------------
 
 
@@ -84,7 +94,7 @@ def test_window_centered_in_long_method():
     program, site = _method_program(100, 50)
     window = extract_context(program, site, radius=20)
     assert (window.start_line, window.end_line) == (30, 70)
-    assert len(window.lines) == 41
+    assert len(_context_obs(program, site, 20)["lines"]) == 41
     assert not window.truncated_head and not window.truncated_tail
 
 
@@ -97,9 +107,9 @@ def test_window_near_method_start_flags_head():
 
 def test_window_lines_carry_numbers():
     program, site = _method_program(10, 4)
-    window = extract_context(program, site, radius=2)
-    assert window.lines[0].startswith("2:")
-    assert "call ext.api.Src.read" in window.lines[2]
+    lines = _context_obs(program, site, 2)["lines"]
+    assert lines[0].startswith("2:")
+    assert "call ext.api.Src.read" in lines[2]
 
 
 def test_window_invalid_site():

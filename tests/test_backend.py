@@ -202,7 +202,7 @@ def test_tier_shares_empty_ledger():
 def _scripted_router() -> ModelRouter:
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     return ModelRouter(config, {"m": ScriptedProvider()})
 
@@ -234,17 +234,16 @@ def test_router_times_every_provider_alike():
 
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     exchange = ModelRouter(config, {"m": SlowProvider()}).complete("recon", [("user", "x")])
     assert exchange.latency_s >= 0.005
 
 
 def test_router_requires_all_tiers():
-    config = RouterConfig(tier_models={"recon": "m"}, models={"m": ModelConfig("m")})
     with pytest.raises(ConfigError,
                        match=r"^tiers without a model: \['trace', 'verdict'\]$") as exc:
-        ModelRouter(config, {"m": ScriptedProvider()})
+        RouterConfig(tier_models={"recon": "m"}, models={"m": ModelConfig()})
     assert exc.value.kind == "config"
 
 
@@ -317,7 +316,7 @@ def _http_provider(
     base_url: str, retries: int = 1, backoff_s: float = 0.0, timeout_s: float = 2.0
 ) -> HttpProvider:
     return HttpProvider(
-        ModelConfig("live-x", base_url=base_url),
+        ModelConfig(base_url=base_url),
         RetryPolicy(count=retries, backoff_s=backoff_s, timeout_s=timeout_s),
     )
 
@@ -347,7 +346,7 @@ def test_live_provider_round_trip(stub_server):
 def test_live_provider_sends_bearer_key_from_env(stub_server, monkeypatch):
     monkeypatch.setenv("DROIDTRIAGE_TEST_KEY", "sekret")
     provider = HttpProvider(
-        ModelConfig("live-x", base_url=stub_server, api_key_env="DROIDTRIAGE_TEST_KEY"),
+        ModelConfig(base_url=stub_server, api_key_env="DROIDTRIAGE_TEST_KEY"),
         RetryPolicy(count=0, backoff_s=0.0, timeout_s=2.0),
     )
     provider.chat("live-x", "trace", [("user", "ping")])

@@ -34,7 +34,7 @@ def test_benchmark_tracer_observes_every_tool_on_fx_smsleak():
                           app_id="fx_smsleak")
     router = ModelRouter(
         RouterConfig(tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-                     models={"m": ModelConfig("m")}),
+                     models={"m": ModelConfig()}),
         {"m": ScriptedProvider()},
     )
     tracer = _tracer_module().Tracer()

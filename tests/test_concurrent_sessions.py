@@ -91,7 +91,7 @@ class SequentialSlowScripted(SlowScripted):
 def _router(provider) -> ModelRouter:
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
-        models={"m": ModelConfig("m")},
+        models={"m": ModelConfig()},
     )
     return ModelRouter(config, {"m": provider})
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 
 import pytest
@@ -162,6 +163,15 @@ def test_unknown_section_key_rejected(tmp_path, section, key):
     path = tmp_path / "cfg.ini"
     path.write_text(MINIMAL + f"\n[{section}]\n{key} = 1\n")
     with pytest.raises(ConfigError, match=rf"^\[{section}\] unknown key {key}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section", ["budget", "retries", "catalog", "models.m1"])
+def test_unknown_section_rejected(tmp_path, section):
+    # each used to load with its keys unread, so the defaults stayed in force
+    path = tmp_path / "cfg.ini"
+    path.write_text(MINIMAL + f"\n[{section}]\ncount = 9\n")
+    with pytest.raises(ConfigError, match=rf"^unknown section \[{re.escape(section)}\]$"):
         load_config(path)
 
 

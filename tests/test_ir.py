@@ -398,13 +398,13 @@ def _program_with_locs(locs):
 
 def test_percentile_decile_example():
     program = _program_with_locs([10, 20, 30, 40, 50, 60, 70, 80, 90, 100])
-    dist = LocDistribution([m.loc for m in program.methods()])
+    dist = LocDistribution([len(m.body) for m in program.methods()])
     assert dist.percentile(80) == 80
     assert dist.percentile(100) == 100
 
 
 def test_percentile_single_method():
-    dist = LocDistribution([m.loc for m in _program_with_locs([7]).methods()])
+    dist = LocDistribution([len(m.body) for m in _program_with_locs([7]).methods()])
     assert dist.percentile(50) == 7
     assert dist.percentile(100) == 7
 

@@ -75,7 +75,7 @@ def model_server():
 
 
 def _live_router(base_url: str) -> ModelRouter:
-    mc = ModelConfig("live-m", base_url=base_url)
+    mc = ModelConfig(base_url=base_url)
     config = RouterConfig(
         tier_models={"recon": "live-m", "trace": "live-m", "verdict": "live-m"},
         models={"live-m": mc},
