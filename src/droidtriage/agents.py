@@ -65,9 +65,8 @@ class RiskSignal:
 @dataclass
 class ReconReport:
     risk_signals: list[RiskSignal]
-    candidates: list[CallSite]
-    # site rendering -> (permission, severity) of the signal that pulled it in
-    origins: dict[str, tuple[str, str]] = field(default_factory=dict)
+    # each candidate site, in rank order -> the signal that pulled it in
+    candidates: dict[CallSite, RiskSignal]
 
 
 @dataclass
@@ -180,17 +179,15 @@ def recon_screen(
     pulling = [s for s in signals if s.severity in ("High", "Medium")]
     pulled: list[tuple[tuple[int, str, int, str], CallRow, RiskSignal]] = []
     for callee, rows in api_index.sites.items():
-        perms = catalog.permissions_of(rows[0][2].callee)
+        perms = catalog.permissions_of(callee)
         signal = next((s for s in pulling if s.permission in perms), None)
         if signal is not None:
-            rank = _SEV_RANK[signal.severity]
-            pulled += [((rank, callee, row[1], str(row[0])), row, signal) for row in rows]
+            rank, text = _SEV_RANK[signal.severity], str(callee)
+            pulled += [((rank, text, row[1], str(row[0])), row, signal) for row in rows]
 
-    report = ReconReport(signals, candidates=[])
+    report = ReconReport(signals, {})
     for _key, (caller, line, stmt), signal in heapq.nsmallest(cap, pulled, key=itemgetter(0)):
-        site = CallSite(caller, line, stmt.callee, stmt.dst)
-        report.candidates.append(site)
-        report.origins[site.render()] = (signal.permission, signal.severity)
+        report.candidates[CallSite(caller, line, stmt.callee, stmt.dst)] = signal
     return report
 
 
@@ -551,18 +548,18 @@ def run_pipeline(
         )
 
     def session(site: CallSite, into: CostLedger) -> EvidenceVector:
-        perm, sev = recon.origins.get(site.render(), ("", "Low"))
+        signal = recon.candidates[site]
         toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site)
         return trace_candidate(
             toolbox, router, budgets.max_iterations, into,
-            permission=perm, severity=sev,
+            permission=signal.permission, severity=signal.severity,
         )
 
     # Each session meters into its own ledger, so vectors, joined ledger and
     # error are the same whether the sessions overlap or not.
     subs = [CostLedger() for _ in recon.candidates]
     with _stage("trace"):
-        vectors = overlap_map(router, session, recon.candidates, subs)
+        vectors = overlap_map(router, session, list(recon.candidates), subs)
     ledger.extend(subs)
 
     with _stage("verdict"):

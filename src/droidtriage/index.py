@@ -1,10 +1,11 @@
 """Global call graph and the system-API inverted index.
 
 Both read one grouping, `IrProgram.calls` (callee -> its (caller, line,
-Invoke) rows), and neither copies a row.  The graph derives a callee's
-distinct callers on first ask, and the index builds `CallSite` objects only
-when `lookup` asks.  Concurrent agent sessions share both: the graph's memo
-holds values fixed by the rows, so two sessions filling it store equal tuples.
+Invoke) rows, in file order), and neither copies a row.  The graph derives a
+callee's distinct callers on first ask, and the index keeps each system
+callee's rows as they are.  Concurrent agent sessions share both: the graph's
+memo holds values fixed by the rows, so two sessions filling it store equal
+tuples.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class CallSite:
 class CallGraph:
     nodes: set[MethodSig]
     calls: dict[MethodSig, list[CallRow]]
-    # callee -> distinct callers, in rendering order; filled on first ask
+    # callee -> distinct callers, in file order; filled on first ask
     _callers: dict[MethodSig, tuple[MethodSig, ...]] = field(default_factory=dict, init=False)
 
     def callers_of(self, sig: MethodSig) -> tuple[MethodSig, ...]:
@@ -48,18 +49,14 @@ def build_call_graph(program: IrProgram) -> CallGraph:
 
 @dataclass
 class ApiIndex:
-    """Signature text -> its call rows, restricted to the system-API surface."""
+    """Callee -> its call rows, restricted to the system-API surface."""
 
-    sites: dict[str, list[CallRow]] = field(default_factory=dict)
-
-    def lookup(self, sig: MethodSig | str) -> list[CallSite]:
-        return [CallSite(caller, line, stmt.callee, stmt.dst)
-                for caller, line, stmt in self.sites.get(str(sig), ())]
+    sites: dict[MethodSig, list[CallRow]] = field(default_factory=dict)
 
 
 def build_api_index(program: IrProgram, catalog: ApiCatalog) -> ApiIndex:
-    """The rows of each external callee the catalog calls system; the catalog
-    is asked once per callee, in `IrProgram.calls` order."""
+    """The rows of each external callee the catalog calls system, keyed and
+    ordered as in `IrProgram.calls`; the catalog is asked once per callee."""
     defined = program.method_map
-    return ApiIndex({str(callee): rows for callee, rows in program.calls.items()
+    return ApiIndex({callee: rows for callee, rows in program.calls.items()
                      if callee not in defined and catalog.is_system(callee)})

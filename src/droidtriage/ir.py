@@ -309,10 +309,10 @@ class IrProgram:
     @cached_property
     def calls(self) -> dict[MethodSig, list[CallRow]]:
         """Callee -> its (caller, line, Invoke) rows, from one walk of the
-        methods in rendering order: callees in the order it meets them, rows in
-        caller-rendering, then line order.  Shared by readers, never mutated."""
+        methods in file order: callees in the order it meets them, rows in
+        file order.  Shared by readers, never mutated."""
         grouped: dict[MethodSig, list[CallRow]] = {}
-        for m in sorted(self.methods(), key=lambda m: str(m.signature)):
+        for m in self.methods():
             for line, s in enumerate(m.body, 1):
                 if isinstance(s, Invoke):
                     grouped.setdefault(s.callee, []).append((m.signature, line, s))

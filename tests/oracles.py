@@ -30,7 +30,8 @@ from droidtriage.ir import (
 
 
 def index_scan(program: IrProgram, catalog) -> dict[str, list[tuple[str, int]]]:
-    """Every system-API call site, by exhaustive statement scan."""
+    """Every system-API call site, by exhaustive statement scan: callees and
+    their sites in the order the scan meets them."""
     defined = {m.signature for m in program.methods()}
     out: dict[str, list[tuple[str, int]]] = {}
     for m in program.methods():
@@ -41,19 +42,20 @@ def index_scan(program: IrProgram, catalog) -> dict[str, list[tuple[str, int]]]:
                 and catalog.is_system(stmt.callee)
             ):
                 out.setdefault(str(stmt.callee), []).append((str(m.signature), line))
-    for sites in out.values():
-        sites.sort()
     return out
 
 
 def callers_scan(program: IrProgram) -> dict:
-    """Callee -> distinct caller renderings, sorted, by scanning every Invoke."""
+    """Callee -> distinct caller renderings, in the order a scan of every
+    Invoke first meets them."""
     out: dict = {}
     for m in program.methods():
         for stmt in m.body:
             if isinstance(stmt, Invoke):
-                out.setdefault(stmt.callee, set()).add(str(m.signature))
-    return {callee: sorted(callers) for callee, callers in out.items()}
+                callers = out.setdefault(stmt.callee, [])
+                if str(m.signature) not in callers:
+                    callers.append(str(m.signature))
+    return out
 
 
 class PatternScan:

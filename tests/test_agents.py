@@ -79,7 +79,7 @@ def test_recon_clean_flashlight_no_candidates():
     report = recon_screen(
         bundle.manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger()
     )
-    assert report.candidates == []
+    assert report.candidates == {}
     assert all(s.severity == "Low" for s in report.risk_signals)
 
 
@@ -100,7 +100,7 @@ def test_recon_flashlight_with_read_sms_flags_high():
         ("READ_SMS", "High")
     ]
     # no SMS APIs are called in this program, so the signal adds no candidates
-    assert report.candidates == []
+    assert report.candidates == {}
 
 
 def test_recon_candidates_ordered_and_capped():
@@ -112,7 +112,7 @@ def test_recon_candidates_ordered_and_capped():
     assert len(report.candidates) == 3
     capped = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 2, CostLedger())
     assert len(capped.candidates) == 2
-    assert capped.candidates == report.candidates[:2]
+    assert list(capped.candidates.items()) == list(report.candidates.items())[:2]
 
 
 def test_recon_candidates_all_come_from_index():
@@ -120,9 +120,10 @@ def test_recon_candidates_all_come_from_index():
     report = recon_screen(
         bundle.manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger()
     )
-    indexed = {s.render() for key in index.sites for s in index.lookup(key)}
-    assert {c.render() for c in report.candidates} <= indexed
-    assert {report.origins[c.render()][1] for c in report.candidates} == {"High"}
+    indexed = {(caller, line, callee)
+               for callee, rows in index.sites.items() for caller, line, _stmt in rows}
+    assert {(c.method, c.line, c.callee) for c in report.candidates} <= indexed
+    assert {signal.severity for signal in report.candidates.values()} == {"High"}
 
 
 # the synthetic APIs under three permissions; `Util.log` is under two, so
@@ -158,22 +159,24 @@ def test_recon_keeps_the_cap_first_of_all_pulled_sites(seed, data):
     pulling = sorted((p for p in perms if severity[p] != "Low"),
                      key=lambda p: (SEVERITIES.index(severity[p]), p))
     pulled = []
-    for key in index.sites:
-        sites = index.lookup(key)
-        covers = RECON_CATALOG.permissions_of(sites[0].callee)
+    for callee, rows in index.sites.items():
+        covers = RECON_CATALOG.permissions_of(callee)
         perm = next((p for p in pulling if p in covers), None)
         if perm is not None:
-            pulled += [(site, (perm, severity[perm])) for site in sites]
+            pulled += [(CallSite(caller, line, callee, stmt.dst), (perm, severity[perm]))
+                       for caller, line, stmt in rows]
     pulled.sort(key=lambda t: (SEVERITIES.index(t[1][1]), str(t[0].callee),
                                t[0].line, str(t[0].method)))
     cap = data.draw(st.integers(1, max(1, len(pulled))), label="cap")
 
     reply = {"risk_signals": [{"permission": p, "severity": severity[p]} for p in perms]}
     manifest = Manifest("g", "game", "", perms, [])
-    report = recon_screen(manifest, index, RECON_CATALOG, _fixed_router(reply), cap,
-                          CostLedger())
-    assert report.candidates == [site for site, _origin in pulled[:cap]]
-    assert report.origins == {site.render(): origin for site, origin in pulled[:cap]}
+    with patch.object(CallSite, "__init__", counting_init):
+        report = recon_screen(manifest, index, RECON_CATALOG, _fixed_router(reply), cap,
+                              CostLedger())
+    assert made == [(s.method, s.line, s.callee, s.result_var) for s, _origin in pulled[:cap]]
+    assert [(site, (signal.permission, signal.severity))
+            for site, signal in report.candidates.items()] == pulled[:cap]
 
 
 def test_recon_empty_manifest_rejected():
@@ -226,9 +229,9 @@ def _candidate(app_id: str, which: int = 0):
     report = recon_screen(
         bundle.manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger()
     )
-    site = report.candidates[which]
-    perm, sev = report.origins[site.render()]
-    return bundle, graph, entry, site, perm, sev
+    site = list(report.candidates)[which]
+    signal = report.candidates[site]
+    return bundle, graph, entry, site, signal.permission, signal.severity
 
 
 def test_trace_budget_one_exhausts_cleanly():
@@ -1138,12 +1141,11 @@ def test_pipeline_evidence_grounding_on_malicious():
         vectors = []
         entry = CFG.entry_catalog.bound(bundle.manifest)
         ledger = CostLedger()
-        for site in recon.candidates:
-            perm, sev = recon.origins[site.render()]
+        for site, signal in recon.candidates.items():
             vectors.append(
                 trace_candidate(
                     _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-                    ledger, perm, sev,
+                    ledger, signal.permission, signal.severity,
                 )
             )
         report = adjudicate(recon, vectors, scripted_router(), ledger, app)

@@ -16,6 +16,12 @@ from genprog import gen_program, synth_catalog
 from oracles import callers_scan, index_scan
 
 
+def _as_scan(index) -> dict[str, list[tuple[str, int]]]:
+    """The index's rows in `oracles.index_scan`'s form."""
+    return {str(callee): [(str(caller), line) for caller, line, _stmt in rows]
+            for callee, rows in index.sites.items()}
+
+
 def test_single_method_no_calls():
     program = parse_program("class a.B {\n  method a.B.m()->void () {\n    nop\n  }\n}\n")
     graph = build_call_graph(program)
@@ -31,8 +37,9 @@ def test_one_call_text_at_two_lines_is_two_sites():
         "  }\n}\n")
     body = program.methods()[0].body
     assert body[0] is body[2]
-    sites = build_api_index(program, synth_catalog()).lookup("ext.api.Net.send(string)->void")
-    assert [(str(s.method), s.line) for s in sites] == [
+    index = build_api_index(program, synth_catalog())
+    rows = index.sites[parse_sig("ext.api.Net.send(string)->void")]
+    assert [(str(caller), line) for caller, line, _stmt in rows] == [
         ("a.B.m(string)->void", 1), ("a.B.m(string)->void", 3)]
 
 
@@ -74,10 +81,11 @@ def test_edge_count_equals_invoke_count_generated():
 
 def test_reverse_is_transpose_generated():
     # callers_of is the transpose of the Invoke relation: distinct callers,
-    # sorted by rendering, and nothing for a method nobody calls
+    # in file order, and nothing for a method nobody calls; more than ten
+    # methods, so that file order (m4 before m10) is not rendering order
     rng = random.Random(11)
     for _ in range(30):
-        program = parse_program(gen_program(rng, 8, 15))
+        program = parse_program(gen_program(rng, 24, 15, min_methods=11))
         graph = build_call_graph(program)
         scan = callers_scan(program)
         for node in graph.nodes:
@@ -120,7 +128,7 @@ def test_callers_memo_filled_from_many_threads():
 def test_lookup_unindexed_signature_empty():
     program = parse_program("class a.B {\n  method a.B.m()->void () {\n    nop\n  }\n}\n")
     index = build_api_index(program, synth_catalog())
-    assert index.lookup("ext.api.Net.send(string)->void") == []
+    assert index.sites == {}
 
 
 def test_lookup_returns_sites_in_order():
@@ -138,12 +146,12 @@ class a.B {
 }
 """
     index = build_api_index(parse_program(text), synth_catalog())
-    sites = index.lookup("ext.api.Util.log(string)->void")
-    assert [(str(s.method), s.line) for s in sites] == [
+    rows = index.sites[parse_sig("ext.api.Util.log(string)->void")]
+    assert [(str(caller), line) for caller, line, _stmt in rows] == [
         ("a.B.a()->void", 2),
         ("a.B.c()->void", 3),
     ]
-    assert all(s.result_var is None for s in sites)
+    assert all(stmt.dst is None for _caller, _line, stmt in rows)
 
 
 def test_internal_calls_not_indexed():
@@ -153,7 +161,7 @@ def test_internal_calls_not_indexed():
         "    call ext.api.Util.log(string)->void(\"x\")\n  }\n}\n"
     )
     index = build_api_index(parse_program(text), synth_catalog())
-    assert index.lookup("ext.api.Util.log(string)->void") == []
+    assert parse_sig("ext.api.Util.log(string)->void") not in index.sites
 
 
 def test_index_matches_scan_oracle_generated():
@@ -162,12 +170,7 @@ def test_index_matches_scan_oracle_generated():
     for _ in range(40):
         program = parse_program(gen_program(rng, 10, 20))
         index = build_api_index(program, catalog)
-        scan = index_scan(program, catalog)
-        got = {
-            key: [(str(s.method), s.line) for s in index.lookup(key)]
-            for key in index.sites
-        }
-        assert got == scan
+        assert list(_as_scan(index).items()) == list(index_scan(program, catalog).items())
 
 
 def _fixture_programs():
@@ -185,12 +188,7 @@ def test_fixture_corpus_index_matches_scan_with_shipped_catalog():
     catalog = load_config().api_catalog
     for name, program in _fixture_programs():
         index = build_api_index(program, catalog)
-        scan = index_scan(program, catalog)
-        got = {
-            key: [(str(s.method), s.line) for s in index.lookup(key)]
-            for key in index.sites
-        }
-        assert got == scan, name
+        assert list(_as_scan(index).items()) == list(index_scan(program, catalog).items()), name
 
 
 def test_catalog_asked_once_per_distinct_callee_generated():
@@ -212,13 +210,13 @@ def test_catalog_asked_once_per_distinct_callee_generated():
         index = build_api_index(program, counting)
         calls = [
             stmt.callee
-            for m in sorted(program.methods(), key=lambda m: str(m.signature))
+            for m in program.methods()
             for stmt in m.body
             if isinstance(stmt, Invoke) and stmt.callee not in program.method_map
         ]
         assert counting.asked == list(dict.fromkeys(calls))
-        # keys keep the order of their first site in sorted-method order
-        assert list(index.sites) == [str(c) for c in counting.asked if catalog.is_system(c)]
+        # keys keep the order of their first site in file order
+        assert list(index.sites) == [c for c in counting.asked if catalog.is_system(c)]
 
 
 @given(st.integers(0, 10_000))
@@ -228,8 +226,4 @@ def test_index_oracle_property(seed):
     catalog = synth_catalog()
     program = parse_program(gen_program(rng, 8, 15))
     index = build_api_index(program, catalog)
-    scan = index_scan(program, catalog)
-    got = {
-        key: [(str(s.method), s.line) for s in index.lookup(key)] for key in index.sites
-    }
-    assert got == scan
+    assert list(_as_scan(index).items()) == list(index_scan(program, catalog).items())
