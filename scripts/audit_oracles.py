@@ -53,14 +53,14 @@ def audit_taint(program, catalog) -> tuple[int, int]:
                 continue
             site = CallSite(m.signature, line, s.callee, s.dst)
             result = taint_reachability(program, site, catalog)
-            got_sinks = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
+            got_sinks = {(str(h.site.method), h.site.line) for h in result}
             want = taint_scan(program, catalog, site.method, site.line)
             assert got_sinks == want, "taint/oracle divergence"
-            for hit in result.reached_sinks:
+            for hit in result:
                 assert replay_witness(program, catalog, site, hit.witness), \
                     "witness replay failed"
             queries += 1
-            hits += len(result.reached_sinks)
+            hits += len(result)
     return queries, hits
 
 

@@ -53,18 +53,29 @@ from droidtriage.ir import parse_program, parse_sig  # noqa: E402
 SEED = 101
 SHAPE_LINES = 200
 RELAYS = 40
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 
 
 def body_lines(path: Path) -> set[int]:
-    """The lines of `path` that carry code of a function body."""
+    """The lines of `path` that carry code of a function body, lambdas and
+    comprehensions included."""
     lines: set[int] = set()
-    todo = [compile(path.read_text("utf-8"), str(path), "exec")]
+    todo = [(compile(path.read_text("utf-8"), str(path), "exec"), False)]
     while todo:
-        code = todo.pop()
-        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-        if code.co_flags & inspect.CO_NEWLOCALS:  # a function, not a module or class body
-            lines |= {line for _s, _e, line in code.co_lines() if line is not None}
-            lines.discard(code.co_firstlineno)  # the `def` or decorator line
+        code, in_function = todo.pop()
+        # a function, not a module or class body, nor a comprehension in one:
+        # a comprehension runs where it stands, so outside a function at import
+        function = bool(code.co_flags & inspect.CO_NEWLOCALS) and (
+            in_function or code.co_name not in COMPREHENSIONS)
+        todo += [(c, function) for c in code.co_consts if isinstance(c, types.CodeType)]
+        if function:
+            own = {line for _s, _e, line in code.co_lines() if line is not None}
+            # a `def`'s first line is its `def` or decorator line, which runs in
+            # the enclosing scope; a lambda's or a comprehension's is code of the
+            # function around it, so it stays
+            if not code.co_name.startswith("<"):
+                own.discard(code.co_firstlineno)
+            lines |= own
     return lines
 
 

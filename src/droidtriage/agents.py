@@ -23,7 +23,7 @@ from operator import itemgetter
 from string import Template
 
 from .analysis import (
-    TaintResult,
+    SinkHit,
     TriggerChain,
     TriggerWalks,
     backward_slice,
@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .backend import CostLedger, ModelRouter, check_floors
 from .catalog import ApiCatalog, EntryCatalog
-from .errors import InvalidBundleError, SchemaViolationError, ToolError, TriageError
+from .errors import SchemaViolationError, ToolError, TriageError
 from .index import ApiIndex, CallGraph, CallSite, build_api_index, build_call_graph
 from .ir import AppBundle, CallRow, Manifest, MethodSig, parse_sig, render_stmt
 
@@ -72,13 +72,12 @@ class ReconReport:
 @dataclass
 class EvidenceVector:
     candidate: CallSite
+    signal: RiskSignal  # the recon signal that pulled the candidate in
     trigger: TriggerChain | None
-    taint: TaintResult | None
+    taint: list[SinkHit] | None
     # the session's (role, text) messages, from the system prompt to the last
     # observation, whether or not the model received it
     transcript: tuple[tuple[str, str], ...]
-    permission: str = ""
-    severity: str = "Low"
 
     @property
     def trigger_kind(self) -> str:
@@ -86,13 +85,13 @@ class EvidenceVector:
 
     @property
     def sink_category(self) -> str:
-        if self.taint is not None and self.taint.reached_sinks:
-            return self.taint.reached_sinks[0].category
+        if self.taint:
+            return self.taint[0].category
         return "none"
 
     @property
     def hit_count(self) -> int:
-        return len(self.taint.reached_sinks) if self.taint is not None else 0
+        return len(self.taint) if self.taint is not None else 0
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,6 @@ def recon_screen(
     cap: int,
     ledger: CostLedger,
 ) -> ReconReport:
-    if not manifest.package:
-        raise InvalidBundleError("manifest has no package")
     payload = {
         "package": manifest.package,
         "category": manifest.category,
@@ -198,7 +195,7 @@ def recon_screen(
 
 @dataclass
 class ToolBox:
-    """Per-candidate tool dispatch; keeps the latest trigger walks and taint result."""
+    """Per-candidate tool dispatch; keeps the latest trigger walks and sink hits."""
 
     bundle: AppBundle
     graph: CallGraph
@@ -206,7 +203,7 @@ class ToolBox:
     entry_catalog: EntryCatalog
     site: CallSite
     chains: TriggerWalks | None = field(default=None, init=False)
-    taint: TaintResult | None = field(default=None, init=False)
+    taint: list[SinkHit] | None = field(default=None, init=False)
 
     def dispatch(self, action: str, args: dict) -> tuple[dict, str]:
         """One tool call's observation, and its text as the session sends it."""
@@ -281,8 +278,7 @@ def _triggers(box: ToolBox, depth: int, args: dict) -> dict:
 
 
 def _taint(box: ToolBox, _size: None, args: dict) -> dict:
-    box.taint = result = taint_reachability(box.bundle.program, box.site, box.api_catalog)
-    hits = result.reached_sinks
+    box.taint = hits = taint_reachability(box.bundle.program, box.site, box.api_catalog)
     shown = []
     for h in hits[:MAX_SHOWN]:
         witness, hidden = _ends(h.witness, CONTEXT_RADIUS)
@@ -299,19 +295,13 @@ def _taint(box: ToolBox, _size: None, args: dict) -> dict:
 
 
 def _slice(box: ToolBox, _size: None, args: dict) -> dict:
-    if "method" in args and "line" in args and "var" in args:
-        try:
-            method = parse_sig(str(args["method"]))
-        except ValueError as exc:
-            raise ToolError(str(exc)) from None
-        line, var = _capped(args, "line"), str(args["var"])
-    elif box.taint is not None and box.taint.reached_sinks:
-        hit = box.taint.reached_sinks[0]
-        method, line, var = hit.site.method, hit.site.line, hit.tainted_arg
-    elif box.site.result_var is not None:
-        method, line, var = box.site.method, box.site.line, box.site.result_var
-    else:
-        raise ToolError("no slice target: give method/line/var explicitly")
+    if not {"method", "line", "var"} <= args.keys():
+        raise ToolError("backward_slice needs method, line and var")
+    try:
+        method = parse_sig(str(args["method"]))
+    except ValueError as exc:
+        raise ToolError(str(exc)) from None
+    line, var = _capped(args, "line"), str(args["var"])
     result = backward_slice(box.bundle.program, method, line, var)
     shown, hidden = _ends(result.kept_lines, CONTEXT_RADIUS)
     statements = _rows(box, method, shown)
@@ -343,8 +333,7 @@ def trace_candidate(
     router: ModelRouter,
     budget: int,
     ledger: CostLedger,
-    permission: str = "",
-    severity: str = "Low",
+    signal: RiskSignal,
 ) -> EvidenceVector:
     candidate = toolbox.site
     payload = {
@@ -353,8 +342,8 @@ def trace_candidate(
         "line": candidate.line,
         "callee": str(candidate.callee),
         "result_var": candidate.result_var,
-        "permission": permission,
-        "severity": severity,
+        "permission": signal.permission,
+        "severity": signal.severity,
     }
     system = _template("trace_system.txt").substitute()
     task = _template("trace_task.txt").substitute(payload=_render(payload))
@@ -382,11 +371,10 @@ def trace_candidate(
 
     return EvidenceVector(
         candidate=candidate,
+        signal=signal,
         trigger=toolbox.chains.best() if toolbox.chains is not None else None,
         taint=toolbox.taint,
         transcript=tuple(messages),
-        permission=permission,
-        severity=severity,
     )
 
 
@@ -424,8 +412,8 @@ def adjudicate(
                 "trigger": v.trigger_kind,
                 "sink": v.sink_category,
                 "hits": v.hit_count,
-                "severity": v.severity,
-                "permission": v.permission,
+                "severity": v.signal.severity,
+                "permission": v.signal.permission,
             }
             for v in evidence
         ],
@@ -548,12 +536,9 @@ def run_pipeline(
         )
 
     def session(site: CallSite, into: CostLedger) -> EvidenceVector:
-        signal = recon.candidates[site]
         toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site)
-        return trace_candidate(
-            toolbox, router, budgets.max_iterations, into,
-            permission=signal.permission, severity=signal.severity,
-        )
+        return trace_candidate(toolbox, router, budgets.max_iterations, into,
+                               recon.candidates[site])
 
     # Each session meters into its own ledger, so vectors, joined ledger and
     # error are the same whether the sessions overlap or not.

@@ -207,12 +207,6 @@ class SinkHit:
     tainted_arg: str
 
 
-@dataclass
-class TaintResult:
-    source: CallSite
-    reached_sinks: list[SinkHit]
-
-
 # A tainted variable's witness, relative to the start of its pass: None, or a
 # node `(inner, step, rest)` for the steps of `rest`, then `step`, then those
 # of `inner`: None for a def-use step, or the witness of a callee, spliced in
@@ -368,7 +362,7 @@ class _TaintEngine:
         return self.summaries
 
 
-def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog) -> TaintResult:
+def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog) -> list[SinkHit]:
     """Taint the source call's result; a sink keeps the first path the walk finds."""
     method, stmt = _statement_at(program, source.method, source.line)
     if not isinstance(stmt, Invoke):
@@ -386,8 +380,8 @@ def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog
             if callee not in prefixes:
                 prefixes[callee] = (None, call, (tainted, None, prefixes[key]))
                 walk.append(callee)
-    return TaintResult(source, [SinkHit(site, category, _unwind(witness), arg)
-                                for _, (site, category, arg, witness) in sorted(found.items())])
+    return [SinkHit(site, category, _unwind(witness), arg)
+            for _, (site, category, arg, witness) in sorted(found.items())]
 
 
 def replay_witness(
@@ -440,7 +434,6 @@ def replay_witness(
 
 @dataclass
 class Slice:
-    target: tuple[MethodSig, int, str]
     kept_lines: list[int]
     removed_count: int
 
@@ -504,5 +497,4 @@ def backward_slice(
                 moved.add((head, var))
                 demands += [(p, var) for p in preds[head]]
     kept_sorted = sorted(kept)
-    return Slice((method_sig, target_line, target_var), kept_sorted,
-                 len(method.body) - len(kept_sorted))
+    return Slice(kept_sorted, len(method.body) - len(kept_sorted))

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .agents import Catalogs, PipelineBudgets, VerdictReport, overlap_map, run_pipeline
-from .backend import CostLedger, ModelRouter, PricingTable, cost_of, format_usd, tier_shares
+from .backend import TIERS, CostLedger, ModelRouter, PricingTable, cost_of, format_usd, tier_shares
 from .errors import (ConfigError, InvalidBundleError, ReportIoError, TriageError,
                      UnreadableBundleError)
 from .ir import AppBundle, parse_bundle, validate
@@ -328,7 +328,7 @@ def _digest(summary: dict) -> str:
     if shares:
         lines.append(
             "tier token shares: "
-            + ", ".join(f"{t}={shares[t]:.3f}" for t in ("recon", "trace", "verdict"))
+            + ", ".join(f"{t}={shares[t]:.3f}" for t in TIERS)
         )
     cost = summary.get("cost_usd")
     if cost:

@@ -625,8 +625,6 @@ def parse_bundle(manifest_text: str, ir_text: str, app_id: str | None = None) ->
 def validate(bundle: AppBundle) -> list[Diagnostic]:
     """Collect every invariant violation as data; empty iff well-formed."""
     diags: list[Diagnostic] = []
-    if not bundle.app_id:
-        diags.append(Diagnostic("EmptyAppId", "bundle", "app_id is empty"))
     seen_perm: set[str] = set()
     for p in bundle.manifest.permissions:
         if p in seen_perm:

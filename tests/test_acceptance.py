@@ -116,10 +116,10 @@ def test_criterion_3_taint_oracle_equivalence():
             programs += 1
             for site in sources[:2]:
                 result = taint_reachability(program, site, catalog)
-                got = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
+                got = {(str(h.site.method), h.site.line) for h in result}
                 want = taint_scan(program, catalog, site.method, site.line)
                 assert got == want
-                for hit in result.reached_sinks:
+                for hit in result:
                     assert replay_witness(program, catalog, site, hit.witness), hit
 
 
@@ -340,7 +340,7 @@ def test_criterion_10_batch_robustness(tmp_path):
         toolbox = ToolBox(
             bundle, graph, CFG.api_catalog, CFG.entry_catalog.bound(bundle.manifest), site,
         )
-        vec = trace_candidate(toolbox, router, 8, ledger)
+        vec = trace_candidate(toolbox, router, 8, ledger, recon.candidates[site])
         observations = [json.loads(text) for role, text in vec.transcript[2:] if role == "user"]
         assert any("error" in obs for obs in observations if obs["tool"] == "taint_reachability")
         role, last = vec.transcript[-1]

@@ -21,6 +21,7 @@ from droidtriage.agents import (
     Catalogs,
     PipelineBudgets,
     ReconReport,
+    RiskSignal,
     ToolBox,
     adjudicate,
     recon_screen,
@@ -36,7 +37,7 @@ from droidtriage.backend import (
 )
 from droidtriage.catalog import ApiCatalog
 from droidtriage.config import load_config
-from droidtriage.errors import InvalidBundleError, SchemaViolationError, ToolError
+from droidtriage.errors import SchemaViolationError, ToolError
 from droidtriage.index import CallSite, build_api_index, build_call_graph
 from droidtriage.ir import AppBundle, Manifest, parse_bundle, parse_program, parse_sig
 from droidtriage.scripted import _POLICY, ScriptedProvider
@@ -179,14 +180,6 @@ def test_recon_keeps_the_cap_first_of_all_pulled_sites(seed, data):
             for site, signal in report.candidates.items()] == pulled[:cap]
 
 
-def test_recon_empty_manifest_rejected():
-    manifest = Manifest("", "", "", [], [])
-    bundle, _g, index, _e = pipeline_parts("fx_clean")
-    with pytest.raises(InvalidBundleError, match="^manifest has no package$") as exc:
-        recon_screen(manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger())
-    assert exc.value.kind == "bundle-invalid"
-
-
 def test_recon_meters_one_exchange():
     bundle, _graph, index, _entry = pipeline_parts("fx_clean")
     ledger = CostLedger()
@@ -196,6 +189,10 @@ def test_recon_meters_one_exchange():
 
 
 # -- tier 2 -------------------------------------------------------------------
+
+
+# the signal passed to a session whose device-id site was built without recon
+_DEVICE_ID_SIGNAL = RiskSignal("READ_PHONE_STATE", "reads the device id", "High")
 
 
 def _toolbox(bundle, graph, entry, site):
@@ -230,15 +227,14 @@ def _candidate(app_id: str, which: int = 0):
         bundle.manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger()
     )
     site = list(report.candidates)[which]
-    signal = report.candidates[site]
-    return bundle, graph, entry, site, signal.permission, signal.severity
+    return bundle, graph, entry, site, report.candidates[site]
 
 
 def test_trace_budget_one_exhausts_cleanly():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     vec = trace_candidate(
         _toolbox(bundle, graph, entry, site), scripted_router(), 1,
-        CostLedger(), perm, sev,
+        CostLedger(), signal,
     )
     assert not _concluded(vec)
     assert _actions(vec) == ["extract_context"]
@@ -249,10 +245,10 @@ def test_trace_budget_one_exhausts_cleanly():
 
 
 def test_trace_scripted_policy_five_steps_with_hit():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     ledger = CostLedger()
     vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 8, ledger, perm, sev
+        _toolbox(bundle, graph, entry, site), scripted_router(), 8, ledger, signal
     )
     assert _concluded(vec)
     assert _actions(vec) == [
@@ -271,10 +267,10 @@ def test_trace_scripted_policy_five_steps_with_hit():
 
 
 def test_trace_no_hit_concludes_in_four_steps():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak", which=1)
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak", which=1)
     vec = trace_candidate(
         _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), perm, sev,
+        CostLedger(), signal,
     )
     assert len(_actions(vec)) == 4
     assert vec.hit_count == 0
@@ -283,11 +279,11 @@ def test_trace_no_hit_concludes_in_four_steps():
 
 def test_trace_tool_error_becomes_observation_not_abort():
     # second dialerspy candidate is a sink call with no result variable
-    bundle, graph, entry, site, perm, sev = _candidate("fx_dialerspy", which=1)
+    bundle, graph, entry, site, signal = _candidate("fx_dialerspy", which=1)
     assert site.result_var is None
     vec = trace_candidate(
         _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), perm, sev,
+        CostLedger(), signal,
     )
     assert _concluded(vec)
     taint_obs = _session_observations(vec)[2]
@@ -297,10 +293,10 @@ def test_trace_tool_error_becomes_observation_not_abort():
 
 
 def test_trace_unreachable_candidate_gets_unknown_trigger():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_dialerspy", which=0)
+    bundle, graph, entry, site, signal = _candidate("fx_dialerspy", which=0)
     vec = trace_candidate(
         _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), perm, sev,
+        CostLedger(), signal,
     )
     assert vec.trigger_kind == "Unknown"
     assert _concluded(vec)
@@ -326,9 +322,9 @@ def test_trace_latest_invocation_wins():
         models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": RepeatingProvider()})
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), perm, sev
+        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), signal
     )
     # every context window is kept; the trigger field reflects the last call
     # (site is line 1 of a 5-line method: radius 2 -> lines 1..3, radius 4 -> 1..5)
@@ -376,13 +372,13 @@ def test_trace_model_sizes_capped_at_budgets(action, args):
     entry = CFG.entry_catalog.bound(bundle.manifest)
     toolbox = _toolbox(bundle, graph, entry, site)
     vec = trace_candidate(toolbox, ModelRouter(config, {"m": FixedProvider()}), 2,
-                          CostLedger())
+                          CostLedger(), _DEVICE_ID_SIGNAL)
     assert not _concluded(vec)
     assert _actions(vec) == [action, action]
     if action == "trigger_paths":
         assert [len(c.path) for c in toolbox.chains] == [TRIGGER_DEPTH + 1]
     else:  # taint takes no size, so the model's depth_limit is ignored
-        assert toolbox.taint.source == site
+        assert toolbox.taint == []  # taint ran; `Log.d` is no sink
         assert not any("error" in obs for obs in _session_observations(vec))
 
 
@@ -405,9 +401,9 @@ def test_trace_slice_line_overflow_is_error_observation():
     # handler caught, and the whole batch died with it
     reply = {"action": "backward_slice",
              "args": {"method": "a.B.c()->void", "line": 1e400, "var": "x"}}
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     toolbox = _toolbox(bundle, graph, entry, site)
-    vec = trace_candidate(toolbox, _fixed_router(reply), 1, CostLedger(), perm, sev)
+    vec = trace_candidate(toolbox, _fixed_router(reply), 1, CostLedger(), signal)
     assert _session_observations(vec) == [{
         "tool": "backward_slice", "error": "ToolError",
         "message": "line must be an integer, got inf"}]
@@ -418,15 +414,21 @@ def test_trace_slice_line_overflow_is_error_observation():
     ("trigger_paths", {"max_depth": [1]}, "max_depth must be an integer, got [1]"),
     ("backward_slice", {"method": "no sig", "line": 1, "var": "x"},
      "malformed signature: 'no sig'"),
+    # a slice names its whole target; it has no default to fall back on
+    ("backward_slice", {"line": 1, "var": "x"}, "backward_slice needs method, line and var"),
+    ("backward_slice", {"method": "a.B.c()->void", "var": "x"},
+     "backward_slice needs method, line and var"),
+    ("backward_slice", {"method": "a.B.c()->void", "line": 1},
+     "backward_slice needs method, line and var"),
 ])
 def test_trace_bad_argument_is_tool_error_observation(action, args, message):
     # these raised ValueError or TypeError, which the session caught by name
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site),
-                          _fixed_router({"action": action, "args": args}), 1, CostLedger(),
-                          perm, sev)
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
+    router = _fixed_router({"action": action, "args": args}, {"action": "conclude", "args": {}})
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 2, CostLedger(), signal)
     assert _session_observations(vec) == [{"tool": action, "error": "ToolError",
                                            "message": message}]
+    assert _concluded(vec)  # the session goes on past the refusal
 
 
 _BRANCHY = [
@@ -486,9 +488,9 @@ def _text_router(text: str) -> ModelRouter:
 
 
 def test_trace_deeply_nested_reply_is_unparseable_action():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     vec = trace_candidate(_toolbox(bundle, graph, entry, site), _text_router(_DEEP_REPLY),
-                          2, CostLedger(), perm, sev)
+                          2, CostLedger(), signal)
     assert _actions(vec) == [None, None]
     assert [o["error"] for o in _session_observations(vec)] == ["UnknownTool", "UnknownTool"]
 
@@ -589,7 +591,7 @@ _NUMBER = (st.sampled_from([1e400, -1e400, float("nan"), 10**400, -(10**400), -1
 
 @st.composite
 def _replies(draw):
-    _bundle, _graph, _entry, site, _perm, _sev = _fuzz_candidate()
+    _bundle, _graph, _entry, site, _signal = _fuzz_candidate()
     known = {  # every argument a tool reads
         "radius": _NUMBER, "max_depth": _NUMBER, "line": _NUMBER,
         "method": st.sampled_from([str(site.method), str(site.callee)]) | _JSON,
@@ -608,11 +610,11 @@ def _replies(draw):
 @settings(max_examples=200, deadline=None)
 def test_trace_survives_arbitrary_action_json(replies):
     # the actions come from the tool table, so a new tool is fuzzed too
-    bundle, graph, entry, site, perm, sev = _fuzz_candidate()
+    bundle, graph, entry, site, signal = _fuzz_candidate()
     box = _RecordingBox(bundle, graph, CFG.api_catalog, entry, site)
     box.outcomes = []
     vec = trace_candidate(box, _fixed_router(*replies), len(replies), CostLedger(),
-                          perm, sev)
+                          signal)
     shown = [obs for obs in _session_observations(vec) if obs["tool"] in TOOLS]
     assert shown == box.outcomes
 
@@ -623,9 +625,9 @@ def test_transcript_is_the_conversation():
     for app_id in sorted(d.name for d in FIXTURES.iterdir() if d.is_dir()):
         bundle, graph, index, entry = pipeline_parts(app_id)
         recon = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
-        for site in recon.candidates:
+        for site, signal in recon.candidates.items():
             ledger = CostLedger()
-            vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, ledger)
+            vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, ledger, signal)
             last = ledger.exchanges[-1]
             sent = len(last.messages)
             assert vec.transcript[:sent] == last.messages
@@ -637,10 +639,10 @@ def test_transcript_is_the_conversation():
 
 
 def test_budget_one_transcript_ends_with_the_unsent_observation():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     ledger = CostLedger()
     vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(), 1,
-                          ledger, perm, sev)
+                          ledger, signal)
     [exchange] = ledger.exchanges
     assert vec.transcript[:-1] == (*exchange.messages, ("assistant", exchange.response))
     role, text = vec.transcript[-1]
@@ -648,10 +650,11 @@ def test_budget_one_transcript_ends_with_the_unsent_observation():
 
 
 def test_dispatch_returns_the_observation_and_its_text():
-    bundle, graph, entry, site, _perm, _sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, _signal = _candidate("fx_smsleak")
     box = _toolbox(bundle, graph, entry, site)
+    target = {"method": str(site.method), "line": site.line, "var": site.result_var}
     for tool in TOOLS:
-        obs, text = box.dispatch(tool, {})
+        obs, text = box.dispatch(tool, target if tool == "backward_slice" else {})
         assert obs["tool"] == tool and "error" not in obs
         assert json.loads(text) == obs
 
@@ -680,9 +683,9 @@ def test_taint_witness_across_long_method_replays():
     entry = CFG.entry_catalog.bound(bundle.manifest)
     router = scripted_router()
     report = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
-    [site] = report.candidates
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, CostLedger())
-    [hit] = vec.taint.reached_sinks
+    [(site, signal)] = report.candidates.items()
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, CostLedger(), signal)
+    [hit] = vec.taint
     assert (hit.category, hit.site.line) == ("network", 1002)
     assert replay_witness(bundle.program, CFG.api_catalog, site, hit.witness)
 
@@ -735,7 +738,7 @@ def test_taint_observation_cuts_long_witness():
     box, site = _one_method([*copies, "call android.webkit.WebView.loadUrl(string)->void(v500)"])
     obs, _text = box.dispatch("taint_reachability", {})
     [shown] = obs["reached_sinks"]
-    [hit] = box.taint.reached_sinks
+    [hit] = box.taint
     assert len(hit.witness) == 502  # the source, 500 copies, the sink
     assert replay_witness(box.bundle.program, CFG.api_catalog, site, hit.witness)
     assert shown["witness_length"] == 502
@@ -751,9 +754,9 @@ def test_taint_observation_shows_ten_sinks_and_the_count():
     assert [h["line"] for h in obs["reached_sinks"]] == list(range(2, 12))
     assert obs["sink_count"] == 12
     assert all("witness_length" not in h for h in obs["reached_sinks"])
-    assert len(box.taint.reached_sinks) == 12
+    assert len(box.taint) == 12
 
-    vec = trace_candidate(box, scripted_router(), 8, CostLedger())
+    vec = trace_candidate(box, scripted_router(), 8, CostLedger(), _DEVICE_ID_SIGNAL)
     assert vec.hit_count == 12
     summary = json.loads(vec.transcript[-1][1])["args"]["summary"]
     assert summary.startswith("tainted data from the candidate reaches 12 sink(s)")
@@ -774,9 +777,9 @@ def test_trace_invalid_actions_consume_budget_without_steps():
         models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": ConfusedProvider()})
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), router, 3, CostLedger(), perm, sev
+        _toolbox(bundle, graph, entry, site), router, 3, CostLedger(), signal
     )
     # two invalid attempts consumed budget; only the third ran a tool
     assert _actions(vec) == [None, "teleport", "extract_context"]
@@ -802,9 +805,9 @@ def test_trace_bad_tool_arguments_surface_as_observations():
         models={"m": ModelConfig()},
     )
     router = ModelRouter(config, {"m": SloppyProvider()})
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), perm, sev
+        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), signal
     )
     assert _concluded(vec)
     observations = _session_observations(vec)
@@ -854,11 +857,11 @@ def test_recon_skips_signals_with_unhashable_fields():
 
 
 def test_transcript_respects_budget_generated():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_spyloc", which=2)
+    bundle, graph, entry, site, signal = _candidate("fx_spyloc", which=2)
     for budget in (1, 2, 3, 8):
         vec = trace_candidate(
             _toolbox(bundle, graph, entry, site), scripted_router(), budget,
-            CostLedger(), perm, sev,
+            CostLedger(), signal,
         )
         assert len(_actions(vec)) <= budget
 
@@ -879,10 +882,10 @@ def test_adjudicate_zero_candidates_benign():
 
 
 def test_adjudicate_systemevent_storage_hit_malicious_06():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     vec = trace_candidate(
         _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), perm, sev,
+        CostLedger(), signal,
     )
     report = adjudicate(_empty_recon(), [vec], scripted_router(), CostLedger(), "x")
     assert report.verdict == "Malicious"
@@ -892,13 +895,13 @@ def test_adjudicate_systemevent_storage_hit_malicious_06():
 
 
 def test_adjudicate_user_trigger_medium_severity_stays_benign():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_idsave")
+    bundle, graph, entry, site, signal = _candidate("fx_idsave")
     vec = trace_candidate(
         _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), perm, sev,
+        CostLedger(), signal,
     )
     assert vec.hit_count == 1 and vec.trigger_kind == "UserInteraction"
-    assert sev == "Medium"
+    assert signal.severity == "Medium"
     report = adjudicate(_empty_recon(), [vec], scripted_router(), CostLedger(), "x")
     assert report.verdict == "Benign"
 
@@ -944,9 +947,9 @@ def test_adjudicate_rejects_unknown_evidence_ref():
 
 
 def test_adjudicate_unhashable_evidence_ref_is_schema_violation():
-    bundle, graph, entry, site, perm, sev = _candidate("fx_smsleak")
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(), 8,
-                          CostLedger(), perm, sev)
+                          CostLedger(), signal)
     body = {"verdict": "Malicious", "threat_category": "x", "confidence": 0.9,
             "evidence_chain": [{"candidate": [], "trigger": "SystemEvent", "sink": "network",
                                 "rationale": "r"}],
@@ -1145,7 +1148,7 @@ def test_pipeline_evidence_grounding_on_malicious():
             vectors.append(
                 trace_candidate(
                     _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-                    ledger, signal.permission, signal.severity,
+                    ledger, signal,
                 )
             )
         report = adjudicate(recon, vectors, scripted_router(), ledger, app)
@@ -1155,3 +1158,12 @@ def test_pipeline_evidence_grounding_on_malicious():
         for ref in report.evidence_chain:
             vec = by_render[ref.candidate]
             assert vec.hit_count > 0 or vec.trigger_kind != "Unknown"
+
+
+def test_pipeline_vectors_hold_the_recon_signal_itself():
+    with patch("droidtriage.agents.adjudicate", wraps=adjudicate) as verdict:
+        run_pipeline(load_fixture("fx_spyloc"), CATALOGS, scripted_router())
+    recon, vectors = verdict.call_args.args[:2]
+    assert [v.candidate for v in vectors] == list(recon.candidates)
+    assert len(vectors) > 1
+    assert all(v.signal is recon.candidates[v.candidate] for v in vectors)

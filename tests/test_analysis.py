@@ -366,7 +366,7 @@ class a.B {
     program = parse_program(text)
     site = _site_of(program, "a.B.m()->void", 1)
     result = taint_reachability(program, site, synth_catalog())
-    assert result.reached_sinks == []
+    assert result == []
 
 
 def test_taint_three_step_witness():
@@ -382,8 +382,8 @@ class a.B {
     program = parse_program(text)
     site = _site_of(program, "a.B.m()->void", 1)
     result = taint_reachability(program, site, synth_catalog())
-    assert len(result.reached_sinks) == 1
-    hit = result.reached_sinks[0]
+    assert len(result) == 1
+    hit = result[0]
     assert hit.category == "network"
     assert [line for _m, line in hit.witness] == [1, 2, 3]
     assert replay_witness(program, synth_catalog(), site, hit.witness)
@@ -399,7 +399,7 @@ def test_taint_long_copy_chain_witness_replays():
                             + "".join(f"    {line}\n" for line in lines) + "  }\n}\n")
     site = _site_of(program, "a.B.m()->void", 1)
     result = taint_reachability(program, site, synth_catalog())
-    [hit] = result.reached_sinks
+    [hit] = result
     assert [line for _m, line in hit.witness] == list(range(1, n + 2))
     assert replay_witness(program, synth_catalog(), site, hit.witness)
     # a dropped step or a missing sink does not replay
@@ -419,7 +419,7 @@ class a.B {
 """
     program = parse_program(text)
     site = _site_of(program, "a.B.m()->void", 1)
-    assert taint_reachability(program, site, synth_catalog()).reached_sinks == []
+    assert taint_reachability(program, site, synth_catalog()) == []
 
 
 def test_taint_cross_method_storage_hit():
@@ -439,7 +439,7 @@ class a.B {
     program = parse_program(text)
     site = _site_of(program, "a.B.a()->void", 1)
     catalog = synth_catalog()
-    [hit] = taint_reachability(program, site, catalog).reached_sinks
+    [hit] = taint_reachability(program, site, catalog)
     assert (str(hit.site.method), hit.site.line) == ("a.B.b(string)->void", 2)
     assert hit.category == "storage"
     assert hit.tainted_arg == "p"
@@ -463,8 +463,8 @@ class a.B {
     program = parse_program(text)
     site = _site_of(program, "a.B.a()->void", 1)
     result = taint_reachability(program, site, synth_catalog())
-    assert len(result.reached_sinks) == 1
-    assert replay_witness(program, synth_catalog(), site, result.reached_sinks[0].witness)
+    assert len(result) == 1
+    assert replay_witness(program, synth_catalog(), site, result[0].witness)
 
 
 def test_taint_loop_does_not_diverge_and_finds_hit():
@@ -483,7 +483,7 @@ class a.B {
     program = parse_program(text)
     site = _site_of(program, "a.B.m(string)->void", 1)
     result = taint_reachability(program, site, synth_catalog())
-    assert [h.site.line for h in result.reached_sinks] == [6]
+    assert [h.site.line for h in result] == [6]
 
 
 def test_taint_source_errors():
@@ -539,11 +539,11 @@ def _check_taint(program, sites) -> int:
     hits = 0
     for site in sites:
         result = taint_reachability(program, site, catalog)
-        got = {(str(h.site.method), h.site.line) for h in result.reached_sinks}
+        got = {(str(h.site.method), h.site.line) for h in result}
         assert got == taint_scan(program, catalog, site.method, site.line)
-        for hit in result.reached_sinks:
+        for hit in result:
             assert replay_witness(program, catalog, site, hit.witness)
-        hits += len(result.reached_sinks)
+        hits += len(result)
     return hits
 
 
@@ -725,7 +725,7 @@ def _shape_slice(gen, lines: int):
 def test_slice_matches_fixpoint_oracle_on_shapes(gen):
     for lines in (5, 6, 7, 8, 21, 50, 101, 200):
         method, got = _shape_slice(gen, lines)
-        assert got.kept_lines == sorted(slice_fixpoint_scan(method, got.target[1])), lines
+        assert got.kept_lines == sorted(slice_fixpoint_scan(method, gen(lines)[1])), lines
 
 
 @pytest.mark.parametrize("gen", [gen_if_ladder, gen_wide_use, gen_goto_chain, _fold_shape])
@@ -804,7 +804,7 @@ def _copy_chain_taint_peak(lines: int) -> int:
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [hit.site.line for hit in result.reached_sinks] == [lines - 1]
+    assert [hit.site.line for hit in result] == [lines - 1]
     return peak
 
 
@@ -838,7 +838,7 @@ def test_taint_relay_chain_needs_no_call_stack(recursive):
         program, source, result = _relay_chain_taint(2000, recursive)
     finally:
         sys.setrecursionlimit(old)
-    [hit] = result.reached_sinks
+    [hit] = result
     assert str(hit.site.method) == "r.R.r2000(string)->void"
     assert len(hit.witness) == 2002
     assert replay_witness(program, load_config().api_catalog, source, hit.witness)
@@ -864,7 +864,7 @@ def test_taint_sinks_stay_in_their_pass(monkeypatch, n):
     assert n_passes == n + 1  # the source's pass and one summary per relay
     assert n_runs == n_passes
     n_stored = sum(len(p.sinks) for p in passes)
-    assert n_stored == len(result.reached_sinks) == n + 1
+    assert n_stored == len(result) == n + 1
 
 
 @pytest.mark.parametrize("recursive", [False, True])
@@ -872,11 +872,11 @@ def test_taint_leaky_relay_chain_matches_oracle(recursive):
     for n in range(1, 31):
         program, source, result = _relay_chain_taint(n, recursive, leaky=True)
         catalog = load_config().api_catalog
-        got = {(str(hit.site.method), hit.site.line) for hit in result.reached_sinks}
+        got = {(str(hit.site.method), hit.site.line) for hit in result}
         assert got == taint_scan(program, catalog, source.method, source.line), n
         assert len(got) == n + 1
         assert all(replay_witness(program, catalog, source, hit.witness)
-                   for hit in result.reached_sinks), n
+                   for hit in result), n
 
 
 def _relay_chain_taint_peak(n: int) -> int:
@@ -889,7 +889,7 @@ def _relay_chain_taint_peak(n: int) -> int:
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result.reached_sinks) == 1
+    assert len(result) == 1
     return peak
 
 
@@ -926,7 +926,7 @@ def test_analyses_build_no_reference_cycle():
         for text, leaky in relays:
             program = parse_program(text)
             source = CallSite(parse_sig("r.R.m()->void"), 1, parse_sig(DEVICE_SOURCE), "v")
-            hits = taint_reachability(program, source, catalog).reached_sinks
+            hits = taint_reachability(program, source, catalog)
             assert len(hits) == (501 if leaky else 1)
         del bundle, method, program, source, hits
         assert gc.collect() == 0

@@ -251,6 +251,19 @@ def test_manifest_bad_component_kind():
     assert str(exc.value) == "line 2: unknown component kind 'Widget'"
 
 
+@pytest.mark.parametrize("text", [
+    "category: games\npermission:A\n",  # no package line
+    "package:\ncategory: games\n",  # an empty one
+    "package:   \n",  # a blank one
+])
+def test_manifest_without_package_rejected(text):
+    # the one check for a package: recon and validation rely on it
+    with pytest.raises(InvalidBundleError) as exc:
+        parse_manifest(text)
+    assert exc.value.kind == "bundle-invalid"
+    assert str(exc.value) == "line 0: manifest missing package"
+
+
 # -- validation -------------------------------------------------------------
 
 

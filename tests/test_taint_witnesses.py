@@ -45,7 +45,7 @@ def witness_lines() -> list[str]:
     lines = []
     for i, program in enumerate(_programs()):
         for site in _sources(program):
-            for hit in taint_reachability(program, site, catalog).reached_sinks:
+            for hit in taint_reachability(program, site, catalog):
                 assert replay_witness(program, catalog, site, hit.witness), hit
                 lines.append(
                     f"p{i} {site.method}:{site.line} -> "
@@ -89,10 +89,10 @@ def _hit_steps(text: str, method: str, line: int):
     site = CallSite(sig, line, stmt.callee, stmt.dst)
     catalog = synth_catalog()
     result = taint_reachability(program, site, catalog)
-    for hit in result.reached_sinks:
+    for hit in result:
         assert replay_witness(program, catalog, site, hit.witness)
     return [(f"{h.site.method}:{h.site.line}", h.tainted_arg,
-             [f"{m.method_name}:{n}" for m, n in h.witness]) for h in result.reached_sinks]
+             [f"{m.method_name}:{n}" for m, n in h.witness]) for h in result]
 
 
 def test_callee_hit_two_calls_deep_after_a_copy():
