@@ -522,9 +522,10 @@ def run_pipeline(
     catalogs: Catalogs,
     router: ModelRouter,
     budgets: PipelineBudgets | None = None,
+    ledger: CostLedger | None = None,
 ) -> tuple[VerdictReport, CostLedger]:
     budgets = budgets or PipelineBudgets()
-    ledger = CostLedger()
+    ledger = CostLedger() if ledger is None else ledger
     graph = build_call_graph(bundle.program)
     api_index = build_api_index(bundle.program, catalogs.api)
     entry_catalog = catalogs.entry.bound(bundle.manifest)
@@ -543,9 +544,11 @@ def run_pipeline(
     # Each session meters into its own ledger, so vectors, joined ledger and
     # error are the same whether the sessions overlap or not.
     subs = [CostLedger() for _ in recon.candidates]
-    with _stage("trace"):
-        vectors = overlap_map(router, session, list(recon.candidates), subs)
-    ledger.extend(subs)
+    try:
+        with _stage("trace"):
+            vectors = overlap_map(router, session, list(recon.candidates), subs)
+    finally:  # a failed session's spend, and its siblings', stays metered
+        ledger.extend(subs)
 
     with _stage("verdict"):
         report = adjudicate(recon, vectors, router, ledger, bundle.app_id)

@@ -4,7 +4,8 @@ Two providers share one interface: a live HTTP provider speaking the common
 JSON chat-completions shape, and a scripted provider whose replies depend only
 on the prompt, used for offline, reproducible runs.  Scripted usage is counted
 with the reference whitespace tokenizer (`str.split`); live usage is taken from
-the provider verbatim.  The router times every exchange alike.
+the provider verbatim.  The router times every exchange alike.  Once an app
+ends, its ledger keeps each exchange's tier, model, reply, usage and latency.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def count_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class Exchange:
+    """One metered call.  It keeps no messages: a trace session's are its transcript."""
     tier: str
-    messages: tuple[tuple[str, str], ...]  # (role, text)
     response: str
     input_tokens: int
     output_tokens: int
@@ -74,10 +75,9 @@ class PricingTable:
 
 
 class CostLedger:
-    """Append-only exchange log with per-tier running totals.
-
-    Appends are atomic; totals can always be recomputed from the exchange
-    list and must match the running figures exactly.
+    """Append-only exchange log with per-tier running totals: all that an app
+    keeps of its model calls once it ends.  Appends are atomic, and the totals
+    always match a recount of the exchange list exactly.
     """
 
     def __init__(self) -> None:
@@ -326,7 +326,6 @@ class ModelRouter:
         latency = time.monotonic() - start
         return Exchange(
             tier=tier,
-            messages=tuple(messages),
             response=response,
             input_tokens=in_tok,
             output_tokens=out_tok,

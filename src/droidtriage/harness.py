@@ -124,6 +124,7 @@ def compute_metrics(c: ConfusionCounts) -> MetricSet:
 
 @dataclass
 class EntryResult:
+    """What a batch keeps of an app: its report or skip, and its ledger, if any."""
     entry: DatasetEntry
     report: VerdictReport | None = None
     ledger: CostLedger | None = None
@@ -162,18 +163,19 @@ def _evaluate_entry(entry: DatasetEntry, cfg: BatchConfig) -> EntryResult:
     if paused := not cfg.router.waits_on_network and gc.isenabled():
         gc.collect(0)  # the last app's few cycles: a batch allocates nothing between apps
         gc.disable()
+    ledger = CostLedger()  # a skip keeps what the app spent
     try:
         bundle = read_bundle(entry.manifest_path, entry.ir_path, app_id=entry.app_id)
         if diags := validate(bundle):
             raise InvalidBundleError("; ".join(f"{d.code}@{d.where}" for d in diags[:5]))
-        report, ledger = run_pipeline(bundle, cfg.catalogs, cfg.router, cfg.budgets)
+        report, _ = run_pipeline(bundle, cfg.catalogs, cfg.router, cfg.budgets, ledger=ledger)
         return EntryResult(entry, report=report, ledger=ledger)
     except Exception as exc:  # every failure is a classified skip, never fatal
         if isinstance(exc, TriageError):
-            return EntryResult(entry, skip_reason=str(exc), skip_class=exc.kind)
+            return EntryResult(entry, ledger=ledger, skip_reason=str(exc), skip_class=exc.kind)
         # a fault of the program, not of the app
         sys.stderr.write(f"{entry.app_id}: {traceback.format_exc()}")
-        return EntryResult(entry, skip_reason=f"{type(exc).__name__}: {exc}",
+        return EntryResult(entry, ledger=ledger, skip_reason=f"{type(exc).__name__}: {exc}",
                            skip_class="internal-error")
     finally:
         if paused:
@@ -226,6 +228,17 @@ def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
         "evaluated": len(evaluated),
         "skipped": sorted(skipped, key=lambda s: s["app_id"]),
     }
+    merged = CostLedger()  # skipped apps' spend included
+    merged.extend(r.ledger for r in results if r.ledger is not None)
+    if merged.total_tokens > 0:
+        summary["tier_shares"] = {t: round(v, 9) for t, v in tier_shares(merged).items()}
+        cost = cost_of(merged, pricing)
+        summary["cost_usd"] = {
+            "input": format_usd(cost["input"]),
+            "output": format_usd(cost["output"]),
+            "total": format_usd(cost["total"]),
+            "per_tier": {t: format_usd(v) for t, v in cost["per_tier"].items()},
+        }
     if evaluated:
         confusion = confusion_of(results)
         summary["confusion"] = asdict(confusion)
@@ -233,19 +246,6 @@ def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
         summary["per_year"] = {
             str(year): asdict(ms) for year, ms in partition_by_year(results).items()
         }
-        merged = CostLedger()
-        merged.extend(r.ledger for r in results if r.ledger is not None)
-        if merged.total_tokens > 0:
-            summary["tier_shares"] = {
-                t: round(v, 9) for t, v in tier_shares(merged).items()
-            }
-            cost = cost_of(merged, pricing)
-            summary["cost_usd"] = {
-                "input": format_usd(cost["input"]),
-                "output": format_usd(cost["output"]),
-                "total": format_usd(cost["total"]),
-                "per_tier": {t: format_usd(v) for t, v in cost["per_tier"].items()},
-            }
         per_app_tokens = sorted(
             r.ledger.total_tokens for r in evaluated if r.ledger is not None
         )
@@ -297,10 +297,11 @@ def emit_reports(results: list[EntryResult], pricing: PricingTable,
                     row["verdict"] = r.report.verdict
                     row["confidence"] = r.report.confidence
                     row["threat_category"] = r.report.threat_category
-                    row["tokens"] = r.ledger.total_tokens
                 else:
                     row["skipped"] = r.skip_reason
                     row["skip_class"] = r.skip_class
+                if r.ledger is not None:
+                    row["tokens"] = r.ledger.total_tokens
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
         (out / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -245,9 +245,7 @@ def test_criterion_7_tier_share_shape():
         ds = DatasetManifest.load(FIXTURES / "corpus.idx")
         results = run_batch(ds, _batch_config())
         merged = CostLedger()
-        for r in results:
-            for ex in r.ledger.exchanges:
-                merged.append(ex)
+        merged.extend(r.ledger for r in results)
         shares = tier_shares(merged)
         assert shares["trace"] >= 0.80, shares
         assert shares["verdict"] <= 0.05, shares
@@ -264,9 +262,11 @@ def test_criterion_8_cost_arithmetic():
         pricing.set("coder-small", "0.10", "0.10")
         pricing.set("judge-pro", "2.00", "2.00")
         ledger = CostLedger()
-        ledger.append(Exchange("recon", (), "", 50_000, 5_000, "scout-mini", 0.0))
-        ledger.append(Exchange("trace", (), "", 650_000, 40_000, "coder-small", 0.0))
-        ledger.append(Exchange("verdict", (), "", 2_500, 1_000, "judge-pro", 0.0))
+        for tier, in_tok, out_tok, model in (("recon", 50_000, 5_000, "scout-mini"),
+                                             ("trace", 650_000, 40_000, "coder-small"),
+                                             ("verdict", 2_500, 1_000, "judge-pro")):
+            ledger.append(Exchange(tier=tier, response="", input_tokens=in_tok,
+                                   output_tokens=out_tok, model_id=model, latency_s=0.0))
         cost = cost_of(ledger, pricing)
         assert format_usd(cost["input"]) == "0.075000"
         assert format_usd(cost["output"]) == "0.007000"

@@ -49,12 +49,24 @@ CFG = load_config()
 CATALOGS = Catalogs(CFG.api_catalog, CFG.entry_catalog)
 
 
-def scripted_router() -> ModelRouter:
+class RecordingScripted(ScriptedProvider):
+    """The scripted policy, keeping the (tier, messages) each call received."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent: list[tuple[str, tuple[tuple[str, str], ...]]] = []
+
+    def chat(self, model_id, tier, messages):
+        self.sent.append((tier, tuple(messages)))
+        return super().chat(model_id, tier, messages)
+
+
+def scripted_router(provider: ScriptedProvider | None = None) -> ModelRouter:
     config = RouterConfig(
         tier_models={"recon": "m", "trace": "m", "verdict": "m"},
         models={"m": ModelConfig()},
     )
-    return ModelRouter(config, {"m": ScriptedProvider()})
+    return ModelRouter(config, {"m": provider or ScriptedProvider()})
 
 
 def load_fixture(app_id: str):
@@ -620,18 +632,22 @@ def test_trace_survives_arbitrary_action_json(replies):
 
 
 def test_transcript_is_the_conversation():
-    router = scripted_router()
+    provider = RecordingScripted()
+    router = scripted_router(provider)
     traced = 0
     for app_id in sorted(d.name for d in FIXTURES.iterdir() if d.is_dir()):
         bundle, graph, index, entry = pipeline_parts(app_id)
         recon = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
         for site, signal in recon.candidates.items():
             ledger = CostLedger()
+            provider.sent.clear()
             vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, ledger, signal)
-            last = ledger.exchanges[-1]
-            sent = len(last.messages)
-            assert vec.transcript[:sent] == last.messages
-            assert vec.transcript[sent] == ("assistant", last.response)
+            assert len(provider.sent) == len(ledger.exchanges)
+            # every exchange sent the transcript so far, and its reply comes next
+            for (_tier, messages), exchange in zip(provider.sent, ledger.exchanges):
+                assert vec.transcript[:len(messages)] == messages
+                assert vec.transcript[len(messages)] == ("assistant", exchange.response)
+            sent = len(provider.sent[-1][1])
             # a session ends on its conclusion, or on the observation it had no budget to send
             assert [role for role, _text in vec.transcript[sent + 1:]] in ([], ["user"])
             traced += 1
@@ -640,11 +656,12 @@ def test_transcript_is_the_conversation():
 
 def test_budget_one_transcript_ends_with_the_unsent_observation():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    ledger = CostLedger()
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(), 1,
+    ledger, provider = CostLedger(), RecordingScripted()
+    vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(provider), 1,
                           ledger, signal)
     [exchange] = ledger.exchanges
-    assert vec.transcript[:-1] == (*exchange.messages, ("assistant", exchange.response))
+    [(_tier, messages)] = provider.sent
+    assert vec.transcript[:-1] == (*messages, ("assistant", exchange.response))
     role, text = vec.transcript[-1]
     assert role == "user" and json.loads(text)["tool"] == "extract_context"
 
@@ -690,10 +707,10 @@ def test_taint_witness_across_long_method_replays():
     assert replay_witness(bundle.program, CFG.api_catalog, site, hit.witness)
 
 
-def _observations(ledger: CostLedger, tool: str) -> list[dict]:
+def _observations(provider: RecordingScripted, tool: str) -> list[dict]:
     """Every `tool` observation the last trace exchange showed the model."""
-    last = [ex for ex in ledger.exchanges if ex.tier == "trace"][-1]
-    shown = [json.loads(text) for role, text in last.messages
+    last = [messages for tier, messages in provider.sent if tier == "trace"][-1]
+    shown = [json.loads(text) for role, text in last
              if role == "user" and text.startswith("{")]
     return [obs for obs in shown if obs["tool"] == tool]
 
@@ -704,8 +721,9 @@ def test_slice_observation_bounded_on_fold_chain():
     tokens = {}
     for lines in (1000, 2000, 4000, 8000):
         bundle = parse_bundle(*gen_fold_chain(lines))
-        _report, ledger = run_pipeline(bundle, CATALOGS, scripted_router())
-        [obs] = _observations(ledger, "backward_slice")
+        provider = RecordingScripted()
+        _report, ledger = run_pipeline(bundle, CATALOGS, scripted_router(provider))
+        [obs] = _observations(provider, "backward_slice")
         assert obs["kept_lines"] == list(range(1, lines))
         statements = obs["statements"]
         assert len(statements) == 42

@@ -38,7 +38,8 @@ from oracles import recomputed_totals
 
 
 def _exchange(tier, in_tok, out_tok, model="m") -> Exchange:
-    return Exchange(tier, (("user", "hi"),), "ok", in_tok, out_tok, model, 0.0)
+    return Exchange(tier=tier, response="ok", input_tokens=in_tok, output_tokens=out_tok,
+                    model_id=model, latency_s=0.0)
 
 
 # -- tokenizer / ledger -------------------------------------------------------
@@ -85,7 +86,8 @@ def test_ledger_rejects_unknown_tier():
 
 def test_exchange_rejects_negative_usage():
     with pytest.raises(ValueError):
-        Exchange("trace", (), "", -1, 0, "m", 0.0)
+        Exchange(tier="trace", response="", input_tokens=-1, output_tokens=0,
+                 model_id="m", latency_s=0.0)
 
 
 def test_ledger_concurrent_appends_consistent():

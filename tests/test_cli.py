@@ -319,3 +319,20 @@ def test_analyze_out_in_missing_directory_fails_cleanly(tmp_path, capsys):
                "--out", str(tmp_path / "missing" / "r.json")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: cannot write report:")
+
+
+def test_analyze_invalid_bundle_prints_only_its_diagnostics(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    spyloc = FIXTURES / "fx_spyloc"
+    mir = (spyloc / "app.mir").read_text()
+    assert mir.count("    u = loc\n") == 1
+    (bundle / "app.mir").write_text(mir.replace("    u = loc\n", "    u = nowhere\n"))
+    (bundle / "app.mmf").write_text((spyloc / "app.mmf").read_text())
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(bundle), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("diagnostic: UseBeforeDef at ")
+    assert not out.exists()

@@ -23,7 +23,8 @@ from droidtriage.agents import (
     recon_screen,
     run_pipeline,
 )
-from droidtriage.backend import CostLedger, HttpProvider, ModelConfig, ModelRouter, RouterConfig
+from droidtriage.backend import (TIERS, CostLedger, HttpProvider, ModelConfig, ModelRouter,
+                                 RouterConfig)
 from droidtriage.config import load_config
 from droidtriage.errors import ProviderUnavailableError
 from droidtriage.index import build_api_index
@@ -55,18 +56,26 @@ class SlowScripted(ScriptedProvider):
     A trace reply for the i-th of n candidates waits (n - i) ticks, so later
     candidates are answered faster and their sessions finish first. The
     session at `fail_at`, if any, raises `ProviderUnavailableError` on its
-    first exchange.
+    exchange after `fail_after` replies.
     """
 
     waits_on_network = True
     TICK_S = 0.004
 
-    def __init__(self, candidates: list[str], fail_at: int | None = None):
+    def __init__(self, candidates: list[str], fail_at: int | None = None, fail_after: int = 0):
         super().__init__()
         self.candidates = candidates
         self.fail_at = fail_at
-        self.answered: list[int] = []  # candidate index of each trace reply, in reply order
+        self.fail_after = fail_after
+        # (tier, candidate index of a trace call or None, messages) of each
+        # call answered, in reply order
+        self.sent: list[tuple[str, int | None, tuple]] = []
         self._lock = threading.Lock()
+
+    @property
+    def answered(self) -> list[int]:
+        """The candidate index of each trace reply, in reply order."""
+        return [i for tier, i, _messages in self.sent if tier == "trace"]
 
     def session_of(self, messages) -> int:
         task = messages[1][1]
@@ -74,13 +83,15 @@ class SlowScripted(ScriptedProvider):
                     if f'"candidate": {json.dumps(c)}' in task)
 
     def chat(self, model_id, tier, messages):
+        i = None
         if tier == "trace":
             i = self.session_of(messages)
             time.sleep(self.TICK_S * (len(self.candidates) - i))
-            if i == self.fail_at:
+            replies = sum(role == "assistant" for role, _text in messages)
+            if i == self.fail_at and replies == self.fail_after:
                 raise ProviderUnavailableError(f"session {i} lost its connection")
-            with self._lock:
-                self.answered.append(i)
+        with self._lock:
+            self.sent.append((tier, i, tuple(messages)))
         return super().chat(model_id, tier, messages)
 
 
@@ -96,7 +107,7 @@ def _router(provider) -> ModelRouter:
     return ModelRouter(config, {"m": provider})
 
 
-def _run(bundle, provider, monkeypatch):
+def _run(bundle, provider, monkeypatch, budgets: PipelineBudgets | None = None):
     """Report, ledger and the vectors handed to the verdict tier."""
     seen = []
     adjudicate = agents.adjudicate
@@ -106,13 +117,18 @@ def _run(bundle, provider, monkeypatch):
         return adjudicate(recon, evidence, *rest)
 
     monkeypatch.setattr(agents, "adjudicate", recording)
-    report, ledger = run_pipeline(bundle, CATALOGS, _router(provider))
+    report, ledger = run_pipeline(bundle, CATALOGS, _router(provider), budgets)
     return report, ledger, seen[0]
 
 
-def _exchanges(ledger: CostLedger) -> list[tuple]:
-    return [(ex.tier, ex.messages, ex.response, ex.input_tokens, ex.output_tokens, ex.model_id)
-            for ex in ledger.exchanges]
+def _exchanges(ledger: CostLedger, provider: SlowScripted) -> list[tuple]:
+    """Each exchange in ledger order, with the candidate index and messages the
+    provider received for it.  The ledger holds recon, then each session in
+    candidate order, then verdict; a stable sort puts the calls, recorded in
+    reply order, in that order, since each session's calls come in turn."""
+    sent = sorted(provider.sent, key=lambda call: (TIERS.index(call[0]), call[1]))
+    return [(ex.tier, i, messages, ex.response, ex.input_tokens, ex.output_tokens, ex.model_id)
+            for (_tier, i, messages), ex in zip(sent, ledger.exchanges, strict=True)]
 
 
 def test_router_gate_is_the_trace_providers_own_fact():
@@ -140,7 +156,7 @@ def test_out_of_order_sessions_match_sequential_run(monkeypatch):
 
     assert [v.candidate.render() for v in vectors] == candidates
     assert vectors == ref_vectors
-    assert _exchanges(ledger) == _exchanges(ref_ledger)
+    assert _exchanges(ledger, threaded) == _exchanges(ref_ledger, sequential)
     assert ledger.totals == ref_ledger.totals == recomputed_totals(ledger)
     assert report.to_json() == ref_report.to_json()
 
@@ -156,6 +172,26 @@ def test_failed_session_raises_the_sequential_error(monkeypatch):
         assert exc.value.kind == "provider-unavailable"
         errors.append(str(exc.value))
     assert errors[0] == errors[1] == "[trace] session 1 lost its connection"
+
+
+def test_failed_session_keeps_its_and_its_siblings_spend():
+    bundle = _fixture("fx_spyloc")
+    candidates = _candidates(bundle)
+    whole = SlowScripted(candidates)
+    _report, whole_ledger = run_pipeline(bundle, CATALOGS, _router(whole))
+    expected = _exchanges(whole_ledger, whole)
+    failed_session = [ex for ex in expected if ex[:2] == ("trace", 1)]
+    assert len(failed_session) > 2
+    expected = [ex for ex in expected if ex[0] != "verdict" and ex not in failed_session[2:]]
+
+    provider = SlowScripted(candidates, fail_at=1, fail_after=2)
+    ledger = CostLedger()
+    with pytest.raises(ProviderUnavailableError):
+        run_pipeline(bundle, CATALOGS, _router(provider), ledger=ledger)
+    # the overlapped siblings ran to their ends; the failed session kept the
+    # two exchanges it had
+    assert _exchanges(ledger, provider) == expected
+    assert ledger.totals == recomputed_totals(ledger)
 
 
 def _wide_bundle(n_calls: int):
@@ -194,10 +230,17 @@ class CountingProvider(ScriptedProvider):
         finally:
             with self._lock:
                 self.in_flight -= 1
-        return '{"thought": "", "action": "conclude", "args": {"summary": "ok"}}', 3, 3
+        # the reply names the session's line, so the ledger shows whose it is
+        summary = f"line {_line(messages[1][1])}"
+        return json.dumps({"thought": "", "action": "conclude", "args": {"summary": summary}}), 3, 3
 
 
-def test_session_threads_bounded_by_the_constant():
+def _line(task: str) -> int:
+    """The candidate line in a trace task's payload."""
+    return json.loads(task.split("```json")[1].split("```")[0])["line"]
+
+
+def test_session_threads_bounded_by_the_constant(monkeypatch):
     n = 40
     bundle = _wide_bundle(n)
     provider = CountingProvider()
@@ -205,13 +248,14 @@ def test_session_threads_bounded_by_the_constant():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more thread switches inside the pool and the ledger
     try:
-        report, ledger = run_pipeline(bundle, CATALOGS, _router(provider),
-                                      PipelineBudgets(candidate_cap=n))
+        report, ledger, vectors = _run(bundle, provider, monkeypatch,
+                                       PipelineBudgets(candidate_cap=n))
     finally:
         sys.setswitchinterval(interval)
+    # the sessions, and their exchanges in the ledger, come in candidate order
+    assert [_line(v.transcript[1][1]) for v in vectors] == list(range(1, n + 1))
     traced = [ex for ex in ledger.exchanges if ex.tier == "trace"]
-    assert [json.loads(ex.messages[1][1].split("```json")[1].split("```")[0])["line"]
-            for ex in traced] == list(range(1, n + 1))
+    assert [ex.response for ex in traced] == [v.transcript[2][1] for v in vectors]
     assert ledger.totals == recomputed_totals(ledger)
     assert 1 < provider.peak <= MAX_THREADS
     assert provider.in_flight == 0

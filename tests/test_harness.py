@@ -7,14 +7,16 @@ import json
 import random
 import threading
 import time
+import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
 import pytest
 
-from droidtriage import harness
+from droidtriage import agents, harness
 from droidtriage.agents import MAX_THREADS, Catalogs
-from droidtriage.backend import ModelRouter
+from droidtriage.backend import CostLedger, Exchange, ModelRouter, cost_of, format_usd, tier_shares
 from droidtriage.config import load_config
 from droidtriage.errors import ConfigError, ProviderUnavailableError, ReportIoError
 from droidtriage.harness import (
@@ -195,9 +197,12 @@ def test_batch_survives_infinite_tool_argument():
     # handler caught, and the whole batch died with it
     from droidtriage.scripted import ScriptedProvider
 
+    last_sent = []  # the last message of each trace call
+
     class InfiniteDepth(ScriptedProvider):
         def chat(self, model_id, tier, messages):
             if tier == "trace":
+                last_sent.append(messages[-1][1])
                 reply = '{"thought": "", "action": "trigger_paths", "args": {"max_depth": 1e400}}'
                 return reply, 1, 1
             return super().chat(model_id, tier, messages)
@@ -206,11 +211,7 @@ def test_batch_survives_infinite_tool_argument():
     cfg.router = ModelRouter(cfg.router.config, {m: InfiniteDepth() for m in cfg.router.providers})
     results = run_batch(DatasetManifest.load(FIXTURES / "corpus.idx"), cfg)
     assert results and all(r.evaluated for r in results)
-    observations = [
-        json.loads(ex.messages[-1][1])
-        for r in results for ex in r.ledger.exchanges
-        if ex.tier == "trace" and ex.messages[-1][1].startswith("{")
-    ]
+    observations = [json.loads(text) for text in last_sent if text.startswith("{")]
     assert observations
     assert all(o["error"] == "ToolError" and "max_depth" in o["message"] for o in observations)
 
@@ -251,7 +252,6 @@ def test_batch_internal_error_in_threaded_session_is_classified_skip(capsys):
 def test_batch_fault_inside_a_tool_is_internal_error_skip(monkeypatch, capsys):
     # a tool's own fault is not the model's noise: it used to become an
     # `"error": "KeyError"` observation, and fx_spyloc then read Benign
-    from droidtriage import agents
 
     def broken_taint(*args):
         raise KeyError("planted")
@@ -345,6 +345,37 @@ def test_batch_records_the_class_of_each_skip(tmp_path, capsys):
     assert digest.splitlines()[7].startswith("metrics:")
 
 
+def test_skipped_apps_keep_their_spend(tmp_path):
+    # a verdict reply that is never JSON skips every app after all its other
+    # exchanges; those skips used to carry no ledger, so none of it was priced
+    from droidtriage.scripted import ScriptedProvider
+
+    counted = CostLedger()  # every exchange, as the provider answered it
+
+    class NoVerdict(ScriptedProvider):
+        def chat(self, model_id, tier, messages):
+            response, in_tok, out_tok = super().chat(model_id, tier, messages)
+            if tier == "verdict":
+                response, out_tok = "no verdict today", 3
+            counted.append(Exchange(tier=tier, response=response, input_tokens=in_tok,
+                                    output_tokens=out_tok, model_id=model_id, latency_s=0.0))
+            return response, in_tok, out_tok
+
+    results = run_batch(DatasetManifest.load(FIXTURES / "corpus.idx"), _with_provider(NoVerdict()))
+    assert {r.skip_class for r in results} == {"model-schema"}
+    assert sum(len(r.ledger.exchanges) for r in results) == len(counted.exchanges) == 58
+    summary = emit_reports(results, CFG.pricing, tmp_path)
+    assert summary["evaluated"] == 0
+    cost = cost_of(counted, CFG.pricing)
+    assert summary["cost_usd"]["total"] == format_usd(cost["total"])
+    assert summary["cost_usd"]["per_tier"] == {t: format_usd(v) for t, v in cost["per_tier"].items()}
+    assert summary["tier_shares"] == {t: round(v, 9) for t, v in tier_shares(counted).items()}
+    assert "tokens" not in summary  # the per-app token statistics cover evaluated apps
+    rows = [json.loads(line) for line in (tmp_path / "results.jsonl").read_text().splitlines()]
+    assert [row["tokens"] for row in rows] == [r.ledger.total_tokens for r in results]
+    assert sum(row["tokens"] for row in rows) == counted.total_tokens
+
+
 def test_batch_order_permutation_invariant(tmp_path):
     ds = DatasetManifest.load(FIXTURES / "corpus.idx")
     shuffled = DatasetManifest(list(reversed(ds.entries)))
@@ -382,7 +413,6 @@ def test_scripted_app_runs_with_the_collector_paused(monkeypatch, tmp_path, caps
     # what a scripted app builds holds no reference cycle, so the collector is
     # paused while it runs; a live app overlaps others across round trips, so
     # pausing there could keep the collector off for the whole batch
-    from droidtriage import agents
     from droidtriage.scripted import ScriptedProvider
 
     class Node:
@@ -449,8 +479,13 @@ def test_network_batch_overlaps_apps_and_matches_sequential(monkeypatch):
     class Waiting(ScriptedProvider):
         waits_on_network = True
 
+        def __init__(self):
+            super().__init__()
+            self.sent = []  # the (tier, messages) of every call, in any app order
+
         def chat(self, model_id, tier, messages):
             time.sleep(0.002)
+            self.sent.append((tier, tuple(messages)))
             return super().chat(model_id, tier, messages)
 
     class Sequential(Waiting):
@@ -476,22 +511,81 @@ def test_network_batch_overlaps_apps_and_matches_sequential(monkeypatch):
             with lock:
                 in_flight -= 1
 
+    transcripts = []  # per run: app id -> its sessions' transcripts, in candidate order
+    adjudicate = agents.adjudicate
+
+    def recording(recon, evidence, router, ledger, app_id):
+        transcripts[-1][app_id] = [v.transcript for v in evidence]
+        return adjudicate(recon, evidence, router, ledger, app_id)
+
     monkeypatch.setattr(harness, "_evaluate_entry", counting)
+    monkeypatch.setattr(agents, "adjudicate", recording)
     baseline = threading.active_count()
-    overlapped = run_batch(ds, _with_provider(Waiting()))
+    waiting, sequential_provider = Waiting(), Sequential()
+    transcripts.append({})
+    overlapped = run_batch(ds, _with_provider(waiting))
     assert 1 < peak <= MAX_THREADS
     assert threading.active_count() == baseline
     peak = 0
-    sequential = run_batch(ds, _with_provider(Sequential()))
+    transcripts.append({})
+    sequential = run_batch(ds, _with_provider(sequential_provider))
     assert peak == 1
 
     def exchanges(r):
-        return [(ex.tier, ex.messages, ex.response, ex.input_tokens, ex.output_tokens)
+        return [(ex.tier, ex.response, ex.input_tokens, ex.output_tokens)
                 for ex in r.ledger.exchanges]
 
     assert all(r.evaluated for r in overlapped)
     assert [r.report.to_json() for r in overlapped] == [r.report.to_json() for r in sequential]
     assert [exchanges(r) for r in overlapped] == [exchanges(r) for r in sequential]
+    # the same messages: each app's sessions in order, and every call's as sent
+    assert transcripts[0] == transcripts[1] and len(transcripts[1]) == len(ds.entries)
+    assert sorted(waiting.sent) == sorted(sequential_provider.sent)
+
+
+def _longest_reachable_str(root) -> int:
+    """The length of the longest str that `gc.get_referents` reaches from
+    `root` without entering a type, module or function."""
+    seen, stack, longest = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            longest = max(longest, len(obj))
+        else:
+            stack.extend(gc.get_referents(obj))
+    return longest
+
+
+def test_batch_keeps_no_prompt_of_a_finished_app(tmp_path):
+    # every exchange used to keep its session's messages so far, so a batch
+    # held each app's prompts until it ended: with one 200,000-character
+    # literal, about 0.6 MB per app
+    spyloc = FIXTURES / "fx_spyloc"
+    read = "    loc = call android.location.LocationManager.getLastKnownLocation"
+    mir = (spyloc / "app.mir").read_text()
+    assert mir.count(read) == 1
+    (tmp_path / "app.mir").write_text(mir.replace(read, f'    pad = const "{"A" * 200_000}"\n{read}'))
+    inflated = [DatasetEntry("padded", spyloc / "app.mmf", tmp_path / "app.mir", "Malicious", 2019)]
+    corpus = DatasetManifest.load(FIXTURES / "corpus.idx").entries
+    for entries in (inflated, corpus):
+        cfg = batch_config()
+        run_batch(DatasetManifest(entries), cfg)  # loads the prompt templates
+        ds = DatasetManifest([DatasetEntry(f"{e.app_id}_{k}", e.manifest_path, e.ir_path,
+                                           e.label, e.year) for k in range(10) for e in entries])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            results = run_batch(ds, cfg)
+            gc.collect()
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.evaluated and r.report.verdict == r.entry.label for r in results)
+        assert held < 10_000 * len(results), f"{held / len(results):.0f} bytes held per app"
+        assert _longest_reachable_str(results) <= 10_000
 
 
 # -- per-year ------------------------------------------------------------------

@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from droidtriage import agents
 from droidtriage.agents import Catalogs, run_pipeline
-from droidtriage.backend import ModelConfig, ModelRouter, RetryPolicy, RouterConfig, HttpProvider
+from droidtriage.backend import (TIERS, HttpProvider, ModelConfig, ModelRouter, RetryPolicy,
+                                 RouterConfig)
 from droidtriage.config import load_config
 from droidtriage.ir import parse_bundle
 from droidtriage.scripted import ScriptedProvider
@@ -30,12 +32,14 @@ class _ModelHandler(BaseHTTPRequestHandler):
     """Serves the scripted policy over the chat-completions wire shape."""
 
     scripted = ScriptedProvider()
+    received: list[tuple[str, tuple]] = []  # (tier, messages) of each request
 
     def do_POST(self):  # noqa: N802  (http.server API)
         length = int(self.headers["Content-Length"])
         request = json.loads(self.rfile.read(length))
         messages = [(m["role"], m["content"]) for m in request["messages"]]
         tier = _tier_of(messages)
+        self.received.append((tier, tuple(messages)))
         text, in_tok, out_tok = self.scripted.chat(request["model"], tier, messages)
         body = json.dumps(
             {
@@ -91,14 +95,48 @@ def _bundle(app_id: str):
     )
 
 
-def test_live_pipeline_matches_scripted_verdicts(model_server):
+class _Recording(ScriptedProvider):
+    def __init__(self):
+        super().__init__()
+        self.sent: list[tuple[str, tuple]] = []  # (tier, messages) of each call
+
+    def chat(self, model_id, tier, messages):
+        self.sent.append((tier, tuple(messages)))
+        return super().chat(model_id, tier, messages)
+
+
+def _exchanges(ledger, calls, vectors) -> list[tuple]:
+    """Each exchange of one app with the messages its call sent.  The ledger
+    holds recon, each session in candidate order, then verdict; a stable sort
+    puts the calls in that order, since each session's calls come in turn."""
+    tasks = [v.transcript[1] for v in vectors]
+    calls = sorted(calls, key=lambda c: (TIERS.index(c[0]),
+                                         tasks.index(c[1][1]) if c[0] == "trace" else 0))
+    return [(e.tier, tier, messages, e.response, e.input_tokens, e.output_tokens)
+            for (tier, messages), e in zip(calls, ledger.exchanges, strict=True)]
+
+
+def test_live_pipeline_matches_scripted_verdicts(model_server, monkeypatch):
     catalogs = Catalogs(CFG.api_catalog, CFG.entry_catalog)
     live = _live_router(model_server)
+    recorder = _Recording()
     scripted = CFG.build_router("scripted")
+    scripted = ModelRouter(scripted.config, {m: recorder for m in scripted.providers})
     assert live.waits_on_network and not scripted.waits_on_network
+    vectors = []  # what each run handed the verdict tier
+    adjudicate = agents.adjudicate
+
+    def recording(recon, evidence, *rest):
+        vectors.append(evidence)
+        return adjudicate(recon, evidence, *rest)
+
+    monkeypatch.setattr(agents, "adjudicate", recording)
     for app in ("fx_clean", "fx_smsleak", "fx_idsave", "fx_spyloc"):
+        _ModelHandler.received.clear()
+        recorder.sent.clear()
         live_report, live_ledger = run_pipeline(_bundle(app), catalogs, live)
         ref_report, ref_ledger = run_pipeline(_bundle(app), catalogs, scripted)
+        *_, live_vectors, ref_vectors = vectors
         assert live_report.verdict == ref_report.verdict, app
         assert live_report.threat_category == ref_report.threat_category
         assert live_report.confidence == ref_report.confidence
@@ -110,11 +148,8 @@ def test_live_pipeline_matches_scripted_verdicts(model_server):
         assert live_ledger.totals == ref_ledger.totals
         # concurrent sessions join the ledger in candidate order: the same
         # exchanges as the sequential scripted run, one for one
-        assert [(e.tier, e.messages, e.response, e.input_tokens, e.output_tokens)
-                for e in live_ledger.exchanges] == [
-            (e.tier, e.messages, e.response, e.input_tokens, e.output_tokens)
-            for e in ref_ledger.exchanges
-        ]
+        assert (_exchanges(live_ledger, _ModelHandler.received, live_vectors)
+                == _exchanges(ref_ledger, recorder.sent, ref_vectors))
         assert live_report.to_json() == ref_report.to_json()
 
 
