@@ -2,10 +2,11 @@
 
 Tier 1 screens the manifest for intent/permission mismatches and prunes the
 API index down to a capped candidate set.  Tier 2 runs one observe-think-act
-session per candidate over the analysis toolbox; when the model provider waits
-on the network, the sessions overlap on a bounded thread pool.  Tier 3 fuses
-the risk signals with the per-candidate evidence into the final JSON report.
-Every model exchange is metered into a cost ledger under its tier.
+session per candidate in its `ToolBox`, which holds the session's signal,
+tools, evidence, spend and transcript; when the model provider waits on the
+network, the sessions overlap on a bounded thread pool.  Tier 3 fuses the risk
+signals with the boxes' evidence into the final JSON report.  Every model
+exchange is metered into a cost ledger under its tier.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from string import Template
 
 from .analysis import (
     SinkHit,
-    TriggerChain,
     TriggerWalks,
     backward_slice,
     extract_context,
@@ -67,31 +67,6 @@ class ReconReport:
     risk_signals: list[RiskSignal]
     # each candidate site, in rank order -> the signal that pulled it in
     candidates: dict[CallSite, RiskSignal]
-
-
-@dataclass
-class EvidenceVector:
-    candidate: CallSite
-    signal: RiskSignal  # the recon signal that pulled the candidate in
-    trigger: TriggerChain | None
-    taint: list[SinkHit] | None
-    # the session's (role, text) messages, from the system prompt to the last
-    # observation, whether or not the model received it
-    transcript: tuple[tuple[str, str], ...]
-
-    @property
-    def trigger_kind(self) -> str:
-        return self.trigger.entry_kind if self.trigger is not None else "Unknown"
-
-    @property
-    def sink_category(self) -> str:
-        if self.taint:
-            return self.taint[0].category
-        return "none"
-
-    @property
-    def hit_count(self) -> int:
-        return len(self.taint) if self.taint is not None else 0
 
 
 @dataclass(frozen=True)
@@ -193,17 +168,35 @@ def recon_screen(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ToolBox:
-    """Per-candidate tool dispatch; keeps the latest trigger walks and sink hits."""
+    """One candidate's trace session: its site and recon signal, the tools, the
+    latest walks and hits, its own ledger and, once it ends, its transcript."""
 
     bundle: AppBundle
     graph: CallGraph
     api_catalog: ApiCatalog
     entry_catalog: EntryCatalog
     site: CallSite
+    signal: RiskSignal
+    ledger: CostLedger = field(default_factory=CostLedger)
     chains: TriggerWalks | None = field(default=None, init=False)
     taint: list[SinkHit] | None = field(default=None, init=False)
+    # the session's (role, text) messages, from the system prompt to the last
+    # observation, whether or not the model received it
+    transcript: tuple[tuple[str, str], ...] = field(default=(), init=False)
+
+    @property
+    def trigger_kind(self) -> str:
+        return self.chains.best().entry_kind if self.chains is not None else "Unknown"
+
+    @property
+    def sink_category(self) -> str:
+        return self.taint[0].category if self.taint else "none"
+
+    @property
+    def hit_count(self) -> int:
+        return len(self.taint) if self.taint is not None else 0
 
     def dispatch(self, action: str, args: dict) -> tuple[dict, str]:
         """One tool call's observation, and its text as the session sends it."""
@@ -328,14 +321,9 @@ TOOLS = {
 }
 
 
-def trace_candidate(
-    toolbox: ToolBox,
-    router: ModelRouter,
-    budget: int,
-    ledger: CostLedger,
-    signal: RiskSignal,
-) -> EvidenceVector:
-    candidate = toolbox.site
+def trace_candidate(toolbox: ToolBox, router: ModelRouter, budget: int) -> ToolBox:
+    """Run the box's session of at most `budget` exchanges; return the box."""
+    candidate, signal = toolbox.site, toolbox.signal
     payload = {
         "candidate": candidate.render(),
         "method": str(candidate.method),
@@ -351,7 +339,7 @@ def trace_candidate(
 
     for _step in range(budget):
         exchange = router.complete("trace", messages)
-        ledger.append(exchange)
+        toolbox.ledger.append(exchange)
         messages.append(("assistant", exchange.response))
         action, args = _parse_action(exchange.response)
         if action == "conclude":
@@ -369,13 +357,8 @@ def trace_candidate(
                                    "message": f"choose one of {', '.join([*TOOLS, 'conclude'])}"})
         messages.append(("user", observation))
 
-    return EvidenceVector(
-        candidate=candidate,
-        signal=signal,
-        trigger=toolbox.chains.best() if toolbox.chains is not None else None,
-        taint=toolbox.taint,
-        transcript=tuple(messages),
-    )
+    toolbox.transcript = tuple(messages)
+    return toolbox
 
 
 def _parse_action(response: str) -> tuple[str, dict]:
@@ -395,7 +378,7 @@ def _parse_action(response: str) -> tuple[str, dict]:
 
 def adjudicate(
     recon: ReconReport,
-    evidence: list[EvidenceVector],
+    boxes: list[ToolBox],
     router: ModelRouter,
     ledger: CostLedger,
     app_id: str,
@@ -407,22 +390,22 @@ def adjudicate(
         ],
         "vectors": [
             {
-                "candidate": v.candidate.render(),
-                "source_class": v.candidate.callee.class_name,
-                "trigger": v.trigger_kind,
-                "sink": v.sink_category,
-                "hits": v.hit_count,
-                "severity": v.signal.severity,
-                "permission": v.signal.permission,
+                "candidate": box.site.render(),
+                "source_class": box.site.callee.class_name,
+                "trigger": box.trigger_kind,
+                "sink": box.sink_category,
+                "hits": box.hit_count,
+                "severity": box.signal.severity,
+                "permission": box.signal.permission,
             }
-            for v in evidence
+            for box in boxes
         ],
     }
     prompt = _template("verdict.txt").substitute(
         payload=json.dumps(payload, separators=(",", ":"), sort_keys=True)
     )
     messages = [("user", prompt)]
-    known = {v.candidate.render() for v in evidence}
+    known = {box.site.render() for box in boxes}
     last_error = ""
     for attempt in range(2):
         exchange = router.complete("verdict", messages)
@@ -507,14 +490,14 @@ def _stage(tier: str):
 MAX_THREADS = 8
 
 
-def overlap_map(router: ModelRouter, fn: Callable, *items: Sequence) -> list:
-    """`list(map(fn, *items))`, overlapped on at most `MAX_THREADS` threads only
+def overlap_map(router: ModelRouter, fn: Callable, items: Sequence) -> list:
+    """`list(map(fn, items))`, overlapped on at most `MAX_THREADS` threads only
     while the router's provider waits on the network.  Either way, results keep
     input order and the first error in input order is the one raised."""
-    if router.waits_on_network and len(items[0]) > 1:
-        with ThreadPoolExecutor(min(len(items[0]), MAX_THREADS)) as pool:
-            return list(pool.map(fn, *items))
-    return list(map(fn, *items))
+    if router.waits_on_network and len(items) > 1:
+        with ThreadPoolExecutor(min(len(items), MAX_THREADS)) as pool:
+            return list(pool.map(fn, items))
+    return list(map(fn, items))
 
 
 def run_pipeline(
@@ -536,20 +519,17 @@ def run_pipeline(
             budgets.candidate_cap, ledger,
         )
 
-    def session(site: CallSite, into: CostLedger) -> EvidenceVector:
-        toolbox = ToolBox(bundle, graph, catalogs.api, entry_catalog, site)
-        return trace_candidate(toolbox, router, budgets.max_iterations, into,
-                               recon.candidates[site])
-
-    # Each session meters into its own ledger, so vectors, joined ledger and
-    # error are the same whether the sessions overlap or not.
-    subs = [CostLedger() for _ in recon.candidates]
+    # Each session meters into its own box's ledger, so boxes, joined ledger
+    # and error are the same whether the sessions overlap or not.
+    boxes = [ToolBox(bundle, graph, catalogs.api, entry_catalog, site, signal)
+             for site, signal in recon.candidates.items()]
     try:
         with _stage("trace"):
-            vectors = overlap_map(router, session, list(recon.candidates), subs)
+            overlap_map(router, lambda box: trace_candidate(box, router, budgets.max_iterations),
+                        boxes)
     finally:  # a failed session's spend, and its siblings', stays metered
-        ledger.extend(subs)
+        ledger.extend(box.ledger for box in boxes)
 
     with _stage("verdict"):
-        report = adjudicate(recon, vectors, router, ledger, bundle.app_id)
+        report = adjudicate(recon, boxes, router, ledger, bundle.app_id)
     return report, ledger

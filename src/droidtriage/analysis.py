@@ -16,8 +16,8 @@ it returns taint, solved to a fixpoint by a worklist, recursion included.
 Sinks stay in the pass that reaches them, and one breadth-first walk over
 the calls from the source's pass collects them.  Each fact carries its
 witness, a linked list of def-use steps back to the source or to the pass's
-parameter, into which a call splices its callee's witness by reference; it
-is unwound only for the reported sinks, each of which replays.  Passes name
+parameter, into which a call splices its callee's witness by reference; a
+hit's witness is unwound only when read, and each one replays.  Passes name
 one another by (method, parameter) key, so none is part of a reference cycle.
 
 A slice is the least set of lines that holds the target, every definition
@@ -41,6 +41,7 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .catalog import ApiCatalog, EntryCatalog
@@ -203,8 +204,14 @@ def trigger_paths(
 class SinkHit:
     site: CallSite
     category: str
-    witness: tuple[tuple[MethodSig, int], ...]
+    # the witness as spliced, nested as deep as a relay chain: neither compared nor shown
+    node: _Witness = field(compare=False, repr=False)
     tainted_arg: str
+
+    @cached_property
+    def witness(self) -> tuple[tuple[MethodSig, int], ...]:
+        """The steps from the source to the sink, unwound on first read."""
+        return _unwind(self.node)
 
 
 # A tainted variable's witness, relative to the start of its pass: None, or a
@@ -380,7 +387,7 @@ def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog
             if callee not in prefixes:
                 prefixes[callee] = (None, call, (tainted, None, prefixes[key]))
                 walk.append(callee)
-    return [SinkHit(site, category, _unwind(witness), arg)
+    return [SinkHit(site, category, witness, arg)
             for _, (site, category, arg, witness) in sorted(found.items())]
 
 

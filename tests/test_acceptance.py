@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from decimal import Decimal
 from pathlib import Path
 
-from droidtriage.agents import Catalogs, ToolBox, recon_screen, trace_candidate
+from droidtriage.agents import Catalogs, RiskSignal, ToolBox, recon_screen, trace_candidate
 from droidtriage.analysis import extract_context, replay_witness, taint_reachability, trigger_paths
 from droidtriage.backend import CostLedger, Exchange, PricingTable, cost_of, format_usd, tier_shares
 from droidtriage.catalog import EntryCatalog
@@ -197,7 +197,9 @@ def _check_window(n: int, s: int) -> None:
     assert w.start_line == max(1, s - 20) and w.end_line == min(n, s + 20)
     assert w.start_line <= s <= w.end_line
     bundle = AppBundle("w", Manifest("w", "", "", [], []), program)
-    box = ToolBox(bundle, build_call_graph(program), CFG.api_catalog, CFG.entry_catalog, site)
+    signal = RiskSignal("READ_SMS", "reads the source", "High")
+    box = ToolBox(bundle, build_call_graph(program), CFG.api_catalog, CFG.entry_catalog, site,
+                  signal)
     obs, _text = box.dispatch("extract_context", {"radius": 20})
     assert (obs["start_line"], obs["end_line"]) == (w.start_line, w.end_line)
     assert len(obs["lines"]) == w.end_line - w.start_line + 1
@@ -333,16 +335,16 @@ def test_criterion_10_batch_robustness(tmp_path):
         graph = build_call_graph(bundle.program)
         index = build_api_index(bundle.program, CFG.api_catalog)
         router = CFG.build_router("scripted")
-        ledger = CostLedger()
-        recon = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, ledger)
+        recon = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
         site = list(recon.candidates)[1]
         assert site.result_var is None
-        toolbox = ToolBox(
+        box = ToolBox(
             bundle, graph, CFG.api_catalog, CFG.entry_catalog.bound(bundle.manifest), site,
+            recon.candidates[site],
         )
-        vec = trace_candidate(toolbox, router, 8, ledger, recon.candidates[site])
-        observations = [json.loads(text) for role, text in vec.transcript[2:] if role == "user"]
+        trace_candidate(box, router, 8)
+        observations = [json.loads(text) for role, text in box.transcript[2:] if role == "user"]
         assert any("error" in obs for obs in observations if obs["tool"] == "taint_reachability")
-        role, last = vec.transcript[-1]
+        role, last = box.transcript[-1]
         assert role == "assistant" and json.loads(last)["action"] == "conclude"
         assert by_id["fx_dialerspy"].report.verdict == "Malicious"

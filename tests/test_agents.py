@@ -207,15 +207,15 @@ def test_recon_meters_one_exchange():
 _DEVICE_ID_SIGNAL = RiskSignal("READ_PHONE_STATE", "reads the device id", "High")
 
 
-def _toolbox(bundle, graph, entry, site):
-    return ToolBox(bundle, graph, CFG.api_catalog, entry, site)
+def _toolbox(bundle, graph, entry, site, signal):
+    return ToolBox(bundle, graph, CFG.api_catalog, entry, site, signal)
 
 
-def _actions(vec) -> list[str]:
+def _actions(box) -> list[str]:
     """The action of each assistant reply in the session, in order; None for
     a reply that is not an action object."""
     actions = []
-    for role, text in vec.transcript:
+    for role, text in box.transcript:
         if role == "assistant":
             try:
                 actions.append(json.loads(text)["action"])
@@ -224,13 +224,13 @@ def _actions(vec) -> list[str]:
     return actions
 
 
-def _concluded(vec) -> bool:
-    return vec.transcript[-1][0] == "assistant" and _actions(vec)[-1] == "conclude"
+def _concluded(box) -> bool:
+    return box.transcript[-1][0] == "assistant" and _actions(box)[-1] == "conclude"
 
 
-def _session_observations(vec) -> list[dict]:
+def _session_observations(box) -> list[dict]:
     """Every observation the session rendered, in order."""
-    return [json.loads(text) for role, text in vec.transcript[2:] if role == "user"]
+    return [json.loads(text) for role, text in box.transcript[2:] if role == "user"]
 
 
 def _candidate(app_id: str, which: int = 0):
@@ -244,75 +244,60 @@ def _candidate(app_id: str, which: int = 0):
 
 def test_trace_budget_one_exhausts_cleanly():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 1,
-        CostLedger(), signal,
-    )
-    assert not _concluded(vec)
-    assert _actions(vec) == ["extract_context"]
-    [obs] = _session_observations(vec)
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 1)
+    assert not _concluded(box)
+    assert _actions(box) == ["extract_context"]
+    [obs] = _session_observations(box)
     assert obs["tool"] == "extract_context" and "error" not in obs
-    assert vec.taint is None
-    assert vec.trigger_kind == "Unknown"
+    assert box.taint is None
+    assert box.trigger_kind == "Unknown"
 
 
 def test_trace_scripted_policy_five_steps_with_hit():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    ledger = CostLedger()
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 8, ledger, signal
-    )
-    assert _concluded(vec)
-    assert _actions(vec) == [
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
+    assert _concluded(box)
+    assert _actions(box) == [
         "extract_context",
         "trigger_paths",
         "taint_reachability",
         "backward_slice",
         "conclude",
     ]
-    assert vec.trigger_kind == "SystemEvent"
-    assert vec.sink_category in ("network", "telephony")
-    [sliced] = [o for o in _session_observations(vec) if o["tool"] == "backward_slice"]
+    assert box.trigger_kind == "SystemEvent"
+    assert box.sink_category in ("network", "telephony")
+    [sliced] = [o for o in _session_observations(box) if o["tool"] == "backward_slice"]
     assert "error" not in sliced and sliced["kept_lines"]
-    assert len(ledger.exchanges) == 5
-    assert {e.tier for e in ledger.exchanges} == {"trace"}
+    assert len(box.ledger.exchanges) == 5
+    assert {e.tier for e in box.ledger.exchanges} == {"trace"}
 
 
 def test_trace_no_hit_concludes_in_four_steps():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak", which=1)
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), signal,
-    )
-    assert len(_actions(vec)) == 4
-    assert vec.hit_count == 0
-    assert "backward_slice" not in _actions(vec)
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
+    assert len(_actions(box)) == 4
+    assert box.hit_count == 0
+    assert "backward_slice" not in _actions(box)
 
 
 def test_trace_tool_error_becomes_observation_not_abort():
     # second dialerspy candidate is a sink call with no result variable
     bundle, graph, entry, site, signal = _candidate("fx_dialerspy", which=1)
     assert site.result_var is None
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), signal,
-    )
-    assert _concluded(vec)
-    taint_obs = _session_observations(vec)[2]
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
+    assert _concluded(box)
+    taint_obs = _session_observations(box)[2]
     assert taint_obs["tool"] == "taint_reachability"
     assert "error" in taint_obs
-    assert vec.taint is None
+    assert box.taint is None
 
 
 def test_trace_unreachable_candidate_gets_unknown_trigger():
     bundle, graph, entry, site, signal = _candidate("fx_dialerspy", which=0)
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), signal,
-    )
-    assert vec.trigger_kind == "Unknown"
-    assert _concluded(vec)
-    assert vec.hit_count == 1
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
+    assert box.trigger_kind == "Unknown"
+    assert _concluded(box)
+    assert box.hit_count == 1
 
 
 def test_trace_latest_invocation_wins():
@@ -335,16 +320,14 @@ def test_trace_latest_invocation_wins():
     )
     router = ModelRouter(config, {"m": RepeatingProvider()})
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), signal
-    )
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), router, 8)
     # every context window is kept; the trigger field reflects the last call
     # (site is line 1 of a 5-line method: radius 2 -> lines 1..3, radius 4 -> 1..5)
-    windows = [o for o in _session_observations(vec) if o["tool"] == "extract_context"]
+    windows = [o for o in _session_observations(box) if o["tool"] == "extract_context"]
     assert [(w["start_line"], w["end_line"]) for w in windows] == [(1, 3), (1, 5)]
     assert windows[0]["method"] == windows[1]["method"] == str(site.method)
-    assert vec.trigger_kind == "SystemEvent"
-    assert len(_actions(vec)) == 5
+    assert box.trigger_kind == "SystemEvent"
+    assert len(_actions(box)) == 5
 
 
 _PING_PONG = """
@@ -382,16 +365,15 @@ def test_trace_model_sizes_capped_at_budgets(action, args):
     site = CallSite(ping, 1, parse_sig(
         "android.telephony.TelephonyManager.getDeviceId()->string"), "id")
     entry = CFG.entry_catalog.bound(bundle.manifest)
-    toolbox = _toolbox(bundle, graph, entry, site)
-    vec = trace_candidate(toolbox, ModelRouter(config, {"m": FixedProvider()}), 2,
-                          CostLedger(), _DEVICE_ID_SIGNAL)
-    assert not _concluded(vec)
-    assert _actions(vec) == [action, action]
+    box = _toolbox(bundle, graph, entry, site, _DEVICE_ID_SIGNAL)
+    trace_candidate(box, ModelRouter(config, {"m": FixedProvider()}), 2)
+    assert not _concluded(box)
+    assert _actions(box) == [action, action]
     if action == "trigger_paths":
-        assert [len(c.path) for c in toolbox.chains] == [TRIGGER_DEPTH + 1]
+        assert [len(c.path) for c in box.chains] == [TRIGGER_DEPTH + 1]
     else:  # taint takes no size, so the model's depth_limit is ignored
-        assert toolbox.taint == []  # taint ran; `Log.d` is no sink
-        assert not any("error" in obs for obs in _session_observations(vec))
+        assert box.taint == []  # taint ran; `Log.d` is no sink
+        assert not any("error" in obs for obs in _session_observations(box))
 
 
 def _fixed_router(*replies: dict) -> ModelRouter:
@@ -414,9 +396,8 @@ def test_trace_slice_line_overflow_is_error_observation():
     reply = {"action": "backward_slice",
              "args": {"method": "a.B.c()->void", "line": 1e400, "var": "x"}}
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    toolbox = _toolbox(bundle, graph, entry, site)
-    vec = trace_candidate(toolbox, _fixed_router(reply), 1, CostLedger(), signal)
-    assert _session_observations(vec) == [{
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), _fixed_router(reply), 1)
+    assert _session_observations(box) == [{
         "tool": "backward_slice", "error": "ToolError",
         "message": "line must be an integer, got inf"}]
 
@@ -437,10 +418,10 @@ def test_trace_bad_argument_is_tool_error_observation(action, args, message):
     # these raised ValueError or TypeError, which the session caught by name
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
     router = _fixed_router({"action": action, "args": args}, {"action": "conclude", "args": {}})
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 2, CostLedger(), signal)
-    assert _session_observations(vec) == [{"tool": action, "error": "ToolError",
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), router, 2)
+    assert _session_observations(box) == [{"tool": action, "error": "ToolError",
                                            "message": message}]
-    assert _concluded(vec)  # the session goes on past the refusal
+    assert _concluded(box)  # the session goes on past the refusal
 
 
 _BRANCHY = [
@@ -462,7 +443,7 @@ def _branchy_toolbox() -> ToolBox:
     program = parse_program(text)
     bundle = AppBundle("w", Manifest("w", "", "", [], []), program)
     site = CallSite(parse_sig("w.B.run()->void"), 2, parse_sig(DEVICE_SOURCE), "d")
-    return _toolbox(bundle, build_call_graph(program), CFG.entry_catalog, site)
+    return _toolbox(bundle, build_call_graph(program), CFG.entry_catalog, site, _DEVICE_ID_SIGNAL)
 
 
 def test_context_observation_shows_branches_as_written():
@@ -501,10 +482,10 @@ def _text_router(text: str) -> ModelRouter:
 
 def test_trace_deeply_nested_reply_is_unparseable_action():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site), _text_router(_DEEP_REPLY),
-                          2, CostLedger(), signal)
-    assert _actions(vec) == [None, None]
-    assert [o["error"] for o in _session_observations(vec)] == ["UnknownTool", "UnknownTool"]
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal),
+                          _text_router(_DEEP_REPLY), 2)
+    assert _actions(box) == [None, None]
+    assert [o["error"] for o in _session_observations(box)] == ["UnknownTool", "UnknownTool"]
 
 
 def test_recon_deeply_nested_reply_is_model_schema_error():
@@ -556,11 +537,14 @@ def _lattice(width: int, layers: int):
     return parse_bundle("package: h\n", text), CallSite(parse_sig(collect), 1, parse_sig(source), "loc")
 
 
+_LOCATION_SIGNAL = RiskSignal("ACCESS_FINE_LOCATION", "reads the location", "High")
+
+
 def test_trigger_paths_tool_counts_walks_without_listing_them():
     # 32**5 = 33,554,432 walks: the tool must count them, not list them
     bundle, site = _lattice(32, 6)
     graph = build_call_graph(bundle.program)
-    box = _toolbox(bundle, graph, CFG.entry_catalog.bound(bundle.manifest), site)
+    box = _toolbox(bundle, graph, CFG.entry_catalog.bound(bundle.manifest), site, _LOCATION_SIGNAL)
     obs, _text = box.dispatch("trigger_paths", {"max_depth": 5})
     assert obs["count"] == 32 ** 5
     assert len(obs["chains"]) == 10
@@ -623,11 +607,10 @@ def _replies(draw):
 def test_trace_survives_arbitrary_action_json(replies):
     # the actions come from the tool table, so a new tool is fuzzed too
     bundle, graph, entry, site, signal = _fuzz_candidate()
-    box = _RecordingBox(bundle, graph, CFG.api_catalog, entry, site)
+    box = _RecordingBox(bundle, graph, CFG.api_catalog, entry, site, signal)
     box.outcomes = []
-    vec = trace_candidate(box, _fixed_router(*replies), len(replies), CostLedger(),
-                          signal)
-    shown = [obs for obs in _session_observations(vec) if obs["tool"] in TOOLS]
+    trace_candidate(box, _fixed_router(*replies), len(replies))
+    shown = [obs for obs in _session_observations(box) if obs["tool"] in TOOLS]
     assert shown == box.outcomes
 
 
@@ -639,36 +622,35 @@ def test_transcript_is_the_conversation():
         bundle, graph, index, entry = pipeline_parts(app_id)
         recon = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
         for site, signal in recon.candidates.items():
-            ledger = CostLedger()
             provider.sent.clear()
-            vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, ledger, signal)
-            assert len(provider.sent) == len(ledger.exchanges)
+            box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), router, 8)
+            assert len(provider.sent) == len(box.ledger.exchanges)
             # every exchange sent the transcript so far, and its reply comes next
-            for (_tier, messages), exchange in zip(provider.sent, ledger.exchanges):
-                assert vec.transcript[:len(messages)] == messages
-                assert vec.transcript[len(messages)] == ("assistant", exchange.response)
+            for (_tier, messages), exchange in zip(provider.sent, box.ledger.exchanges):
+                assert box.transcript[:len(messages)] == messages
+                assert box.transcript[len(messages)] == ("assistant", exchange.response)
             sent = len(provider.sent[-1][1])
             # a session ends on its conclusion, or on the observation it had no budget to send
-            assert [role for role, _text in vec.transcript[sent + 1:]] in ([], ["user"])
+            assert [role for role, _text in box.transcript[sent + 1:]] in ([], ["user"])
             traced += 1
     assert traced == 9
 
 
 def test_budget_one_transcript_ends_with_the_unsent_observation():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    ledger, provider = CostLedger(), RecordingScripted()
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(provider), 1,
-                          ledger, signal)
-    [exchange] = ledger.exchanges
+    provider = RecordingScripted()
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(provider),
+                          1)
+    [exchange] = box.ledger.exchanges
     [(_tier, messages)] = provider.sent
-    assert vec.transcript[:-1] == (*messages, ("assistant", exchange.response))
-    role, text = vec.transcript[-1]
+    assert box.transcript[:-1] == (*messages, ("assistant", exchange.response))
+    role, text = box.transcript[-1]
     assert role == "user" and json.loads(text)["tool"] == "extract_context"
 
 
 def test_dispatch_returns_the_observation_and_its_text():
-    bundle, graph, entry, site, _signal = _candidate("fx_smsleak")
-    box = _toolbox(bundle, graph, entry, site)
+    bundle, graph, entry, site, signal = _candidate("fx_smsleak")
+    box = _toolbox(bundle, graph, entry, site, signal)
     target = {"method": str(site.method), "line": site.line, "var": site.result_var}
     for tool in TOOLS:
         obs, text = box.dispatch(tool, target if tool == "backward_slice" else {})
@@ -701,8 +683,8 @@ def test_taint_witness_across_long_method_replays():
     router = scripted_router()
     report = recon_screen(bundle.manifest, index, CFG.api_catalog, router, 15, CostLedger())
     [(site, signal)] = report.candidates.items()
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site), router, 8, CostLedger(), signal)
-    [hit] = vec.taint
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), router, 8)
+    [hit] = box.taint
     assert (hit.category, hit.site.line) == ("network", 1002)
     assert replay_witness(bundle.program, CFG.api_catalog, site, hit.witness)
 
@@ -748,7 +730,7 @@ def _one_method(body: list[str]):
     graph = build_call_graph(bundle.program)
     entry = CFG.entry_catalog.bound(bundle.manifest)
     site = CallSite(parse_sig(method), 1, parse_sig(DEVICE_SOURCE), "v0")
-    return _toolbox(bundle, graph, entry, site), site
+    return _toolbox(bundle, graph, entry, site, _DEVICE_ID_SIGNAL), site
 
 
 def test_taint_observation_cuts_long_witness():
@@ -774,9 +756,9 @@ def test_taint_observation_shows_ten_sinks_and_the_count():
     assert all("witness_length" not in h for h in obs["reached_sinks"])
     assert len(box.taint) == 12
 
-    vec = trace_candidate(box, scripted_router(), 8, CostLedger(), _DEVICE_ID_SIGNAL)
-    assert vec.hit_count == 12
-    summary = json.loads(vec.transcript[-1][1])["args"]["summary"]
+    trace_candidate(box, scripted_router(), 8)
+    assert box.hit_count == 12
+    summary = json.loads(box.transcript[-1][1])["args"]["summary"]
     assert summary.startswith("tainted data from the candidate reaches 12 sink(s)")
 
 
@@ -796,12 +778,10 @@ def test_trace_invalid_actions_consume_budget_without_steps():
     )
     router = ModelRouter(config, {"m": ConfusedProvider()})
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), router, 3, CostLedger(), signal
-    )
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), router, 3)
     # two invalid attempts consumed budget; only the third ran a tool
-    assert _actions(vec) == [None, "teleport", "extract_context"]
-    observations = _session_observations(vec)
+    assert _actions(box) == [None, "teleport", "extract_context"]
+    observations = _session_observations(box)
     assert [o.get("error") for o in observations] == ["UnknownTool", "UnknownTool", None]
     assert observations[2]["tool"] == "extract_context"
 
@@ -824,11 +804,9 @@ def test_trace_bad_tool_arguments_surface_as_observations():
     )
     router = ModelRouter(config, {"m": SloppyProvider()})
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), router, 8, CostLedger(), signal
-    )
-    assert _concluded(vec)
-    observations = _session_observations(vec)
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), router, 8)
+    assert _concluded(box)
+    observations = _session_observations(box)
     assert [o["tool"] for o in observations] == ["extract_context", "backward_slice"]
     assert all("error" in o for o in observations)
 
@@ -877,11 +855,9 @@ def test_recon_skips_signals_with_unhashable_fields():
 def test_transcript_respects_budget_generated():
     bundle, graph, entry, site, signal = _candidate("fx_spyloc", which=2)
     for budget in (1, 2, 3, 8):
-        vec = trace_candidate(
-            _toolbox(bundle, graph, entry, site), scripted_router(), budget,
-            CostLedger(), signal,
-        )
-        assert len(_actions(vec)) <= budget
+        box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(),
+                              budget)
+        assert len(_actions(box)) <= budget
 
 
 # -- tier 3 -------------------------------------------------------------------
@@ -901,26 +877,20 @@ def test_adjudicate_zero_candidates_benign():
 
 def test_adjudicate_systemevent_storage_hit_malicious_06():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), signal,
-    )
-    report = adjudicate(_empty_recon(), [vec], scripted_router(), CostLedger(), "x")
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
+    report = adjudicate(_empty_recon(), [box], scripted_router(), CostLedger(), "x")
     assert report.verdict == "Malicious"
     assert report.confidence == 0.6
     assert len(report.evidence_chain) == 1
-    assert report.evidence_chain[0].candidate == vec.candidate.render()
+    assert report.evidence_chain[0].candidate == box.site.render()
 
 
 def test_adjudicate_user_trigger_medium_severity_stays_benign():
     bundle, graph, entry, site, signal = _candidate("fx_idsave")
-    vec = trace_candidate(
-        _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-        CostLedger(), signal,
-    )
-    assert vec.hit_count == 1 and vec.trigger_kind == "UserInteraction"
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
+    assert box.hit_count == 1 and box.trigger_kind == "UserInteraction"
     assert signal.severity == "Medium"
-    report = adjudicate(_empty_recon(), [vec], scripted_router(), CostLedger(), "x")
+    report = adjudicate(_empty_recon(), [box], scripted_router(), CostLedger(), "x")
     assert report.verdict == "Benign"
 
 
@@ -966,15 +936,14 @@ def test_adjudicate_rejects_unknown_evidence_ref():
 
 def test_adjudicate_unhashable_evidence_ref_is_schema_violation():
     bundle, graph, entry, site, signal = _candidate("fx_smsleak")
-    vec = trace_candidate(_toolbox(bundle, graph, entry, site), scripted_router(), 8,
-                          CostLedger(), signal)
+    box = trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
     body = {"verdict": "Malicious", "threat_category": "x", "confidence": 0.9,
             "evidence_chain": [{"candidate": [], "trigger": "SystemEvent", "sink": "network",
                                 "rationale": "r"}],
             "rationale": "r"}
     ledger = CostLedger()
     with pytest.raises(SchemaViolationError, match="matches no vector"):
-        adjudicate(_empty_recon(), [vec], _text_router(json.dumps(body)), ledger, "x")
+        adjudicate(_empty_recon(), [box], _text_router(json.dumps(body)), ledger, "x")
     assert len(ledger.exchanges) == 2  # retried once
 
 
@@ -1159,29 +1128,34 @@ def test_pipeline_evidence_grounding_on_malicious():
         recon = recon_screen(
             bundle.manifest, index, CFG.api_catalog, scripted_router(), 15, CostLedger()
         )
-        vectors = []
         entry = CFG.entry_catalog.bound(bundle.manifest)
-        ledger = CostLedger()
-        for site, signal in recon.candidates.items():
-            vectors.append(
-                trace_candidate(
-                    _toolbox(bundle, graph, entry, site), scripted_router(), 8,
-                    ledger, signal,
-                )
-            )
-        report = adjudicate(recon, vectors, scripted_router(), ledger, app)
+        boxes = [trace_candidate(_toolbox(bundle, graph, entry, site, signal), scripted_router(), 8)
+                 for site, signal in recon.candidates.items()]
+        report = adjudicate(recon, boxes, scripted_router(), CostLedger(), app)
         assert report.verdict == "Malicious"
-        assert len(vectors) == len(recon.candidates)
-        by_render = {v.candidate.render(): v for v in vectors}
+        assert len(boxes) == len(recon.candidates)
+        by_render = {box.site.render(): box for box in boxes}
         for ref in report.evidence_chain:
-            vec = by_render[ref.candidate]
-            assert vec.hit_count > 0 or vec.trigger_kind != "Unknown"
+            box = by_render[ref.candidate]
+            assert box.hit_count > 0 or box.trigger_kind != "Unknown"
 
 
-def test_pipeline_vectors_hold_the_recon_signal_itself():
-    with patch("droidtriage.agents.adjudicate", wraps=adjudicate) as verdict:
-        run_pipeline(load_fixture("fx_spyloc"), CATALOGS, scripted_router())
-    recon, vectors = verdict.call_args.args[:2]
-    assert [v.candidate for v in vectors] == list(recon.candidates)
-    assert len(vectors) > 1
-    assert all(v.signal is recon.candidates[v.candidate] for v in vectors)
+def test_pipeline_boxes_hold_the_recon_signal_and_their_sessions_spend():
+    with patch("droidtriage.agents.adjudicate", wraps=adjudicate) as verdict, \
+            patch("droidtriage.agents.trace_candidate", wraps=trace_candidate) as trace:
+        _report, ledger = run_pipeline(load_fixture("fx_spyloc"), CATALOGS, scripted_router())
+    recon, boxes = verdict.call_args.args[:2]
+    # the verdict reads the very boxes the sessions ran, in candidate order
+    assert [id(box) for box in boxes] == [id(call.args[0]) for call in trace.call_args_list]
+    assert [box.site for box in boxes] == list(recon.candidates)
+    assert len(boxes) > 1
+    assert all(box.signal is recon.candidates[box.site] for box in boxes)
+    # each box's ledger holds its session's exchanges and no other
+    for box in boxes:
+        assert {ex.tier for ex in box.ledger.exchanges} == {"trace"}
+        assert [ex.response for ex in box.ledger.exchanges] == [
+            text for role, text in box.transcript if role == "assistant"]
+    # the app's ledger: recon, each box's exchanges in candidate order, verdict
+    traced = [ex for box in boxes for ex in box.ledger.exchanges]
+    assert [ex.tier for ex in ledger.exchanges] == ["recon", *["trace"] * len(traced), "verdict"]
+    assert all(a is b for a, b in zip(ledger.exchanges[1:-1], traced, strict=True))

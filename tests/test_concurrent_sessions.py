@@ -1,7 +1,7 @@
 """Candidate sessions on a provider that waits on the network.
 
 `run_pipeline` overlaps the sessions on a bounded pool when the trace tier's
-provider says it waits on the network, and must then give the vectors,
+provider says it waits on the network, and must then give the boxes,
 ledger, report and errors of the sequential loop the scripted provider uses.
 """
 
@@ -108,13 +108,13 @@ def _router(provider) -> ModelRouter:
 
 
 def _run(bundle, provider, monkeypatch, budgets: PipelineBudgets | None = None):
-    """Report, ledger and the vectors handed to the verdict tier."""
+    """Report, ledger and the boxes handed to the verdict tier."""
     seen = []
     adjudicate = agents.adjudicate
 
-    def recording(recon, evidence, *rest):
-        seen.append(list(evidence))
-        return adjudicate(recon, evidence, *rest)
+    def recording(recon, boxes, *rest):
+        seen.append(list(boxes))
+        return adjudicate(recon, boxes, *rest)
 
     monkeypatch.setattr(agents, "adjudicate", recording)
     report, ledger = run_pipeline(bundle, CATALOGS, _router(provider), budgets)
@@ -131,6 +131,15 @@ def _exchanges(ledger: CostLedger, provider: SlowScripted) -> list[tuple]:
             for (_tier, i, messages), ex in zip(sent, ledger.exchanges, strict=True)]
 
 
+def _evidence(box) -> tuple:
+    """What a session found: its site and signal, best chain, hits with their
+    witnesses, and transcript."""
+    hits = None if box.taint is None else [
+        (h.site, h.category, h.tainted_arg, h.witness) for h in box.taint]
+    best = None if box.chains is None else box.chains.best()
+    return box.site, box.signal, best, hits, box.transcript
+
+
 def test_router_gate_is_the_trace_providers_own_fact():
     assert HttpProvider.waits_on_network is True
     assert not CFG.build_router("scripted").waits_on_network
@@ -144,9 +153,9 @@ def test_out_of_order_sessions_match_sequential_run(monkeypatch):
     assert len(candidates) == 3
 
     threaded = SlowScripted(candidates)
-    report, ledger, vectors = _run(bundle, threaded, monkeypatch)
+    report, ledger, boxes = _run(bundle, threaded, monkeypatch)
     sequential = SequentialSlowScripted(candidates)
-    ref_report, ref_ledger, ref_vectors = _run(bundle, sequential, monkeypatch)
+    ref_report, ref_ledger, ref_boxes = _run(bundle, sequential, monkeypatch)
 
     # the sessions overlapped, and the last candidate's session finished
     # before the first one's
@@ -154,8 +163,8 @@ def test_out_of_order_sessions_match_sequential_run(monkeypatch):
     last = {i: pos for pos, i in enumerate(threaded.answered)}
     assert last[2] < last[0]
 
-    assert [v.candidate.render() for v in vectors] == candidates
-    assert vectors == ref_vectors
+    assert [box.site.render() for box in boxes] == candidates
+    assert [_evidence(box) for box in boxes] == [_evidence(box) for box in ref_boxes]
     assert _exchanges(ledger, threaded) == _exchanges(ref_ledger, sequential)
     assert ledger.totals == ref_ledger.totals == recomputed_totals(ledger)
     assert report.to_json() == ref_report.to_json()
@@ -248,14 +257,14 @@ def test_session_threads_bounded_by_the_constant(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more thread switches inside the pool and the ledger
     try:
-        report, ledger, vectors = _run(bundle, provider, monkeypatch,
-                                       PipelineBudgets(candidate_cap=n))
+        report, ledger, boxes = _run(bundle, provider, monkeypatch,
+                                     PipelineBudgets(candidate_cap=n))
     finally:
         sys.setswitchinterval(interval)
     # the sessions, and their exchanges in the ledger, come in candidate order
-    assert [_line(v.transcript[1][1]) for v in vectors] == list(range(1, n + 1))
+    assert [_line(box.transcript[1][1]) for box in boxes] == list(range(1, n + 1))
     traced = [ex for ex in ledger.exchanges if ex.tier == "trace"]
-    assert [ex.response for ex in traced] == [v.transcript[2][1] for v in vectors]
+    assert [ex.response for ex in traced] == [box.transcript[2][1] for box in boxes]
     assert ledger.totals == recomputed_totals(ledger)
     assert 1 < provider.peak <= MAX_THREADS
     assert provider.in_flight == 0

@@ -105,11 +105,11 @@ class _Recording(ScriptedProvider):
         return super().chat(model_id, tier, messages)
 
 
-def _exchanges(ledger, calls, vectors) -> list[tuple]:
+def _exchanges(ledger, calls, boxes) -> list[tuple]:
     """Each exchange of one app with the messages its call sent.  The ledger
     holds recon, each session in candidate order, then verdict; a stable sort
     puts the calls in that order, since each session's calls come in turn."""
-    tasks = [v.transcript[1] for v in vectors]
+    tasks = [box.transcript[1] for box in boxes]
     calls = sorted(calls, key=lambda c: (TIERS.index(c[0]),
                                          tasks.index(c[1][1]) if c[0] == "trace" else 0))
     return [(e.tier, tier, messages, e.response, e.input_tokens, e.output_tokens)
@@ -123,12 +123,12 @@ def test_live_pipeline_matches_scripted_verdicts(model_server, monkeypatch):
     scripted = CFG.build_router("scripted")
     scripted = ModelRouter(scripted.config, {m: recorder for m in scripted.providers})
     assert live.waits_on_network and not scripted.waits_on_network
-    vectors = []  # what each run handed the verdict tier
+    boxes = []  # what each run handed the verdict tier
     adjudicate = agents.adjudicate
 
-    def recording(recon, evidence, *rest):
-        vectors.append(evidence)
-        return adjudicate(recon, evidence, *rest)
+    def recording(recon, handed, *rest):
+        boxes.append(handed)
+        return adjudicate(recon, handed, *rest)
 
     monkeypatch.setattr(agents, "adjudicate", recording)
     for app in ("fx_clean", "fx_smsleak", "fx_idsave", "fx_spyloc"):
@@ -136,7 +136,7 @@ def test_live_pipeline_matches_scripted_verdicts(model_server, monkeypatch):
         recorder.sent.clear()
         live_report, live_ledger = run_pipeline(_bundle(app), catalogs, live)
         ref_report, ref_ledger = run_pipeline(_bundle(app), catalogs, scripted)
-        *_, live_vectors, ref_vectors = vectors
+        *_, live_boxes, ref_boxes = boxes
         assert live_report.verdict == ref_report.verdict, app
         assert live_report.threat_category == ref_report.threat_category
         assert live_report.confidence == ref_report.confidence
@@ -148,8 +148,8 @@ def test_live_pipeline_matches_scripted_verdicts(model_server, monkeypatch):
         assert live_ledger.totals == ref_ledger.totals
         # concurrent sessions join the ledger in candidate order: the same
         # exchanges as the sequential scripted run, one for one
-        assert (_exchanges(live_ledger, _ModelHandler.received, live_vectors)
-                == _exchanges(ref_ledger, recorder.sent, ref_vectors))
+        assert (_exchanges(live_ledger, _ModelHandler.received, live_boxes)
+                == _exchanges(ref_ledger, recorder.sent, ref_boxes))
         assert live_report.to_json() == ref_report.to_json()
 
 
