@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .agents import Catalogs, run_pipeline
@@ -14,12 +14,11 @@ from .errors import ReportIoError, TriageError, UnreadableBundleError
 from .harness import (
     BatchConfig,
     DatasetManifest,
-    compute_metrics,
-    confusion_counts,
     emit_reports,
     output_dir,
     read_bundle,
     run_batch,
+    scores,
 )
 from .ir import LocDistribution, parse_program, validate
 
@@ -112,18 +111,14 @@ def cmd_metrics(args) -> int:
     try:
         with open(args.results, encoding="utf-8") as fh:
             rows = [json.loads(line) for line in fh if line.strip()]
-        pairs = [(row["verdict"], row["label"]) for row in rows if "verdict" in row]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        evaluated = sum("verdict" in row for row in rows)
+        scored = scores(rows) if evaluated else {}
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ReportIoError(f"bad results file {args.results}: {type(exc).__name__}: {exc}") from None
-    if not pairs:
+    if not evaluated:
         print(json.dumps({"evaluated": 0}))
         return 1
-    confusion = confusion_counts(pairs)
-    print(json.dumps(
-        {"evaluated": len(pairs), "confusion": asdict(confusion),
-         "metrics": asdict(compute_metrics(confusion))},
-        indent=2, sort_keys=True,
-    ))
+    print(json.dumps({"evaluated": evaluated, **scored}, indent=2, sort_keys=True))
     return 0
 
 

@@ -111,7 +111,7 @@ def load_config(path: str | Path | None = None) -> AppConfig:
         parser.read_string(_builtin("default_config.ini") if path is None
                            else path.read_text("utf-8"))
         return _parse(parser, base_dir)
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path or 'default config'}: {exc}") from None
 
 

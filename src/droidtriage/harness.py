@@ -16,7 +16,7 @@ import statistics
 import sys
 import traceback
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -82,39 +82,28 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    """Accuracy/precision/recall/F1; None marks an undefined metric (zero
-    denominator), which must never be conflated with 0."""
-
-    accuracy: float
-    precision: float | None
-    recall: float | None
-    f1: float | None
-
-
-def compute_metrics(c: ConfusionCounts) -> MetricSet:
-    if c.total <= 0:
+def metrics(tp: int, tn: int, fp: int, fn: int) -> dict:
+    """Accuracy, precision, recall and F1, in that order; None marks an undefined
+    metric (zero denominator), which must never be conflated with 0."""
+    total = tp + tn + fp + fn
+    if total <= 0:
         raise ValueError("no evaluated entries")
-    accuracy = (c.tp + c.tn) / c.total
-    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
-    recall = c.tp / (c.tp + c.fn) if (c.tp + c.fn) > 0 else None
+    precision = tp / (tp + fp) if (tp + fp) > 0 else None
+    recall = tp / (tp + fn) if (tp + fn) > 0 else None
     f1 = None
     if precision is not None and recall is not None and (precision + recall) > 0:
         f1 = 2 * precision * recall / (precision + recall)
-    return MetricSet(accuracy, precision, recall, f1)
+    return {"accuracy": (tp + tn) / total, "precision": precision, "recall": recall, "f1": f1}
+
+
+def scores(rows: Iterable[dict]) -> dict:
+    """The confusion counts and metrics of the `results.jsonl` rows that have a
+    verdict; the summary and `droidtriage metrics` both score rows with it."""
+    n = Counter((row["verdict"] == "Malicious", row["label"] == "Malicious")
+                for row in rows if "verdict" in row)
+    confusion = {"tp": n[True, True], "tn": n[False, False], "fp": n[True, False],
+                 "fn": n[False, True]}
+    return {"confusion": confusion, "metrics": metrics(**confusion)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,44 +180,39 @@ def run_batch(dataset: DatasetManifest, cfg: BatchConfig) -> list[EntryResult]:
     return sorted(results, key=lambda r: r.entry.app_id)
 
 
-def confusion_counts(pairs: Iterable[tuple[str, str]]) -> ConfusionCounts:
-    """Tally (predicted verdict, true label) pairs."""
-    n = Counter((verdict == "Malicious", label == "Malicious") for verdict, label in pairs)
-    return ConfusionCounts(n[True, True], n[False, False], n[True, False], n[False, True])
-
-
-def confusion_of(results: list[EntryResult]) -> ConfusionCounts:
-    return confusion_counts((r.report.verdict, r.entry.label) for r in results if r.evaluated)
-
-
-def partition_by_year(results: list[EntryResult]) -> dict[int, MetricSet]:
-    groups: dict[int, list[EntryResult]] = {}
-    for r in results:
-        if r.evaluated:
-            groups.setdefault(r.entry.year, []).append(r)
-    out: dict[int, MetricSet] = {}
-    for year in sorted(groups):
-        out[year] = compute_metrics(confusion_of(groups[year]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
 
 
+def _row(r: EntryResult) -> dict:
+    """An app's line in `results.jsonl`: its label and year, its verdict or its
+    skip, and the tokens it spent, if it has a ledger."""
+    row = {"app_id": r.entry.app_id, "label": r.entry.label, "year": r.entry.year}
+    if r.evaluated:
+        row["verdict"] = r.report.verdict
+        row["confidence"] = r.report.confidence
+        row["threat_category"] = r.report.threat_category
+    else:
+        row["skipped"] = r.skip_reason
+        row["skip_class"] = r.skip_class
+    if r.ledger is not None:
+        row["tokens"] = r.ledger.total_tokens
+    return row
+
+
 def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
-    evaluated = [r for r in results if r.evaluated]
-    skipped = [
-        {"app_id": r.entry.app_id, "class": r.skip_class, "reason": r.skip_reason}
-        for r in results
-        if not r.evaluated
-    ]
+    """The batch's summary: counts, skips, scores and per-app tokens from the
+    apps' `results.jsonl` rows; `cost_usd` and `tier_shares` from their ledgers,
+    skipped apps' spend included."""
+    rows = [_row(r) for r in sorted(results, key=lambda r: r.entry.app_id)]
+    scored = [row for row in rows if "verdict" in row]
     summary: dict = {
-        "evaluated": len(evaluated),
-        "skipped": sorted(skipped, key=lambda s: s["app_id"]),
+        "evaluated": len(scored),
+        "skipped": [{"app_id": row["app_id"], "class": row["skip_class"],
+                     "reason": row["skipped"]} for row in rows if "verdict" not in row],
     }
-    merged = CostLedger()  # skipped apps' spend included
+    merged = CostLedger()
     merged.extend(r.ledger for r in results if r.ledger is not None)
     if merged.total_tokens > 0:
         summary["tier_shares"] = {t: round(v, 9) for t, v in tier_shares(merged).items()}
@@ -239,17 +223,13 @@ def summarize(results: list[EntryResult], pricing: PricingTable) -> dict:
             "total": format_usd(cost["total"]),
             "per_tier": {t: format_usd(v) for t, v in cost["per_tier"].items()},
         }
-    if evaluated:
-        confusion = confusion_of(results)
-        summary["confusion"] = asdict(confusion)
-        summary["metrics"] = asdict(compute_metrics(confusion))
+    if scored:
+        summary.update(scores(scored))
         summary["per_year"] = {
-            str(year): asdict(ms) for year, ms in partition_by_year(results).items()
+            str(year): scores(row for row in scored if row["year"] == year)["metrics"]
+            for year in sorted({row["year"] for row in scored})
         }
-        per_app_tokens = sorted(
-            r.ledger.total_tokens for r in evaluated if r.ledger is not None
-        )
-        if per_app_tokens:
+        if per_app_tokens := sorted(row["tokens"] for row in scored if "tokens" in row):
             summary["tokens"] = {
                 "per_app_mean": statistics.mean(per_app_tokens),
                 "per_app_median": statistics.median(per_app_tokens),
@@ -288,21 +268,7 @@ def emit_reports(results: list[EntryResult], pricing: PricingTable,
             (out / "reports" / name).write_text(report.to_json(), encoding="utf-8")
         with (out / "results.jsonl").open("w", encoding="utf-8") as fh:
             for r in sorted(results, key=lambda x: x.entry.app_id):
-                row = {
-                    "app_id": r.entry.app_id,
-                    "label": r.entry.label,
-                    "year": r.entry.year,
-                }
-                if r.evaluated:
-                    row["verdict"] = r.report.verdict
-                    row["confidence"] = r.report.confidence
-                    row["threat_category"] = r.report.threat_category
-                else:
-                    row["skipped"] = r.skip_reason
-                    row["skip_class"] = r.skip_class
-                if r.ledger is not None:
-                    row["tokens"] = r.ledger.total_tokens
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(json.dumps(_row(r), sort_keys=True) + "\n")
         (out / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

@@ -19,10 +19,9 @@ from droidtriage.cli import main
 from droidtriage.config import load_config
 from droidtriage.harness import (
     BatchConfig,
-    ConfusionCounts,
     DatasetManifest,
-    compute_metrics,
     emit_reports,
+    metrics,
     run_batch,
 )
 from droidtriage.index import CallSite, build_api_index, build_call_graph
@@ -69,12 +68,12 @@ def test_criterion_1_metric_arithmetic():
     (50 + fn + 6 + tn) forces tn = 67 and total 124 (117/124 = 0.943548).
     """
     with criterion(1, "metric arithmetic reproduces published row", 1.0):
-        m = compute_metrics(ConfusionCounts(tp=50, tn=67, fp=6, fn=1))
+        m = metrics(tp=50, tn=67, fp=6, fn=1)
         for got, want in (
-            (m.accuracy, 94.35),
-            (m.precision, 89.29),
-            (m.recall, 98.04),
-            (m.f1, 93.46),
+            (m["accuracy"], 94.35),
+            (m["precision"], 89.29),
+            (m["recall"], 98.04),
+            (m["f1"], 93.46),
         ):
             assert abs(100 * got - want) <= 0.005, (got, want)
 

@@ -151,15 +151,27 @@ def test_batch_app_id_cannot_escape_reports(tmp_path, capsys):
 
 
 def test_metrics_from_results_jsonl(tmp_path, capsys):
+    # the six fixtures and one broken bundle, so that a skipped row is in the file
+    (tmp_path / "broken.mmf").write_text("package: b\n")
+    (tmp_path / "broken.mir").write_text("class oops {\n")
+    idx = tmp_path / "d.idx"
+    rows = [line.split(",") for line in (FIXTURES / "corpus.idx").read_text().splitlines()
+            if line and not line.startswith("#")]
+    idx.write_text("".join(f"{a},{FIXTURES / m},{FIXTURES / i},{label},{year}\n"
+                           for a, m, i, label, year in rows)
+                   + "broken,broken.mmf,broken.mir,Benign,2020\n")
     out = tmp_path / "run"
-    main(["batch", str(FIXTURES / "corpus.idx"), "--out", str(out)])
+    assert main(["batch", str(idx), "--out", str(out)]) == 0
     capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert [s["app_id"] for s in summary["skipped"]] == ["broken"]
     rc = main(["metrics", str(out / "results.jsonl")])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["evaluated"] == 6
     assert data["metrics"]["f1"] == 1.0
     assert data["confusion"] == {"tp": 3, "tn": 3, "fp": 0, "fn": 0}
+    assert data == {k: summary[k] for k in ("evaluated", "confusion", "metrics")}
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--cap"])
@@ -287,6 +299,31 @@ def test_batch_with_unpriced_routed_model_fails_before_any_exchange(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("unreadable", ["cfg.ini", "api.cat"])
+def test_batch_unreadable_config_or_catalog_fails_cleanly(tmp_path, capsys, monkeypatch,
+                                                         unreadable):
+    # a PermissionError from reading --config or a catalog used to escape as a
+    # traceback; the read is made to fail because chmod does not stop root
+    (tmp_path / "api.cat").write_text("api:my.Api.hit()->void\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[router]\nrecon = m\ntrace = m\nverdict = m\n"
+                   "[model.m]\nprice_in = 1\nprice_out = 1\n[catalogs]\napi = api.cat\n")
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self.name == unreadable:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    rc = main(["batch", str(FIXTURES / "corpus.idx"), "--config", str(cfg),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Permission denied: '{tmp_path / unreadable}'" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _metrics_error(path, capsys) -> str:
     assert main(["metrics", str(path)]) == 1
     err = capsys.readouterr().err
@@ -311,6 +348,13 @@ def test_metrics_row_without_label_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "results.jsonl"
     path.write_text('{"app_id": "a", "verdict": "Benign"}\n')
     assert "KeyError: 'label'" in _metrics_error(path, capsys)
+
+
+def test_metrics_line_nested_past_recursion_limit_fails_cleanly(tmp_path, capsys):
+    # used to end in a RecursionError traceback
+    path = tmp_path / "results.jsonl"
+    path.write_text("[" * 100000 + "]" * 100000 + "\n")
+    assert "RecursionError" in _metrics_error(path, capsys)
 
 
 def test_analyze_out_in_missing_directory_fails_cleanly(tmp_path, capsys):

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 import types
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,12 @@ from droidtriage.config import load_config
 from droidtriage.errors import ConfigError, ProviderUnavailableError, ReportIoError
 from droidtriage.harness import (
     BatchConfig,
-    ConfusionCounts,
     DatasetEntry,
     DatasetManifest,
-    compute_metrics,
-    confusion_of,
     emit_reports,
-    partition_by_year,
+    metrics,
     run_batch,
+    scores,
     summarize,
 )
 
@@ -58,35 +57,35 @@ def test_metrics_paper_row_from_derived_counts():
     # Solving the accuracy/precision/recall formulas against the published
     # 94.35/89.29/98.04/93.46 percentages over 124 samples gives
     # tp=50, tn=67, fp=6, fn=1 (see README).
-    m = compute_metrics(ConfusionCounts(tp=50, tn=67, fp=6, fn=1))
-    assert abs(100 * m.accuracy - 94.35) <= 0.005
-    assert abs(100 * m.precision - 89.29) <= 0.005
-    assert abs(100 * m.recall - 98.04) <= 0.005
-    assert abs(100 * m.f1 - 93.46) <= 0.005
+    m = metrics(tp=50, tn=67, fp=6, fn=1)
+    assert abs(100 * m["accuracy"] - 94.35) <= 0.005
+    assert abs(100 * m["precision"] - 89.29) <= 0.005
+    assert abs(100 * m["recall"] - 98.04) <= 0.005
+    assert abs(100 * m["f1"] - 93.46) <= 0.005
 
 
 def test_metrics_all_correct():
-    m = compute_metrics(ConfusionCounts(5, 5, 0, 0))
-    assert (m.accuracy, m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0, 1.0)
+    m = metrics(5, 5, 0, 0)
+    assert (m["accuracy"], m["precision"], m["recall"], m["f1"]) == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_metrics_undefined_precision_propagates():
-    m = compute_metrics(ConfusionCounts(tp=0, tn=7, fp=0, fn=3))
-    assert m.precision is None
-    assert m.recall == 0.0
-    assert m.f1 is None
-    assert m.accuracy == 0.7
+    m = metrics(tp=0, tn=7, fp=0, fn=3)
+    assert m["precision"] is None
+    assert m["recall"] == 0.0
+    assert m["f1"] is None
+    assert m["accuracy"] == 0.7
 
 
 def test_metrics_zero_sum_precision_recall_undefined_f1():
-    m = compute_metrics(ConfusionCounts(tp=0, tn=0, fp=3, fn=3))
-    assert m.precision == 0.0 and m.recall == 0.0
-    assert m.f1 is None
+    m = metrics(tp=0, tn=0, fp=3, fn=3)
+    assert m["precision"] == 0.0 and m["recall"] == 0.0
+    assert m["f1"] is None
 
 
 def test_metrics_empty_evaluation():
     with pytest.raises(ValueError, match="^no evaluated entries$"):
-        compute_metrics(ConfusionCounts(0, 0, 0, 0))
+        metrics(0, 0, 0, 0)
 
 
 def test_metrics_match_direct_oracle_1000_random():
@@ -95,10 +94,10 @@ def test_metrics_match_direct_oracle_1000_random():
         tp, tn, fp, fn = (rng.randint(0, 50) for _ in range(4))
         if tp + tn + fp + fn == 0:
             tp = 1
-        m = compute_metrics(ConfusionCounts(tp, tn, fp, fn))
+        m = metrics(tp, tn, fp, fn)
         acc, pre, rec, f1 = metrics_direct(tp, tn, fp, fn)
-        assert m.accuracy == acc and m.precision == pre
-        assert m.recall == rec and m.f1 == f1
+        assert m["accuracy"] == acc and m["precision"] == pre
+        assert m["recall"] == rec and m["f1"] == f1
 
 
 def test_f1_identity_when_defined():
@@ -107,10 +106,19 @@ def test_f1_identity_when_defined():
         tp, tn, fp, fn = (rng.randint(0, 30) for _ in range(4))
         if tp == 0:
             tp = 1
-        m = compute_metrics(ConfusionCounts(tp, tn, fp, fn))
-        assert m.f1 == pytest.approx(
-            2 * m.precision * m.recall / (m.precision + m.recall)
+        m = metrics(tp, tn, fp, fn)
+        assert m["f1"] == pytest.approx(
+            2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"])
         )
+
+
+def test_scores_count_only_rows_with_a_verdict():
+    rows = [{"label": label, "verdict": verdict}
+            for label in ("Benign", "Malicious") for verdict in ("Benign", "Malicious")]
+    rows.append({"label": "Malicious", "skipped": "x", "skip_class": "bundle-invalid"})
+    assert scores(rows) == {"confusion": {"tp": 1, "tn": 1, "fp": 1, "fn": 1},
+                            "metrics": metrics(1, 1, 1, 1)}
+    assert list(metrics(1, 1, 1, 1)) == ["accuracy", "precision", "recall", "f1"]
 
 
 # -- dataset -------------------------------------------------------------------
@@ -159,9 +167,9 @@ def test_batch_fixture_corpus_perfect_f1():
     ds = DatasetManifest.load(FIXTURES / "corpus.idx")
     results = run_batch(ds, batch_config())
     assert all(r.evaluated for r in results)
-    metrics = compute_metrics(confusion_of(results))
-    assert metrics.f1 == 1.0
-    assert metrics.accuracy == 1.0
+    scored = summarize(results, CFG.pricing)["metrics"]
+    assert scored["f1"] == 1.0
+    assert scored["accuracy"] == 1.0
 
 
 def test_batch_single_unparseable_entry_skipped(tmp_path):
@@ -605,18 +613,18 @@ def test_partition_single_year_equals_aggregate():
         )
         for r in results
     ]
-    per_year = partition_by_year(collapsed)
-    assert list(per_year) == [2020]
-    assert per_year[2020] == compute_metrics(confusion_of(collapsed))
+    summary = summarize(collapsed, CFG.pricing)
+    assert list(summary["per_year"]) == ["2020"]
+    assert summary["per_year"]["2020"] == summary["metrics"]
 
 
 def test_partition_disjoint_years():
     ds = DatasetManifest.load(FIXTURES / "corpus.idx")
     results = run_batch(ds, batch_config())
-    per_year = partition_by_year(results)
-    assert set(per_year) == {2017, 2018, 2019, 2020, 2021}
+    per_year = summarize(results, CFG.pricing)["per_year"]
+    assert set(per_year) == {"2017", "2018", "2019", "2020", "2021"}
     for ms in per_year.values():
-        assert ms.accuracy == 1.0
+        assert ms["accuracy"] == 1.0
 
 
 def test_partition_matches_recompute_oracle():
@@ -635,10 +643,13 @@ def test_partition_matches_recompute_oracle():
                 DatasetEntry(f"a{i}", Path("x"), Path("y"), label, year), report=report
             )
         )
-    per_year = partition_by_year(results)
+    per_year = summarize(results, CFG.pricing)["per_year"]
+    assert set(per_year) == {"2017", "2018", "2019"}
     for year, ms in per_year.items():
-        group = [r for r in results if r.entry.year == year]
-        assert ms == compute_metrics(confusion_of(group))
+        n = Counter((r.report.verdict == "Malicious", r.entry.label == "Malicious")
+                    for r in results if r.entry.year == int(year))
+        direct = metrics_direct(n[True, True], n[False, False], n[True, False], n[False, True])
+        assert tuple(ms.values()) == direct
 
 
 # -- emission ------------------------------------------------------------------
