@@ -4,14 +4,15 @@
 Every line of the package that runs is recorded with `sys.settrace` and
 `threading.settrace` (standard library only) over these runs:
 
-- `batch` on the fixtures, and on the benchmark's large_apps and
-  hostile_apps workloads at seed 101;
+- `batch` on the fixtures with one broken bundle, so that a skipped app is
+  reported, and on the benchmark's large_apps and hostile_apps workloads at
+  seed 101;
 - `analyze` on each fixture;
 - `stats` on the fixtures, and `metrics` on the fixture batch's results;
 - a live `batch` of the fixtures against `triagebench/stub.py`;
 - `backward_slice` on the `tests/genprog.py` slice shapes, and
-  `taint_reachability` on its copy and relay chains and on a copy chain
-  split by `if ... goto` joins, so that taint joins at region heads.
+  `taint_reachability` on its copy chains, with and without `if ... goto`
+  joins, and on its relay chains.
 
 It then prints, per module, each function-body line that none of them ran.
 Module and class bodies run at import, before tracing starts, so they are
@@ -111,20 +112,6 @@ def cli(*argv: str) -> None:
         sys.exit(f"droidtriage {' '.join(argv)} exited {rc}: {err.getvalue()}")
 
 
-def copy_chain_with_joins(lines: int) -> str:
-    """`genprog.gen_copy_chain` with every other line `if v1 goto <line + 2>`:
-    the line after each copy has two predecessors, so it heads a region and
-    the copied taint joins there."""
-    body, last = [f"v1 = call {genprog.DEVICE_SOURCE}()"], "v1"
-    for line in range(2, lines - 1):
-        if line % 2:
-            body.append(f"c{line} = {last}")
-            last = f"c{line}"
-        else:
-            body.append(f"if v1 goto {line + 2}")
-    return genprog._shape(body + [f"e = call {genprog.STORAGE_SINK}({last},{last})", "return"])
-
-
 def analyses() -> None:
     for shape in (genprog.gen_if_ladder, genprog.gen_if_ladder_back, genprog.gen_wide_use,
                   genprog.gen_goto_chain, genprog.gen_join_ladder):
@@ -133,7 +120,7 @@ def analyses() -> None:
         backward_slice(program, program.methods()[0].signature, line, var)
     catalog, device = load_config().api_catalog, parse_sig(genprog.DEVICE_SOURCE)
     chains = [(genprog.gen_copy_chain(SHAPE_LINES), "s.S.m()->void", "v1"),
-              (copy_chain_with_joins(SHAPE_LINES), "s.S.m()->void", "v1")]
+              (genprog.gen_copy_chain_joins(SHAPE_LINES), "s.S.m()->void", "v1")]
     chains += [(genprog.gen_relay_chain(RELAYS, recursive, leaky), "r.R.m()->void", "v")
                for recursive in (False, True) for leaky in (False, True)]
     for text, method, var in chains:
@@ -142,7 +129,15 @@ def analyses() -> None:
 
 def runs(tmp: Path) -> None:
     fixtures = ROOT / "fixtures"
-    cli("batch", str(fixtures / "corpus.idx"), "--out", str(tmp / "fixtures"))
+    (tmp / "broken.mmf").write_text("package: broken\n", "utf-8")
+    (tmp / "broken.mir").write_text("class oops {\n", "utf-8")
+    rows = [row.split(",") for row in (fixtures / "corpus.idx").read_text("utf-8").splitlines()
+            if row and not row.startswith("#")]
+    index = tmp / "fixtures.idx"
+    index.write_text("".join(f"{app},{fixtures / mmf},{fixtures / mir},{label},{year}\n"
+                             for app, mmf, mir, label, year in rows)
+                     + "broken,broken.mmf,broken.mir,Benign,2020\n", "utf-8")
+    cli("batch", str(index), "--out", str(tmp / "fixtures"))
     cli("metrics", str(tmp / "fixtures" / "results.jsonl"))
     cli("stats", str(fixtures / "corpus.idx"))
     for app in sorted(p for p in fixtures.iterdir() if p.is_dir()):

@@ -12,37 +12,37 @@ calls, with no depth limit.  Values move only through copies, call arguments
 and return values; there is no heap and no implicit flow through branches.
 So taint is distributive: each (method, tainted parameter) has one summary,
 the sinks of its method that it reaches, the summaries it calls and whether
-it returns taint, solved to a fixpoint by a worklist, recursion included.
-Sinks stay in the pass that reaches them, and one breadth-first walk over
-the calls from the source's pass collects them.  Each fact carries its
-witness, a linked list of def-use steps back to the source or to the pass's
-parameter, into which a call splices its callee's witness by reference; a
-hit's witness is unwound only when read, and each one replays.  Passes name
-one another by (method, parameter) key, so none is part of a reference cycle.
+it returns taint, solved to a fixpoint by a worklist, recursion included.  A
+pass walks its method's def-use graph (`MethodDef.defuse`) forward from the
+tainted parameter, or from the source's result, to the users of each tainted
+definition.  Sinks stay in the pass that reaches them, and one breadth-first
+walk over the calls from the source's pass collects them.  Each fact carries
+its witness, a linked list of def-use steps back to the source or to the
+pass's parameter, into which a call splices its callee's witness by
+reference; a hit's witness is unwound only when read, and each one replays.
+Passes name one another by (method, parameter) key, so none is part of a
+reference cycle.
 
 A slice is the least set of lines that holds the target, every definition
 reaching a use on a kept line, and every If with a kept line strictly
 between the If and its branch target (a linear approximation of control
-dependence).  It is computed from two tables cached per method, each line's
-region head and each variable's definition lines: a use on a kept line is
-answered by one bisection inside its region, and moves on to the head's
-predecessors, once per (head, variable), only when the region defines
-nothing before it.  The Ifs sit in a stabbing table built per slice, a
-segment tree over the lines in which each If is filed under the nodes that
-tile its range; a kept line pops the buckets on its leaf-to-root path, so
-each bucket is emptied at most once.
+dependence).  It is a walk of the def-use graph backward from the target,
+from each kept line's uses to their reaching definitions, expanding each phi
+once.  The Ifs sit in a stabbing table built per slice, a segment tree over
+the lines in which each If is filed under the nodes that tile its range; a
+kept line pops the buckets on its leaf-to-root path, so each bucket is
+emptied at most once.
 
 Every refusal of a tool's arguments is a ToolError.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from heapq import heappop, heappush
 
 from .catalog import ApiCatalog, EntryCatalog
 from .errors import ToolError
@@ -241,14 +241,14 @@ def _unwind(witness: _Witness) -> tuple[tuple[MethodSig, int], ...]:
 @dataclass(eq=False)
 class _Pass:
     """One flow-sensitive pass over a method, from its tainted parameter
-    `param` (a summary) or from the injected source line, re-run when a
+    `param` (a summary) or from the source line `inject`, re-run when a
     summary it reads first returns taint.  It keeps its method's sinks, the
     keys it calls with the call step and argument witness, its first tainted
     return, each as first found, and its readers' keys in first-read order."""
 
     method: MethodDef
     param: str | None
-    inject: tuple[int, str] | None = None
+    inject: int | None = None
     sinks: dict[tuple[str, int], tuple[CallSite, str, str, _Witness]] = field(default_factory=dict)
     calls: dict[_Key, tuple[tuple[MethodSig, int], _Witness]] = field(default_factory=dict)
     ret: _Witness = None
@@ -270,34 +270,25 @@ class _TaintEngine:
 
     # -- transfer --------------------------------------------------------
 
-    def _transfer(self, p: _Pass, line: int, facts: dict[str, _Witness]) -> None:
-        """Turn `facts` from IN(line) into OUT(line) in place: each variable
-        tainted after the line, with its witness.  A variable the line leaves
-        alone keeps its witness object."""
-        sig = p.method.signature
-        stmt = p.method.body[line - 1]
-        gen = None
+    def _transfer(self, p: _Pass, line: int, facts: dict[str, _Witness]) -> _Witness:
+        """Apply the line's rule to `facts`, its tainted uses with witnesses;
+        return the witness of the variable it defines if tainted, else None."""
+        sig, stmt = p.method.signature, p.method.body[line - 1]
         if isinstance(stmt, Assign) and stmt.src in facts:
-            gen = (None, (sig, line), facts[stmt.src])
-        elif isinstance(stmt, Invoke):
-            tainted_args = [a for a in stmt.uses if a in facts]
-            if tainted_args:
-                category = self.catalog.sink_category(stmt.callee)
-                if category is not None and (key := (str(sig), line)) not in p.sinks:
-                    site, arg = CallSite(sig, line, stmt.callee, stmt.dst), tainted_args[0]
-                    p.sinks[key] = (site, category, arg, (None, (sig, line), facts[arg]))
-                callee = self.methods.get(stmt.callee)
-                if callee is not None:
-                    gen = self._apply_summaries(p, (sig, line), stmt, callee, facts)
+            return (None, (sig, line), facts[stmt.src])
+        if isinstance(stmt, Invoke) and (tainted_args := [a for a in stmt.uses if a in facts]):
+            category = self.catalog.sink_category(stmt.callee)
+            if category is not None and (key := (str(sig), line)) not in p.sinks:
+                site, arg = CallSite(sig, line, stmt.callee, stmt.dst), tainted_args[0]
+                p.sinks[key] = (site, category, arg, (None, (sig, line), facts[arg]))
+            callee = self.methods.get(stmt.callee)
+            if callee is not None:
+                return self._apply_summaries(p, (sig, line), stmt, callee, facts)
         elif isinstance(stmt, Return) and stmt.var in facts and p.ret is None:
             p.ret = (None, (sig, line), facts[stmt.var])
             for reader in p.readers:  # once per summary
                 self._queue(self.summaries[reader])
-        facts.pop(stmt.dst, None)
-        if gen is not None:
-            facts[stmt.dst] = gen
-        if p.inject is not None and line == p.inject[0]:
-            facts[p.inject[1]] = (None, (sig, line), None)
+        return None
 
     def _apply_summaries(self, p: _Pass, call: tuple[MethodSig, int], stmt: Invoke,
                          callee: MethodDef, tin: dict[str, _Witness]) -> _Witness:
@@ -326,35 +317,33 @@ class _TaintEngine:
             self.work.append(p)
 
     def _run(self, p: _Pass) -> None:
-        """One pass, a worklist over the lines.  IN is kept only at region
-        heads: a walk starts at a queued head, or at the injected source line,
-        and runs to the end of its region on one dict.  Only a variable new to
-        IN(head) takes a witness there, so the first witness to reach a head
-        is kept."""
-        method = p.method
-        insets: dict[int, dict[str, _Witness]] = {}
-        work: deque[int] = deque()
-        if p.param is not None and method.body:
-            insets[1] = {p.param: None}
-            work.append(1)
-        if p.inject is not None:
-            work.append(p.inject[0])
-        successors, heads = method.successors, method.blocks
-        while work:
-            line = work.popleft()
-            facts = dict(insets.get(line, {}))
-            while line:
-                self._transfer(p, line, facts)
-                succs, line = successors[line], 0
-                for succ in succs:
-                    if heads[succ] != succ:  # the next line of this region
-                        line = succ
-                        continue
-                    tin = insets.setdefault(succ, {})
-                    if new := [var for var in facts if var not in tin]:
-                        tin.update((var, facts[var]) for var in new)
-                        if succ not in work:
-                            work.append(succ)
+        """One pass: from `param` on entry, or from the source line, to the
+        users of each tainted definition.  A phi takes the witness of the first
+        tainted operand to reach it; a line is visited in line order off a heap,
+        so in straight-line code it sees all its tainted uses at once."""
+        method, n = p.method, len(p.method.body)
+        reaching, users, _operands = method.defuse
+        start = p.inject or -1 - method.params.index(p.param)  # a line, or the parameter on entry
+        todo = [(start, p.inject and (None, (method.signature, p.inject), None))]
+        tainted, heap = {}, []
+        while todo or heap:
+            if not todo:
+                line = heappop(heap)
+                while heap and heap[0] == line:
+                    heappop(heap)
+                facts = {var: tainted[d] for var, d in zip(method.body[line - 1].uses, reaching[line])
+                         if d in tainted}
+                if (gen := self._transfer(p, line, facts)) is not None:
+                    todo.append((line, gen))
+                continue
+            d, witness = todo.pop()
+            if d not in tainted:
+                tainted[d] = witness
+                for user in users.get(d, ()):
+                    if user > n:  # a phi
+                        todo.append((user, witness))
+                    else:
+                        heappush(heap, user)
 
     def solve(self, root: _Pass) -> dict[_Key, _Pass]:
         """Run passes until no summary changes, and return every pass by key.
@@ -376,7 +365,7 @@ def taint_reachability(program: IrProgram, source: CallSite, catalog: ApiCatalog
         raise ToolError(f"{source.method}:{source.line} is not a call")
     if stmt.dst is None:
         raise ToolError(f"{source.method}:{source.line} discards its result")
-    passes = _TaintEngine(program, catalog).solve(_Pass(method, None, (source.line, stmt.dst)))
+    passes = _TaintEngine(program, catalog).solve(_Pass(method, None, source.line))
     root = (source.method, None)
     found, prefixes, walk = {}, {root: None}, [root]
     for key in walk:  # breadth first: each pass once, by the first path to it
@@ -479,29 +468,19 @@ def backward_slice(
         raise ToolError(
             f"{target_var!r} neither defined nor used at {method_sig}:{target_line}"
         )
-    body, preds, heads, def_lines = method.body, method.predecessors, method.blocks, method.def_lines
+    body, n = method.body, len(method.body)
+    reaching, _users, operands = method.defuse
     size, ifs = _if_buckets(body)
-    kept: set[int] = set()
-    moved: set[tuple[int, str]] = set()
-    keep = [target_line]
+    seen, keep = set(), [target_line]
     while keep:
-        line = keep.pop()
-        if line in kept:
+        d = keep.pop()
+        if d <= 0 or d in seen:  # no definition, or a parameter on entry
             continue
-        kept.add(line)
-        node = size + line
-        while ifs and node:  # an If filed in several buckets is dropped by `kept`
+        seen.add(d)
+        node = size + d if d <= n else 0  # a phi, past the last line, is only expanded
+        while ifs and node:  # an If filed in several buckets is dropped by `seen`
             keep += ifs.pop(node, ())
             node >>= 1
-        demands = [*product(preds[line], body[line - 1].uses)]
-        while demands:
-            at, var = demands.pop()
-            defs, head = def_lines.get(var, ()), heads[at]
-            i = bisect_right(defs, at)
-            if i and defs[i - 1] >= head:
-                keep.append(defs[i - 1])
-            elif (head, var) not in moved:
-                moved.add((head, var))
-                demands += [(p, var) for p in preds[head]]
-    kept_sorted = sorted(kept)
-    return Slice(kept_sorted, len(method.body) - len(kept_sorted))
+        keep += reaching[d] if d <= n else operands[d]
+    kept = sorted(d for d in seen if d <= n)
+    return Slice(kept, n - len(kept))

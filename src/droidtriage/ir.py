@@ -242,48 +242,99 @@ class MethodDef:
     body: list[IrStatement]
 
     @cached_property
-    def successors(self) -> dict[int, list[int]]:
-        """Line -> the lines control reaches next, built on first use and
-        shared by every tool that walks this method."""
-        succ: dict[int, list[int]] = {}
-        for line, stmt in enumerate(self.body, 1):
-            if isinstance(stmt, Return):
-                succ[line] = []
-            elif isinstance(stmt, Goto):
-                succ[line] = [stmt.target]
-            else:
-                succ[line] = [line + 1] if line < len(self.body) else []
-                if isinstance(stmt, If) and stmt.target not in succ[line]:
-                    succ[line].append(stmt.target)
-        return succ
-
-    @cached_property
-    def predecessors(self) -> dict[int, list[int]]:
-        """Line -> the lines whose successors include it, in line order."""
-        preds: dict[int, list[int]] = {line: [] for line in self.successors}
-        for line, succs in self.successors.items():
-            for succ in succs:
-                preds[succ].append(line)
-        return preds
-
-    @cached_property
-    def blocks(self) -> dict[int, int]:
-        """Line -> the first line of its region: a run of lines each reached
-        only from the line before it, so a fall-through If or a `goto` to the
-        next line does not end one."""
-        heads: dict[int, int] = {}
-        for line, preds in self.predecessors.items():
-            heads[line] = heads[line - 1] if preds == [line - 1] else line
-        return heads
-
-    @cached_property
-    def def_lines(self) -> dict[str, list[int]]:
-        """Variable -> the lines that define it, ascending."""
-        defs: dict[str, list[int]] = {}
-        for line, stmt in enumerate(self.body, 1):
-            if stmt.dst is not None:
-                defs.setdefault(stmt.dst, []).append(line)
-        return defs
+    def defuse(self) -> tuple[list[tuple[int, ...]], dict[int, list[int]], dict[int, list[int]]]:
+        """The def-use graph in SSA form, `(reaching, users, operands)`, built on
+        first use and shared by every tool that walks this method.  A definition
+        is a line, a parameter on entry (-1 - its index), a phi (past the last
+        line) or 0, none: `reaching[line]` holds the one reaching each of the
+        line's `uses`, `users[d]` the lines and phis that read d, and
+        `operands[phi]` the one reaching the phi along each edge in.  Regions,
+        runs of lines entered only at the first and left only at the last, get
+        dominators by Cooper, Harvey and Kennedy, and phis at the iterated
+        dominance frontiers of each variable's defining regions (Cytron et al.);
+        one walk of the dominator tree names the uses.  Its root, line -1,
+        enters line 0, which defines the parameters and falls into line 1, and,
+        in line order, the first line of each part a walk from line 1 misses:
+        a dead definition reaches a live join, and no parameter a dead line."""
+        body, n = self.body, len(self.body)
+        jumps = [(line, getattr(s, "target", 1)) for line, s in enumerate(body, 1)  # a Return's is 1
+                 if type(s) in (If, Goto, Return) and getattr(s, "target", 0) != line + 1]
+        hs = sorted({1, *(line + 1 for line, _ in jumps), *(t for _, t in jumps)} - {n + 1})  # heads
+        ends = dict(zip([-1, 0, *hs], [0, 1, *hs[1:], n + 1]))  # one past a region's last line
+        succ: dict[int, list[int]] = {-1: [], 0: hs[:1]}
+        for h in hs:
+            last = body[ends[h] - 2]
+            falls = [] if type(last) in (Goto, Return) or ends[h] > n else [ends[h]]
+            succ[h] = [*dict.fromkeys(falls + ([last.target] if type(last) in (If, Goto) else []))]
+        post, seen = [], {-1}
+        for root in [0, *hs]:  # depth first from line 0, then from each head not met
+            if root not in seen:
+                succ[-1].append(root)
+                stack = [root]
+                while stack:  # a region to enter, or ~region when it is finished
+                    x = stack.pop()
+                    if x < 0:
+                        post.append(~x)
+                    elif x not in seen:
+                        seen.add(x)
+                        stack += [~x, *reversed(succ[x])]
+        rpo = [-1, *reversed(post)]
+        num = {node: i for i, node in enumerate(rpo)}
+        preds: list[list[int]] = [[] for _ in rpo]
+        for node, s in [(node, s) for node in reversed(rpo) for s in succ[node]]:
+            preds[num[s]].append(num[node])  # deepest first, so each meet walks up once
+        idom, old = [0] + [-1] * (len(rpo) - 1), None
+        while idom != old:  # by reverse postorder number, a dominator's is the smaller
+            old = idom[:]
+            for i in range(1, len(rpo)):
+                new, *rest = [p for p in preds[i] if idom[p] >= 0]
+                for q in rest:
+                    while q != new:
+                        q, new = (idom[q], new) if q > new else (q, idom[new])
+                idom[i] = new
+        kids, frontier = [[] for _ in rpo], [[] for _ in rpo]  # dominator-tree children; frontiers
+        for b, ps in enumerate(preds[1:], 1):
+            kids[idom[b]].append(b)
+            for p in ps if len(ps) > 1 else ():
+                while p != idom[b] and frontier[p][-1:] != [b]:  # met b: so did all above
+                    frontier[p].append(b)
+                    p = idom[p]
+        phis: list[dict[str, int]] = [{} for _ in rpo]  # a region's phi for each variable
+        operands: dict[int, list[int]] = {}
+        work = [(var, i) for i, node in enumerate(rpo) if frontier[i]  # no frontier, no phi
+                for var in (self.params if node == 0 else
+                            {s.dst for s in body[node - 1:ends[node] - 1]} - {None})]
+        while work:
+            var, x = work.pop()
+            for y in frontier[x]:
+                if var not in phis[y]:
+                    operands[phi := n + 1 + len(operands)] = []
+                    phis[y][var] = phi
+                    work.append((var, y))
+        reaching, users, cur, undo = [()] * (n + 1), {}, {}, []  # cur: var -> its definition
+        stack, marks = [0], [0] * len(rpo)
+        while stack:  # dominator tree preorder: first restore the names leaving idom's region
+            i = stack.pop()
+            while len(undo) > marks[idom[i]]:
+                var, cur[var] = undo.pop()
+            defs = phis[i] if rpo[i] else {p: -1 - k for k, p in enumerate(self.params)}
+            undo += [(var, cur.get(var, 0)) for var in defs]
+            cur.update(defs)
+            for line in range(max(rpo[i], 1), ends[rpo[i]]):
+                stmt = body[line - 1]
+                if stmt.uses:
+                    reaching[line] = uses = tuple([cur.get(v, 0) for v in stmt.uses])
+                    for d in uses:
+                        users.setdefault(d, []).append(line)
+                if stmt.dst is not None:
+                    undo.append((stmt.dst, cur.get(stmt.dst, 0)))
+                    cur[stmt.dst] = line
+            for var, phi in (item for head in succ[rpo[i]] for item in phis[num[head]].items()):
+                operands[phi].append(d := cur.get(var, 0))
+                users.setdefault(d, []).append(phi)
+            marks[i] = len(undo)
+            stack += kids[i]
+        return reaching, users, operands
 
 
 @dataclass

@@ -328,6 +328,20 @@ def gen_copy_chain(lines: int) -> str:
     return _shape(body + [f"e = call {STORAGE_SINK}({last},{last})", "return"])
 
 
+def gen_copy_chain_joins(lines: int) -> str:
+    """`gen_copy_chain` with every other line `if v1 goto <line + 2>`: the
+    line after each copy has two predecessors, so it heads a region, the
+    copied taint joins there, and each copy takes a phi."""
+    body, last = [f"v1 = call {DEVICE_SOURCE}()"], "v1"
+    for line in range(2, lines - 1):
+        if line % 2:
+            body.append(f"c{line} = {last}")
+            last = f"c{line}"
+        else:
+            body.append(f"if v1 goto {line + 2}")
+    return _shape(body + [f"e = call {STORAGE_SINK}({last},{last})", "return"])
+
+
 def gen_relay_chain(n: int, recursive: bool = False, leaky: bool = False) -> str:
     """A device id relayed down a call chain: `r.R.m()->void` reads it on line
     1 and passes it to `r.R.r1`, each of the `n` relays `r.R.r<i>(string)->void`

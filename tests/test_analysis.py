@@ -7,7 +7,6 @@ import random
 import sys
 import threading
 import tracemalloc
-from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -35,6 +34,7 @@ from genprog import (
     DEVICE_SOURCE,
     dag_manifest_text,
     gen_copy_chain,
+    gen_copy_chain_joins,
     gen_cyclic_program,
     gen_dag_program,
     gen_fold_chain,
@@ -711,6 +711,99 @@ def test_slice_matches_fixpoint_oracle_with_branches():
     assert checked > 3000
 
 
+# Dead definitions that reach a live join.  `oracles.reaching_defs` walks
+# every predecessor, reachable or not, and the taint oracle starts only from
+# line 1 or the source, so the graph roots each part that a walk from line 1
+# misses at a virtual entry that defines nothing.
+SRC, SEND = "ext.api.Src.read()->string", "ext.api.Net.send(string)->void"
+
+# m:6 follows a mid-method return and falls into the `goto` target m:7; in
+# h, h:3 and h:4 lie after a return, so h:4 must not see the parameter
+DEAD_AFTER_RETURN = f"""class d.A {{
+  method d.A.m()->void () {{
+    x = call {SRC}()
+    if x goto 4
+    return
+    goto 7
+    return
+    x = const 1
+    y = x
+    call {SEND}(y)
+    call d.A.h(string)->void(x)
+    return
+  }}
+  method d.A.h(string)->void (p) {{
+    goto 5
+    return
+    q = p
+    call {SEND}(q)
+    call {SEND}(p)
+    return
+  }}
+}}
+"""
+
+# m:4 to m:6 is a loop that no path enters; m:5 defines x in it and m:7
+# leaves it for the live join m:9; k:2 and k:3 are a dead loop on the
+# parameter
+DEAD_LOOP = f"""class d.B {{
+  method d.B.m()->void () {{
+    x = call {SRC}()
+    z = x
+    goto 8
+    call {SEND}(z)
+    x = const 1
+    if x goto 4
+    goto 9
+    nop
+    call {SEND}(x)
+    call d.B.k(string)->void(x)
+    return
+  }}
+  method d.B.k(string)->void (p) {{
+    goto 5
+    call {SEND}(p)
+    if p goto 2
+    return
+    call {SEND}(p)
+    return
+  }}
+}}
+"""
+
+
+def _assert_dead_code_matches_oracles(text: str, line: int,
+                                      var: str) -> tuple[list[int], set[tuple[str, int]]]:
+    """Check every slice of the program and the taint of m's source against
+    the oracles; return the slice of m at (line, var) and the sinks reached."""
+    program, catalog = parse_program(text), synth_catalog()
+    assert not validate(AppBundle("d", Manifest("d", "", "", [], []), program))
+    for m in program.methods():
+        for at, stmt in enumerate(m.body, 1):
+            for used in {defined_var(stmt), *used_vars(stmt)} - {None}:
+                got = backward_slice(program, m.signature, at, used)
+                assert got.kept_lines == sorted(slice_fixpoint_scan(m, at)), (m.signature, at)
+    m = program.methods()[0]
+    source = CallSite(m.signature, 1, parse_sig(SRC), "x")
+    hits = taint_reachability(program, source, catalog)
+    sinks = {(str(hit.site.method), hit.site.line) for hit in hits}
+    assert sinks == taint_scan(program, catalog, m.signature, 1)
+    assert all(replay_witness(program, catalog, source, hit.witness) for hit in hits)
+    return backward_slice(program, m.signature, line, var).kept_lines, sinks
+
+
+def test_dead_definition_after_return_reaches_goto_target():
+    kept, sinks = _assert_dead_code_matches_oracles(DEAD_AFTER_RETURN, 8, "y")
+    assert kept == [1, 6, 7, 8]
+    assert sinks == {("d.A.m()->void", 8), ("d.A.h(string)->void", 5)}
+
+
+def test_dead_loop_definition_reaches_live_join():
+    kept, sinks = _assert_dead_code_matches_oracles(DEAD_LOOP, 9, "x")
+    assert kept == [1, 5, 6, 9]
+    assert sinks == {("d.B.m()->void", 9), ("d.B.k(string)->void", 5)}
+
+
 # -- attacker shapes ---------------------------------------------------------
 
 SLICE_SHAPES = [gen_if_ladder, gen_if_ladder_back, gen_wide_use, gen_goto_chain, gen_join_ladder]
@@ -734,24 +827,43 @@ def test_slice_matches_fixpoint_oracle_on_shapes(gen):
         assert got.kept_lines == sorted(slice_fixpoint_scan(method, gen(lines)[1])), lines
 
 
-@pytest.mark.parametrize("gen", [gen_if_ladder, gen_wide_use, gen_goto_chain, _fold_shape])
-def test_slice_region_lookups_linear_on_shapes(gen, monkeypatch):
-    # each region lookup is one bisection into a variable's definition lines;
-    # the count is deterministic, so the bound needs no timing
-    lookups = 0
+def _copy_chain_joins_shape(lines: int) -> tuple[str, int, str]:
+    return gen_copy_chain_joins(lines), lines - 1, "e"
 
-    def counting(defs, line):
-        nonlocal lookups
-        lookups += 1
-        return bisect_right(defs, line)
 
-    monkeypatch.setattr(analysis, "bisect_right", counting)
+@pytest.mark.parametrize("gen", SLICE_SHAPES + [_fold_shape, _copy_chain_joins_shape])
+def test_defuse_graph_linear_on_shapes(gen, monkeypatch):
+    # the graph's own tables are counted, not timed: its phis, its def-use
+    # edges (a use to its reaching definition, a phi to an operand), and the
+    # lines each walk visits: the slice keeps each line once, and taint runs
+    # one transfer per visit of a line
+    visits = []
+    transfer = analysis._TaintEngine._transfer
+
+    def counted(engine, p, line, facts):
+        visits.append(line)
+        return transfer(engine, p, line, facts)
+
+    monkeypatch.setattr(analysis._TaintEngine, "_transfer", counted)
+    catalog, device = load_config().api_catalog, parse_sig(DEVICE_SOURCE)
     for lines in (1000, 2000, 4000, 8000):
-        lookups = 0
-        _method, got = _shape_slice(gen, lines)
-        # every kept line but the target is found by a lookup
-        assert lines // 2 <= len(got.kept_lines) <= lookups + 1
-        assert lookups <= 2 * lines, (lines, lookups)
+        text, line, var = gen(lines)
+        program = parse_program(text)
+        method = program.methods()[0]
+        reaching, users, operands = method.defuse
+        phis = len(operands)
+        edges = sum(map(len, reaching)) + sum(map(len, operands.values()))
+        assert sum(map(len, users.values())) == edges  # each edge is filed at both ends
+        assert phis <= lines // 2 and edges <= 2 * lines, (lines, phis, edges)
+        got = backward_slice(program, method.signature, line, var)
+        assert len(got.kept_lines) + got.removed_count == lines
+        visits.clear()
+        for at, stmt in enumerate(method.body, 1):
+            if isinstance(stmt, Invoke) and stmt.callee == device:
+                hits = taint_reachability(program, CallSite(method.signature, at, device, stmt.dst),
+                                          catalog)
+                assert [hit.site.line for hit in hits] == [line]
+        assert len(visits) <= lines, (lines, len(visits))
 
 
 @pytest.mark.parametrize("gen", [gen_if_ladder, gen_if_ladder_back])
@@ -767,24 +879,37 @@ def test_if_table_entries_log_linear_on_ladders(gen):
 
 
 def test_slice_of_one_fresh_method_from_many_threads():
-    # live sessions share one MethodDef: threads that slice it at once fill its
-    # cached predecessor, region and definition tables while others read them,
-    # and each must get the slice of a method sliced alone
-    shapes = [gen_if_ladder(1500), gen_if_ladder_back(1500), gen_join_ladder(120),
-              _fold_shape(1500)]
+    # live sessions share one MethodDef: threads that slice or taint it at once
+    # build its cached def-use graph while others read it, and each must get
+    # the answer for a method analysed alone.  On the two shapes with a
+    # source, half the threads slice and half taint
+    catalog, device = load_config().api_catalog, parse_sig(DEVICE_SOURCE)
+
+    def sliced(program, line, var):
+        return backward_slice(program, program.methods()[0].signature, line, var)
+
+    def tainted(program, _line, _var):
+        method = program.methods()[0]
+        at, stmt = next((at, s) for at, s in enumerate(method.body, 1)
+                        if isinstance(s, Invoke) and s.callee == device)
+        hits = taint_reachability(program, CallSite(method.signature, at, device, stmt.dst), catalog)
+        return [(hit, hit.witness) for hit in hits]
+
+    shapes = [(gen_if_ladder(1500), [sliced]), (gen_if_ladder_back(1500), [sliced]),
+              (gen_join_ladder(120), [sliced]), (_fold_shape(1500), [sliced, tainted]),
+              (_copy_chain_joins_shape(1500), [sliced, tainted])]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for text, line, var in shapes:
+        for (text, line, var), tools in shapes:
             program = parse_program(text)
-            sig = program.methods()[0].signature
-            want = backward_slice(parse_program(text), sig, line, var)
+            want = [tool(parse_program(text), line, var) for tool in tools]
             got: list = [None] * 8
             barrier = threading.Barrier(len(got), timeout=10)
 
             def worker(i: int) -> None:
                 barrier.wait()
-                got[i] = backward_slice(program, sig, line, var)
+                got[i] = tools[i % len(tools)](program, line, var)
 
             threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(got))]
             for t in threads:
@@ -792,7 +917,7 @@ def test_slice_of_one_fresh_method_from_many_threads():
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            assert got == [want] * len(got)
+            assert got == [want[i % len(tools)] for i in range(len(got))]
     finally:
         sys.setswitchinterval(old)
 
@@ -939,7 +1064,10 @@ def test_analyses_build_no_reference_cycle():
                for d in sorted(fixtures.glob("fx_*"))]
     rng = random.Random(41)
     bundles += [("package: g.app\n", gen_program(rng, 12, 25)) for _ in range(50)]
+    bundles += [("package: s.app\n", gen_join_ladder(120)[0]),
+                ("package: s.app\n", gen_copy_chain_joins(120))]
     relays = [(gen_relay_chain(2000), False), (gen_relay_chain(500, True, True), True)]
+    phis = 0
     gc.collect()
     gc.disable()
     try:
@@ -949,7 +1077,7 @@ def test_analyses_build_no_reference_cycle():
             build_call_graph(bundle.program)
             build_api_index(bundle.program, catalog)
             for method in bundle.program.methods():
-                method.successors, method.predecessors, method.blocks, method.def_lines
+                phis += len(method.defuse[2])
         for text, leaky in relays:
             program = parse_program(text)
             source = CallSite(parse_sig("r.R.m()->void"), 1, parse_sig(DEVICE_SOURCE), "v")
@@ -959,3 +1087,4 @@ def test_analyses_build_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+    assert phis >= 59  # one for each copy of the chain with joins
